@@ -7,19 +7,13 @@ summary of its timings to ``BENCH_search.json`` (override the path with
 trajectory of the simulator and the search subsystem can be tracked
 across commits by diffing one small JSON file.
 
-Benchmarks in the ``assoc`` group (the k-way simulator throughput suite,
-``test_bench_assoc.py``) are routed to a separate ``BENCH_assoc.json``
-(``$REPRO_BENCH_ASSOC_JSON``), and benchmarks in the ``symbolic`` group
-(the symbolic-tier classify/analyze suite, ``test_bench_symbolic.py``)
-to ``BENCH_symbolic.json`` (``$REPRO_BENCH_SYMBOLIC_JSON``), and
-benchmarks in the ``exec`` group (the sweep-scheduler suite,
-``test_bench_exec.py``) to ``BENCH_exec.json``
-(``$REPRO_BENCH_EXEC_JSON``), and benchmarks in the ``service`` group
-(the tuning-service request path, ``test_bench_service.py``) to
-``BENCH_service.json`` (``$REPRO_BENCH_SERVICE_JSON``), so
-simulator-throughput, symbolic-tier, scheduler, service, and
-search-subsystem history stay independently diffable; all files are
-uploaded as CI artifacts per run.
+Benchmarks in the groups of :data:`GROUP_FILES` go to their own file
+instead (each with its own environment override), so the histories of
+the simulator hot paths (``sim``, ``test_bench_simulator.py``), the
+k-way simulator (``assoc``), the symbolic tier (``symbolic``), the sweep
+scheduler (``exec``), the tuning service (``service``) and the search
+subsystem stay independently diffable; all files are uploaded as CI
+artifacts per run.
 
 The file holds a list of session records, newest last::
 
@@ -54,33 +48,18 @@ import platform
 from typing import Any
 
 ENV_BENCH_JSON = "REPRO_BENCH_JSON"
-ENV_BENCH_ASSOC_JSON = "REPRO_BENCH_ASSOC_JSON"
-ENV_BENCH_SYMBOLIC_JSON = "REPRO_BENCH_SYMBOLIC_JSON"
-ENV_BENCH_EXEC_JSON = "REPRO_BENCH_EXEC_JSON"
-ENV_BENCH_SERVICE_JSON = "REPRO_BENCH_SERVICE_JSON"
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_PATH = _ROOT / "BENCH_search.json"
-DEFAULT_ASSOC_PATH = _ROOT / "BENCH_assoc.json"
-DEFAULT_SYMBOLIC_PATH = _ROOT / "BENCH_symbolic.json"
-DEFAULT_EXEC_PATH = _ROOT / "BENCH_exec.json"
-DEFAULT_SERVICE_PATH = _ROOT / "BENCH_service.json"
 
-#: Benchmark groups routed to ``BENCH_assoc.json`` instead of the default.
-ASSOC_GROUPS = {"assoc"}
-
-#: Benchmark groups routed to ``BENCH_symbolic.json`` (the symbolic-tier
-#: classify/analyze throughput and tier-speedup artifact).
-SYMBOLIC_GROUPS = {"symbolic"}
-
-#: Benchmark groups routed to ``BENCH_exec.json`` (the sweep executor's
-#: scheduler/store suite: cold vs warm sweeps, worker scaling, pool
-#: reuse).
-EXEC_GROUPS = {"exec"}
-
-#: Benchmark groups routed to ``BENCH_service.json`` (the tuning
-#: service's request-path suite: cold vs warm request latency and
-#: throughput under concurrent clients).
-SERVICE_GROUPS = {"service"}
+#: Benchmark group -> (artifact file name, environment override).  Rows of
+#: any other group go to ``BENCH_search.json`` (``$REPRO_BENCH_JSON``).
+GROUP_FILES = {
+    "sim": ("BENCH_sim.json", "REPRO_BENCH_SIM_JSON"),
+    "assoc": ("BENCH_assoc.json", "REPRO_BENCH_ASSOC_JSON"),
+    "symbolic": ("BENCH_symbolic.json", "REPRO_BENCH_SYMBOLIC_JSON"),
+    "exec": ("BENCH_exec.json", "REPRO_BENCH_EXEC_JSON"),
+    "service": ("BENCH_service.json", "REPRO_BENCH_SERVICE_JSON"),
+}
 
 #: Values of $REPRO_BENCH_JSON that turn recording off entirely.
 _DISABLED = {"0", "off", "none", ""}
@@ -122,68 +101,24 @@ def output_path() -> pathlib.Path | None:
     return pathlib.Path(env)
 
 
-def assoc_output_path() -> pathlib.Path | None:
-    """Where ``assoc``-group rows go, or ``None`` when disabled.
+def group_output_path(group: str | None) -> pathlib.Path | None:
+    """Where rows of ``group`` go, or ``None`` when disabled.
 
-    ``$REPRO_BENCH_ASSOC_JSON`` overrides the path on its own;
-    ``$REPRO_BENCH_JSON=off`` is the master switch for both files.
+    A routed group's environment variable overrides its path on its own
+    (``0``/``off`` disables just that file); ``$REPRO_BENCH_JSON=off`` is
+    the master switch for every file.
     """
-    env = os.environ.get(ENV_BENCH_ASSOC_JSON)
+    if group not in GROUP_FILES:
+        return output_path()
+    name, env_var = GROUP_FILES[group]
+    env = os.environ.get(env_var)
     if env is not None:
         if env.strip().lower() in _DISABLED:
             return None
         return pathlib.Path(env)
     if output_path() is None:
         return None
-    return DEFAULT_ASSOC_PATH
-
-
-def symbolic_output_path() -> pathlib.Path | None:
-    """Where ``symbolic``-group rows go, or ``None`` when disabled.
-
-    Mirrors :func:`assoc_output_path`: ``$REPRO_BENCH_SYMBOLIC_JSON``
-    overrides the path, ``$REPRO_BENCH_JSON=off`` disables both.
-    """
-    env = os.environ.get(ENV_BENCH_SYMBOLIC_JSON)
-    if env is not None:
-        if env.strip().lower() in _DISABLED:
-            return None
-        return pathlib.Path(env)
-    if output_path() is None:
-        return None
-    return DEFAULT_SYMBOLIC_PATH
-
-
-def exec_output_path() -> pathlib.Path | None:
-    """Where ``exec``-group rows go, or ``None`` when disabled.
-
-    Mirrors :func:`assoc_output_path`: ``$REPRO_BENCH_EXEC_JSON``
-    overrides the path, ``$REPRO_BENCH_JSON=off`` disables both.
-    """
-    env = os.environ.get(ENV_BENCH_EXEC_JSON)
-    if env is not None:
-        if env.strip().lower() in _DISABLED:
-            return None
-        return pathlib.Path(env)
-    if output_path() is None:
-        return None
-    return DEFAULT_EXEC_PATH
-
-
-def service_output_path() -> pathlib.Path | None:
-    """Where ``service``-group rows go, or ``None`` when disabled.
-
-    Mirrors :func:`assoc_output_path`: ``$REPRO_BENCH_SERVICE_JSON``
-    overrides the path, ``$REPRO_BENCH_JSON=off`` disables both.
-    """
-    env = os.environ.get(ENV_BENCH_SERVICE_JSON)
-    if env is not None:
-        if env.strip().lower() in _DISABLED:
-            return None
-        return pathlib.Path(env)
-    if output_path() is None:
-        return None
-    return DEFAULT_SERVICE_PATH
+    return _ROOT / name
 
 
 def summarize(benchmarks) -> list[dict[str, Any]]:
@@ -258,30 +193,18 @@ def append_routed(rows: list[dict[str, Any]],
                   trace: str | None = None) -> list[pathlib.Path]:
     """Split ``rows`` by group and append each bucket to its artifact.
 
-    Rows whose ``group`` is in :data:`ASSOC_GROUPS` go to
-    :func:`assoc_output_path`, :data:`SYMBOLIC_GROUPS` rows to
-    :func:`symbolic_output_path`, :data:`EXEC_GROUPS` rows to
-    :func:`exec_output_path`, the rest to :func:`output_path`.
-    ``trace`` (the session's trace artifact, if one was recorded) is
-    attached to every record written.  Returns the paths actually
-    written.
+    Rows go to :func:`group_output_path` of their ``group``.  ``trace``
+    (the session's trace artifact, if one was recorded) is attached to
+    every record written.  Returns the paths actually written.
     """
-    assoc = [r for r in rows if r.get("group") in ASSOC_GROUPS]
-    symbolic = [r for r in rows if r.get("group") in SYMBOLIC_GROUPS]
-    execrows = [r for r in rows if r.get("group") in EXEC_GROUPS]
-    servicerows = [r for r in rows if r.get("group") in SERVICE_GROUPS]
-    routed = ASSOC_GROUPS | SYMBOLIC_GROUPS | EXEC_GROUPS | SERVICE_GROUPS
-    rest = [r for r in rows if r.get("group") not in routed]
+    buckets: dict[pathlib.Path, list[dict[str, Any]]] = {}
+    for row in rows:
+        path = group_output_path(row.get("group"))
+        if path is not None:
+            buckets.setdefault(path, []).append(row)
     written = []
-    for bucket, path in (
-        (rest, output_path()),
-        (assoc, assoc_output_path()),
-        (symbolic, symbolic_output_path()),
-        (execrows, exec_output_path()),
-        (servicerows, service_output_path()),
-    ):
-        if bucket and path is not None:
-            out = append_session(bucket, path, trace=trace)
-            if out is not None:
-                written.append(out)
+    for path, bucket in buckets.items():
+        out = append_session(bucket, path, trace=trace)
+        if out is not None:
+            written.append(out)
     return written

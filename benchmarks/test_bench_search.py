@@ -53,3 +53,18 @@ def test_recorder_disabled_by_env(monkeypatch):
 def test_recorder_skips_empty_sessions(tmp_path):
     assert recorder.append_session([], tmp_path / "bench.json") is None
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_recorder_routes_groups_to_their_files(tmp_path, monkeypatch):
+    monkeypatch.setenv(recorder.ENV_BENCH_JSON, str(tmp_path / "search.json"))
+    monkeypatch.setenv("REPRO_BENCH_SIM_JSON", str(tmp_path / "sim.json"))
+    monkeypatch.setenv("REPRO_BENCH_ASSOC_JSON", "off")
+    rows = [{"name": name, "group": group, "mean_s": 0.1, "min_s": 0.1,
+             "max_s": 0.1, "rounds": 1}
+            for name, group in (("a", "sim"), ("b", None), ("c", "assoc"))]
+    written = recorder.append_routed(rows)
+    assert sorted(p.name for p in written) == ["search.json", "sim.json"]
+    sim = json.loads((tmp_path / "sim.json").read_text())
+    assert [r["name"] for r in sim[0]["benchmarks"]] == ["a"]
+    search = json.loads((tmp_path / "search.json").read_text())
+    assert [r["name"] for r in search[0]["benchmarks"]] == ["b"]

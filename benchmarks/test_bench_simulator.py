@@ -2,7 +2,10 @@
 
 These are the substrate hot paths every figure runs through; tracking
 them catches performance regressions that would make the full-size
-experiments impractical.
+experiments impractical.  Every benchmark carries ``group="sim"`` so the
+recorder routes its row to ``BENCH_sim.json``, and records its
+throughput as ``refs_per_sec`` in ``extra_info`` -- the metric
+``benchmarks/trend.py`` gates against the committed baseline.
 """
 
 import numpy as np
@@ -14,7 +17,15 @@ from repro.cache.streaming import StreamingHierarchy
 from repro.kernels import expl, jacobi
 from repro.trace.generator import generate_trace, program_trace_chunks
 
+pytestmark = pytest.mark.benchmark(group="sim")
+
 HIER = ultrasparc_i()
+
+
+def _refs_per_sec(benchmark, n: int) -> None:
+    stats = benchmark.stats
+    stats = getattr(stats, "stats", stats)
+    benchmark.extra_info["refs_per_sec"] = round(n / stats.min)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +37,7 @@ def random_trace():
 def test_bench_direct_mapped_2m_refs(benchmark, random_trace):
     misses = benchmark(miss_mask_direct, random_trace, HIER.l1.size, HIER.l1.line_size)
     assert misses.sum() > 0
+    _refs_per_sec(benchmark, random_trace.size)
 
 
 def test_bench_hierarchy_streaming(benchmark, random_trace):
@@ -37,6 +49,7 @@ def test_bench_hierarchy_streaming(benchmark, random_trace):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_refs == random_trace.size
+    _refs_per_sec(benchmark, random_trace.size)
 
 
 def test_bench_trace_generation_jacobi256(benchmark):
@@ -44,6 +57,7 @@ def test_bench_trace_generation_jacobi256(benchmark):
     lay = DataLayout.sequential(prog)
     trace = benchmark(generate_trace, prog, lay)
     assert trace.size == prog.total_refs()
+    _refs_per_sec(benchmark, trace.size)
 
 
 def test_bench_end_to_end_expl192(benchmark):
@@ -57,3 +71,4 @@ def test_bench_end_to_end_expl192(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_refs == prog.total_refs()
+    _refs_per_sec(benchmark, result.total_refs)

@@ -2,8 +2,8 @@
 
 The recorder (``benchmarks/recorder.py``) turns every benchmark session
 into an appended JSON record; this module closes the loop by *comparing*
-a freshly produced ``BENCH_search.json`` / ``BENCH_assoc.json`` /
-``BENCH_exec.json`` against
+a freshly produced ``BENCH_search.json`` / ``BENCH_sim.json`` /
+``BENCH_assoc.json`` / ``BENCH_exec.json`` against
 the baselines committed under ``benchmarks/baselines/``, so a
 throughput regression fails CI instead of scrolling past in a table.
 
@@ -41,6 +41,7 @@ Usage (pairs of fresh/baseline paths)::
 
     python -m benchmarks.trend \\
       BENCH_search.json benchmarks/baselines/BENCH_search.json \\
+      BENCH_sim.json benchmarks/baselines/BENCH_sim.json \\
       BENCH_assoc.json benchmarks/baselines/BENCH_assoc.json \\
       BENCH_exec.json benchmarks/baselines/BENCH_exec.json
 """

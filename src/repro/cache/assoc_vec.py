@@ -14,12 +14,11 @@ accesses with NumPy segment operations instead:
 2. **Set decomposition by packed-key sort.**  Each access is packed into
    one integer ``(set << idx_bits) | position``; because positions make
    the keys unique, an ordinary quicksort of the packed keys *is* the
-   stable grouping by set (the same decomposition
-   :class:`~repro.cache.streaming.StreamingDirectCache` reaches through a
-   stable argsort, at a fraction of the cost -- and in 32-bit keys when
-   the chunk is small enough).  A second collapse then removes same-line
-   repeats that are adjacent within a set, so consecutive surviving
-   *events* of a set always name different lines.
+   stable grouping by set (the decomposition
+   :class:`~repro.cache.streaming.StreamingDirectCache` shares), in
+   32-bit keys whenever the chunk is small enough.  A second collapse
+   then removes same-line repeats that are adjacent within a set, so
+   consecutive surviving *events* of a set always name different lines.
 3. **Carried state as virtual events.**  The persistent LRU stack of
    each set (a ``(num_sets, k)`` line matrix, most-recently-used first)
    is replayed as up to ``k`` virtual events prepended to the set's run,
@@ -65,31 +64,51 @@ def _validate_geometry(size: int, line_size: int, associativity: int) -> int:
     return size // (line_size * associativity)
 
 
-def _packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Stable grouping of ``values`` via one sort of packed unique keys.
 
     Returns ``(grouped_values, positions)``: the equivalent of a stable
     argsort by value, recovered from ``np.sort`` of ``(value << idx_bits)
     | index``.  Unique keys make the unstable sort deterministic, and the
-    packed keys drop to 32 bits whenever ``value_bits + idx_bits`` allow,
-    which is several times faster than a stable argsort.
+    packed keys drop to 32 bits whenever ``value_bits + idx_bits <= 31``,
+    several times faster than a stable argsort (or a narrow-dtype one).
+    Both the direct-mapped and the k-way simulators group by set here.
     """
     m = values.size
     idx_bits = max(1, (m - 1).bit_length())
     if value_bits + idx_bits <= 31:
-        key = (values.astype(np.int32, copy=False) << np.int32(idx_bits)) | np.arange(
-            m, dtype=np.int32
-        )
+        dtype = np.int32
     elif value_bits + idx_bits <= 62:
-        key = (values.astype(np.int64, copy=False) << np.int64(idx_bits)) | np.arange(
-            m, dtype=np.int64
-        )
+        dtype = np.int64
     else:  # pragma: no cover - needs >2^40 sets; fallback for safety
         order = np.argsort(values, kind="stable")
         return values[order], order
-    key = np.sort(key)
-    positions = key & ((1 << idx_bits) - 1)
-    return key >> idx_bits, positions
+    key = np.left_shift(values, idx_bits, dtype=dtype)
+    key |= np.arange(m, dtype=dtype)
+    key.sort()
+    # Index-typed positions: numpy would otherwise convert them on every
+    # gather and scatter that uses them.
+    positions = np.bitwise_and(
+        key, (1 << idx_bits) - 1, out=np.empty(m, dtype=np.intp), casting="unsafe"
+    )
+    key >>= dtype(idx_bits)
+    return key, positions
+
+
+def line_numbers(addresses: np.ndarray, line_size: int, out=None) -> np.ndarray:
+    """``addresses // line_size``, as a shift when ``line_size`` is a
+    power of two; ``out`` may narrow the dtype."""
+    if (line_size & (line_size - 1)) == 0:
+        shift = line_size.bit_length() - 1
+        return np.right_shift(addresses, shift, out=out, casting="unsafe")
+    return np.floor_divide(addresses, line_size, out=out, casting="unsafe")
+
+
+def set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """``lines % num_sets``, as a mask when ``num_sets`` is a power of two."""
+    if (num_sets & (num_sets - 1)) == 0:
+        return lines & (num_sets - 1)
+    return lines % num_sets
 
 
 def _shift_one(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -245,16 +264,7 @@ class AssocLRUState:
         top = max(int(addresses.max()) // self.line_size, int(self.stack.max()))
         dtype = np.int32 if top <= np.iinfo(np.int32).max - 1 else np.int64
         lines = np.empty(n, dtype=dtype)
-        if self.line_size & (self.line_size - 1) == 0:
-            np.right_shift(
-                addresses,
-                self.line_size.bit_length() - 1,
-                out=lines,
-                casting="unsafe",
-            )
-        else:
-            np.floor_divide(addresses, self.line_size, out=lines, casting="unsafe")
-
+        line_numbers(addresses, self.line_size, out=lines)
         miss = np.zeros(n, dtype=bool)
 
         # 1. Adjacent same-line repeats are hits at any associativity and
@@ -269,10 +279,7 @@ class AssocLRUState:
         else:
             surv_idx = None
             slines = lines
-        if nsets & (nsets - 1) == 0:
-            ssets = slines & (nsets - 1)
-        else:
-            ssets = slines % nsets
+        ssets = set_index(slines, nsets)
 
         # 2. Prepend the carried stacks of the sets this chunk touches.
         # A cold cache (every way-0 slot empty) has nothing to replay, so
@@ -295,8 +302,8 @@ class AssocLRUState:
             ext_lines = slines
 
         # 3. Group by set, program order inside each run (virtual first).
-        ss, pos = _packed_group_sort(ext_sets, max(1, (nsets - 1).bit_length()))
-        ls = ext_lines[pos]
+        ss, pos = packed_group_sort(ext_sets, max(1, (nsets - 1).bit_length()))
+        ls = np.take(ext_lines, pos, mode="wrap")
 
         m = ls.size
         first = np.empty(m, dtype=bool)

@@ -1,31 +1,23 @@
-"""Vectorized direct-mapped cache simulation.
+"""One-shot direct-mapped cache simulation.
 
 A direct-mapped cache holds exactly one line per set, so an access hits if
 and only if the *most recent previous access to the same set* touched the
-same line (tag).  That predicate does not require replaying the trace: a
-stable sort by set index groups each set's accesses in temporal order, and
-a single shifted comparison of tags inside each group classifies every
-access.  The whole simulation is therefore O(N log N) in NumPy with no
-Python-level loop, which is what makes full-program traces (tens of
-millions of references for the 512x512 kernels) tractable.
+same line.  That predicate does not require replaying the trace: grouping
+the accesses by set (one sort of packed keys) and comparing each access
+with its predecessor in the group classifies every access in NumPy with no
+Python-level loop.  The classification lives in
+:class:`repro.cache.streaming.StreamingDirectCache`; these helpers feed it
+the whole trace as a single chunk, so the one-shot, hierarchy and
+taxonomy paths share one core with the streaming simulator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.cache.streaming import StreamingDirectCache
 
 __all__ = ["simulate_direct", "miss_mask_direct"]
-
-
-def _check_trace(addresses: np.ndarray) -> np.ndarray:
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 1:
-        raise SimulationError(f"trace must be 1-D, got shape {addresses.shape}")
-    if addresses.size and addresses.min() < 0:
-        raise SimulationError("trace contains negative addresses")
-    return addresses.astype(np.int64, copy=False)
 
 
 def miss_mask_direct(addresses: np.ndarray, size: int, line_size: int) -> np.ndarray:
@@ -39,34 +31,7 @@ def miss_mask_direct(addresses: np.ndarray, size: int, line_size: int) -> np.nda
         Cache capacity and line size in bytes; ``size`` must be a positive
         multiple of ``line_size``.
     """
-    if line_size <= 0 or size <= 0 or size % line_size != 0:
-        raise SimulationError(
-            f"invalid direct-mapped geometry: size={size}, line_size={line_size}"
-        )
-    addresses = _check_trace(addresses)
-    n = addresses.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-
-    num_sets = size // line_size
-    lines = addresses // line_size
-    sets = lines % num_sets
-    tags = lines // num_sets
-
-    # Stable sort by set: inside each set's run, accesses keep program order.
-    order = np.argsort(sets, kind="stable")
-    sets_sorted = sets[order]
-    tags_sorted = tags[order]
-
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    same_set = sets_sorted[1:] == sets_sorted[:-1]
-    same_tag = tags_sorted[1:] == tags_sorted[:-1]
-    miss_sorted[1:] = ~(same_set & same_tag)
-
-    miss = np.empty(n, dtype=bool)
-    miss[order] = miss_sorted
-    return miss
+    return StreamingDirectCache(size, line_size).feed(addresses)
 
 
 def simulate_direct(addresses: np.ndarray, size: int, line_size: int) -> int:

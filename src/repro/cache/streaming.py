@@ -5,9 +5,12 @@ Large programs are traced as a sequence of NumPy chunks
 chunks so whole-program miss counts are identical to simulating the
 concatenated trace, with bounded memory.
 
-For a direct-mapped level the carried state is one tag per set.  Inside a
-chunk the sort-based classification of :mod:`repro.cache.direct` applies;
-only each set's *first* access in the chunk needs the carried tag.
+For a direct-mapped level the carried state is the line each set holds.
+:class:`StreamingDirectCache` is the one direct-mapped core (the one-shot
+:mod:`repro.cache.direct` helpers feed it a single chunk): a packed-key
+sort groups a chunk by set, and only each set's *first* access in the
+chunk needs the carried line.  Chunks of the default trace budget keep
+its int32 intermediates cache-resident.
 
 For a k-way level the carried state is a ``(num_sets, k)`` LRU tag matrix
 (:class:`repro.cache.assoc_vec.AssocLRUState`): chunk classification is
@@ -24,7 +27,12 @@ import time
 import numpy as np
 
 from repro.cache.assoc import replay_lru
-from repro.cache.assoc_vec import AssocLRUState
+from repro.cache.assoc_vec import (
+    AssocLRUState,
+    line_numbers,
+    packed_group_sort,
+    set_index,
+)
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.stats import LevelStats, SimulationResult
 from repro.errors import SimulationError
@@ -40,7 +48,16 @@ __all__ = [
 
 
 class StreamingDirectCache:
-    """Direct-mapped cache with persistent per-set tags across chunks."""
+    """Direct-mapped cache carrying the line each set holds across chunks.
+
+    An access hits exactly when the previous access to its set touched
+    the same line (within one set, equal tags and equal lines are the
+    same thing, so no tag is ever computed).  ``feed`` groups a chunk by
+    set with one :func:`~repro.cache.assoc_vec.packed_group_sort`, so
+    each set's accesses sit together in program order, and compares
+    every access with its predecessor in the group -- or, for a set's
+    first access in the chunk, with the carried line.
+    """
 
     def __init__(self, size: int, line_size: int):
         if line_size <= 0 or size <= 0 or size % line_size != 0:
@@ -50,48 +67,51 @@ class StreamingDirectCache:
         self.size = size
         self.line_size = line_size
         self.num_sets = size // line_size
-        self._tags = np.full(self.num_sets, -1, dtype=np.int64)
+        self._set_bits = max(1, (self.num_sets - 1).bit_length())
+        self._lines = np.full(self.num_sets, -1, dtype=np.int64)
+        self._top = 0  # largest line number seen, for the dtype choice
         self.accesses = 0
         self.misses = 0
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Classify one chunk; returns its miss mask and updates state."""
-        addresses = np.asarray(addresses, dtype=np.int64)
+        addresses = np.asarray(addresses)
+        if addresses.ndim != 1:
+            raise SimulationError(f"trace must be 1-D, got shape {addresses.shape}")
         n = addresses.size
         if n == 0:
             return np.zeros(0, dtype=bool)
+        addresses = addresses.astype(np.int64, copy=False)
         if addresses.min() < 0:
             raise SimulationError("trace contains negative addresses")
-        lines = addresses // self.line_size
-        sets = lines % self.num_sets
-        tags = lines // self.num_sets
+        # Line numbers below 2^31 (every address below 2^31 * line_size)
+        # run the whole pipeline in int32: half the memory traffic, and
+        # a 64k-reference chunk's intermediates stay cache-resident.
+        self._top = max(self._top, int(addresses.max()) // self.line_size)
+        dtype = np.int32 if self._top < np.iinfo(np.int32).max else np.int64
+        lines = line_numbers(addresses, self.line_size, out=np.empty(n, dtype))
+        sets, pos = packed_group_sort(set_index(lines, self.num_sets), self._set_bits)
+        lines = np.take(lines, pos, mode="wrap")  # valid indices: skip the check
 
-        order = np.argsort(sets, kind="stable")
-        sets_s = sets[order]
-        tags_s = tags[order]
-
-        miss_s = np.empty(n, dtype=bool)
         first = np.empty(n, dtype=bool)
         first[0] = True
-        first[1:] = sets_s[1:] != sets_s[:-1]
-        # First access per set in this chunk: compare with carried tag.
-        miss_s[first] = self._tags[sets_s[first]] != tags_s[first]
-        # Later accesses: compare with the previous access to the same set.
-        rest = ~first
-        if rest.any():
-            idx = np.nonzero(rest)[0]
-            miss_s[idx] = tags_s[idx] != tags_s[idx - 1]
+        np.not_equal(sets[1:], sets[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        run_sets = sets[starts]
+        # Each access's predecessor in its set: the previous grouped
+        # access, or the carried line at the start of a set's run.
+        prev = np.empty_like(lines)
+        prev[1:] = lines[:-1]
+        prev[starts] = self._lines[run_sets]
+        # Carry out the last line of each run.
+        self._lines[run_sets[:-1]] = lines[starts[1:] - 1]
+        self._lines[run_sets[-1]] = lines[-1]
 
-        # Carry out: last tag per set (the final element of each run).
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = sets_s[1:] != sets_s[:-1]
-        self._tags[sets_s[last]] = tags_s[last]
-
+        miss_grouped = lines != prev
         miss = np.empty(n, dtype=bool)
-        miss[order] = miss_s
+        miss[pos] = miss_grouped
         self.accesses += n
-        self.misses += int(miss.sum())
+        self.misses += int(np.count_nonzero(miss_grouped))
         return miss
 
 

@@ -38,7 +38,7 @@ contract.
 """
 
 from repro.exec.backends import BACKENDS, run_oracle, validate_backend
-from repro.exec.cost import auto_chunk_refs, estimate_job_refs, job_cost
+from repro.exec.cost import estimate_job_refs, job_cost
 from repro.exec.executor import (
     ExecStats,
     JobRecord,
@@ -70,7 +70,6 @@ __all__ = [
     "SimJob",
     "SweepExecutor",
     "WorkerPool",
-    "auto_chunk_refs",
     "estimate_job_refs",
     "execute_one",
     "get_default_store",

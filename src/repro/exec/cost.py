@@ -17,40 +17,13 @@ no simulation:
   per reference): of two jobs with equal reference counts, the one
   touching more distinct lines compresses worse in the vectorized
   simulator and runs longer.
-
-The same working-set bound also picks the **trace chunk budget** for the
-auto tier's sim fallback (:func:`auto_chunk_refs`): the streaming
-simulator guarantees chunking never changes miss counts, so the budget
-is a pure locality knob -- a job with a small footprint gets chunks
-sized to keep the simulator's per-chunk intermediates cache-resident
-instead of paying the default 4M-reference allocations.
 """
 
 from __future__ import annotations
 
 from repro.analysis.footprint import ref_lines_lower_bound
-from repro.trace.generator import DEFAULT_CHUNK_REFS
 
-__all__ = [
-    "estimate_job_refs",
-    "estimate_job_lines",
-    "job_cost",
-    "auto_chunk_refs",
-    "MIN_CHUNK_REFS",
-    "REFS_PER_LINE_BUDGET",
-]
-
-#: Floor of the adaptive chunk budget: small enough that a tiny job's
-#: simulator intermediates stay cache-resident, large enough that the
-#: per-chunk fixed costs (LRU state replay, domain compression setup)
-#: stay amortized.
-MIN_CHUNK_REFS = 65_536
-
-#: Adaptive budget: this many streamed references per distinct line of
-#: estimated working set.  A reuse-heavy job (many refs per line) still
-#: gets proportionally roomy chunks; a streaming job converges to the
-#: default budget.
-REFS_PER_LINE_BUDGET = 64
+__all__ = ["estimate_job_refs", "estimate_job_lines", "job_cost"]
 
 
 def _job_nests(job):
@@ -78,8 +51,8 @@ def estimate_job_lines(job, line_size: int | None = None) -> int:
     Sum of per-reference :func:`ref_lines_lower_bound` values at the
     hierarchy's smallest line size (layout bases are ignored -- they
     shift offsets, never shrink a reference's own line count).  A lower
-    bound, not an exact footprint: good enough to order equal-ref jobs
-    and to scale chunk budgets, at microseconds per job.
+    bound, not an exact footprint: good enough to order equal-ref jobs,
+    at microseconds per job.
     """
     if line_size is None:
         line_size = min(c.line_size for c in job.hierarchy)
@@ -101,21 +74,3 @@ def job_cost(job) -> tuple[int, int]:
     IR, never from timing.
     """
     return (estimate_job_refs(job), estimate_job_lines(job))
-
-
-def auto_chunk_refs(job) -> int:
-    """Working-set-bounded trace chunk budget for the sim fallback.
-
-    ``REFS_PER_LINE_BUDGET`` references per estimated working-set line,
-    clamped to ``[MIN_CHUNK_REFS, DEFAULT_CHUNK_REFS]`` and never above
-    the job's own reference count rounded up to the floor.  Chunking is
-    guaranteed not to change miss counts (the streaming simulator's
-    contract, pinned by ``tests/cache``), so this is purely a locality /
-    peak-memory knob.
-    """
-    refs = estimate_job_refs(job)
-    if refs <= MIN_CHUNK_REFS:
-        return MIN_CHUNK_REFS
-    lines = estimate_job_lines(job)
-    budget = lines * REFS_PER_LINE_BUDGET
-    return max(MIN_CHUNK_REFS, min(DEFAULT_CHUNK_REFS, budget, refs))

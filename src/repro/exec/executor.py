@@ -11,9 +11,9 @@ a list with
 * **tiered backends** -- ``backend="auto"`` serves each job from the
   cheapest authoritative tier: the symbolic closed form where it is
   provably exact (:mod:`repro.symbolic`), the vectorized simulator
-  everywhere else (with a working-set-bounded trace chunk budget, see
-  :func:`repro.exec.cost.auto_chunk_refs`).  ``"symbolic"``, ``"model"``,
-  ``"sim"``, and ``"oracle"`` force a tier (see
+  everywhere else; a job either tier has stored is served without being
+  classified again.  ``"symbolic"``, ``"model"``, ``"sim"``, and
+  ``"oracle"`` force a tier (see
   :mod:`repro.exec.backends`); every tier's results are keyed with its
   backend name so they never alias in the store;
 * **parallelism** -- remaining jobs are ordered longest-first by a
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from repro.cache.stats import SimulationResult
 from repro.errors import ReproError, SimulationError
 from repro.exec.backends import _timed_run_oracle, validate_backend
-from repro.exec.cost import auto_chunk_refs, job_cost
+from repro.exec.cost import job_cost
 from repro.exec.jobs import SimJob
 from repro.exec.scheduler import WorkerPool, dispatch_jobs, pack_payloads
 from repro.exec.shard import ShardSpec, parse_shard
@@ -60,7 +60,6 @@ from repro.exec.store import ResultStore, open_default_store
 from repro.obs.metrics import format_exec_line, get_metrics
 from repro.obs.timeline import emit_counter_tracks, get_timeline_window
 from repro.obs.tracer import get_tracer
-from repro.trace.generator import DEFAULT_CHUNK_REFS
 
 __all__ = [
     "JobRecord",
@@ -283,27 +282,28 @@ class SweepExecutor:
             JobRecord(i, job.key("model"), time.perf_counter() - t0, "model", job.tag)
         )
 
-    def _try_symbolic(self, i, job, mode, stats, results, tracer) -> bool:
+    def _serve_stored(self, i, key, job, stats, results, tracer, **event) -> bool:
+        """Serve job ``i`` from the store under ``key``; False on a miss."""
+        cached = self.store.get(key) if self.store is not None else None
+        if cached is None:
+            return False
+        results[i] = cached
+        stats.records.append(JobRecord(i, key, 0.0, "cache", job.tag))
+        if tracer.enabled:
+            tracer.event("exec.store_hit", cat="exec", key=key[:12], index=i, **event)
+        return True
+
+    def _try_symbolic(self, i, job, mode, key, stats, results, tracer) -> bool:
         """Serve one job from the symbolic tier if the mode allows it.
 
         ``mode="symbolic"`` (forced) serves every job, approximate terms
         included; ``mode="auto"`` serves only jobs classified exact at
         every level and reports False otherwise so the caller falls back
         to the simulator.  Exact results are memoized under the job's
-        symbolic key; approximate ones never touch the store.
+        symbolic ``key``; approximate ones never touch the store.
         """
         from repro.symbolic import analyze_job, classify_job  # lazy: import cycle
 
-        key = job.key("symbolic")
-        if self.store is not None:
-            cached = self.store.get(key)
-            if cached is not None:
-                results[i] = cached
-                stats.records.append(JobRecord(i, key, 0.0, "cache", job.tag))
-                if tracer.enabled:
-                    tracer.event("exec.store_hit", cat="exec",
-                                 key=key[:12], index=i, backend="symbolic")
-                return True
         start_ns = time.time_ns()
         t0 = time.perf_counter()
         classification = classify_job(job)
@@ -459,38 +459,33 @@ class SweepExecutor:
                 if chosen == "model":
                     self._run_model(i, job, stats, results, tracer)
                     continue
-                if chosen in ("symbolic", "auto") and self._try_symbolic(
-                    i, job, chosen, stats, results, tracer
+                symbolic = chosen in ("symbolic", "auto")
+                if symbolic:
+                    sym_key = job.key("symbolic")
+                    if self._serve_stored(i, sym_key, job, stats, results,
+                                          tracer, backend="symbolic"):
+                        continue
+                if chosen != "symbolic":
+                    key = job.key(sim_backend)
+                    if self._serve_stored(i, key, job, stats, results, tracer):
+                        continue
+                # Only jobs no tier has stored get classified, so a warm
+                # replay of an auto sweep never classifies again.
+                if symbolic and self._try_symbolic(
+                    i, job, chosen, sym_key, stats, results, tracer
                 ):
                     continue
-                key = job.key(sim_backend)
-                cached = self.store.get(key) if self.store is not None else None
-                if cached is not None:
-                    results[i] = cached
-                    stats.records.append(JobRecord(i, key, 0.0, "cache", job.tag))
-                    if tracer.enabled:
-                        tracer.event("exec.store_hit", cat="exec",
-                                     key=key[:12], index=i)
-                else:
-                    if (
-                        chosen == "auto"
-                        and job.max_chunk_refs == DEFAULT_CHUNK_REFS
-                    ):
-                        # Working-set-bounded chunk budget for the sim
-                        # fallback; chunking never changes miss counts,
-                        # and the chunk size is outside the content key.
-                        job = replace(job, max_chunk_refs=auto_chunk_refs(job))
-                    if tracer.enabled and job.timeline_window is None:
-                        # Traced runs also collect windowed per-level
-                        # telemetry (pure observability: outside the
-                        # content key, counts unchanged).
-                        window = get_timeline_window()
-                        if window:
-                            job = replace(job, timeline_window=window)
-                    pending.append((i, key, job))
-                    if tracer.enabled and self.store is not None:
-                        tracer.event("exec.store_miss", cat="exec",
-                                     key=key[:12], index=i)
+                if tracer.enabled and job.timeline_window is None:
+                    # Traced runs also collect windowed per-level
+                    # telemetry (pure observability: outside the
+                    # content key, counts unchanged).
+                    window = get_timeline_window()
+                    if window:
+                        job = replace(job, timeline_window=window)
+                pending.append((i, key, job))
+                if tracer.enabled and self.store is not None:
+                    tracer.event("exec.store_miss", cat="exec",
+                                 key=key[:12], index=i)
 
             if pending:
                 # Duplicate keys inside one run simulate once; the extra

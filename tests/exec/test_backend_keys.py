@@ -113,6 +113,31 @@ class TestExecutorTierIsolation:
         assert second.stats.cache_hits == 1
         assert second.stats.symbolic_jobs == 0
 
+    def test_auto_replays_simulated_job_without_classifying(
+        self, tmp_path, monkeypatch
+    ):
+        """A job auto had to simulate is served from its sim entry on the
+        next run; the symbolic classifier is not consulted again."""
+        import repro.symbolic
+
+        job = build_job(4096)  # outgrows L1: never exact
+        store = ResultStore(tmp_path)
+        first = SweepExecutor(workers=1, store=store, backend="auto")
+        [cold] = first.run([job])
+        assert first.stats.simulated_jobs == 1
+
+        calls = []
+        classify = repro.symbolic.classify_job
+        monkeypatch.setattr(
+            repro.symbolic, "classify_job",
+            lambda j: calls.append(j) or classify(j),
+        )
+        second = SweepExecutor(workers=1, store=store, backend="auto")
+        [warm] = second.run([job])
+        assert second.stats.cache_hits == 1
+        assert calls == []
+        assert warm == cold
+
     def test_per_call_backend_overrides_constructor(self, tmp_path):
         job = build_job()
         ex = SweepExecutor(workers=1, store=None, backend="sim")

@@ -14,15 +14,9 @@ import pickle
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec.cost import (
-    MIN_CHUNK_REFS,
-    auto_chunk_refs,
-    estimate_job_refs,
-    job_cost,
-)
+from repro.exec.cost import estimate_job_refs, job_cost
 from repro.exec.executor import SweepExecutor, _timed_run
 from repro.exec.scheduler import WorkerPool, dispatch_jobs, pack_payloads
-from repro.trace.generator import DEFAULT_CHUNK_REFS
 from tests.exec.test_executor import job_for
 
 
@@ -146,13 +140,3 @@ class TestCostModel:
     def test_cost_orders_by_size(self):
         small, large = job_for(64), job_for(192)
         assert job_cost(large) > job_cost(small)
-
-    def test_auto_chunk_budget_bounds(self):
-        job = job_for(64)
-        budget = auto_chunk_refs(job)
-        assert MIN_CHUNK_REFS <= budget <= DEFAULT_CHUNK_REFS
-
-    def test_tiny_job_gets_floor(self):
-        job = job_for(16)
-        assert estimate_job_refs(job) <= MIN_CHUNK_REFS
-        assert auto_chunk_refs(job) == MIN_CHUNK_REFS

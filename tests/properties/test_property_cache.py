@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from repro.cache.assoc import miss_mask_assoc
 from repro.cache.direct import miss_mask_direct
-from repro.cache.streaming import StreamingDirectCache
+from repro.cache.streaming import SequentialAssocCache, StreamingDirectCache
 
+# (size, line): powers of two take the shift/mask path; non-power-of-two
+# line sizes (12, 24, 48) and set counts (7, 10, 33) the // and % fallback.
 geometries = st.sampled_from(
-    [(256, 16), (512, 32), (1024, 32), (2048, 64), (4096, 32)]
+    [(256, 16), (512, 32), (1024, 32), (2048, 64), (4096, 32),
+     (12 * 16, 12), (32 * 7, 32), (24 * 10, 24), (48 * 33, 48)]
 )
 traces = st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=300)
 
@@ -83,3 +86,74 @@ class TestDirectMapped:
         unique_lines = len({a // 32 for a in trace})
         assert misses >= unique_lines  # every distinct line faults at least once
         assert misses <= len(trace)
+
+
+def _feed_chunked(cache, addrs, cuts):
+    return np.concatenate(
+        [np.zeros(0, dtype=bool)] + [cache.feed(part) for part in np.split(addrs, cuts)]
+    )
+
+
+cut_points = st.lists(st.integers(0, 300), max_size=6).map(sorted)
+
+
+class TestDirectMappedChunked:
+    """The streaming core against both oracles under random chunkings."""
+
+    @given(
+        trace=traces,
+        geom=geometries,
+        cuts=cut_points,
+        wide=st.sampled_from([None, "first", "second"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_equals_naive_and_sequential(self, trace, geom, cuts, wide):
+        size, line = geom
+        addrs = np.array(trace, dtype=np.int64)
+        cuts = [min(c, addrs.size) for c in cuts]
+        if wide is not None:
+            # The trace again with line numbers past 2^31, before or after
+            # it in its own chunks: the cache switches between its int32
+            # and int64 line pipelines while lines of the other width are
+            # still carried (for power-of-two lines, a far line equals its
+            # near twin in the low 32 bits).
+            far = addrs + (1 << 40)
+            halves = (far, addrs) if wide == "first" else (addrs, far)
+            addrs = np.concatenate(halves)
+            cuts = sorted(cuts + [far.size])
+        got = _feed_chunked(StreamingDirectCache(size, line), addrs, cuts)
+        np.testing.assert_array_equal(got, naive_direct(addrs, size, line))
+        np.testing.assert_array_equal(
+            got, _feed_chunked(SequentialAssocCache(size, line, 1), addrs, cuts)
+        )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1100, 3000),
+        line=st.sampled_from([16, 24]),
+        cuts=st.lists(st.integers(0, 3000), max_size=6).map(sorted),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_wide_packed_keys(self, seed, n, line, cuts):
+        """2^20 + 1 sets and >1024-reference chunks overflow 31 key bits,
+        forcing the int64 packed keys (and the % fallback)."""
+        num_sets = (1 << 20) + 1
+        size = num_sets * line
+        rng = np.random.default_rng(seed)
+        # A pool of 64 sets spread over the whole index range, each hit by
+        # six different lines: same-set conflicts stay common despite the
+        # huge set count, and the set indices need all 21 bits.
+        sets = rng.choice(num_sets, 64, replace=False)[rng.integers(0, 64, n)]
+        lines = rng.integers(0, 6, n) * num_sets + sets
+        addrs = lines * line + rng.integers(0, line, n)
+        cuts = [min(c, n) for c in cuts]
+        # The one-shot feed packs 21 set bits with >= 11 position bits.
+        assert (num_sets - 1).bit_length() + (n - 1).bit_length() > 31
+        got = _feed_chunked(StreamingDirectCache(size, line), addrs, [])
+        np.testing.assert_array_equal(got, naive_direct(addrs, size, line))
+        np.testing.assert_array_equal(
+            _feed_chunked(StreamingDirectCache(size, line), addrs, cuts), got
+        )
+        np.testing.assert_array_equal(
+            _feed_chunked(SequentialAssocCache(size, line, 1), addrs, cuts), got
+        )

@@ -234,7 +234,6 @@ class TestSymbolicExports:
         for name in (
             "WorkerPool", "ShardSpec", "parse_shard", "shard_jobs",
             "merge_stores", "merge_traces", "job_cost", "estimate_job_refs",
-            "auto_chunk_refs",
         ):
             assert name in repro.exec.__all__
             assert getattr(repro.exec, name) is not None
