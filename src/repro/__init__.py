@@ -57,7 +57,6 @@ Quickstart::
 
 from repro.cache import (
     CacheConfig,
-    CacheHierarchy,
     HierarchyConfig,
     LevelStats,
     SimulationResult,
@@ -151,7 +150,6 @@ __all__ = [
     # cache
     "CacheConfig",
     "HierarchyConfig",
-    "CacheHierarchy",
     "LevelStats",
     "SimulationResult",
     "ultrasparc_i",

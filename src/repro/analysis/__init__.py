@@ -23,7 +23,7 @@ from repro.analysis.dependence import (
     reversal_legal,
 )
 from repro.analysis.footprint import nest_footprint_bytes, columns_in_cache
-from repro.analysis.costmodel import MissCostModel, estimate_nest_misses
+from repro.analysis.costmodel import MissCostModel
 from repro.analysis.fusionmodel import (
     FusionAccounting,
     account_nests,
@@ -49,7 +49,6 @@ __all__ = [
     "permutation_legal",
     "reversal_legal",
     "MissCostModel",
-    "estimate_nest_misses",
     "FusionAccounting",
     "account_nests",
     "fusion_delta",

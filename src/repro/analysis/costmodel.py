@@ -1,25 +1,19 @@
-"""Analytic (compile-time) miss estimation and miss-cost weighting.
+"""Miss-cost weighting for the compile-time profitability tests.
 
-This is the "simple cache model" the paper says guides optimization
-choices: it predicts, per nest, how many references fault at each cache
-level, combining self-reuse classification with the group-reuse diagram
-("the compiler can predict relative cache miss rates fairly accurately by
-analyzing group reuse", Section 6.4).  Transformations use these estimates
-to decide; the simulator measures.
+Fusion profitability (Section 4) scales reuse gains by the cost of a
+miss at each level; :class:`MissCostModel` derives those penalties from
+a hierarchy's cycle costs.  Per-nest miss *counts* are predicted by
+:mod:`repro.model.predictor` ("the compiler can predict relative cache
+miss rates fairly accurately by analyzing group reuse", Section 6.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.reuse import ReuseKind, classify_ref
 from repro.cache.config import HierarchyConfig
-from repro.ir.loops import LoopNest
-from repro.ir.program import Program
-from repro.ir.refs import ArrayRef
-from repro.layout.layout import DataLayout
 
-__all__ = ["MissCostModel", "NestMissEstimate", "estimate_nest_misses"]
+__all__ = ["MissCostModel"]
 
 
 @dataclass(frozen=True)
@@ -45,92 +39,3 @@ class MissCostModel:
     def weighted(self, l1_misses: float, l2_misses: float) -> float:
         """Total penalty cycles for the given miss counts."""
         return l1_misses * self.l1_miss_cost + l2_misses * self.l2_miss_cost
-
-
-@dataclass(frozen=True)
-class NestMissEstimate:
-    """Analytic per-nest prediction."""
-
-    iterations: int
-    refs_per_iteration: int
-    l1_misses: float
-    l2_misses: float
-
-    @property
-    def total_refs(self) -> int:
-        return self.iterations * self.refs_per_iteration
-
-    def l1_miss_rate(self) -> float:
-        return self.l1_misses / self.total_refs if self.total_refs else 0.0
-
-    def l2_miss_rate(self) -> float:
-        return self.l2_misses / self.total_refs if self.total_refs else 0.0
-
-
-def _self_miss_fraction(
-    program: Program, nest: LoopNest, ref: ArrayRef, line_size: int
-) -> float:
-    """Fraction of iterations on which ``ref`` faults from self reuse alone.
-
-    Innermost-loop behaviour dominates: temporal -> ~0, spatial -> one
-    miss per line's worth of iterations, none -> every iteration.
-    """
-    reuse = classify_ref(program, nest, ref, line_size)
-    inner = nest.loops[-1].var
-    kind = reuse.kind(inner)
-    if kind is ReuseKind.TEMPORAL:
-        return 0.0
-    decl = program.decl(ref.array)
-    stride = abs(ref.offset_expr(decl).coeff(inner) * nest.loops[-1].step)
-    if kind is ReuseKind.SPATIAL:
-        return stride / line_size
-    return 1.0
-
-
-def estimate_nest_misses(
-    program: Program,
-    layout: DataLayout,
-    nest: LoopNest,
-    hierarchy: HierarchyConfig,
-) -> NestMissEstimate:
-    """Predict L1 and L2 (to-memory) misses for one nest.
-
-    Group reuse: a trailing reference whose arc is exploited on a level's
-    diagram is charged nothing at that level.  Leading references and
-    unexploited trailing references pay their self-reuse fraction.
-    Identical duplicated references are charged once (the second hits L1
-    or a register, Section 4).
-    """
-    from repro.layout.diagram import CacheDiagram  # lazy: avoids import cycle
-
-    l1 = hierarchy.l1
-    l2 = hierarchy.levels[1] if len(hierarchy) > 1 else None
-    diag1 = CacheDiagram(program, layout, nest, l1.size, l1.line_size)
-    exploited1 = diag1.trailing_refs_exploited()
-    if l2 is not None:
-        diag2 = CacheDiagram(program, layout, nest, l2.size, l2.line_size)
-        exploited2 = diag2.trailing_refs_exploited()
-    else:
-        exploited2 = set()
-
-    iters = nest.iterations()
-    l1_misses = 0.0
-    l2_misses = 0.0
-    for dot in diag1.dots:
-        ref = dot.ref
-        if ref in exploited1:
-            continue  # satisfied by L1 group reuse
-        frac1 = _self_miss_fraction(program, nest, ref, l1.line_size)
-        l1_misses += frac1 * iters
-        if l2 is None:
-            continue
-        if ref in exploited2:
-            continue  # faults to L2 but not beyond
-        frac2 = _self_miss_fraction(program, nest, ref, l2.line_size)
-        l2_misses += frac2 * iters
-    return NestMissEstimate(
-        iterations=iters,
-        refs_per_iteration=nest.refs_per_iteration,
-        l1_misses=l1_misses,
-        l2_misses=l2_misses,
-    )

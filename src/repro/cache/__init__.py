@@ -7,14 +7,18 @@ sees every reference, and each lower level sees only the miss stream of the
 level above it.  Miss rates are reported relative to the *total* number of
 references, matching the paper's normalization.
 
-Both production simulators are fully vectorized with NumPy: the
-direct-mapped model uses a sort-based previous-occurrence comparison and
-the k-way LRU model (:mod:`repro.cache.assoc_vec`) a set-grouped
-stack-distance classification, so full-program traces of tens of millions
-of references simulate in seconds either way.  A sequential
-one-access-at-a-time LRU model (:mod:`repro.cache.assoc`) is kept as the
-ground-truth oracle the vectorized paths are property-tested against.
-See ``docs/simulators.md`` for the three families and when each is used.
+Each cache kind has one fully vectorized core that carries state across
+trace chunks: :class:`~repro.cache.streaming.StreamingDirectCache`
+(a sort-based previous-occurrence comparison) and
+:class:`~repro.cache.assoc_vec.StreamingAssocCache` (a set-grouped
+stack-distance classification), so full-program traces of tens of
+millions of references simulate in seconds either way.
+:class:`StreamingHierarchy` chains them into the one hierarchy; a
+one-shot run is ``StreamingHierarchy(config).feed_all([trace]).result()``.
+A sequential one-access-at-a-time LRU model (:mod:`repro.cache.assoc`)
+is kept as the ground-truth oracle the vectorized paths are
+property-tested against.  See ``docs/simulators.md`` for the three
+families and when each is used.
 """
 
 from repro.cache.config import (
@@ -23,10 +27,7 @@ from repro.cache.config import (
     alpha_21164,
     ultrasparc_i,
 )
-from repro.cache.direct import simulate_direct
-from repro.cache.assoc import simulate_assoc
-from repro.cache.assoc_vec import AssocLRUState, miss_mask_assoc_vec, simulate_assoc_vec
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.assoc_vec import StreamingAssocCache, miss_mask_assoc_vec
 from repro.cache.stats import LevelStats, SimulationResult
 from repro.cache.stackdist import (
     MissTaxonomy,
@@ -39,14 +40,10 @@ from repro.cache.streaming import StreamingHierarchy
 __all__ = [
     "CacheConfig",
     "HierarchyConfig",
-    "CacheHierarchy",
     "LevelStats",
     "SimulationResult",
-    "simulate_direct",
-    "simulate_assoc",
-    "simulate_assoc_vec",
     "miss_mask_assoc_vec",
-    "AssocLRUState",
+    "StreamingAssocCache",
     "ultrasparc_i",
     "alpha_21164",
     "MissTaxonomy",

@@ -42,26 +42,15 @@ chunkings (``tests/properties/test_property_assoc_vec.py``).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.cache.config import check_geometry, check_trace
+from repro.obs.metrics import get_metrics
+from repro.obs.tracer import get_tracer
 
-__all__ = ["miss_mask_assoc_vec", "simulate_assoc_vec", "AssocLRUState"]
-
-
-def _validate_geometry(size: int, line_size: int, associativity: int) -> int:
-    """Validate a k-way geometry; returns the number of sets."""
-    if line_size <= 0 or size <= 0 or associativity <= 0:
-        raise SimulationError(
-            f"invalid geometry: size={size}, line_size={line_size}, "
-            f"associativity={associativity}"
-        )
-    if size % (line_size * associativity) != 0:
-        raise SimulationError(
-            f"size {size} not a multiple of line_size*associativity "
-            f"({line_size * associativity})"
-        )
-    return size // (line_size * associativity)
+__all__ = ["StreamingAssocCache", "miss_mask_assoc_vec"]
 
 
 def packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,22 +203,25 @@ def _classify_events(
     return cep, stack
 
 
-class AssocLRUState:
-    """k-way LRU cache state with a fully vectorized ``feed``.
+class StreamingAssocCache:
+    """k-way LRU cache with persistent state and a fully vectorized ``feed``.
 
     The carried state is ``stack``, a ``(num_sets, associativity)``
     int64 matrix of line numbers ordered most-recently-used first
     (``-1`` marks an empty way).  ``feed`` classifies one chunk and
     updates the stack so that any chunking of a trace produces exactly
-    the miss mask of the concatenated trace.
+    the miss mask of the concatenated trace -- byte-identical to the
+    :class:`~repro.cache.assoc.SequentialAssocCache` oracle.
     """
 
     def __init__(self, size: int, line_size: int, associativity: int):
-        self.num_sets = _validate_geometry(size, line_size, associativity)
+        self.num_sets = check_geometry(size, line_size, associativity)
         self.size = size
         self.line_size = line_size
         self.associativity = associativity
         self.stack = np.full((self.num_sets, associativity), -1, dtype=np.int64)
+        self.accesses = 0
+        self.misses = 0
 
     def _preamble(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Virtual (sets, lines) replaying the stacks of ``present`` sets.
@@ -244,18 +236,25 @@ class AssocLRUState:
         return sets[valid], lru_first[valid]
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
-        """Classify one chunk; returns its miss mask and updates the stack."""
-        addresses = np.asarray(addresses)
-        if addresses.ndim != 1:
-            raise SimulationError(
-                f"trace must be 1-D, got shape {addresses.shape}"
+        """Classify one chunk; returns its miss mask and updates the stack.
+
+        Per-chunk timing lands in the ``cache.assoc.chunk_seconds``
+        histogram while a tracer is active.
+        """
+        tracer = get_tracer()
+        t0 = time.perf_counter() if tracer.enabled else 0.0
+        miss = self._classify(check_trace(addresses))
+        if tracer.enabled:
+            get_metrics().histogram("cache.assoc.chunk_seconds").observe(
+                time.perf_counter() - t0
             )
+        return miss
+
+    def _classify(self, addresses: np.ndarray) -> np.ndarray:
+        """``feed`` on a checked trace: the miss mask, stack and counters."""
         n = addresses.size
         if n == 0:
             return np.zeros(0, dtype=bool)
-        addresses = addresses.astype(np.int64, copy=False)
-        if addresses.min() < 0:
-            raise SimulationError("trace contains negative addresses")
         k = self.associativity
         nsets = self.num_sets
         # Line numbers (and everything derived from them) fit 32 bits for
@@ -338,6 +337,8 @@ class AssocLRUState:
             miss[surv_idx[mp]] = True
         else:
             miss[mp] = True
+        self.accesses += n
+        self.misses += int(mp.size)
         return miss
 
 
@@ -349,20 +350,7 @@ def miss_mask_assoc_vec(
 ) -> np.ndarray:
     """Boolean miss mask of the trace on a k-way LRU cache (vectorized).
 
-    Exact drop-in for :func:`repro.cache.assoc.miss_mask_assoc`: the two
-    agree element-for-element on every trace, the sequential version
-    simply replays the accesses one at a time while this one classifies
-    them with NumPy segment operations.
+    The whole trace as one chunk of a :class:`StreamingAssocCache`; agrees
+    element-for-element with :func:`repro.cache.assoc.miss_mask_assoc`.
     """
-    state = AssocLRUState(size, line_size, associativity)
-    return state.feed(addresses)
-
-
-def simulate_assoc_vec(
-    addresses: np.ndarray,
-    size: int,
-    line_size: int,
-    associativity: int,
-) -> int:
-    """Number of misses of the trace on a k-way LRU cache (vectorized)."""
-    return int(miss_mask_assoc_vec(addresses, size, line_size, associativity).sum())
+    return StreamingAssocCache(size, line_size, associativity).feed(addresses)

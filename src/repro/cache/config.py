@@ -8,6 +8,11 @@ The multi-level padding theory in the paper assumes each cache's size
 evenly divides every larger cache's size (true of real machines of the
 era); :class:`HierarchyConfig` validates that property so analyses can rely
 on it.
+
+:func:`check_geometry` and :func:`check_trace` are the one input check
+every simulator core shares -- direct-mapped, vectorized k-way and the
+sequential oracle -- so all of them reject a bad geometry or trace with
+the same :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -15,9 +20,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import ConfigError
+import numpy as np
 
-__all__ = ["CacheConfig", "HierarchyConfig", "ultrasparc_i", "alpha_21164"]
+from repro.errors import ConfigError, SimulationError
+
+__all__ = [
+    "CacheConfig",
+    "HierarchyConfig",
+    "ultrasparc_i",
+    "alpha_21164",
+    "check_geometry",
+    "check_trace",
+]
+
+
+def check_geometry(size: int, line_size: int, associativity: int = 1) -> int:
+    """Validate a simulator's cache geometry; returns its number of sets.
+
+    ``size`` must be a positive multiple of ``line_size * associativity``.
+    """
+    if (
+        line_size <= 0
+        or size <= 0
+        or associativity <= 0
+        or size % (line_size * associativity) != 0
+    ):
+        raise SimulationError(
+            f"invalid cache geometry: size={size}, line_size={line_size}, "
+            f"associativity={associativity}"
+        )
+    return size // (line_size * associativity)
+
+
+def check_trace(addresses) -> np.ndarray:
+    """``addresses`` as a 1-D int64 trace of non-negative byte addresses."""
+    addresses = np.asarray(addresses)
+    if addresses.ndim != 1:
+        raise SimulationError(f"trace must be 1-D, got shape {addresses.shape}")
+    addresses = addresses.astype(np.int64, copy=False)
+    if addresses.size and addresses.min() < 0:
+        raise SimulationError("trace contains negative addresses")
+    return addresses
 
 
 @dataclass(frozen=True)

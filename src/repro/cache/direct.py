@@ -6,9 +6,9 @@ same line.  That predicate does not require replaying the trace: grouping
 the accesses by set (one sort of packed keys) and comparing each access
 with its predecessor in the group classifies every access in NumPy with no
 Python-level loop.  The classification lives in
-:class:`repro.cache.streaming.StreamingDirectCache`; these helpers feed it
-the whole trace as a single chunk, so the one-shot, hierarchy and
-taxonomy paths share one core with the streaming simulator.
+:class:`repro.cache.streaming.StreamingDirectCache`; this helper feeds it
+the whole trace as a single chunk, so the one-shot and taxonomy paths
+share one core with the streaming simulator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cache.streaming import StreamingDirectCache
 
-__all__ = ["simulate_direct", "miss_mask_direct"]
+__all__ = ["miss_mask_direct"]
 
 
 def miss_mask_direct(addresses: np.ndarray, size: int, line_size: int) -> np.ndarray:
@@ -33,7 +33,3 @@ def miss_mask_direct(addresses: np.ndarray, size: int, line_size: int) -> np.nda
     """
     return StreamingDirectCache(size, line_size).feed(addresses)
 
-
-def simulate_direct(addresses: np.ndarray, size: int, line_size: int) -> int:
-    """Return the number of misses of the trace on a direct-mapped cache."""
-    return int(miss_mask_direct(addresses, size, line_size).sum())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, check_geometry, check_trace
 from repro.cache.direct import miss_mask_direct
 from repro.errors import SimulationError
 
@@ -42,15 +42,11 @@ def reuse_distances(addresses: np.ndarray, line_size: int) -> np.ndarray:
     """
     if line_size <= 0:
         raise SimulationError(f"line_size must be positive, got {line_size}")
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if addresses.ndim != 1:
-        raise SimulationError("trace must be 1-D")
+    addresses = check_trace(addresses)
     n = addresses.size
     out = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return out
-    if addresses.min() < 0:
-        raise SimulationError("trace contains negative addresses")
 
     lines = (addresses // line_size).tolist()
     # Fenwick tree over access positions 1..n: tree[i] == 1 when position i
@@ -86,9 +82,7 @@ def fully_associative_miss_mask(
     addresses: np.ndarray, size: int, line_size: int
 ) -> np.ndarray:
     """Miss mask of a fully-associative LRU cache of the same capacity."""
-    if size <= 0 or size % line_size != 0:
-        raise SimulationError(f"invalid geometry: size={size}, line={line_size}")
-    capacity = size // line_size
+    capacity = check_geometry(size, line_size)
     d = reuse_distances(addresses, line_size)
     return (d < 0) | (d >= capacity)
 

@@ -12,12 +12,16 @@ sort groups a chunk by set, and only each set's *first* access in the
 chunk needs the carried line.  Chunks of the default trace budget keep
 its int32 intermediates cache-resident.
 
-For a k-way level the carried state is a ``(num_sets, k)`` LRU tag matrix
-(:class:`repro.cache.assoc_vec.AssocLRUState`): chunk classification is
-fully vectorized, and the carried stacks are replayed as virtual leading
-accesses so chunked simulation stays byte-identical to one-shot replay.
-:class:`SequentialAssocCache` keeps the one-access-at-a-time reference
-model around as the oracle the vectorized path is property-tested against.
+For a k-way level the carried state is a ``(num_sets, k)`` LRU line
+matrix (:class:`~repro.cache.assoc_vec.StreamingAssocCache`, the one
+k-way core): chunk classification is fully vectorized, and the carried
+stacks are replayed as virtual leading accesses so chunked simulation
+stays byte-identical to one-shot replay.
+
+:class:`StreamingHierarchy` is the one hierarchy: a one-shot run is
+``StreamingHierarchy(config).feed_all([trace]).result()``.  The
+sequential oracle (:mod:`repro.cache.assoc`) chains its own levels and
+is deliberately not importable from here.
 """
 
 from __future__ import annotations
@@ -26,23 +30,20 @@ import time
 
 import numpy as np
 
-from repro.cache.assoc import replay_lru
 from repro.cache.assoc_vec import (
-    AssocLRUState,
+    StreamingAssocCache,
     line_numbers,
     packed_group_sort,
     set_index,
 )
-from repro.cache.config import CacheConfig, HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig, check_geometry, check_trace
 from repro.cache.stats import LevelStats, SimulationResult
-from repro.errors import SimulationError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 __all__ = [
     "StreamingDirectCache",
     "StreamingAssocCache",
-    "SequentialAssocCache",
     "StreamingHierarchy",
 ]
 
@@ -60,13 +61,9 @@ class StreamingDirectCache:
     """
 
     def __init__(self, size: int, line_size: int):
-        if line_size <= 0 or size <= 0 or size % line_size != 0:
-            raise SimulationError(
-                f"invalid direct-mapped geometry: size={size}, line_size={line_size}"
-            )
+        self.num_sets = check_geometry(size, line_size)
         self.size = size
         self.line_size = line_size
-        self.num_sets = size // line_size
         self._set_bits = max(1, (self.num_sets - 1).bit_length())
         self._lines = np.full(self.num_sets, -1, dtype=np.int64)
         self._top = 0  # largest line number seen, for the dtype choice
@@ -75,15 +72,10 @@ class StreamingDirectCache:
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Classify one chunk; returns its miss mask and updates state."""
-        addresses = np.asarray(addresses)
-        if addresses.ndim != 1:
-            raise SimulationError(f"trace must be 1-D, got shape {addresses.shape}")
+        addresses = check_trace(addresses)
         n = addresses.size
         if n == 0:
             return np.zeros(0, dtype=bool)
-        addresses = addresses.astype(np.int64, copy=False)
-        if addresses.min() < 0:
-            raise SimulationError("trace contains negative addresses")
         # Line numbers below 2^31 (every address below 2^31 * line_size)
         # run the whole pipeline in int32: half the memory traffic, and
         # a 64k-reference chunk's intermediates stay cache-resident.
@@ -115,80 +107,6 @@ class StreamingDirectCache:
         return miss
 
 
-class StreamingAssocCache:
-    """k-way LRU cache with persistent state (vectorized classification).
-
-    Thin counting wrapper around :class:`repro.cache.assoc_vec.AssocLRUState`;
-    byte-identical to :class:`SequentialAssocCache` on every chunking.
-    """
-
-    def __init__(self, size: int, line_size: int, associativity: int):
-        self._state = AssocLRUState(size, line_size, associativity)
-        self.size = size
-        self.line_size = line_size
-        self.associativity = associativity
-        self.num_sets = self._state.num_sets
-        self.accesses = 0
-        self.misses = 0
-
-    def feed(self, addresses: np.ndarray) -> np.ndarray:
-        """Classify one chunk; returns its miss mask and updates LRU state.
-
-        Per-chunk timing of the vectorized k-way path lands in the
-        ``cache.assoc.chunk_seconds`` histogram while a tracer is active.
-        """
-        tracer = get_tracer()
-        t0 = time.perf_counter() if tracer.enabled else 0.0
-        miss = self._state.feed(addresses)
-        self.accesses += int(miss.size)
-        self.misses += int(miss.sum())
-        if tracer.enabled:
-            get_metrics().histogram("cache.assoc.chunk_seconds").observe(
-                time.perf_counter() - t0
-            )
-        return miss
-
-
-class SequentialAssocCache:
-    """k-way LRU cache with persistent state (sequential reference replay).
-
-    The streaming form of the :func:`repro.cache.assoc.replay_lru` oracle:
-    one access at a time, obviously correct, slow.  Kept as the ground
-    truth that :class:`StreamingAssocCache` is property-tested against.
-    """
-
-    def __init__(self, size: int, line_size: int, associativity: int):
-        if (
-            line_size <= 0
-            or size <= 0
-            or associativity <= 0
-            or size % (line_size * associativity) != 0
-        ):
-            raise SimulationError(
-                f"invalid geometry: size={size}, line_size={line_size}, "
-                f"assoc={associativity}"
-            )
-        self.size = size
-        self.line_size = line_size
-        self.associativity = associativity
-        self.num_sets = size // (line_size * associativity)
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self.accesses = 0
-        self.misses = 0
-
-    def feed(self, addresses: np.ndarray) -> np.ndarray:
-        """Classify one chunk; returns its miss mask and updates LRU state."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        miss = np.zeros(addresses.size, dtype=bool)
-        if addresses.size and addresses.min() < 0:
-            raise SimulationError("trace contains negative addresses")
-        lines = (addresses // self.line_size).tolist()
-        replay_lru(lines, self.num_sets, self.associativity, self._sets, miss)
-        self.accesses += int(addresses.size)
-        self.misses += int(miss.sum())
-        return miss
-
-
 def _make_level(cfg: CacheConfig):
     if cfg.is_direct_mapped:
         return StreamingDirectCache(cfg.size, cfg.line_size)
@@ -197,6 +115,17 @@ def _make_level(cfg: CacheConfig):
 
 class StreamingHierarchy:
     """Multi-level streaming simulation: feed chunks, then read the result.
+
+    The one hierarchy chain: L1 sees every reference and each lower level
+    exactly the miss stream of the level above.
+
+    Example
+    -------
+    >>> from repro.cache import StreamingHierarchy, ultrasparc_i
+    >>> import numpy as np
+    >>> sim = StreamingHierarchy(ultrasparc_i()).feed_all([np.arange(0, 1 << 16, 4)])
+    >>> round(sim.result().miss_rate("L1"), 3)
+    0.125
 
     Pass a :class:`repro.obs.timeline.Timeline` to also accumulate
     windowed per-level telemetry: ``feed`` then splits each chunk at

@@ -16,7 +16,7 @@ miss counts?" -- at a different point on the cost/authority curve:
     measurement.  O(trace).
 ``oracle``
     Sequential one-access-at-a-time LRU replay
-    (:class:`~repro.cache.streaming.SequentialAssocCache` per level).
+    (:func:`~repro.cache.assoc.replay_hierarchy`).
     Obviously correct, slowest; the ground truth the vectorized
     simulator is property-tested against.
 ``auto``
@@ -34,10 +34,8 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
-from repro.cache.stats import LevelStats, SimulationResult
-from repro.cache.streaming import SequentialAssocCache
+from repro.cache.assoc import replay_hierarchy
+from repro.cache.stats import SimulationResult
 from repro.errors import ReproError
 
 __all__ = ["BACKENDS", "STORED_BACKENDS", "validate_backend", "run_oracle"]
@@ -63,29 +61,11 @@ def validate_backend(name: str) -> str:
 def run_oracle(job) -> SimulationResult:
     """Simulate one job on the sequential reference hierarchy.
 
-    Streams the job's trace chunks through a chain of
-    :class:`SequentialAssocCache` levels with the same filtering
-    semantics as the vectorized simulator (level *i+1* sees level *i*'s
-    miss stream) -- the executor's slowest, most trustworthy tier.
+    Streams the job's trace chunks through
+    :func:`~repro.cache.assoc.replay_hierarchy` -- the executor's
+    slowest, most trustworthy tier.
     """
-    caches = [
-        SequentialAssocCache(c.size, c.line_size, c.associativity)
-        for c in job.hierarchy
-    ]
-    total = 0
-    for chunk in job.chunks():
-        stream = np.asarray(chunk, dtype=np.int64)
-        total += int(stream.size)
-        for cache in caches:
-            mask = cache.feed(stream)
-            stream = stream[mask]
-    return SimulationResult(
-        total_refs=total,
-        levels=tuple(
-            LevelStats(cfg.name, cache.accesses, cache.misses)
-            for cfg, cache in zip(job.hierarchy, caches)
-        ),
-    )
+    return replay_hierarchy(job.hierarchy, job.chunks())
 
 
 def _timed_run_oracle(job) -> tuple[SimulationResult, float, int, int, None]:

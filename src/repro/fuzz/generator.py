@@ -178,13 +178,23 @@ def _grow_ref(
 def random_program(seed: int, config: FuzzConfig | None = None) -> Program:
     """One random affine program, byte-deterministic in ``seed``.
 
-    The program always touches at least one array, reads every array it
-    writes somewhere (no validator warnings beyond never-executed nests),
-    and stays within ``config.max_refs`` dynamic references.
+    The program always makes at least one reference, reads every array
+    it writes somewhere (no validator warnings beyond never-executed
+    nests), and stays within ``config.max_refs`` dynamic references.
     """
     cfg = config or FuzzConfig()
     rng = random.Random(seed)
+    # A draw whose nests all have empty triangular bounds makes no
+    # reference; keep drawing from the same stream, so every seed whose
+    # first draw is non-empty generates it unchanged.
+    while True:
+        program = _draw_program(rng, cfg, f"fuzz-{seed}")
+        if program.total_refs() > 0:
+            return program
 
+
+def _draw_program(rng: random.Random, cfg: FuzzConfig, name: str) -> Program:
+    """One draw of :func:`random_program` from ``rng``; may be empty."""
     specs: list[_ArraySpec] = []
 
     def new_spec() -> _ArraySpec:
@@ -260,7 +270,7 @@ def random_program(seed: int, config: FuzzConfig | None = None) -> Program:
     arrays = tuple(
         ArrayDecl(s.name, tuple(s.extents), s.element_size) for s in specs
     )
-    program = Program(f"fuzz-{seed}", arrays, tuple(nests))
+    program = Program(name, arrays, tuple(nests))
 
     # Trip budgeting used rectangular estimates; triangular nests can
     # only be smaller, but fused bodies may push past the cap.  Halve the

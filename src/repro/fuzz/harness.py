@@ -7,9 +7,10 @@ classified :class:`Divergence` records:
 * ``trace`` -- the vectorized trace generator vs. the bounds-checking
   Python interpreter (byte equality of the address stream);
 * ``sim`` -- the production hierarchy simulation (vectorized
-  direct-mapped / k-way paths via :class:`~repro.exec.jobs.SimJob`) vs. a
-  :class:`~repro.cache.streaming.SequentialAssocCache` oracle hierarchy
-  (exact per-level access/miss equality);
+  direct-mapped / k-way paths via :class:`~repro.exec.jobs.SimJob`) vs.
+  the sequential oracle hierarchy
+  (:func:`~repro.cache.assoc.replay_hierarchy`; exact per-level
+  access/miss equality);
 * ``model`` -- the closed-form predictor vs. the simulator, classified
   by per-level relative miss error into magnitude bands
   (``exact <= 1% < close <= 10% < coarse <= 1x < loose <= 10x < blind``);
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cache.assoc import replay_hierarchy
 from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.cache.stats import LevelStats, SimulationResult
-from repro.cache.streaming import SequentialAssocCache
+from repro.cache.stats import SimulationResult
 from repro.errors import ReproError
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
@@ -174,20 +175,10 @@ def oracle_simulate(trace: np.ndarray,
                     hierarchy: HierarchyConfig) -> SimulationResult:
     """Reference hierarchy simulation: sequential LRU replay at every level.
 
-    Mirrors :class:`~repro.cache.streaming.StreamingHierarchy`'s filtering
-    semantics (level *i+1* sees level *i*'s misses) with the obviously
-    correct one-access-at-a-time cache, direct-mapped levels included
-    (k=1 LRU *is* direct-mapped).
+    The whole trace as one chunk of
+    :func:`~repro.cache.assoc.replay_hierarchy`.
     """
-    stream = np.asarray(trace, dtype=np.int64)
-    levels = []
-    total = int(stream.size)
-    for cfg in hierarchy:
-        cache = SequentialAssocCache(cfg.size, cfg.line_size, cfg.associativity)
-        mask = cache.feed(stream)
-        levels.append(LevelStats(cfg.name, cache.accesses, cache.misses))
-        stream = stream[mask]
-    return SimulationResult(total_refs=total, levels=tuple(levels))
+    return replay_hierarchy(hierarchy, [trace])
 
 
 def diff_case(

@@ -1,17 +1,13 @@
-"""Analytic miss prediction vs the simulator.
+"""Per-level miss penalties for the profitability tests.
 
-Section 6.4's claim -- "the compiler can predict relative cache miss rates
-fairly accurately by analyzing group reuse" -- is tested literally: the
-analytic model's ordering of layouts must agree with simulation.
+Section 6.4's prediction claim is tested against the analytic predictor
+in ``tests/model/test_predictor.py::TestSection64Claims``.
 """
 
 import pytest
 
-from repro import DataLayout, simulate_program, ultrasparc_i
-from repro.analysis.costmodel import MissCostModel, estimate_nest_misses
-from repro.transforms.grouppad import grouppad
-from repro.transforms.pad import pad
-from tests.conftest import build_fig2
+from repro import ultrasparc_i
+from repro.analysis.costmodel import MissCostModel
 
 
 @pytest.fixture(scope="module")
@@ -29,52 +25,3 @@ class TestMissCostModel:
         m = MissCostModel(l1_miss_cost=2.0, l2_miss_cost=10.0)
         assert m.weighted(5, 3) == 40.0
 
-
-class TestAnalyticEstimates:
-    def test_estimate_tracks_simulation_ordering(self, hier):
-        """Resonant layout must be predicted worse than the padded one, at
-        both levels, matching simulation."""
-        prog = build_fig2(2048)  # resonant: everything collides
-        seq = DataLayout.sequential(prog)
-        padded = pad(prog, seq, hier.l1.size, hier.l1.line_size)
-
-        est_bad = estimate_nest_misses(prog, seq, prog.nests[0], hier)
-        est_good = estimate_nest_misses(prog, padded, prog.nests[0], hier)
-        assert est_good.l1_misses <= est_bad.l1_misses
-
-        sim_bad = simulate_program(prog, seq, hier)
-        sim_good = simulate_program(prog, padded, hier)
-        assert sim_good.miss_rate("L1") < sim_bad.miss_rate("L1")
-
-    def test_grouppad_prediction_close_to_simulation(self, hier):
-        """Absolute agreement on a clean stencil: GROUPPAD layout's
-        predicted L1 miss rate within a few points of simulation."""
-        prog = build_fig2(896)
-        layout = grouppad(
-            prog, DataLayout.sequential(prog), hier.l1.size, hier.l1.line_size
-        )
-        est_rates = []
-        for nest in prog.nests:
-            est = estimate_nest_misses(prog, layout, nest, hier)
-            est_rates.append((est.l1_misses, est.total_refs))
-        predicted = sum(m for m, _ in est_rates) / sum(t for _, t in est_rates)
-        simulated = simulate_program(prog, layout, hier).miss_rate("L1")
-        assert abs(predicted - simulated) < 0.05
-
-    def test_temporal_innermost_costs_nothing(self, hier):
-        from repro import ProgramBuilder
-
-        b = ProgramBuilder("t")
-        A = b.array("A", (64,))
-        S = b.array("S", (64,))
-        i, j = b.vars("i", "j")
-        b.nest(
-            [b.loop(j, 1, 64), b.loop(i, 1, 64)],
-            [b.use(reads=[S[j], A[i]])],  # S temporal on inner i
-        )
-        prog = b.build()
-        est = estimate_nest_misses(
-            prog, DataLayout.sequential(prog), prog.nests[0], hier
-        )
-        # Only A contributes: spatial misses = 8/32 per iteration.
-        assert est.l1_misses == pytest.approx(64 * 64 * (8 / 32))

@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.cache.assoc import miss_mask_assoc, simulate_assoc
+from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
 from repro.cache.direct import miss_mask_direct
+from repro.cache.streaming import StreamingAssocCache, StreamingDirectCache
 from repro.errors import SimulationError
+
+# Every simulator core, built on a 1024-byte cache of 32-byte lines; all
+# of them share one input check.
+CORES = {
+    "direct": lambda: StreamingDirectCache(1024, 32),
+    "assoc_vec": lambda: StreamingAssocCache(1024, 32, 2),
+    "oracle": lambda: SequentialAssocCache(1024, 32, 2),
+}
+
+
+def misses(trace, size, line_size, associativity):
+    return int(miss_mask_assoc(trace, size, line_size, associativity).sum())
 
 
 class TestLRUSemantics:
@@ -20,7 +33,7 @@ class TestLRUSemantics:
     def test_two_way_survives_pingpong(self):
         # A direct-mapped killer: two lines one cache apart.
         trace = np.array([0, 1024, 0, 1024, 0, 1024])
-        assert simulate_assoc(trace, 1024, 32, 2) == 2  # both cold, then hits
+        assert misses(trace, 1024, 32, 2) == 2  # both cold, then hits
 
     def test_lru_evicts_least_recent(self):
         # Fully associative 2-entry cache of 32B lines.
@@ -38,10 +51,10 @@ class TestLRUSemantics:
         # 4-line fully associative cache; working set of 4 lines loops cleanly.
         sweep = np.array([0, 32, 64, 96])
         trace = np.concatenate([sweep, sweep, sweep])
-        assert simulate_assoc(trace, 128, 32, 4) == 4
+        assert misses(trace, 128, 32, 4) == 4
 
     def test_empty_trace(self):
-        assert simulate_assoc(np.array([], dtype=np.int64), 1024, 32, 2) == 0
+        assert misses(np.array([], dtype=np.int64), 1024, 32, 2) == 0
 
 
 class TestValidation:
@@ -49,13 +62,16 @@ class TestValidation:
         with pytest.raises(SimulationError):
             miss_mask_assoc(np.array([0]), 1024, 32, 3)
 
-    def test_negative_address_rejected(self):
-        with pytest.raises(SimulationError):
-            miss_mask_assoc(np.array([-1]), 1024, 32, 2)
+    @pytest.mark.parametrize("core", CORES)
+    def test_negative_address_rejected(self, core):
+        with pytest.raises(SimulationError, match="negative"):
+            CORES[core]().feed(np.array([0, -1]))
 
-    def test_2d_trace_rejected(self):
-        with pytest.raises(SimulationError):
-            miss_mask_assoc(np.zeros((3, 3), dtype=np.int64), 1024, 32, 2)
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_2d_trace_rejected(self, core, dtype):
+        with pytest.raises(SimulationError, match="1-D"):
+            CORES[core]().feed(np.zeros((2, 2), dtype=dtype))
 
 
 class TestPaperClaim:
@@ -73,6 +89,6 @@ class TestPaperClaim:
         padded = conflict.copy()
         padded[1::3] += 32
         padded[2::3] += 64
-        m_conflict = simulate_assoc(conflict, 1024, 32, 2)
-        m_padded = simulate_assoc(padded, 1024, 32, 2)
+        m_conflict = misses(conflict, 1024, 32, 2)
+        m_padded = misses(padded, 1024, 32, 2)
         assert m_padded < m_conflict

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache import AssocLRUState, miss_mask_assoc_vec, simulate_assoc_vec
-from repro.cache.assoc import miss_mask_assoc, simulate_assoc
+from repro.cache import StreamingAssocCache, StreamingHierarchy, miss_mask_assoc_vec
+from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
 from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.streaming import SequentialAssocCache, StreamingAssocCache
 from repro.errors import SimulationError
 
 
@@ -64,8 +62,8 @@ class TestKnownTraces:
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 14, size=4000).astype(np.int64)
         for k in (1, 2, 4):
-            assert simulate_assoc_vec(addrs, 2048, 32, k) == simulate_assoc(
-                addrs, 2048, 32, k
+            assert miss_mask_assoc_vec(addrs, 2048, 32, k).sum() == (
+                miss_mask_assoc(addrs, 2048, 32, k).sum()
             )
 
     def test_non_power_of_two_geometry(self):
@@ -83,26 +81,26 @@ class TestKnownTraces:
         )
 
 
-class TestAssocLRUState:
+class TestCarriedStack:
     def test_stack_tracks_mru_order(self):
         line, k = 32, 2
-        state = AssocLRUState(line * k, line, k)  # one set
-        state.feed(np.array([0, line], dtype=np.int64))
+        cache = StreamingAssocCache(line * k, line, k)  # one set
+        cache.feed(np.array([0, line], dtype=np.int64))
         # MRU first: line 1 then line 0.
-        assert state.stack.tolist() == [[1, 0]]
-        state.feed(np.array([0], dtype=np.int64))
-        assert state.stack.tolist() == [[0, 1]]
+        assert cache.stack.tolist() == [[1, 0]]
+        cache.feed(np.array([0], dtype=np.int64))
+        assert cache.stack.tolist() == [[0, 1]]
 
     def test_cold_stack_is_empty(self):
-        state = AssocLRUState(1024, 32, 4)
-        assert (state.stack == -1).all()
+        cache = StreamingAssocCache(1024, 32, 4)
+        assert (cache.stack == -1).all()
 
     def test_feed_accumulates_exactly(self):
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 1 << 15, size=5000).astype(np.int64)
-        state = AssocLRUState(2048, 64, 4)
+        cache = StreamingAssocCache(2048, 64, 4)
         parts = np.split(addrs, [100, 101, 2500, 2500])
-        got = np.concatenate([state.feed(p) for p in parts])
+        got = np.concatenate([cache.feed(p) for p in parts])
         np.testing.assert_array_equal(
             got, miss_mask_assoc(addrs, 2048, 64, 4)
         )
@@ -118,7 +116,7 @@ class TestIntegration:
         )
         rng = np.random.default_rng(7)
         addrs = rng.integers(0, 1 << 14, size=8000).astype(np.int64)
-        result = CacheHierarchy(cfg).simulate(addrs)
+        result = StreamingHierarchy(cfg).feed_all([addrs]).result()
         l1_ref = miss_mask_assoc(addrs, 1024, 32, 2)
         assert result.levels[0].misses == int(l1_ref.sum())
         l2_ref = miss_mask_assoc(addrs[l1_ref], 8192, 64, 4)

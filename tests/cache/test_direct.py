@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.direct import miss_mask_direct, simulate_direct
+from repro.cache.direct import miss_mask_direct
 from repro.errors import SimulationError
 
 
@@ -20,9 +20,13 @@ def naive_direct(addresses, size, line_size):
     return np.array(miss, dtype=bool)
 
 
+def misses(trace, size, line_size):
+    return int(miss_mask_direct(trace, size, line_size).sum())
+
+
 class TestBasics:
     def test_empty_trace(self):
-        assert simulate_direct(np.array([], dtype=np.int64), 1024, 32) == 0
+        assert misses(np.array([], dtype=np.int64), 1024, 32) == 0
 
     def test_cold_miss_then_hit(self):
         trace = np.array([0, 0, 8, 31])
@@ -36,21 +40,21 @@ class TestBasics:
     def test_pingpong_conflict(self):
         # Two addresses one cache size apart: same set, different tags.
         trace = np.array([0, 1024, 0, 1024, 0, 1024])
-        assert simulate_direct(trace, 1024, 32) == 6
+        assert misses(trace, 1024, 32) == 6
 
     def test_sequential_sweep_misses_once_per_line(self):
         trace = np.arange(0, 4096, 4)  # 4 KB, 4-byte stride
-        assert simulate_direct(trace, 1024, 32) == 4096 // 32
+        assert misses(trace, 1024, 32) == 4096 // 32
 
     def test_fits_in_cache_second_sweep_hits(self):
         sweep = np.arange(0, 512, 8)
         trace = np.concatenate([sweep, sweep])
-        assert simulate_direct(trace, 1024, 32) == 512 // 32
+        assert misses(trace, 1024, 32) == 512 // 32
 
     def test_working_set_exceeds_cache(self):
         sweep = np.arange(0, 2048, 32)  # 2x the cache, one access per line
         trace = np.concatenate([sweep, sweep])
-        assert simulate_direct(trace, 1024, 32) == trace.size  # all miss
+        assert misses(trace, 1024, 32) == trace.size  # all miss
 
 
 class TestValidation:

@@ -88,12 +88,12 @@ class TestTaxonomy:
         assert t.conflict == 0
 
     def test_totals_consistent(self):
-        from repro.cache.direct import simulate_direct
+        from repro.cache.direct import miss_mask_direct
 
         rng = np.random.default_rng(11)
         trace = rng.integers(0, 4096, size=800)
         t = classify_misses(trace, self.CACHE)
-        assert t.total_misses == simulate_direct(trace, 1024, 32)
+        assert t.total_misses == miss_mask_direct(trace, 1024, 32).sum()
 
     def test_padding_removes_only_conflicts(self):
         """The paper's premise: inter-variable padding attacks conflict

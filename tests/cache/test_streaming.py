@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, CacheHierarchy, HierarchyConfig
+from repro.cache import CacheConfig, HierarchyConfig
 from repro.cache.streaming import (
     StreamingAssocCache,
     StreamingDirectCache,
     StreamingHierarchy,
 )
 from repro.cache.direct import miss_mask_direct
-from repro.cache.assoc import miss_mask_assoc
+from repro.cache.assoc import miss_mask_assoc, replay_hierarchy
 from repro.errors import SimulationError
 
 
@@ -62,7 +62,7 @@ class TestStreamingAssoc:
 
 
 class TestStreamingHierarchy:
-    def test_matches_cache_hierarchy(self):
+    def test_chunked_matches_one_shot(self):
         config = HierarchyConfig(
             levels=(
                 CacheConfig(size=1024, line_size=32, name="L1"),
@@ -71,10 +71,12 @@ class TestStreamingHierarchy:
         )
         rng = np.random.default_rng(23)
         trace = rng.integers(0, 32768, size=5000)
-        mono = CacheHierarchy(config).simulate(trace)
+        mono = StreamingHierarchy(config).feed_all([trace]).result()
         stream = StreamingHierarchy(config)
         stream.feed_all(chunked(trace, [123] * 40))
         assert stream.result() == mono
+        # ...and both equal the sequential oracle's level chain.
+        assert replay_hierarchy(config, [trace]) == mono
 
     def test_assoc_level_in_hierarchy(self):
         config = HierarchyConfig(
@@ -84,6 +86,6 @@ class TestStreamingHierarchy:
             )
         )
         trace = np.arange(0, 8192, 16)
-        mono = CacheHierarchy(config).simulate(trace)
+        mono = replay_hierarchy(config, [trace])
         stream = StreamingHierarchy(config).feed_all(chunked(trace, [64] * 8))
         assert stream.result() == mono

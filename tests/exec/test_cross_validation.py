@@ -25,6 +25,8 @@ from repro import (
 from repro.cache.streaming import StreamingHierarchy
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
+from repro.experiments.ext_symbolic import CROSSVAL_HIERARCHIES
+from repro.kernels.registry import get_kernel
 from repro.trace.interpreter import interpret_program
 
 SMALL_HIER = HierarchyConfig(
@@ -106,3 +108,22 @@ def test_pool_execution_matches_interpreter(seed):
     for job, got in zip(jobs, results):
         expected = interpreter_counts(program, job.layout, SMALL_HIER)
         assert got == expected
+
+
+@pytest.mark.parametrize("hierarchy", ["dm", "2way"])
+def test_oracle_backend_matches_sim(hierarchy):
+    """The ``oracle`` tier (sequential LRU replay of every level) equals
+    the vectorized simulator end to end, with every job split over
+    several trace chunks so state carries across chunk boundaries."""
+    jobs = []
+    for name in ("jacobi", "expl", "linpackd"):
+        kernel = get_kernel(name)
+        program = kernel.program(16)
+        jobs.append(SimJob.for_kernel(
+            kernel, program, DataLayout.sequential(program),
+            CROSSVAL_HIERARCHIES[hierarchy], max_chunk_refs=256,
+        ))
+    assert all(sum(1 for _ in job.chunks()) >= 5 for job in jobs)
+    sim = SweepExecutor(workers=1, backend="sim").run(jobs)
+    oracle = SweepExecutor(workers=1, backend="oracle").run(jobs)
+    assert oracle == sim

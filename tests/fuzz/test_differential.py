@@ -18,10 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.assoc import miss_mask_assoc
+from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
 from repro.cache.assoc_vec import miss_mask_assoc_vec
 from repro.cache.direct import miss_mask_direct
-from repro.cache.streaming import SequentialAssocCache
 from repro.fuzz.generator import FuzzConfig, random_program
 from repro.fuzz.harness import FUZZ_HIERARCHIES, diff_case, oracle_simulate
 from repro.layout.layout import DataLayout

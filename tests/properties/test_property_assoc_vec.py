@@ -11,10 +11,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.assoc import miss_mask_assoc
-from repro.cache.assoc_vec import AssocLRUState, miss_mask_assoc_vec
+from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
+from repro.cache.assoc_vec import StreamingAssocCache, miss_mask_assoc_vec
 from repro.cache.direct import miss_mask_direct
-from repro.cache.streaming import SequentialAssocCache, StreamingAssocCache
 
 # (size, line_size) pairs, including a non-power-of-two size (768) so
 # odd set counts are represented; combos where k does not divide the
@@ -111,14 +110,13 @@ class TestChunkBoundaryCarry:
     @given(trace=traces, geom=geometries, k=assocs)
     @settings(max_examples=40, deadline=None)
     def test_state_reuse_across_feeds(self, trace, geom, k):
-        """Driving AssocLRUState directly: a second feed of the same trace
-        sees the carried LRU stacks, and still matches the oracle on the
-        doubled trace."""
+        """A second feed of the same trace sees the carried LRU stacks,
+        and still matches the oracle on the doubled trace."""
         size, line = geom
         assume(size % (line * k) == 0)
         addrs = np.array(trace, dtype=np.int64)
-        state = AssocLRUState(size, line, k)
-        got = np.concatenate([state.feed(addrs), state.feed(addrs)])
+        cache = StreamingAssocCache(size, line, k)
+        got = np.concatenate([cache.feed(addrs), cache.feed(addrs)])
         ref = miss_mask_assoc(
             np.concatenate([addrs, addrs]), size, line, k
         )

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.assoc import miss_mask_assoc
+from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
 from repro.cache.direct import miss_mask_direct
-from repro.cache.streaming import SequentialAssocCache, StreamingDirectCache
+from repro.cache.streaming import StreamingDirectCache
 
 # (size, line): powers of two take the shift/mask path; non-power-of-two
 # line sizes (12, 24, 48) and set counts (7, 10, 33) the // and % fallback.

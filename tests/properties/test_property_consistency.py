@@ -1,23 +1,15 @@
 """Consistency properties between parallel implementations.
 
-Two pairs of independent implementations encode the same rule; these
-hypothesis tests keep them from drifting apart:
-
-* the dots-and-arcs exploitation test lives in
-  :class:`repro.layout.diagram.CacheDiagram` (evaluation) *and* in
-  GROUPPAD's layout-search scorer (optimization);
-* the write-back cache's miss stream must equal the plain direct-mapped
-  simulator's (write-backs are bookkeeping on top, never a behaviour
-  change).
+The dots-and-arcs exploitation test lives in
+:class:`repro.layout.diagram.CacheDiagram` (evaluation) *and* in
+GROUPPAD's layout-search scorer (optimization); this hypothesis test
+keeps the two from drifting apart.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CacheDiagram, DataLayout, ProgramBuilder
-from repro.cache.direct import miss_mask_direct
-from repro.cache.writeback import WritebackDirectCache
 from repro.transforms.grouppad import _exploited_count, _nest_infos
 
 L1, LINE = 16 * 1024, 32
@@ -64,27 +56,3 @@ class TestDiagramScorerAgreement:
         )
         assert scorer_count == diagram_count
 
-
-class TestWritebackMissAgreement:
-    @given(
-        seed=st.integers(0, 100),
-        writes_p=st.floats(0.0, 1.0),
-        chunks=st.integers(1, 5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_writeback_miss_stream_equals_plain_direct(
-        self, seed, writes_p, chunks
-    ):
-        rng = np.random.default_rng(seed)
-        trace = rng.integers(0, 8192, size=400)
-        writes = rng.random(400) < writes_p
-        cache = WritebackDirectCache(1024, 32)
-        masks = []
-        for part_a, part_w in zip(
-            np.array_split(trace, chunks), np.array_split(writes, chunks)
-        ):
-            masks.append(cache.feed(part_a, part_w))
-        got = np.concatenate(masks)
-        np.testing.assert_array_equal(got, miss_mask_direct(trace, 1024, 32))
-        # And write-backs can never exceed misses of dirty-capable lines.
-        assert cache.writebacks <= cache.misses

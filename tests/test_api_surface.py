@@ -278,25 +278,27 @@ class TestServiceExports:
 
 
 class TestCacheSimulatorExports:
-    """Both k-way simulators (oracle and vectorized) are package API."""
+    """One core per cache kind, one hierarchy, and a separate oracle."""
 
     def test_vectorized_assoc_names(self):
         import repro.cache
 
-        for name in (
-            "simulate_assoc",
-            "simulate_assoc_vec",
-            "miss_mask_assoc_vec",
-            "AssocLRUState",
-        ):
+        names = ("miss_mask_assoc_vec", "StreamingAssocCache", "StreamingHierarchy")
+        for name in names:
             assert name in repro.cache.__all__
             assert getattr(repro.cache, name) is not None
 
-    def test_streaming_exports_both_assoc_caches(self):
-        from repro.cache.streaming import __all__ as names
+    def test_oracle_kept_apart_from_streaming(self):
+        import repro.cache.assoc as oracle
+        import repro.cache.streaming as streaming
 
-        assert "StreamingAssocCache" in names
-        assert "SequentialAssocCache" in names
+        assert set(streaming.__all__) == {
+            "StreamingDirectCache", "StreamingAssocCache", "StreamingHierarchy",
+        }
+        assert set(oracle.__all__) == {
+            "SequentialAssocCache", "miss_mask_assoc", "replay_hierarchy",
+        }
+        assert not hasattr(streaming, "SequentialAssocCache")
 
 
 class TestKernelTraceDefaultPath:

@@ -117,8 +117,8 @@ class TestFormattingEdges:
         assert "do i = 1, 9, 2" in repr(Loop("i", const(1), const(9), 2))
 
     def test_summary_on_empty_simulation(self):
-        from repro import CacheHierarchy
+        from repro.cache import StreamingHierarchy
 
-        hier = CacheHierarchy(ultrasparc_i())
-        result = hier.simulate(np.array([], dtype=np.int64))
+        sim = StreamingHierarchy(ultrasparc_i())
+        result = sim.feed_all([np.array([], dtype=np.int64)]).result()
         assert "refs=0" in result.summary()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.direct import simulate_direct
+from repro.cache.direct import miss_mask_direct
 from repro.errors import TransformError
 from repro.transforms.tilesize import TileShape, max_conflict_free_height, select_tile
 
@@ -53,7 +53,7 @@ class TestTileVerification:
             capacity_bytes=L1,
         )
         trace = self.tile_trace(col, shape.width, shape.height)
-        misses = simulate_direct(trace, L1, 32)
+        misses = miss_mask_direct(trace, L1, 32).sum()
         first_pass_lines = misses  # all first-pass cold misses allowed
         # Second pass contributes nothing: miss count equals unique lines.
         unique_lines = len(set(a // 32 for a in trace.tolist()))
