@@ -31,8 +31,8 @@ The package implements, from scratch, every system the paper relies on:
   distilled regression corpus;
 * :mod:`repro.symbolic` -- trace-free closed-form miss counting, exact
   (bit-for-bit vs. the simulator) in the provable no-eviction regime
-  and honestly downgraded elsewhere, behind the executor's tiered
-  backend selector;
+  and honestly downgraded elsewhere (an analysis: the executor always
+  simulates);
 * :mod:`repro.experiments` -- harnesses regenerating every figure.
 
 Quickstart::

@@ -13,7 +13,7 @@ This model replays the trace one access at a time in Python.  It is the
 *reference* implementation: deliberately simple, obviously correct, and
 slow.  :class:`SequentialAssocCache` is the one oracle cache and
 :func:`replay_hierarchy` the one oracle level chain; the ``oracle``
-executor tier and the fuzz harness both run it.  Production paths use
+executor backend and the fuzz harness both run it.  Production paths use
 :class:`repro.cache.streaming.StreamingHierarchy`, which is
 property-tested against this module and never imports it.
 """

@@ -17,9 +17,10 @@ The subsystem's layers:
 * :mod:`repro.exec.executor` -- :class:`SweepExecutor`, fanning
   independent :class:`SimJob` simulations across the pool with
   deterministic ordering and graceful serial fallback;
-* :mod:`repro.exec.backends` -- the tier catalogue (``auto``,
-  ``symbolic``, ``model``, ``sim``, ``oracle``) the executor selects
-  from, each keyed separately in the store;
+* :mod:`repro.exec.backends` -- the two ways to compute a job: the
+  vectorized simulator (``sim``, the default; ``auto`` is an alias) and
+  the sequential reference (``oracle``), each keyed separately in the
+  store;
 * :mod:`repro.exec.shard` -- deterministic ``i/N`` sweep partitioning
   (:class:`ShardSpec`) plus :func:`merge_stores` / :func:`merge_traces`
   to fuse per-shard artifacts back into one.

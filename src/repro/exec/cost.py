@@ -12,7 +12,7 @@ no simulation:
   :meth:`~repro.ir.loops.Loop.concrete_trip` arithmetic the trace
   generator uses, so the estimate counts precisely the references the
   simulator will stream);
-* the **refinement** is the symbolic tier's working-set lower bound
+* the **refinement** is the symbolic analysis's working-set lower bound
   (:func:`repro.analysis.footprint.ref_lines_lower_bound`, microseconds
   per reference): of two jobs with equal reference counts, the one
   touching more distinct lines compresses worse in the vectorized

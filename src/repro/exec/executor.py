@@ -8,14 +8,10 @@ a list with
   :class:`~repro.exec.store.ResultStore` before any work happens; large
   sweeps trigger one batched :meth:`~repro.exec.store.ResultStore.scan`
   so a warm sweep costs one manifest read, not thousands of JSON opens;
-* **tiered backends** -- ``backend="auto"`` serves each job from the
-  cheapest authoritative tier: the symbolic closed form where it is
-  provably exact (:mod:`repro.symbolic`), the vectorized simulator
-  everywhere else; a job either tier has stored is served without being
-  classified again.  ``"symbolic"``, ``"model"``, ``"sim"``, and
-  ``"oracle"`` force a tier (see
-  :mod:`repro.exec.backends`); every tier's results are keyed with its
-  backend name so they never alias in the store;
+* **one way to compute** -- every job is simulated by the vectorized
+  simulator (``backend="sim"``), or replayed on the sequential reference
+  when asked (``"oracle"``; see :mod:`repro.exec.backends`); results are
+  keyed with their backend name so the two never alias in the store;
 * **parallelism** -- remaining jobs are ordered longest-first by a
   cost estimate from the IR (:func:`repro.exec.cost.job_cost`) and
   dispatched to a *persistent* worker pool
@@ -50,7 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.cache.stats import SimulationResult
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError
 from repro.exec.backends import _timed_run_oracle, validate_backend
 from repro.exec.cost import job_cost
 from repro.exec.jobs import SimJob
@@ -93,7 +89,7 @@ class JobRecord:
     index: int
     key: str
     seconds: float
-    source: str  # "cache" | "serial" | "pool" | "symbolic" | "model"
+    source: str  # "cache" | "serial" | "pool"
     tag: tuple = ()
     span_id: int | None = None
 
@@ -124,16 +120,6 @@ class ExecStats:
     @property
     def hit_rate(self) -> float:
         return self.cache_hits / self.jobs if self.jobs else 0.0
-
-    @property
-    def symbolic_jobs(self) -> int:
-        """Jobs the symbolic tier served (exact or forced-approximate)."""
-        return sum(1 for r in self.records if r.source == "symbolic")
-
-    @property
-    def model_jobs(self) -> int:
-        """Jobs the analytic-predictor tier served."""
-        return sum(1 for r in self.records if r.source == "model")
 
     @property
     def simulated_jobs(self) -> int:
@@ -177,7 +163,6 @@ class ExecStats:
             workers=self.workers,
             sim_seconds=self.sim_seconds,
             wall_seconds=self.wall_seconds,
-            symbolic=self.symbolic_jobs,
         )
 
 
@@ -208,15 +193,8 @@ class SweepExecutor:
     store:
         A :class:`ResultStore` for memoization, or None to disable.
     backend:
-        Default tier for :meth:`run` (see :mod:`repro.exec.backends`):
-        ``"sim"`` (the default, byte-identical to the pre-tier executor),
-        ``"auto"`` (symbolic where provably exact, sim elsewhere),
-        ``"symbolic"``, ``"model"``, or ``"oracle"``.
-    validate:
-        With True, every exact symbolic result is cross-checked against a
-        real simulation of the same job; a divergence raises
-        :class:`~repro.errors.SimulationError`.  A correctness harness
-        switch -- it forfeits the symbolic tier's speed.
+        Default backend for :meth:`run` (see :mod:`repro.exec.backends`):
+        ``"sim"`` (the default; ``"auto"`` is an alias) or ``"oracle"``.
     shard:
         ``"i/N"`` (or a :class:`~repro.exec.shard.ShardSpec`) restricts
         *computation* to the jobs this shard owns; non-owned jobs are
@@ -236,7 +214,6 @@ class SweepExecutor:
         workers: int | None = None,
         store: ResultStore | None = None,
         backend: str = "sim",
-        validate: bool = False,
         shard: "str | ShardSpec | None" = None,
     ):
         if workers is not None and workers < 1:
@@ -244,7 +221,6 @@ class SweepExecutor:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.store = store
         self.backend = validate_backend(backend)
-        self.validate = validate
         self.shard = parse_shard(shard)
         self.stats = ExecStats(workers=self.workers)
         self.history: list[ExecStats] = []
@@ -272,17 +248,7 @@ class SweepExecutor:
         self.close()
 
     # -- internals ---------------------------------------------------------
-    def _run_model(self, i, job, stats, results, tracer) -> None:
-        """Serve one job from the analytic-predictor tier (never stored)."""
-        from repro.model import predict_job  # lazy: model imports analysis/layout
-
-        t0 = time.perf_counter()
-        results[i] = predict_job(job).result
-        stats.records.append(
-            JobRecord(i, job.key("model"), time.perf_counter() - t0, "model", job.tag)
-        )
-
-    def _serve_stored(self, i, key, job, stats, results, tracer, **event) -> bool:
+    def _serve_stored(self, i, key, job, stats, results, tracer) -> bool:
         """Serve job ``i`` from the store under ``key``; False on a miss."""
         cached = self.store.get(key) if self.store is not None else None
         if cached is None:
@@ -290,87 +256,11 @@ class SweepExecutor:
         results[i] = cached
         stats.records.append(JobRecord(i, key, 0.0, "cache", job.tag))
         if tracer.enabled:
-            tracer.event("exec.store_hit", cat="exec", key=key[:12], index=i, **event)
+            tracer.event("exec.store_hit", cat="exec", key=key[:12], index=i)
         return True
-
-    def _try_symbolic(self, i, job, mode, key, stats, results, tracer) -> bool:
-        """Serve one job from the symbolic tier if the mode allows it.
-
-        ``mode="symbolic"`` (forced) serves every job, approximate terms
-        included; ``mode="auto"`` serves only jobs classified exact at
-        every level and reports False otherwise so the caller falls back
-        to the simulator.  Exact results are memoized under the job's
-        symbolic ``key``; approximate ones never touch the store.
-        """
-        from repro.symbolic import analyze_job, classify_job  # lazy: import cycle
-
-        start_ns = time.time_ns()
-        t0 = time.perf_counter()
-        classification = classify_job(job)
-        exact = all(c.exact for c in classification)
-        if mode == "auto" and not exact:
-            return False
-        symbolic = analyze_job(job, classification=classification)
-        seconds = time.perf_counter() - t0
-        result = symbolic.result
-        if exact:
-            if self.validate:
-                reference = job.run()
-                if reference.total_refs != result.total_refs or any(
-                    a.accesses != b.accesses or a.misses != b.misses
-                    for a, b in zip(reference.levels, result.levels)
-                ):
-                    raise SimulationError(
-                        f"symbolic/simulator divergence on job {key[:12]}: "
-                        f"simulator {reference.summary()!r} vs "
-                        f"symbolic {result.summary()!r}"
-                    )
-            if self.store is not None:
-                self.store.put(key, result)
-        results[i] = result
-        sid = None
-        if tracer.enabled:
-            sid = tracer.add_span(
-                "exec.job",
-                start_ns=start_ns,
-                dur_ns=int(seconds * 1e9),
-                cat="exec",
-                key=key[:12],
-                source="symbolic",
-                index=i,
-                backend="symbolic",
-                exact=exact,
-                refs=result.total_refs,
-            )
-        stats.records.append(
-            JobRecord(i, key, seconds, "symbolic", job.tag, span_id=sid)
-        )
-        return True
-
-    def _serve_unowned(self, i, job, chosen, sim_backend, stats, results) -> None:
-        """Store-only service of a job another shard owns.
-
-        Checks every key the chosen tier could have stored the job
-        under; a miss leaves ``results[i]`` as None and counts the job
-        as skipped -- the owning shard's store has it.
-        """
-        cached = None
-        key = None
-        if self.store is not None and chosen != "model":
-            if chosen in ("symbolic", "auto"):
-                key = job.key("symbolic")
-                cached = self.store.get(key)
-            if cached is None and chosen != "symbolic":
-                key = job.key(sim_backend)
-                cached = self.store.get(key)
-        if cached is not None:
-            results[i] = cached
-            stats.records.append(JobRecord(i, key, 0.0, "cache", job.tag))
-        else:
-            stats.skipped += 1
 
     def _dispatch_pending(self, ordered, runner, tracer, stats):
-        """Compute the unique pending jobs, cost-ordered, pool-first.
+        """Compute the unique pending jobs, pool-first.
 
         ``ordered`` is a list of ``(key, index, job)`` triples in
         first-seen order.  Returns ``{key: (out_tuple, source)}``.
@@ -378,18 +268,12 @@ class SweepExecutor:
         jobs backfill around stragglers; any pool failure finishes the
         missing jobs serially in-process, preserving determinism.
         """
-        ranked = sorted(
-            range(len(ordered)),
-            key=lambda r: (
-                -job_cost(ordered[r][2])[0],
-                -job_cost(ordered[r][2])[1],
-                r,
-            ),
-        )
-        submit = [ordered[r] for r in ranked]
+        submit = ordered
         outs: dict[int, tuple] = {}
         pooled_ranks: set[int] = set()
         if self.workers > 1 and len(submit) > 1:
+            # Order only matters to the pool; serial results are keyed.
+            submit = sorted(ordered, key=lambda e: job_cost(e[2]), reverse=True)
             disp = dispatch_jobs(
                 self.pool(), pack_payloads([job for _, _, job in submit]), runner
             )
@@ -416,13 +300,11 @@ class SweepExecutor:
     def run(self, jobs, backend: str | None = None) -> list[SimulationResult]:
         """Execute all jobs; results come back in job order.
 
-        ``backend`` overrides the executor's default tier for this call
-        (see :mod:`repro.exec.backends`).  Parallel and serial simulation
-        paths produce bit-identical results: the simulation is
+        ``backend`` overrides the executor's default backend for this
+        call (see :mod:`repro.exec.backends`).  Parallel and serial
+        simulation paths produce bit-identical results: the simulation is
         deterministic and every result is keyed back to its submission
-        index, whatever order workers finish in; the symbolic tier
-        serves only results it can prove bit-identical (unless forced
-        with ``backend="symbolic"``).
+        index, whatever order workers finish in.
 
         When a tracer is active the whole call is one ``exec.sweep`` span
         with an ``exec.job`` child per executed job (worker pid + queue
@@ -432,7 +314,6 @@ class SweepExecutor:
         """
         jobs = list(jobs)
         chosen = validate_backend(backend if backend is not None else self.backend)
-        sim_backend = "oracle" if chosen == "oracle" else "sim"
         runner = _timed_run_oracle if chosen == "oracle" else _timed_run
         tracer = get_tracer()
         t0 = time.perf_counter()
@@ -453,27 +334,15 @@ class SweepExecutor:
                     raise ReproError(
                         f"SweepExecutor.run expects SimJobs, got {type(job)!r}"
                     )
+                key = job.key(chosen)
                 if self.shard is not None and not self.shard.owns(job):
-                    self._serve_unowned(i, job, chosen, sim_backend, stats, results)
+                    # Another shard computes it: serve it from the store
+                    # or leave its slot None.
+                    if not self._serve_stored(i, key, job, stats, results,
+                                              tracer):
+                        stats.skipped += 1
                     continue
-                if chosen == "model":
-                    self._run_model(i, job, stats, results, tracer)
-                    continue
-                symbolic = chosen in ("symbolic", "auto")
-                if symbolic:
-                    sym_key = job.key("symbolic")
-                    if self._serve_stored(i, sym_key, job, stats, results,
-                                          tracer, backend="symbolic"):
-                        continue
-                if chosen != "symbolic":
-                    key = job.key(sim_backend)
-                    if self._serve_stored(i, key, job, stats, results, tracer):
-                        continue
-                # Only jobs no tier has stored get classified, so a warm
-                # replay of an auto sweep never classifies again.
-                if symbolic and self._try_symbolic(
-                    i, job, chosen, sym_key, stats, results, tracer
-                ):
+                if self._serve_stored(i, key, job, stats, results, tracer):
                     continue
                 if tracer.enabled and job.timeline_window is None:
                     # Traced runs also collect windowed per-level
@@ -554,7 +423,6 @@ class SweepExecutor:
                 sweep.set(
                     store_hits=stats.cache_hits,
                     simulated=stats.simulated_jobs,
-                    symbolic=stats.symbolic_jobs,
                     sim_seconds=round(stats.sim_seconds, 6),
                     steals=stats.steals,
                     queue_peak=stats.queue_depth_peak,
@@ -584,10 +452,6 @@ class SweepExecutor:
         m.counter("exec.pool_jobs").inc(
             sum(1 for r in stats.records if r.source == "pool")
         )
-        if stats.symbolic_jobs:
-            m.counter("exec.symbolic_jobs").inc(stats.symbolic_jobs)
-        if stats.model_jobs:
-            m.counter("exec.model_jobs").inc(stats.model_jobs)
         if stats.steals:
             m.counter("exec.steals").inc(stats.steals)
         if stats.skipped:
@@ -606,25 +470,19 @@ class SweepExecutor:
                 m.counter(f"cache.{lv.name}.accesses").inc(lv.accesses)
                 m.counter(f"cache.{lv.name}.misses").inc(lv.misses)
 
-    def predict(self, jobs, prefer_exact: bool = False) -> list[SimulationResult]:
+    def predict(self, jobs) -> list[SimulationResult]:
         """Analytically score jobs without simulating (or caching) them.
 
         The batch-scoring counterpart of :meth:`run` for the closed-form
         predictor (:mod:`repro.model`): same job-list-in, result-list-out
         shape, but each entry is a :class:`~repro.cache.stats.SimulationResult`
         *mirror* derived from :func:`~repro.model.predict_job` -- an
-        estimate for ranking, never a measurement.  With ``prefer_exact``
-        each job is first classified by the symbolic tier and its exact
-        counts used when authoritative (still trace-free, still never
-        stored).  Predictions are not written to the result store (they
-        must never shadow real simulations under the same content key);
-        :attr:`predictions` and :attr:`predict_seconds` accumulate across
-        calls for reporting.
+        estimate for ranking, never a measurement.  Predictions are not
+        written to the result store (they must never shadow real
+        simulations under the same content key); :attr:`predictions` and
+        :attr:`predict_seconds` accumulate across calls for reporting.
         """
         from repro.model import predict_job  # lazy: model imports analysis/layout
-
-        if prefer_exact:
-            from repro.symbolic import analyze_job, classify_job
 
         jobs = list(jobs)
         t0 = time.perf_counter()
@@ -635,13 +493,6 @@ class SweepExecutor:
                     raise ReproError(
                         f"SweepExecutor.predict expects SimJobs, got {type(job)!r}"
                     )
-                if prefer_exact:
-                    classification = classify_job(job)
-                    if all(c.exact for c in classification):
-                        out.append(
-                            analyze_job(job, classification=classification).result
-                        )
-                        continue
                 out.append(predict_job(job).result)
         elapsed = time.perf_counter() - t0
         self.predictions += len(jobs)
@@ -715,13 +566,10 @@ def execute_one(
 ) -> SimulationResult:
     """Run one job through the memoization layer (serial, in-process).
 
-    Routes through the same tier/key logic as :meth:`SweepExecutor.run`,
-    so a one-off call sees exactly the store entries a sweep would --
-    including, with ``backend="auto"``, results the symbolic tier stored
-    under its own key.  ``store`` defaults to the process-wide store;
-    pass None to force a fresh computation.  The default ``backend="sim"``
-    is byte-identical to the historic behavior (same key, same
-    simulator).
+    Routes through the same key logic as :meth:`SweepExecutor.run`, so a
+    one-off call sees exactly the store entries a sweep would.  ``store``
+    defaults to the process-wide store; pass None to force a fresh
+    computation.
     """
     if store is _UNSET:
         store = get_default_store()

@@ -47,8 +47,8 @@ __all__ = [
     "program_fingerprint",
 ]
 
-# v2: a backend component joined the key when the executor grew tiered
-# backends -- a symbolic (or oracle) result must never be served for a
+# v2: a backend component joined the key -- an oracle result (or a
+# symbolic one an older executor stored) must never be served for a
 # simulator request, and vice versa.
 SCHEMA_VERSION = 2
 
@@ -145,9 +145,10 @@ def job_key(
     ``trace`` names how the address trace is produced: ``("program",)``
     for the default whole-program generator, ``("nest", i)`` for a single
     cold-cache nest, or ``("kernel", name)`` for a registry kernel with a
-    custom trace hook.  ``backend`` names the tier that produced the
-    counters (``"sim"``, ``"oracle"``, ``"symbolic"``); it partitions the
-    store so tiers never serve each other's results.
+    custom trace hook.  ``backend`` names what produced the counters
+    (``"sim"`` or ``"oracle"``; older stores also hold ``"symbolic"``
+    entries); it partitions the store so backends never serve each
+    other's results.
     """
     return digest(
         [

@@ -103,8 +103,8 @@ class SimJob:
     def key(self, backend: str = "sim") -> str:
         """Stable content hash identifying this job's result.
 
-        ``backend`` names the tier whose result the key addresses; tiers
-        get disjoint keys so an analytic or symbolic result can never be
+        ``backend`` names the backend whose result the key addresses;
+        backends get disjoint keys so an oracle result can never be
         served for a simulator request (or vice versa).
         """
         return job_key(

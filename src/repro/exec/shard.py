@@ -7,8 +7,8 @@ fuse back into one artifact.  The answers here:
 * **Partition by content key.**  ``ShardSpec(i, n)`` owns job *j* iff
   ``int(sha256-key-prefix, 16) % n == i - 1`` over the job's
   backend-independent content key (:meth:`SimJob.key` at the ``sim``
-  tier).  The partition depends only on job *content* -- never on list
-  order, worker count, or the backend tier a run selects -- so any two
+  backend).  The partition depends only on job *content* -- never on
+  list order, worker count, or the backend a run selects -- so any two
   runs of ``--shard i/N`` over the same sweep agree on ownership, and
   the N shards exactly tile the sweep.
 * **One store per shard.**  Each shard writes its own
@@ -64,9 +64,9 @@ class ShardSpec:
     def owns(self, job) -> bool:
         """Ownership of one job, decided on its backend-independent key.
 
-        The ``sim`` tier key is the partition domain: every backend of
-        the same job then lands in the same shard, so a shard's store is
-        self-contained whatever tier served each job.
+        The ``sim`` key is the partition domain: every backend of the
+        same job then lands in the same shard, so a shard's store is
+        self-contained whatever backend computed each job.
         """
         return self.owns_key(job.key("sim"))
 

@@ -66,6 +66,7 @@ import sys
 import time
 
 from repro.errors import ReproError
+from repro.exec.backends import BACKEND_ALIASES, BACKENDS
 from repro.exec.executor import SweepExecutor
 from repro.exec.shard import merge_stores, merge_traces, parse_shard
 from repro.exec.store import ENV_CACHE_DIR, ResultStore
@@ -183,13 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the on-disk result store",
     )
     parser.add_argument(
-        "--backend", choices=["auto", "symbolic", "model", "sim", "oracle"],
-        default="auto",
-        help="executor tier: 'auto' (default) serves jobs from the "
-             "symbolic closed form where it is provably exact and the "
-             "simulator elsewhere; 'sim' forces pure simulation "
-             "(pre-tier behavior); 'symbolic'/'model'/'oracle' force "
-             "those tiers",
+        "--backend", choices=[*BACKENDS, *BACKEND_ALIASES], default="sim",
+        help="how jobs are computed: 'sim' (default) is the vectorized "
+             "simulator, 'oracle' the sequential LRU replay; 'auto' is "
+             "an alias of 'sim'",
     )
     parser.add_argument(
         "--budget", type=int, default=None, metavar="B",
@@ -398,7 +396,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=executor.workers,
                 sim_seconds=d.get("exec.sim_seconds", 0.0),
                 wall_seconds=d.get("exec.wall_seconds", 0.0),
-                symbolic=int(d.get("exec.symbolic_jobs", 0)),
             ))
         print(report)
         print()

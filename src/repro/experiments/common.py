@@ -71,7 +71,7 @@ def simulate_kernel_layout(
 ) -> SimulationResult:
     """Full-program simulation honoring the kernel's custom trace hook.
 
-    ``backend`` routes through the same executor tier/key logic a sweep
+    ``backend`` routes through the same executor key logic a sweep
     uses (see :func:`repro.exec.execute_one`).
     """
     job = SimJob.for_kernel(kernel, program, layout, hierarchy)

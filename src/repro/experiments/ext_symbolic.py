@@ -3,11 +3,11 @@
 Two artifacts, one verb:
 
 **Agreement table** -- the Table 1 pad sweep (the same jobs as Figure 9:
-every kernel in ``orig`` / ``L1 Opt`` / ``L1&L2 Opt`` layouts) run twice,
-once through the forced ``symbolic`` backend and once through the
-``sim`` backend on identical fresh executors, with per-level miss counts
-side by side.  Rows the classifier marks *exact* must agree bit-for-bit
--- any disagreement is a bug in the no-eviction proof, counted in
+every kernel in ``orig`` / ``L1 Opt`` / ``L1&L2 Opt`` layouts) computed
+twice, once by :func:`~repro.symbolic.analyze_job` and once by a fresh
+storeless ``sim`` executor, with per-level miss counts side by side.
+Rows the classifier marks *exact* must agree bit-for-bit -- any
+disagreement is a bug in the no-eviction proof, counted in
 ``exact_disagreements`` and gated to zero in CI.  Inexact rows show the
 analytic estimate's relative error and the downgrade reason, which is
 the honest picture of where the closed form is authoritative and where
@@ -159,12 +159,11 @@ class SymbolicResult:
 def _pad_sweep_agreement(
     quick: bool, workers: int | None, result: SymbolicResult
 ) -> None:
-    """Run the Figure 9 job list through both tiers and tabulate."""
+    """Run the Figure 9 job list through both engines and tabulate."""
     jobs = build_jobs(quick)
 
-    sym_ex = SweepExecutor(workers=1, store=None, backend="symbolic")
     t0 = time.perf_counter()
-    sym_ex.run(jobs)
+    symbolics = [analyze_job(job) for job in jobs]
     result.sym_wall = time.perf_counter() - t0
 
     sim_ex = SweepExecutor(workers=workers, store=None, backend="sim")
@@ -172,9 +171,8 @@ def _pad_sweep_agreement(
     sim_results = sim_ex.run(jobs)
     result.sim_wall = time.perf_counter() - t0
 
-    for job, sim in zip(jobs, sim_results):
+    for job, sim, symbolic in zip(jobs, sim_results, symbolics):
         name, version = job.tag[0], job.tag[1]
-        symbolic = analyze_job(job)
         for sim_lv, sym_lv in zip(sim.levels, symbolic.levels):
             row = AgreementRow(
                 program=name,

@@ -362,10 +362,9 @@ def run_campaign(
             for case_seed, program in cases
             for name, hier in hierarchies.items()
         ]
-        # Force the simulator tier regardless of the executor's default
+        # Force the simulator regardless of the executor's default
         # backend: the campaign's whole point is differential testing of
-        # the *vectorized simulator* against the oracles, and a symbolic
-        # tier serving these jobs would test it against itself.
+        # the *vectorized simulator* against the oracles.
         vec_results = executor.run(jobs, backend="sim")
 
         i = 0

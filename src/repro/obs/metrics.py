@@ -256,7 +256,6 @@ def format_exec_line(
     workers: int,
     sim_seconds: float,
     wall_seconds: float,
-    symbolic: int = 0,
 ) -> str:
     """The ``[exec]`` observability line (one format, two producers).
 
@@ -264,19 +263,12 @@ def format_exec_line(
     metrics-driven rendering call this, so the line cannot drift between
     the in-object and the registry views.  The format is pinned by CI
     greps (``cached (100%)``); change it deliberately or not at all.
-    ``symbolic`` counts jobs the symbolic tier served; its part appears
-    only when nonzero, so runs without that tier render byte-identically
-    to before it existed.
     """
-    misses = jobs - cache_hits - symbolic
+    misses = jobs - cache_hits
     hit_rate = cache_hits / jobs if jobs else 0.0
     parts = [
         f"{jobs} jobs",
         f"{cache_hits} cached ({100.0 * hit_rate:.0f}%)",
-    ]
-    if symbolic:
-        parts.append(f"{symbolic} symbolic")
-    parts += [
         f"{misses} simulated"
         + (f" ({pooled} in pool, workers={workers})" if pooled else ""),
         f"sim {sim_seconds:.2f}s",

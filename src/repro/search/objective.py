@@ -92,41 +92,23 @@ class ModelObjective:
     :class:`~repro.search.strategies.PredictThenVerifyStrategy` to rank
     whole spaces and by :meth:`SweepExecutor.predict
     <repro.exec.executor.SweepExecutor.predict>` batch scoring.
-
-    With ``prefer_exact`` each job is first classified by the symbolic
-    tier (:mod:`repro.symbolic`); jobs provably in the no-eviction
-    regime are scored from their *exact* miss counts rather than the
-    predictor's estimate -- still trace-free, strictly more faithful on
-    the jobs where it applies.
     """
 
     name: str
     base: Objective
-    prefer_exact: bool = False
 
     def __call__(self, job) -> float:
         from repro.model import predict_job  # lazy: keeps import DAG acyclic
 
-        if self.prefer_exact:
-            from repro.symbolic import analyze_job, classify_job
-
-            classification = classify_job(job)
-            if all(c.exact for c in classification):
-                result = analyze_job(job, classification=classification).result
-                return self.base(result, job.hierarchy)
         return self.base(predict_job(job).result, job.hierarchy)
 
 
-def model_objective(
-    base: Objective | None = None, prefer_exact: bool = False
-) -> ModelObjective:
+def model_objective(base: Objective | None = None) -> ModelObjective:
     """The closed-form predictor scoring jobs under ``base`` (default:
     the weighted miss cost, so predicted and simulated scores are in the
-    same units and directly comparable).  ``prefer_exact`` upgrades the
-    score to the symbolic tier's exact counts on jobs it can prove."""
+    same units and directly comparable)."""
     base = base if base is not None else miss_cost_objective()
-    name = f"model[{base.name}]" if not prefer_exact else f"symbolic[{base.name}]"
-    return ModelObjective(name=name, base=base, prefer_exact=prefer_exact)
+    return ModelObjective(name=f"model[{base.name}]", base=base)
 
 
 def miss_rate_objective(level: str = "L1") -> Objective:

@@ -5,12 +5,10 @@ heuristic pipeline (:func:`repro.driver.optimize`), then an optional
 empirical pad search around the heuristic layout (seeded with it, so the
 recommendation is never worse), then one final evaluation of the chosen
 layout -- every simulation flowing through the caller's
-:class:`~repro.exec.executor.SweepExecutor`, whose tiered backends and
-persistent result store do the heavy lifting: symbolic/model tiers
-answer what they can exactly, the ``"predict"`` search strategy spends
-the simulation budget only on analytically top-ranked candidates, and
-anything simulated once (by any request, any process) is served from the
-store thereafter.
+:class:`~repro.exec.executor.SweepExecutor` and its persistent result
+store: the ``"predict"`` search strategy spends the simulation budget
+only on analytically top-ranked candidates, and anything simulated once
+(by any request, any process) is served from the store thereafter.
 
 The function is synchronous and thread-safe with respect to *distinct*
 executors: the server runs it in a thread pool, one executor per worker
@@ -60,8 +58,8 @@ def run_tuning(req: TuningRequest, executor: SweepExecutor) -> dict:
     The payload carries the recommended layout (array order, pads,
     padded shapes), the evaluated per-level miss rates and cycle
     estimate for it, the driver's decision log, the search summary when
-    one ran, and provenance: how many jobs the request cost and which
-    tier answered each (store hits vs symbolic vs simulated).
+    one ran, and provenance: how many jobs the request cost and how
+    each was answered (store hits vs simulated).
     """
     t0 = time.time()
     tracer = get_tracer()
@@ -161,8 +159,6 @@ def run_tuning(req: TuningRequest, executor: SweepExecutor) -> dict:
         "provenance": {
             "jobs": stats.jobs,
             "store_hits": stats.cache_hits,
-            "symbolic": stats.symbolic_jobs,
-            "model": stats.model_jobs,
             "simulated": stats.simulated_jobs,
             "sim_seconds": stats.sim_seconds,
             "wall_seconds": stats.wall_seconds,

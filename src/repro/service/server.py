@@ -74,7 +74,7 @@ class ServiceConfig:
     concurrency: int = 2       # tuning workers (each its own executor)
     queue_limit: int = 8       # max queued+running cold requests
     sim_workers: int = 1       # simulation processes per executor
-    backend: str = "auto"
+    backend: str = "sim"
     drain_timeout: float = 60.0
     trace_path: str | None = None   # write a trace file on shutdown
     trace_format: str = "jsonl"     # "jsonl" | "chrome"

@@ -38,10 +38,9 @@ def simulate_program(
     """Trace the whole program under ``layout`` and simulate the hierarchy.
 
     ``store`` overrides the default result store (None disables
-    memoization for this call); ``backend`` selects the executor tier
-    (``"auto"`` serves the symbolic closed form where provably exact),
-    routed through exactly the same tier/key logic a
-    :class:`~repro.exec.executor.SweepExecutor` sweep uses.
+    memoization for this call); ``backend`` selects the executor backend
+    (``"sim"`` or ``"oracle"``), routed through exactly the same key
+    logic a :class:`~repro.exec.executor.SweepExecutor` sweep uses.
     """
     job = SimJob(
         program=program,

@@ -8,8 +8,8 @@ what the LRU simulator reports; everywhere else it degrades gracefully
 to the analytic predictor's estimates, with every term carrying an
 explicit ``exact`` flag so downstream consumers know which is which.
 
-See ``docs/symbolic.md`` for the term derivation, the exactness rules,
-and how the executor's tiered backend selector uses the classification.
+See ``docs/symbolic.md`` for the term derivation and the exactness
+rules.  This is an analysis (``ext_symbolic``), not an executor backend.
 """
 
 from repro.symbolic.engine import (

@@ -318,8 +318,7 @@ def analyze_program(
     allows, analytic terms elsewhere.
 
     Pass a precomputed ``classification`` (from :func:`classify_program`
-    with identical arguments) to avoid re-enumerating the footprint --
-    the executor's auto tier does exactly that.
+    with identical arguments) to avoid re-enumerating the footprint.
     """
     start = time.perf_counter()
     selected = _selected_nests(program, nests)

@@ -1,10 +1,12 @@
-"""Backend tiers must never alias in the result store.
+"""Backends must never alias in the result store.
 
-The v2 key schema adds a backend component to every job key: a result
-produced by the symbolic tier can never be served for a simulator
-request, and vice versa -- even for the *same* (program, layout,
-hierarchy).  These tests pin that property at the key level, at the
-store level, and end-to-end through the executor.
+The v2 key schema adds a backend component to every job key: an
+``oracle`` result can never be served for a ``sim`` request, and vice
+versa -- even for the *same* (program, layout, hierarchy).  Stores
+written before the symbolic tier was retired also hold entries under
+``job.key("symbolic")``; those must never be served either.  These tests
+pin that property at the key level, at the store level, and end-to-end
+through the executor, along with ``auto`` being nothing but ``sim``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 from repro import DataLayout, ProgramBuilder
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.errors import ReproError
-from repro.exec.backends import BACKENDS, STORED_BACKENDS, validate_backend
+from repro.exec.backends import BACKENDS, validate_backend
 from repro.exec.executor import SweepExecutor
 from repro.exec.hashing import SCHEMA_VERSION
 from repro.exec.jobs import SimJob
@@ -44,25 +46,25 @@ class TestKeySchema:
         assert SCHEMA_VERSION == 2
 
     def test_backends_are_closed(self):
-        assert BACKENDS == ("auto", "symbolic", "model", "sim", "oracle")
-        assert set(STORED_BACKENDS) <= set(BACKENDS)
-        assert "auto" not in STORED_BACKENDS  # auto resolves, never stores
-        assert "model" not in STORED_BACKENDS  # estimates are never cached
+        assert BACKENDS == ("sim", "oracle")
 
     def test_validate_backend(self):
         for name in BACKENDS:
             assert validate_backend(name) == name
-        with pytest.raises(ReproError, match="backend"):
-            validate_backend("quantum")
+        assert validate_backend("auto") == "sim"
+        for name in ("symbolic", "model", "quantum"):
+            with pytest.raises(ReproError, match="backend"):
+                validate_backend(name)
 
     def test_backend_separates_keys(self):
         job = build_job()
-        keys = {job.key(backend) for backend in STORED_BACKENDS}
-        assert len(keys) == len(STORED_BACKENDS)
-        assert job.key() == job.key("sim")  # sim is the default tier
+        keys = {job.key(backend) for backend in (*BACKENDS, "symbolic")}
+        assert len(keys) == len(BACKENDS) + 1
+        assert job.key() == job.key("sim")  # sim is the default backend
 
     def test_same_backend_same_key(self):
-        assert build_job().key("symbolic") == build_job().key("symbolic")
+        for backend in BACKENDS:
+            assert build_job().key(backend) == build_job().key(backend)
 
 
 class TestStoreIsolation:
@@ -84,25 +86,43 @@ class TestStoreIsolation:
 
 class TestExecutorTierIsolation:
     def test_forced_sim_resimulates_after_auto(self, tmp_path):
-        """The regression the schema bump exists to prevent: an auto run
-        stores a symbolic result; a later forced-sim run of the same job
-        must simulate, not serve the symbolic entry."""
+        """The regression the schema bump exists to prevent: an older
+        ``auto`` run stored a symbolic result under ``job.key("symbolic")``;
+        a ``sim`` (or today's ``auto``) run of the same job must simulate,
+        not serve that entry."""
         job = build_job()
-        store = ResultStore(tmp_path)
+        planted = build_job(64).run()  # detectably not this job's counts
+        assert planted != job.run()
+        for backend in ("sim", "auto"):
+            store = ResultStore(tmp_path / backend)
+            store.put(job.key("symbolic"), planted)
+            ex = SweepExecutor(workers=1, store=store, backend=backend)
+            [res] = ex.run([job])
+            assert ex.stats.cache_hits == 0, backend
+            assert ex.stats.simulated_jobs == 1, backend
+            assert res == job.run()
 
-        auto_ex = SweepExecutor(workers=1, store=store, backend="auto")
+    def test_auto_resolves_to_sim(self, tmp_path):
+        """``auto`` is ``sim``: same key, same result, counted as
+        simulated, and either one replays what the other stored."""
+        job = build_job()
+        auto_ex = SweepExecutor(workers=1, store=ResultStore(tmp_path / "a"),
+                                backend="auto")
+        assert auto_ex.backend == "sim"
         [auto_res] = auto_ex.run([job])
-        assert auto_ex.stats.symbolic_jobs == 1  # took the symbolic tier
+        assert auto_ex.stats.simulated_jobs == 1
+        assert [r.key for r in auto_ex.stats.records] == [job.key("sim")]
 
+        store = ResultStore(tmp_path / "s")
         sim_ex = SweepExecutor(workers=1, store=store, backend="sim")
         [sim_res] = sim_ex.run([job])
-        assert sim_ex.stats.cache_hits == 0
-        assert sim_ex.stats.simulated_jobs == 1
+        assert sim_res == auto_res
 
-        # Different provenance, identical counters (the job is exact).
-        for a, s in zip(auto_res.levels, sim_res.levels):
-            assert a.misses == s.misses
-            assert a.accesses == s.accesses
+        later = SweepExecutor(workers=1, store=store, backend="auto")
+        [replayed] = later.run([job])
+        assert later.stats.cache_hits == 1
+        assert later.stats.simulated_jobs == 0
+        assert replayed == sim_res
 
     def test_auto_serves_its_own_store_entry_next_run(self, tmp_path):
         job = build_job()
@@ -111,20 +131,14 @@ class TestExecutorTierIsolation:
         second = SweepExecutor(workers=1, store=store, backend="auto")
         second.run([job])
         assert second.stats.cache_hits == 1
-        assert second.stats.symbolic_jobs == 0
+        assert second.stats.simulated_jobs == 0
 
     def test_auto_replays_simulated_job_without_classifying(
         self, tmp_path, monkeypatch
     ):
-        """A job auto had to simulate is served from its sim entry on the
-        next run; the symbolic classifier is not consulted again."""
+        """Neither a cold nor a warm ``auto`` run consults the symbolic
+        classifier."""
         import repro.symbolic
-
-        job = build_job(4096)  # outgrows L1: never exact
-        store = ResultStore(tmp_path)
-        first = SweepExecutor(workers=1, store=store, backend="auto")
-        [cold] = first.run([job])
-        assert first.stats.simulated_jobs == 1
 
         calls = []
         classify = repro.symbolic.classify_job
@@ -132,6 +146,11 @@ class TestExecutorTierIsolation:
             repro.symbolic, "classify_job",
             lambda j: calls.append(j) or classify(j),
         )
+        job = build_job(4096)
+        store = ResultStore(tmp_path)
+        first = SweepExecutor(workers=1, store=store, backend="auto")
+        [cold] = first.run([job])
+        assert first.stats.simulated_jobs == 1
         second = SweepExecutor(workers=1, store=store, backend="auto")
         [warm] = second.run([job])
         assert second.stats.cache_hits == 1
@@ -141,12 +160,14 @@ class TestExecutorTierIsolation:
     def test_per_call_backend_overrides_constructor(self, tmp_path):
         job = build_job()
         ex = SweepExecutor(workers=1, store=None, backend="sim")
-        ex.run([job], backend="symbolic")
-        assert ex.stats.symbolic_jobs == 1
+        ex.run([job], backend="oracle")
+        assert [r.key for r in ex.stats.records] == [job.key("oracle")]
+        assert ex.stats.simulated_jobs == 1
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="backend"):
-            SweepExecutor(workers=1, backend="quantum")
-        ex = SweepExecutor(workers=1)
-        with pytest.raises(ReproError, match="backend"):
-            ex.run([], backend="quantum")
+        for name in ("quantum", "symbolic", "model"):
+            with pytest.raises(ReproError, match="backend"):
+                SweepExecutor(workers=1, backend=name)
+            ex = SweepExecutor(workers=1)
+            with pytest.raises(ReproError, match="backend"):
+                ex.run([build_job()], backend=name)

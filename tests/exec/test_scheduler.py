@@ -140,3 +140,34 @@ class TestCostModel:
     def test_cost_orders_by_size(self):
         small, large = job_for(64), job_for(192)
         assert job_cost(large) > job_cost(small)
+
+
+class TestDispatchOrder:
+    def test_serial_run_never_costs_jobs(self, monkeypatch):
+        # Serial results are keyed by index, so ordering them is wasted
+        # work: a one-worker sweep must not estimate a single cost.
+        import repro.exec.executor as executor
+
+        calls = []
+        monkeypatch.setattr(executor, "job_cost",
+                            lambda job: calls.append(job) or job_cost(job))
+        jobs = [job_for(n) for n in (64, 192, 128)]
+        results = SweepExecutor(workers=1).run(jobs)
+        assert calls == []
+        assert results == [job.run() for job in jobs]
+
+    def test_pool_gets_jobs_longest_first(self, monkeypatch):
+        import repro.exec.executor as executor
+
+        packed = []
+        monkeypatch.setattr(executor, "pack_payloads",
+                            lambda jobs: packed.append(jobs) or
+                            pack_payloads(jobs))
+        jobs = [job_for(n) for n in (64, 192, 128, 96)]
+        with SweepExecutor(workers=2) as ex:
+            results = ex.run(jobs)
+        [submitted] = packed
+        costs = [job_cost(job) for job in submitted]
+        assert costs == sorted(costs, reverse=True)
+        assert len(set(costs)) == len(jobs)
+        assert results == [job.run() for job in jobs]

@@ -100,8 +100,8 @@ class TestShardedExecution:
                [pickle.dumps(r) for r in serial]
 
     def test_sharded_auto_tier_partitions_cleanly(self, tmp_path):
-        # The auto tier stores under symbolic AND sim keys; both must
-        # land in the owning shard's store so merged replay stays 100%.
+        # ``auto`` is an alias of ``sim``: its shards must merge into a
+        # store that replays 100% under ``auto``.
         jobs = [job_for(n) for n in (64, 72, 80, 88)]
         serial = SweepExecutor(workers=1, backend="auto").run(jobs)
         stores = []
