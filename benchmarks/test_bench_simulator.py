@@ -14,7 +14,8 @@ import pytest
 from repro import DataLayout, ultrasparc_i
 from repro.cache.direct import miss_mask_direct
 from repro.cache.streaming import StreamingHierarchy
-from repro.kernels import expl, jacobi
+from repro.fuzz import FuzzConfig, fuzzed_workloads
+from repro.kernels import expl, jacobi, linpackd
 from repro.trace.generator import generate_trace, program_trace_chunks
 
 pytestmark = pytest.mark.benchmark(group="sim")
@@ -58,6 +59,28 @@ def test_bench_trace_generation_jacobi256(benchmark):
     trace = benchmark(generate_trace, prog, lay)
     assert trace.size == prog.total_refs()
     _refs_per_sec(benchmark, trace.size)
+
+
+def test_bench_trace_generation_triangular(benchmark):
+    """Row enumeration, small-row batches and big-row blocks: full-size
+    LINPACKD's three triangular nests plus the first 30 programs of the
+    repository benchmark's fuzzed population (triangular, ``min``/``max``
+    and rectangular nests of every size)."""
+    lu = linpackd.build()
+    config = FuzzConfig(max_refs=200_000, max_trip=96)
+    cases = [(lu, DataLayout.sequential(lu))] + [
+        (prog, lay) for _, prog, lay in fuzzed_workloads(0, 30, config)
+    ]
+
+    def run():
+        return sum(
+            chunk.size for prog, lay in cases
+            for chunk in program_trace_chunks(prog, lay)
+        )
+
+    refs = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert refs == sum(prog.total_refs() for prog, _ in cases)
+    _refs_per_sec(benchmark, refs)
 
 
 def test_bench_end_to_end_expl192(benchmark):

@@ -8,10 +8,10 @@ no simulation:
 
 * the **primary** cost is the dynamic reference count, computed exactly
   from loop trip counts (:meth:`repro.ir.loops.LoopNest.iterations`
-  walks triangular bounds with the same
-  :meth:`~repro.ir.loops.Loop.concrete_trip` arithmetic the trace
-  generator uses, so the estimate counts precisely the references the
-  simulator will stream);
+  counts triangular bounds through the same vectorized row enumeration,
+  :meth:`~repro.ir.loops.LoopNest.rows`, that the trace generator
+  uses, so the estimate counts precisely the references the simulator
+  will stream);
 * the **refinement** is the symbolic analysis's working-set lower bound
   (:func:`repro.analysis.footprint.ref_lines_lower_bound`, microseconds
   per reference): of two jobs with equal reference counts, the one

@@ -7,17 +7,51 @@ as LINPACKD's pivot search are modeled as adjacent nests (see
 ``repro.kernels``).  Loop bounds are affine in *enclosing* loop variables,
 which is what triangular nests (Gaussian elimination) and tiled nests
 (``min`` bounds are pre-clipped by the tiling transform) need.
+
+Such a nest is enumerated as *rows* (:meth:`LoopNest.rows`): every
+combination of values of the loops whose bounds others depend on, each
+with the trip counts of the remaining loops -- all computed with NumPy
+over whole arrays of rows, never one loop value at a time in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from repro.errors import IRError
 from repro.ir.affine import AffineExpr
 from repro.ir.refs import ArrayRef
 
-__all__ = ["Loop", "Statement", "LoopNest"]
+__all__ = ["Loop", "Statement", "LoopNest", "Rows", "ragged_range"]
+
+
+def ragged_range(
+    first: np.ndarray, count: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated progressions ``first[m] + step*j`` for ``j < count[m]``.
+
+    Returns ``(parent, values)``: for every produced value, the index
+    ``m`` of the progression it belongs to, and the value itself -- one
+    ragged expansion with ``np.repeat``/``cumsum``/``arange``.
+    """
+    parent = np.repeat(np.arange(count.size), count)
+    starts = np.cumsum(count) - count
+    values = np.repeat(first - step * starts, count)
+    values += step * np.arange(parent.size, dtype=np.int64)
+    return parent, values
+
+
+def _bound(exprs, env: Mapping[str, np.ndarray], size: int, pick) -> np.ndarray:
+    """``pick``-reduction of affine bounds evaluated over ``size`` rows."""
+    out = exprs[0].evaluate(env)
+    for expr in exprs[1:]:
+        out = pick(out, expr.evaluate(env))
+    if isinstance(out, np.ndarray):
+        return out
+    return np.full(size, out, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -92,13 +126,29 @@ class Loop:
 
         The loop's value set is the arithmetic progression
         ``first + step*j`` for ``j in range(count)`` -- exactly the
-        values the trace generator walks, so footprint enumeration and
-        trace generation cannot disagree on which indices execute.
+        values :meth:`concrete_trips` gives the trace generator row by
+        row, so footprint enumeration and trace generation cannot
+        disagree on which indices execute.
         """
         lo = self.effective_lower(env)
         hi = self.effective_upper(env)
         count = (hi - lo) // self.step + 1 if (hi - lo) * self.step >= 0 else 0
         return lo, max(0, count)
+
+    def concrete_trips(
+        self, env: Mapping[str, np.ndarray], size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`concrete_trip` over ``size`` rows of outer indices at once.
+
+        ``env`` maps each outer loop variable to an int64 array of its
+        value in every row; returns int64 ``(first, count)`` arrays with
+        the same arithmetic, row by row.
+        """
+        lo = _bound(self.lowers, env, size, np.maximum)
+        hi = _bound(self.uppers, env, size, np.minimum)
+        span = hi - lo
+        runs = span >= 0 if self.step > 0 else span <= 0
+        return lo, np.where(runs, span // self.step + 1, 0)
 
     def trip_count(self) -> int:
         """Iteration count for constant bounds (raises otherwise)."""
@@ -176,6 +226,27 @@ class Statement:
         return Statement(
             tuple(r.rename(mapping) for r in self.refs), self.flops, self.label
         )
+
+
+class Rows(NamedTuple):
+    """A nest's iteration space as rows (see :meth:`LoopNest.rows`).
+
+    ``level`` is the first loop level ``p`` at which
+    :meth:`LoopNest.concrete_from` holds.  ``values[l]`` holds the value
+    of outer loop ``l < p`` in every row, in execution order; ``firsts[k]``
+    and ``counts[k]`` hold the first value and trip count of inner loop
+    ``p + k`` in every row.
+    """
+
+    level: int
+    values: tuple[np.ndarray, ...]
+    firsts: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
+
+    @property
+    def iterations(self) -> np.ndarray:
+        """Iterations of the inner loops in every row."""
+        return np.prod(np.stack(self.counts), axis=0)
 
 
 @dataclass(frozen=True)
@@ -262,49 +333,37 @@ class LoopNest:
             for v in bound.variables
         )
 
-    def iterations(self) -> int:
-        """Total iteration count.
+    def rows(self) -> Rows:
+        """Enumerate the nest's rows with NumPy.
 
-        Rectangular nests multiply trip counts; nests with symbolic bounds
-        (triangular) are counted by walking the loops whose bounds others
-        depend on in Python and multiplying out the rest -- exact, and
-        cheap because only outer loops carry dependences in practice.
+        A row is one combination of values of the loops above the first
+        level ``p`` where :meth:`concrete_from` holds (none for a
+        rectangular nest, which is a single row).  Rows come out in
+        execution order, built by one ragged expansion per outer loop;
+        each row's inner trip counts then follow from one vectorized
+        :meth:`Loop.concrete_trips` per inner loop.  ``p`` is below
+        ``depth``: the innermost loop's bounds only use outer variables.
         """
-        if self.is_rectangular:
-            n = 1
-            for lp in self.loops:
-                n *= lp.trip_count()
-            return n
+        level = next(p for p in range(self.depth) if self.concrete_from(p))
+        env: dict[str, np.ndarray] = {}
+        size = 1
+        for lp in self.loops[:level]:
+            first, count = lp.concrete_trips(env, size)
+            parent, values = ragged_range(first, count, lp.step)
+            env = {v: a[parent] for v, a in env.items()}
+            env[lp.var] = values
+            size = values.size
+        trips = [lp.concrete_trips(env, size) for lp in self.loops[level:]]
+        return Rows(
+            level,
+            tuple(env.values()),
+            tuple(first for first, _ in trips),
+            tuple(count for _, count in trips),
+        )
 
-        def count(level: int, env: dict[str, int]) -> int:
-            if level == self.depth:
-                return 1
-            remaining = self.loops[level:]
-            inner_vars = {lp.var for lp in remaining}
-            concrete = all(
-                not any(v in inner_vars for v in b.variables)
-                for lp in remaining
-                for b in lp.all_bounds
-            )
-            if concrete:
-                total = 1
-                for lp in remaining:
-                    lo = lp.effective_lower(env)
-                    hi = lp.effective_upper(env)
-                    span = (hi - lo) // lp.step + 1 if (hi - lo) * lp.step >= 0 else 0
-                    total *= max(0, span)
-                return total
-            lp = self.loops[level]
-            lo = lp.effective_lower(env)
-            hi = lp.effective_upper(env)
-            total = 0
-            for value in range(lo, hi + (1 if lp.step > 0 else -1), lp.step):
-                child = dict(env)
-                child[lp.var] = value
-                total += count(level + 1, child)
-            return total
-
-        return count(0, {})
+    def iterations(self) -> int:
+        """Total iteration count: the sum of every row's inner iterations."""
+        return int(self.rows().iterations.sum())
 
     def arrays_used(self) -> tuple[str, ...]:
         return tuple(sorted({r.array for r in self.refs}))

@@ -5,8 +5,8 @@ Right-looking LU factorization -- the classic triangular nest
 A(k,j)`` -- followed by back substitution.  The pivot search itself is a
 scalar max-scan we model as a read sweep over the pivot column.  The
 symbolic (k-dependent) bounds exercise the IR's triangular-nest path:
-the trace generator vectorizes the two inner loops and walks ``k`` in
-Python.
+each value of ``k`` is one row of the trace generator, whose two inner
+loops are one broadcast (or, for short rows, part of a batch).
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ multi-dimensional arithmetic progression; the distinct values are built
 by staged ``np.unique`` over per-loop progressions, smallest stride
 first, so intermediate arrays collapse as early as possible.  Loops with
 outer-dependent (triangular/min/max) bounds are walked in Python via
-:meth:`Loop.concrete_trip` -- the same value sets the trace generator
-iterates, so enumeration and simulation cannot disagree on which indices
-execute.
+:meth:`Loop.concrete_trip` -- the same value sets the trace generator's
+vectorized :meth:`Loop.concrete_trips` produces row by row, so
+enumeration and simulation cannot disagree on which indices execute.
 
 Everything is budgeted: enumeration returns ``None`` (caller downgrades
 to the approximate tier) rather than burning unbounded time or memory.

@@ -1,9 +1,9 @@
 """Lowering IR programs to byte-address traces.
 
-The generator is chunked: large nests are produced as a stream of NumPy
-address arrays (iterating outer loops in Python only when a sub-nest is
-too large or has symbolic bounds), so whole-program simulations never
-materialize gigabyte traces.  The naive interpreter replays nests one
+The generator is chunked: nests are produced as a stream of NumPy
+address arrays within a fixed reference budget (rows of triangular and
+tiled nests enumerated with NumPy, big rows emitted in blocks), so
+whole-program simulations never materialize gigabyte traces.  The naive interpreter replays nests one
 access at a time and serves as the generator's ground truth in tests.
 """
 

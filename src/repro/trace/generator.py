@@ -1,17 +1,26 @@
 """Vectorized address-trace generation.
 
-For a rectangular sub-nest every reference's byte address is affine in the
-loop indices, so the entire sub-trace is one broadcast sum of per-loop
-index vectors times per-reference coefficients -- no Python-level
-per-iteration work.  Loops whose bounds depend on outer variables
-(triangular nests) are iterated in Python until the remaining sub-nest is
-rectangular.  A rectangular sub-nest larger than the chunk budget is
-emitted in blocks of its outermost loop's values, each block one chunk of
-at most :data:`DEFAULT_CHUNK_REFS` references: a fixed, cache-resident
-budget, so the simulator's per-chunk intermediates never spill out of the
-host's caches.  Reference interleaving follows statement order exactly:
-the trace of a sub-space is an (iterations x refs) matrix raveled
+Every reference's byte address is affine in the loop indices, so each
+nest is lowered once to integer tables -- a constant and one coefficient
+per loop for every reference -- and a trace is a broadcast sum of loop
+index vectors times coefficient columns, with no Python-level
+per-iteration work.  Reference interleaving follows statement order
+exactly: a trace is an (iterations x refs) address matrix raveled
 row-major.
+
+A nest is traced row by row (:meth:`~repro.ir.loops.LoopNest.rows`): a
+row is one combination of values of the loops whose bounds others depend
+on -- the outer loop of a triangular nest, the tile loops of a tiled one
+-- and within a row the remaining loops are rectangular.  NumPy
+enumerates every row and its reference count at once.  A row of at
+least ``max_chunk_refs // 16`` references is emitted on its own as one
+broadcast, in blocks of at most :data:`DEFAULT_CHUNK_REFS` references
+when it is larger: a fixed, cache-resident budget, so the simulator's
+per-chunk intermediates never spill out of the host's caches.
+Consecutive smaller rows are packed into batches within the budget, and
+each batch is one ragged expansion over the loops whose bounds vary by
+row plus a broadcast over the constant-bound loops inside them.  A
+rectangular nest is a single row.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import IRError
-from repro.ir.loops import LoopNest
+from repro.ir.loops import LoopNest, ragged_range
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 
@@ -34,86 +43,171 @@ __all__ = ["nest_trace_chunks", "program_trace_chunks", "generate_trace"]
 #: fuzzed sweeps put the optimum here.
 DEFAULT_CHUNK_REFS = 65_536
 
-
-def _loop_values(lp, env: dict[str, int]) -> np.ndarray:
-    """The values loop ``lp`` walks at concrete outer indices."""
-    first, count = lp.concrete_trip(env)
-    return first + lp.step * np.arange(count, dtype=np.int64)
+#: A row of at least ``max_chunk_refs // BIG_ROW_DIVISOR`` references is
+#: emitted on its own; smaller rows are packed into batches.
+BIG_ROW_DIVISOR = 16
 
 
-def _offset_table(
+def _lower(
     program: Program, layout: DataLayout, nest: LoopNest
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Absolute-address constant and per-loop coefficients of every
-    reference, in trace order: ``addr[r] = const[r] + sum(coeffs[v][r] * v)``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute-address constant ``const[r]`` and per-loop coefficients
+    ``coeff[l, r]`` of every reference ``r`` in trace order:
+    ``addr[r] = const[r] + sum_l coeff[l, r] * v_l``."""
     bases = layout.bases()
-    exprs = []
-    for ref in nest.refs:
-        decl = program.decl(ref.array)
-        exprs.append(ref.offset_expr(decl) + bases[ref.array])
-    loop_vars = set(nest.loop_vars)
-    for expr in exprs:
-        for name in expr.variables:
-            if name not in loop_vars:
-                raise IRError(f"no value provided for variable {name!r} in {expr}")
-    const = np.array([e.constant for e in exprs], dtype=np.int64)
-    coeffs = {
-        v: np.array([e.coeff(v) for e in exprs], dtype=np.int64)
-        for v in nest.loop_vars
-    }
-    return const, coeffs
+    level = {v: l for l, v in enumerate(nest.loop_vars)}
+    refs = nest.refs
+    const = []
+    coeff = [[0] * len(refs) for _ in range(nest.depth)]
+    for r, ref in enumerate(refs):
+        c = bases[ref.array]
+        for sub, stride in zip(ref.subscripts, program.decl(ref.array).strides_bytes):
+            c += (sub.constant - 1) * stride
+            for name, k in sub.terms.items():
+                coeff[level[name]][r] += k * stride
+        const.append(c)
+    return np.array(const, dtype=np.int64), np.array(coeff, dtype=np.int64)
 
 
-def _subspace_refs(nest: LoopNest, level: int, env: dict[str, int]) -> int:
-    """Dynamic reference count of the sub-nest from ``level`` inward."""
-    count = nest.refs_per_iteration
-    for lp in nest.loops[level:]:
-        count *= lp.concrete_trip(env)[1]
-    return count
-
-
-def _emit_subspace(
-    table: tuple[np.ndarray, dict[str, np.ndarray]],
-    nest: LoopNest,
-    level: int,
-    env: dict[str, int],
-    outer: np.ndarray | None = None,
+def _broadcast(
+    acc: np.ndarray, coeff: np.ndarray, values: list[np.ndarray]
 ) -> np.ndarray:
-    """Fully vectorized trace of the rectangular sub-nest from ``level``.
+    """Addresses of ``acc.shape[0]`` points times the rectangular inner
+    loops with index vectors ``values`` and coefficient rows ``coeff``.
 
-    ``outer`` restricts loop ``level`` to a block of its values.  The
-    trace is the (iterations x refs) address array raveled row-major,
-    built as one broadcast sum: per-reference constants plus each loop's
-    index vector times its coefficient column, added innermost loop
-    first so every intermediate but the last stays small.
+    ``acc`` holds each point's per-reference address before the inner
+    loops.  The result is the (points x n_1 x ... x n_m x refs) array
+    raveled row-major, built innermost loop first so every intermediate
+    but the last stays small.
     """
-    const, coeffs = table
-    acc = const.copy()
-    for lp in nest.loops[:level]:
-        acc += coeffs[lp.var] * env[lp.var]
-    inner = nest.loops[level:]
-    values = [_loop_values(lp, env) for lp in inner]
-    if outer is not None:
-        values[0] = outer
-    shape = tuple(v.size for v in values) + (const.size,)
+    points, nrefs = acc.shape
+    shape = (points,) + tuple(v.size for v in values) + (nrefs,)
     if 0 in shape:
         return np.empty(0, dtype=np.int64)
     ndim = len(shape)
-    for k in range(len(inner) - 1, -1, -1):
-        coeff = coeffs[inner[k].var]
-        if coeff.any():
-            grid = values[k].reshape((-1,) + (1,) * (ndim - k - 1))
-            acc = acc + grid * coeff
-    if acc.shape != shape:
-        acc = np.broadcast_to(acc, shape)
-    return np.ascontiguousarray(acc).reshape(-1)
+    out = acc[0] if points == 1 else None
+    for k in range(len(values) - 1, -1, -1):
+        if coeff[k].any():
+            term = values[k].reshape((-1,) + (1,) * (ndim - k - 2)) * coeff[k]
+            out = term if out is None else out + term
+    if points > 1:
+        lead = acc.reshape((points,) + (1,) * len(values) + (nrefs,))
+        out = lead if out is None else lead + out
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape)
+    return np.ascontiguousarray(out).reshape(-1)
+
+
+def _row_blocks(
+    base: np.ndarray,
+    coeff: np.ndarray,
+    firsts: list[int],
+    counts: list[int],
+    steps: list[int],
+    max_chunk_refs: int,
+) -> Iterator[np.ndarray]:
+    """One row's trace in blocks within the budget whenever one iteration
+    fits it.
+
+    ``base`` is the row's per-reference address before its loops; the
+    loops run ``firsts[k] + steps[k]*j`` for ``j < counts[k]``.  The
+    outermost loops are flattened into one index space, as few as leave
+    a single flat index within the budget, and each block is a slice of
+    that space broadcast against the remaining loops.
+    """
+    per_index = base.size
+    split = len(counts)
+    while split and per_index * counts[split - 1] <= max_chunk_refs:
+        split -= 1
+        per_index *= counts[split]
+    inner = [
+        f + s * np.arange(c, dtype=np.int64)
+        for f, c, s in zip(firsts[split:], counts[split:], steps[split:])
+    ]
+    flat = int(np.prod(counts[:split]))
+    block = max(1, max_chunk_refs // per_index)
+    for start in range(0, flat, block):
+        index = np.arange(start, min(flat, start + block), dtype=np.int64)
+        acc = base[None, :]
+        for k in range(split - 1, -1, -1):
+            index, j = np.divmod(index, counts[k])
+            acc = acc + (firsts[k] + steps[k] * j)[:, None] * coeff[k]
+        yield _broadcast(acc, coeff[split:], inner)
+
+
+def _nest_pieces(
+    program: Program,
+    layout: DataLayout,
+    nest: LoopNest,
+    max_chunk_refs: int,
+) -> Iterator[np.ndarray]:
+    """The nest's trace in vectorized pieces, each within the budget
+    whenever one iteration fits it."""
+    if max_chunk_refs <= 0:
+        raise IRError("max_chunk_refs must be positive")
+    const, coeff = _lower(program, layout, nest)
+    rows = nest.rows()
+    p = rows.level
+    steps = [lp.step for lp in nest.loops[p:]]
+    sizes = rows.iterations * const.size
+    if not sizes.size:
+        return
+    # Loops q.. have constant bounds: the same index vectors in every row.
+    q = nest.depth
+    while q > p and nest.loops[q - 1].is_rectangular:
+        q -= 1
+    suffix = [
+        rows.firsts[k][0] + steps[k] * np.arange(rows.counts[k][0], dtype=np.int64)
+        for k in range(q - p, nest.depth - p)
+    ]
+    cum = np.concatenate(([0], np.cumsum(sizes)))
+    big = np.flatnonzero(sizes >= max(1, max_chunk_refs // BIG_ROW_DIVISOR))
+    bounds = np.append(big, sizes.size)
+
+    def row_base(a: int, b: int) -> np.ndarray:
+        acc = const[None, :]
+        for l, values in enumerate(rows.values):
+            acc = acc + values[a:b, None] * coeff[l]
+        return acc
+
+    def batch(a: int, b: int) -> np.ndarray:
+        acc = row_base(a, b)
+        row = np.arange(b - a)
+        for k in range(q - p):
+            parent, values = ragged_range(
+                rows.firsts[k][a:b][row], rows.counts[k][a:b][row], steps[k]
+            )
+            row = row[parent]
+            acc = acc[parent]
+            acc += values[:, None] * coeff[p + k]
+        return _broadcast(acc, coeff[q:], suffix)
+
+    start = 0
+    for stop in bounds.tolist():
+        # Rows start..stop-1 are small: pack them into batches.
+        while start < stop:
+            end = int(np.searchsorted(cum, cum[start] + max_chunk_refs, "right")) - 1
+            end = min(stop, end)
+            if cum[end] > cum[start]:
+                yield batch(start, end)
+            start = end
+        if stop < sizes.size:
+            yield from _row_blocks(
+                row_base(stop, stop + 1)[0],
+                coeff[p:],
+                [int(f[stop]) for f in rows.firsts],
+                [int(c[stop]) for c in rows.counts],
+                steps,
+                max_chunk_refs,
+            )
+            start = stop + 1
 
 
 def _coalesce(pieces: Iterator[np.ndarray], max_chunk_refs: int) -> Iterator[np.ndarray]:
     """Concatenate consecutive small pieces into chunks of at most
     ``max_chunk_refs`` references (a larger piece passes through alone),
-    so triangular nests and tiny nests do not pay per-chunk overhead
-    for every row."""
+    so tiny nests and the pieces around a big row do not pay per-chunk
+    overhead each."""
     pending: list[np.ndarray] = []
     size = 0
     for piece in pieces:
@@ -127,42 +221,6 @@ def _coalesce(pieces: Iterator[np.ndarray], max_chunk_refs: int) -> Iterator[np.
         yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
 
-def _nest_pieces(
-    program: Program,
-    layout: DataLayout,
-    nest: LoopNest,
-    max_chunk_refs: int,
-) -> Iterator[np.ndarray]:
-    """The nest's trace in vectorized pieces, each within the budget
-    whenever one iteration fits it."""
-    if max_chunk_refs <= 0:
-        raise IRError("max_chunk_refs must be positive")
-    table = _offset_table(program, layout, nest)
-
-    def walk(level: int, env: dict[str, int]) -> Iterator[np.ndarray]:
-        if nest.concrete_from(level):
-            size = _subspace_refs(nest, level, env)
-            if size <= max_chunk_refs or level == nest.depth:
-                yield _emit_subspace(table, nest, level, env)
-                return
-            values = _loop_values(nest.loops[level], env)
-            block = max_chunk_refs // (size // values.size)
-            if block:
-                for start in range(0, values.size, block):
-                    yield _emit_subspace(
-                        table, nest, level, env, values[start:start + block]
-                    )
-                return
-        lp = nest.loops[level]
-        for value in _loop_values(lp, env).tolist():
-            child = dict(env)
-            child[lp.var] = value
-            yield from walk(level + 1, child)
-
-    # Top-level: bounds of loop 0 are necessarily constant (no outer vars).
-    yield from walk(0, {})
-
-
 def nest_trace_chunks(
     program: Program,
     layout: DataLayout,
@@ -172,13 +230,11 @@ def nest_trace_chunks(
     """Yield the nest's address trace as a sequence of int64 chunks.
 
     ``max_chunk_refs`` bounds the number of references per emitted chunk
-    whenever one iteration fits it.  The generator descends into outer
-    loops in Python until the remaining sub-nest is rectangular (given
-    fixed outer indices); a rectangular sub-nest that exceeds the budget
-    is emitted in blocks of as many of its outermost loop's values as
-    fit, and only one whose single outer iteration is over budget is
-    descended further.  Small pieces (rows of a triangular nest) are
-    concatenated up to the budget.
+    whenever one iteration fits it.  The nest's rows (see the module
+    docstring) are enumerated with NumPy; a big row is emitted alone, in
+    blocks of its outermost loops' values when it exceeds the budget,
+    and runs of small rows are packed into batches of at most the
+    budget.  Small pieces are then concatenated up to the budget.
     """
     return _coalesce(
         _nest_pieces(program, layout, nest, max_chunk_refs), max_chunk_refs

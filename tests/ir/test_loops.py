@@ -130,6 +130,24 @@ class TestLoopNest:
                 body=(Statement((ArrayRef("A", (var("q"),)),)),),
             )
 
+    def test_reference_with_unknown_loop_variable_rejected(self):
+        with pytest.raises(IRError, match="unknown loop variable 'k'"):
+            LoopNest(
+                loops=(Loop("j", const(1), const(4)), Loop("i", const(1), const(3))),
+                body=(Statement((ArrayRef("A", (var("i"), var("k"))),)),),
+            )
+
+    def test_bound_on_inner_loop_variable_rejected(self):
+        with pytest.raises(IRError, match="bound uses 'i'"):
+            LoopNest(
+                loops=(
+                    Loop("k", const(1), const(4)),
+                    Loop("j", var("k"), var("i")),  # i is the *inner* loop
+                    Loop("i", const(1), const(3)),
+                ),
+                body=(Statement((ArrayRef("A", (var("i"), var("j"))),)),),
+            )
+
     def test_counters(self):
         nest = LoopNest(
             loops=(Loop("i", const(1), const(2)),),

@@ -88,6 +88,22 @@ class TestChunkStructure:
             # Budget can only be exceeded by a single iteration's refs.
             assert chunk.size <= max(10, nest.refs_per_iteration)
 
+    def test_short_rows_pack_into_full_batches(self):
+        """Rows below the big-row threshold are packed up to the budget:
+        200 two-reference rows in a budget of 64 make chunks of exactly
+        32 rows (the last one shorter)."""
+        b = ProgramBuilder("short-rows")
+        A = b.array("A", (201,))
+        i, j = b.vars("i", "j")
+        b.nest([b.loop(j, 1, 200), b.loop(i, j, j)], [b.use(reads=[A[i], A[j]])])
+        prog = b.build()
+        layout = DataLayout.sequential(prog)
+        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0], max_chunk_refs=64))
+        assert [c.size for c in chunks] == [64] * 6 + [16]
+        np.testing.assert_array_equal(
+            np.concatenate(chunks), interpret_program(prog, layout)
+        )
+
     def test_invalid_budget_rejected(self):
         prog = rectangular_program()
         layout = DataLayout.sequential(prog)
