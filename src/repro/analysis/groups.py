@@ -79,40 +79,24 @@ class ReuseArc:
             )
 
 
-def _dedupe(refs) -> tuple[list[ArrayRef], list[int]]:
-    """Unique references (ignoring read/write flag) with multiplicities."""
-    uniq: list[ArrayRef] = []
-    counts: list[int] = []
-    for r in refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        for i, u in enumerate(uniq):
-            if u.array == key.array and u.subscripts == key.subscripts:
-                counts[i] += 1
-                break
-        else:
-            uniq.append(key)
-            counts.append(1)
-    return uniq, counts
-
-
 def uniform_classes(program: Program, nest: LoopNest) -> list[UniformClass]:
     """Partition a nest's references into uniformly generated classes.
 
     References are deduplicated first; classes are returned ordered by
     array name and then by the position of their first reference.
     """
-    uniq, counts = _dedupe(nest.refs)
+    uniq = nest.unique_refs
     assigned = [False] * len(uniq)
     classes: list[UniformClass] = []
-    for i, ref in enumerate(uniq):
+    for i, (ref, count) in enumerate(uniq):
         if assigned[i]:
             continue
         decl = program.decl(ref.array)
-        members = [(ref, counts[i])]
+        members = [(ref, count)]
         assigned[i] = True
         for j in range(i + 1, len(uniq)):
-            if not assigned[j] and ref.is_uniformly_generated_with(uniq[j]):
-                members.append((uniq[j], counts[j]))
+            if not assigned[j] and ref.is_uniformly_generated_with(uniq[j][0]):
+                members.append(uniq[j])
                 assigned[j] = True
         # Order members by byte offset of their constant part.
         base_off = members[0][0].offset_expr(decl)

@@ -110,6 +110,12 @@ def optimize(
             nests.append(ordered)
         program = program.with_nests(nests)
 
+    def l1_grouppad(prog: Program) -> DataLayout:
+        return grouppad(prog, DataLayout.sequential(prog), l1.size, l1.line_size)
+
+    # GROUPPAD layout of the current ``program``, computed at most once.
+    padded: DataLayout | None = None
+
     # 3. Profitable fusion of adjacent nests.
     if fuse:
         model = MissCostModel.from_hierarchy(hierarchy)
@@ -127,14 +133,11 @@ def optimize(
                 i += 1
                 continue
             candidate = fuse_nests(program, i, i + 1)
-            base_layout = grouppad(
-                program, DataLayout.sequential(program), l1.size, l1.line_size
-            )
-            cand_layout = grouppad(
-                candidate, DataLayout.sequential(candidate), l1.size, l1.line_size
-            )
+            if padded is None:
+                padded = l1_grouppad(program)
+            cand_layout = l1_grouppad(candidate)
             delta = fusion_delta(
-                program, base_layout, [a, b],
+                program, padded, [a, b],
                 candidate, cand_layout, candidate.nests[i],
                 l1.size, l1.line_size,
             )
@@ -143,7 +146,7 @@ def optimize(
                     f"fuse {a.label} + {b.label}: ΔL2refs={delta.l2_refs}, "
                     f"Δmem={delta.memory_refs} -> profitable"
                 )
-                program = candidate
+                program, padded = candidate, cand_layout
             else:
                 report.log(
                     f"keep {a.label} | {b.label} separate: ΔL2refs="
@@ -152,15 +155,14 @@ def optimize(
                 i += 1
 
     # 4. Inter-variable padding.
-    layout = DataLayout.sequential(program)
     if strategy == "PAD":
-        layout = pad(program, layout, l1.size, l1.line_size)
+        layout = pad(program, DataLayout.sequential(program), l1.size, l1.line_size)
         report.log(f"PAD: pads={layout.pads}")
         if len(hierarchy) > 1:
             layout = multilvl_pad(program, layout, hierarchy)
             report.log(f"MULTILVLPAD: pads={layout.pads}")
     else:
-        layout = grouppad(program, layout, l1.size, l1.line_size)
+        layout = padded if padded is not None else l1_grouppad(program)
         report.log(f"GROUPPAD(L1): pads={layout.pads}")
         if strategy == "L1&L2":
             layout = l2maxpad(program, layout, hierarchy)

@@ -305,6 +305,20 @@ class LoopNest:
         return tuple(out)
 
     @property
+    def unique_refs(self) -> tuple[tuple[ArrayRef, int], ...]:
+        """Distinct references (read/write flag dropped) with multiplicities.
+
+        In first-occurrence order.  After fusion a nest can name the same
+        element twice ("dots may represent two identical references");
+        only the first occurrence can fault.
+        """
+        counts: dict[tuple, int] = {}
+        for r in self.refs:
+            key = (r.array, r.subscripts)
+            counts[key] = counts.get(key, 0) + 1
+        return tuple((ArrayRef(a, s), m) for (a, s), m in counts.items())
+
+    @property
     def refs_per_iteration(self) -> int:
         return sum(len(st.refs) for st in self.body)
 

@@ -6,7 +6,7 @@ controls base addresses by ordering fields and inserting pad variables.
 :class:`DataLayout` is that structure; the padding transformations in
 :mod:`repro.transforms` produce new layouts, and
 :mod:`repro.layout.diagram` reproduces the paper's dots-and-arcs cache
-diagrams (Figures 3, 4, 5, 7) that drive GROUPPAD and the fusion model.
+diagrams (Figures 3, 4, 5, 7) that drive PAD, GROUPPAD and the fusion model.
 """
 
 from repro.layout.layout import DataLayout

@@ -99,15 +99,6 @@ def interval_conflicts_with_cache(
     return hi // cache_size >= -((-lo) // cache_size)
 
 
-def _unique_refs(nest: LoopNest) -> list[ArrayRef]:
-    seen: list[ArrayRef] = []
-    for r in nest.refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        if not any(u.array == key.array and u.subscripts == key.subscripts for u in seen):
-            seen.append(key)
-    return seen
-
-
 def nest_severe_conflicts(
     program: Program,
     layout: DataLayout,
@@ -119,9 +110,12 @@ def nest_severe_conflicts(
 
     Intra-array conflicts are the business of intra-variable padding
     (:mod:`repro.transforms.intrapad`), not inter-variable padding, so
-    same-array pairs are excluded here -- matching PAD's scope.
+    same-array pairs are excluded here -- matching PAD's scope.  A pair is
+    ``fixable`` when its address delta is constant as an expression, the
+    pairs :func:`repro.layout.diagram.severe_conflict` tests; a delta that
+    merely takes one value (a one-trip loop) is reported but not fixable.
     """
-    refs = _unique_refs(nest)
+    refs = [r for r, _ in nest.unique_refs]
     ranges = loop_var_ranges(nest)
     pairs: list[ConflictPair] = []
     for i, ra in enumerate(refs):
@@ -139,7 +133,7 @@ def nest_severe_conflicts(
                         nest_label=nest.label,
                         ref_a=ra,
                         ref_b=rb,
-                        fixable=(dmin == dmax),
+                        fixable=expr.is_constant,
                     )
                 )
     return pairs

@@ -17,9 +17,9 @@ way :func:`repro.search.space.assoc_pad_space` generalizes the pad grid:
 Only *uniformly related* pairs (constant address delta over the whole
 iteration space) are clustered: references advancing at different rates
 collide only transiently, and transient overlap is not a steady-state
-miss source the way resonance is.  This mirrors the restriction in
-:func:`repro.layout.conflicts.nest_severe_conflicts`, where only
-constant-delta conflicts are considered pad-fixable.
+miss source the way resonance is.  Those pairs are the layout diagram's
+``constant_pairs`` (:class:`repro.layout.diagram.NestGeometry`), the same
+ones :func:`repro.layout.conflicts.nest_severe_conflicts` calls pad-fixable.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from repro.cache.config import CacheConfig
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
 from repro.ir.refs import ArrayRef
+from repro.layout.diagram import NestGeometry
 from repro.layout.layout import DataLayout
 from repro.util.mathutil import circular_distance
 
@@ -54,17 +54,6 @@ class ThrashCluster:
         return self.competitors > associativity
 
 
-def _unique_refs(nest: LoopNest) -> list[ArrayRef]:
-    uniq: list[ArrayRef] = []
-    for r in nest.refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        if not any(
-            u.array == key.array and u.subscripts == key.subscripts for u in uniq
-        ):
-            uniq.append(key)
-    return uniq
-
-
 def thrash_clusters(
     program: Program,
     layout: DataLayout,
@@ -82,13 +71,9 @@ def thrash_clusters(
     """
     period = cache.size // cache.associativity
     line = cache.line_size
-    env = canonical_env(nest)
-    refs = _unique_refs(nest)
-    offs = [r.offset_expr(program.decl(r.array)) for r in refs]
-    addrs = [
-        layout.base(r.array) + int(off.evaluate(env))
-        for r, off in zip(refs, offs)
-    ]
+    geometry = NestGeometry.of(program, nest)
+    refs = geometry.refs
+    addrs = [layout.base(a) + off for a, off, _ in geometry.dots]
 
     parent = list(range(len(refs)))
 
@@ -99,17 +84,12 @@ def thrash_clusters(
         return i
 
     edges = 0
-    for i in range(len(refs)):
-        for j in range(i + 1, len(refs)):
-            if refs[i].array == refs[j].array:
-                continue  # intra-array spacing is intra_pad's problem
-            if not (offs[i] - offs[j]).is_constant:
-                continue  # different velocities: only transient overlap
-            if circular_distance(addrs[i], addrs[j], period) < line:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                edges += 1
+    for i, j in geometry.constant_pairs:
+        if circular_distance(addrs[i], addrs[j], period) < line:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+            edges += 1
     if not edges:
         return []
 

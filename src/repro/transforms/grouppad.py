@@ -13,94 +13,20 @@ pads that are multiples of the previous level's cache size* -- adding
 ``m * S1`` to a base address changes nothing modulo S1, so the L1 layout
 (conflicts and exploited arcs alike) is preserved exactly while group
 reuse is re-optimized for the larger cache.
+
+Every phase scores candidates with one scan over the program's layout
+diagram, :func:`repro.layout.diagram.best_pad`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.analysis.groups import reuse_arcs
 from repro.cache.config import HierarchyConfig
 from repro.errors import TransformError
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
+from repro.layout.diagram import DiagramGeometry, best_pad, check_cache
 from repro.layout.layout import DataLayout
-from repro.transforms.pad import _has_conflict, _pair_deltas
 
 __all__ = ["grouppad", "grouppad_recursive"]
-
-
-@dataclass(frozen=True)
-class _NestInfo:
-    """Layout-independent geometry of one nest at its canonical iteration."""
-
-    dots: tuple[tuple[str, int], ...]  # (array, offset-within-array)
-    arcs: tuple[tuple[str, int, int], ...]  # (array, trailing offset, span)
-
-
-def _nest_infos(program: Program) -> list[_NestInfo]:
-    infos = []
-    for nest in program.nests:
-        env = canonical_env(nest)
-        dots: list[tuple[str, int]] = []
-        seen: set[tuple] = set()
-        rel_of: dict[tuple, int] = {}
-        for ref in nest.refs:
-            key = (ref.array, ref.subscripts)
-            if key in seen:
-                continue
-            seen.add(key)
-            rel = int(ref.offset_expr(program.decl(ref.array)).evaluate(env))
-            rel_of[key] = rel
-            dots.append((ref.array, rel))
-        arcs = []
-        for arc in reuse_arcs(program, nest):
-            trail_rel = rel_of[(arc.array, arc.trailing.subscripts)]
-            arcs.append((arc.array, trail_rel, arc.distance_bytes))
-        infos.append(_NestInfo(dots=tuple(dots), arcs=tuple(arcs)))
-    return infos
-
-
-def _exploited_count(
-    infos: list[_NestInfo],
-    bases: dict[str, int],
-    subset: set[str],
-    cache_size: int,
-    line_size: int,
-) -> int:
-    """Exploited group-*temporal* arcs over all nests (``subset`` arrays).
-
-    Mirrors :meth:`repro.layout.diagram.CacheDiagram._arc_exploited` for a
-    foreign dot under the arc or within one line of its endpoints.  Arcs
-    shorter than a cache line are group-*spatial* reuse -- exploited under
-    any layout -- so they are excluded from the objective; counting them
-    would let cheap same-line arcs outvote the column arcs GROUPPAD
-    exists to preserve.
-    """
-    count = 0
-    for info in infos:
-        positions = [
-            ((bases[arr] + rel) % cache_size, arr, rel)
-            for arr, rel in info.dots
-            if arr in subset
-        ]
-        for arr, trail_rel, span in info.arcs:
-            if arr not in subset or span < line_size:
-                continue
-            if span + line_size > cache_size:
-                continue
-            trail_pos = (bases[arr] + trail_rel) % cache_size
-            ok = True
-            for pos, parr, prel in positions:
-                if parr == arr and prel in (trail_rel, trail_rel + span):
-                    continue  # the arc's own endpoints
-                rel = (pos - trail_pos) % cache_size
-                if rel < span + line_size or rel > cache_size - line_size:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
 
 
 def grouppad(
@@ -109,7 +35,6 @@ def grouppad(
     cache_size: int,
     line_size: int,
     granularity: int | None = None,
-    avoid_conflicts: bool = True,
     refine_passes: int = 1,
 ) -> DataLayout:
     """Apply GROUPPAD for one cache level.
@@ -125,53 +50,32 @@ def grouppad(
     placed -- the greedy order can trap early variables in positions that
     block later arcs, and one refinement pass recovers most of that.
     """
+    check_cache(cache_size, line_size, TransformError)
     if granularity is None:
         granularity = line_size
     if granularity <= 0 or cache_size % granularity != 0:
         raise TransformError(
             f"granularity {granularity} must divide cache size {cache_size}"
         )
-    infos = _nest_infos(program)
-    deltas = _pair_deltas(program)
-    all_names = set(layout.order)
+    geometry = DiagramGeometry.of(program)
 
-    def best_pad_for(
-        current: DataLayout, name: str, others: set[str], base_pad: int
-    ) -> int:
-        best_pad = base_pad
-        best_key: tuple | None = None
-        for k in range(cache_size // granularity):
-            candidate = current.with_pad(name, base_pad + k * granularity)
-            bases = candidate.bases()
-            conflict = avoid_conflicts and _has_conflict(
-                bases, name, sorted(others), deltas, [cache_size], line_size
-            )
-            score = _exploited_count(
-                infos, bases, others | {name}, cache_size, line_size
-            )
-            key = (0 if conflict else 1, score, -k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pad = base_pad + k * granularity
-        return best_pad
+    def place(out: DataLayout, name: str, arrays, base_pad: int) -> int:
+        ring = range(base_pad, base_pad + cache_size, granularity)
+        return best_pad(
+            geometry, out, name, ring, arrays, cache_size, line_size, (cache_size,)
+        )
 
     out = layout
-    placed: list[str] = []
-    for name in layout.order:
-        if placed:
-            base_pad = out.pads[out.index_of(name)]
-            out = out.with_pad(
-                name, best_pad_for(out, name, set(placed), base_pad)
-            )
-        placed.append(name)
+    for i, name in enumerate(layout.order[1:], 1):
+        placed = layout.order[: i + 1]
+        out = out.with_pad(name, place(out, name, placed, out.pads[i]))
 
     for _ in range(max(0, refine_passes)):
         changed = False
-        for name in layout.order[1:]:
-            idx = out.index_of(name)
-            current_pad = out.pads[idx]
-            base_pad = current_pad % granularity  # keep residue, search ring
-            new_pad = best_pad_for(out, name, all_names - {name}, base_pad)
+        for i, name in enumerate(layout.order[1:], 1):
+            current_pad = out.pads[i]
+            # Keep the residue, search the ring.
+            new_pad = place(out, name, layout.order, current_pad % granularity)
             if new_pad != current_pad:
                 out = out.with_pad(name, new_pad)
                 changed = True
@@ -193,24 +97,14 @@ def grouppad_recursive(
     """
     levels = hierarchy.levels
     out = grouppad(program, layout, levels[0].size, levels[0].line_size)
-    infos = _nest_infos(program)
+    geometry = DiagramGeometry.of(program)
     for prev, cfg in zip(levels, levels[1:]):
-        step = prev.size
-        placed: list[str] = []
-        for name in out.order:
-            if placed:
-                base_pad = out.pads[out.index_of(name)]
-                best_pad = base_pad
-                best_score = -1
-                for m in range(cfg.size // step):
-                    candidate = out.with_pad(name, base_pad + m * step)
-                    score = _exploited_count(
-                        infos, candidate.bases(), set(placed) | {name},
-                        cfg.size, cfg.line_size,
-                    )
-                    if score > best_score:
-                        best_score = score
-                        best_pad = base_pad + m * step
-                out = out.with_pad(name, best_pad)
-            placed.append(name)
+        check_cache(cfg.size, cfg.line_size, TransformError)
+        for i, name in enumerate(out.order[1:], 1):
+            ring = range(out.pads[i], out.pads[i] + cfg.size, prev.size)
+            pad = best_pad(
+                geometry, out, name, ring, out.order[: i + 1],
+                cfg.size, cfg.line_size, (),
+            )
+            out = out.with_pad(name, pad)
     return out

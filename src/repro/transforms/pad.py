@@ -15,7 +15,9 @@ least Lmax apart modulo S1 stay at least that far apart modulo every k*S1
 Only reference pairs whose address difference is iteration-invariant
 (uniformly generated pairs, which is all the paper's programs contain) can
 conflict on *every* iteration; pairs with varying deltas cannot be fixed
-by padding and are ignored, as in PAD.
+by padding and are ignored, as in PAD.  Those constant deltas come from
+the program's layout diagram (:class:`repro.layout.diagram.DiagramGeometry`)
+and the test is its :func:`~repro.layout.diagram.severe_conflict`.
 """
 
 from __future__ import annotations
@@ -23,61 +25,10 @@ from __future__ import annotations
 from repro.cache.config import HierarchyConfig
 from repro.errors import TransformError
 from repro.ir.program import Program
+from repro.layout.diagram import DiagramGeometry, check_cache, severe_conflict
 from repro.layout.layout import DataLayout
-from repro.util.mathutil import circular_distance
 
 __all__ = ["pad", "multilvl_pad", "pad_explicit_levels"]
-
-
-def _pair_deltas(program: Program) -> dict[tuple[str, str], set[int]]:
-    """Constant parts of inter-variable reference deltas, per array pair.
-
-    For every nest and every pair of references to different arrays whose
-    offset difference is iteration-invariant, record that constant.  The
-    cache distance of such a pair under any layout is
-    ``(base_a - base_b + delta) mod C`` -- only the bases change while PAD
-    searches, so this table is computed once.
-    """
-    deltas: dict[tuple[str, str], set[int]] = {}
-    for nest in program.nests:
-        uniq: dict[tuple, object] = {}
-        for ref in nest.refs:
-            key = (ref.array, ref.subscripts)
-            if key not in uniq:
-                uniq[key] = ref.offset_expr(program.decl(ref.array))
-        items = list(uniq.items())
-        for i, ((arr_a, _), off_a) in enumerate(items):
-            for (arr_b, _), off_b in items[i + 1 :]:
-                if arr_a == arr_b:
-                    continue
-                diff = off_a - off_b
-                if diff.is_constant:
-                    pair = (arr_a, arr_b) if arr_a < arr_b else (arr_b, arr_a)
-                    d = diff.constant if arr_a < arr_b else -diff.constant
-                    deltas.setdefault(pair, set()).add(d)
-    return deltas
-
-
-def _has_conflict(
-    bases: dict[str, int],
-    candidate: str,
-    placed: list[str],
-    deltas: dict[tuple[str, str], set[int]],
-    cache_sizes: list[int],
-    line_size: int,
-) -> bool:
-    for other in placed:
-        pair = (candidate, other) if candidate < other else (other, candidate)
-        consts = deltas.get(pair)
-        if not consts:
-            continue
-        base_delta = bases[pair[0]] - bases[pair[1]]
-        for d in consts:
-            total = base_delta + d
-            for size in cache_sizes:
-                if circular_distance(total % size, 0, size) < line_size:
-                    return True
-    return False
 
 
 def _pad_against(
@@ -87,35 +38,34 @@ def _pad_against(
     line_size: int,
     max_lines_per_var: int | None = None,
 ) -> DataLayout:
-    if line_size <= 0:
-        raise TransformError(f"line size must be positive, got {line_size}")
     for size in cache_sizes:
-        if size <= 0 or size % line_size != 0:
-            raise TransformError(
-                f"cache size {size} must be a positive multiple of line {line_size}"
-            )
+        check_cache(size, line_size, TransformError)
     limit = max_lines_per_var
     if limit is None:
         # Beyond a full cache of lines no new relative positions exist.
         limit = max(cache_sizes) // line_size
 
-    deltas = _pair_deltas(program)
+    geometry = DiagramGeometry.of(program)
+    bases = layout.bases()
+    shift = 0  # padding added so far, which moves every later array
     out = layout
-    placed: list[str] = []
+    placed: set[str] = set()
     for name in layout.order:
-        if placed:
-            tries = 0
-            while _has_conflict(
-                out.bases(), name, placed, deltas, cache_sizes, line_size
-            ):
-                tries += 1
-                if tries > limit:
-                    raise TransformError(
-                        f"PAD could not free {name!r} of severe conflicts within "
-                        f"{limit} lines of padding"
-                    )
-                out = out.add_pad(name, line_size)
-        placed.append(name)
+        bases[name] += shift
+        lines = 0
+        while severe_conflict(
+            geometry, bases, name, placed, cache_sizes, line_size
+        ):
+            lines += 1
+            if lines > limit:
+                raise TransformError(
+                    f"PAD could not free {name!r} of severe conflicts within "
+                    f"{limit} lines of padding"
+                )
+            bases[name] += line_size
+        shift += lines * line_size
+        out = out.add_pad(name, lines * line_size)
+        placed.add(name)
     return out
 
 

@@ -1,5 +1,7 @@
 """GROUPPAD and its multi-level recursion."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import CacheDiagram, DataLayout, simulate_program, ultrasparc_i
@@ -75,6 +77,18 @@ class TestGroupPad:
         with pytest.raises(TransformError):
             grouppad(prog, seq, L1, LINE, granularity=1000)
 
+    @pytest.mark.parametrize(
+        "cache, line", [(0, 32), (-L1, 32), (L1, 48), (L1, 0), (L1, -32)]
+    )
+    def test_invalid_cache_rejected_like_pad(self, fig3_scale, cache, line):
+        """GROUPPAD rejects what PAD rejects, with the same error -- a zero
+        or negative cache used to return the input layout unchanged."""
+        prog, seq = fig3_scale
+        with pytest.raises(TransformError, match="positive multiple of line size"):
+            grouppad(prog, seq, cache, line)
+        with pytest.raises(TransformError, match="positive multiple of line size"):
+            pad(prog, seq, cache, line)
+
 
 class TestGroupPadRecursive:
     def test_preserves_l1_layout_modulo_s1(self, fig3_scale, hier):
@@ -91,3 +105,12 @@ class TestGroupPadRecursive:
         assert exploited_total(
             prog, multi, hier.l2.size, hier.l2.line_size
         ) >= exploited_total(prog, l1_only, hier.l2.size, hier.l2.line_size)
+
+    def test_invalid_lower_level_rejected(self, fig3_scale, hier):
+        """Every level the recursion scans is validated, not just the L1."""
+        prog, seq = fig3_scale
+        bad = SimpleNamespace(
+            levels=(hier.l1, SimpleNamespace(size=hier.l2.size, line_size=0))
+        )
+        with pytest.raises(TransformError, match="positive multiple of line size"):
+            grouppad_recursive(prog, seq, bad)
