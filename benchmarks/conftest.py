@@ -3,10 +3,10 @@
 Runs after any ``pytest benchmarks`` session.  Recording is best-effort:
 a missing pytest-benchmark session (e.g. ``--benchmark-disable``) or an
 unwritable path must never fail the suite.  Rows are routed by benchmark
-group: the ``assoc`` group (k-way simulator throughput) lands in
-``BENCH_assoc.json``, the ``symbolic`` group (symbolic-tier classify and
-speedup) in ``BENCH_symbolic.json``, everything else in
-``BENCH_search.json``.
+group (:data:`benchmarks.recorder.GROUP_FILES`): for example the ``assoc``
+group (k-way simulator throughput) lands in ``BENCH_assoc.json`` and the
+``transforms`` group (the padding heuristics) in ``BENCH_transforms.json``;
+rows of any other group go to ``BENCH_search.json``.
 
 ``--bench-trace PATH`` (or ``$REPRO_BENCH_TRACE``) additionally records
 the whole session as a :mod:`repro.obs` trace -- spans, timeline counter

@@ -11,7 +11,8 @@ Benchmarks in the groups of :data:`GROUP_FILES` go to their own file
 instead (each with its own environment override), so the histories of
 the simulator hot paths (``sim``, ``test_bench_simulator.py``), the
 k-way simulator (``assoc``), the symbolic tier (``symbolic``), the sweep
-scheduler (``exec``), the tuning service (``service``) and the search
+scheduler (``exec``), the tuning service (``service``), the padding
+heuristics (``transforms``, ``test_bench_transforms.py``) and the search
 subsystem stay independently diffable; all files are uploaded as CI
 artifacts per run.
 
@@ -59,6 +60,7 @@ GROUP_FILES = {
     "symbolic": ("BENCH_symbolic.json", "REPRO_BENCH_SYMBOLIC_JSON"),
     "exec": ("BENCH_exec.json", "REPRO_BENCH_EXEC_JSON"),
     "service": ("BENCH_service.json", "REPRO_BENCH_SERVICE_JSON"),
+    "transforms": ("BENCH_transforms.json", "REPRO_BENCH_TRANSFORMS_JSON"),
 }
 
 #: Values of $REPRO_BENCH_JSON that turn recording off entirely.

@@ -1,4 +1,12 @@
-"""Microbenchmarks: the padding searches and tile-size selection."""
+"""Microbenchmarks: the padding searches and tile-size selection.
+
+Every benchmark carries ``group="transforms"`` so the recorder routes its
+rows to ``BENCH_transforms.json``, which CI gates against the committed
+baselines: losing GROUPPAD's one-pass candidate scoring fails the trend
+gate instead of scrolling past.
+"""
+
+import pytest
 
 from repro import DataLayout, ultrasparc_i
 from repro.kernels import expl, shal
@@ -6,6 +14,8 @@ from repro.transforms.grouppad import grouppad
 from repro.transforms.maxpad import l2maxpad
 from repro.transforms.pad import multilvl_pad
 from repro.transforms.tilesize import select_tile
+
+pytestmark = pytest.mark.benchmark(group="transforms")
 
 HIER = ultrasparc_i()
 
@@ -23,7 +33,7 @@ def test_bench_grouppad_shal(benchmark):
     seq = DataLayout.sequential(prog)
     out = benchmark.pedantic(
         grouppad, args=(prog, seq, HIER.l1.size, HIER.l1.line_size),
-        rounds=2, iterations=1,
+        rounds=10, iterations=1,
     )
     assert out.order == seq.order
 

@@ -3,7 +3,7 @@
 The recorder (``benchmarks/recorder.py``) turns every benchmark session
 into an appended JSON record; this module closes the loop by *comparing*
 a freshly produced ``BENCH_search.json`` / ``BENCH_sim.json`` /
-``BENCH_assoc.json`` / ``BENCH_exec.json`` against
+``BENCH_assoc.json`` / ``BENCH_exec.json`` / ``BENCH_transforms.json`` against
 the baselines committed under ``benchmarks/baselines/``, so a
 throughput regression fails CI instead of scrolling past in a table.
 

@@ -15,7 +15,8 @@ pads that are multiples of the previous level's cache size* -- adding
 reuse is re-optimized for the larger cache.
 
 Every phase scores candidates with one scan over the program's layout
-diagram, :func:`repro.layout.diagram.best_pad`.
+diagram, :func:`repro.layout.diagram.best_pad`, which scores all of a
+variable's candidate pads as one array pass.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ Only reference pairs whose address difference is iteration-invariant
 conflict on *every* iteration; pairs with varying deltas cannot be fixed
 by padding and are ignored, as in PAD.  Those constant deltas come from
 the program's layout diagram (:class:`repro.layout.diagram.DiagramGeometry`)
-and the test is its :func:`~repro.layout.diagram.severe_conflict`.
+and the test is its :func:`~repro.layout.diagram.severe_conflict`, run
+over every pad of a variable's line ring at once: the first free pad is
+the one the line-by-line walk would stop at.
 """
 
 from __future__ import annotations
@@ -47,24 +49,24 @@ def _pad_against(
 
     geometry = DiagramGeometry.of(program)
     bases = layout.bases()
+    ring = range(0, (limit + 1) * line_size, line_size)
     shift = 0  # padding added so far, which moves every later array
     out = layout
     placed: set[str] = set()
     for name in layout.order:
         bases[name] += shift
-        lines = 0
-        while severe_conflict(
-            geometry, bases, name, placed, cache_sizes, line_size
-        ):
-            lines += 1
-            if lines > limit:
-                raise TransformError(
-                    f"PAD could not free {name!r} of severe conflicts within "
-                    f"{limit} lines of padding"
-                )
-            bases[name] += line_size
-        shift += lines * line_size
-        out = out.add_pad(name, lines * line_size)
+        free = ~severe_conflict(
+            geometry, bases, name, placed, cache_sizes, line_size, (name,), ring
+        )
+        if not free.any():
+            raise TransformError(
+                f"PAD could not free {name!r} of severe conflicts within "
+                f"{limit} lines of padding"
+            )
+        pad = ring[int(free.argmax())]
+        bases[name] += pad
+        shift += pad
+        out = out.add_pad(name, pad)
         placed.add(name)
     return out
 
