@@ -1,15 +1,16 @@
-"""Benchmark: the symbolic tier -- classify throughput and tier speedup.
+"""Benchmark: the exactness proof -- classify throughput and the speedup
+of the predictor's exact levels over simulation.
 
 Every benchmark carries ``group="symbolic"`` so the recorder routes its
 rows to ``BENCH_symbolic.json``.  Two questions, answered with numbers
 attached as ``extra_info``:
 
-* how fast is classification (the auto tier's dispatch cost) over the
-  fuzzed workload population, in programs/sec -- this is pure overhead
-  on jobs that end up simulated, so it must stay cheap;
-* how much faster is the symbolic tier than the vectorized simulator on
-  the quick Figure 9 pad-sweep jobs (the ``ext_symbolic`` headline),
-  recorded as ``speedup`` for the trend tooling.
+* how fast is classification (the proof the predictor runs before its
+  estimate) over the fuzzed workload population, in programs/sec -- it
+  is overhead on every prediction, so it must stay cheap;
+* how much faster is :func:`~repro.model.predict_job` than the
+  vectorized simulator on jobs exact at every level, recorded as
+  ``speedup`` for the trend tooling.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.exec.jobs import SimJob
 from repro.experiments.fig9_pad import build_jobs
 from repro.fuzz import fuzzed_workloads
-from repro.symbolic import analyze_job, classify_job, classify_program
+from repro.model import predict_job
+from repro.symbolic import classify_job, classify_program
 
 pytestmark = pytest.mark.benchmark(group="symbolic")
 
@@ -65,7 +67,7 @@ def test_bench_classify_fuzzed(benchmark, workloads):
 
 
 def test_bench_classify_capacity_prefilter(benchmark, quick_jobs):
-    """Dispatch cost on jobs the pre-filter rules out without enumerating
+    """Proof cost on jobs the pre-filter rules out without enumerating
     (the common full-size case: answer in microseconds, not milliseconds)."""
 
     def run():
@@ -78,7 +80,7 @@ def test_bench_classify_capacity_prefilter(benchmark, quick_jobs):
 
 
 def test_bench_symbolic_vs_sim_speedup(benchmark, workloads):
-    """The tier speedup on exact-classifiable jobs: analyze_job against
+    """The speedup on exact-classifiable jobs: predict_job against
     job.run() on the fuzzed population's roomy-hierarchy exact subset."""
     jobs = []
     for _, program, layout in workloads:
@@ -87,22 +89,23 @@ def test_bench_symbolic_vs_sim_speedup(benchmark, workloads):
             jobs.append(job)
     assert jobs, "expected exact-classifiable fuzzed jobs on the roomy hierarchy"
 
-    def run_symbolic():
-        return [analyze_job(job) for job in jobs]
+    def run_predict():
+        return [predict_job(job) for job in jobs]
 
-    benchmark(run_symbolic)
+    benchmark(run_predict)
     stats = getattr(benchmark.stats, "stats", benchmark.stats)
-    sym_s = stats.min
+    predict_s = stats.min
 
     t0 = time.perf_counter()
     sims = [job.run() for job in jobs]
     sim_s = time.perf_counter() - t0
 
     # Record the speedup, and keep the benchmark honest: the counts the
-    # timed symbolic pass produced must match the simulator bitwise.
+    # timed prediction pass produced must match the simulator bitwise.
     for job, sim in zip(jobs, sims):
-        sym = analyze_job(job)
-        for sym_lv, sim_lv in zip(sym.result.levels, sim.levels):
-            assert sym_lv.misses == sim_lv.misses
+        predicted = predict_job(job)
+        assert predicted.exact
+        for pred_lv, sim_lv in zip(predicted.result.levels, sim.levels):
+            assert pred_lv.misses == sim_lv.misses
     benchmark.extra_info["jobs"] = len(jobs)
-    benchmark.extra_info["speedup"] = round(sim_s / sym_s, 2)
+    benchmark.extra_info["speedup"] = round(sim_s / predict_s, 2)

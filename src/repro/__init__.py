@@ -19,7 +19,8 @@ The package implements, from scratch, every system the paper relies on:
   stress-testing the heuristics against searched-optimal configurations;
 * :mod:`repro.model` -- a static, closed-form multi-level miss predictor
   (no trace, no simulation) powering the two-tier predict-then-verify
-  search strategy;
+  search strategy, exact (bit-for-bit vs. the simulator) at every level
+  where it proves the no-eviction regime;
 * :mod:`repro.obs` -- zero-dependency tracing (nested spans, Chrome
   trace-event export, per-level miss-rate counter tracks over reference
   windows, cross-process request trace trees, trace-vs-trace regression
@@ -29,10 +30,9 @@ The package implements, from scratch, every system the paper relies on:
 * :mod:`repro.fuzz` -- seeded random-program generation, a differential
   predictor-vs-simulator-vs-oracle harness, divergence shrinking, and a
   distilled regression corpus;
-* :mod:`repro.symbolic` -- trace-free closed-form miss counting, exact
-  (bit-for-bit vs. the simulator) in the provable no-eviction regime
-  and honestly downgraded elsewhere (an analysis: the executor always
-  simulates);
+* :mod:`repro.symbolic` -- the predictor's exactness proof: which
+  levels are in the no-eviction regime, and their trace-free
+  distinct-line counts;
 * :mod:`repro.experiments` -- harnesses regenerating every figure.
 
 Quickstart::
@@ -98,7 +98,7 @@ from repro.model import (
     predict_program,
     spearman,
 )
-from repro.symbolic import SymbolicStats, analyze_job, classify_job
+from repro.symbolic import classify_job
 from repro.obs import (
     MetricsRegistry,
     Timeline,
@@ -205,15 +205,13 @@ __all__ = [
     "predict_job",
     "model_objective",
     "spearman",
-    # symbolic (trace-free exact) miss counting
-    "SymbolicStats",
     # tuning service
     "ServiceConfig",
     "TuningClient",
     "TuningRequest",
     "TuningService",
+    # the predictor's exactness proof
     "classify_job",
-    "analyze_job",
     # observability
     "Tracer",
     "MetricsRegistry",

@@ -12,8 +12,9 @@
 ``auto`` is still accepted as an alias of ``sim`` for existing callers.
 The two backends never alias in the :class:`~repro.exec.store.ResultStore`:
 the backend that produced a result is part of its content key
-(:func:`~repro.exec.hashing.job_key`).  The trace-free symbolic engine
-(:mod:`repro.symbolic`) is an analysis, not a backend.
+(:func:`~repro.exec.hashing.job_key`).  The analytic predictor
+(:mod:`repro.model`), exact levels included, is an analysis, not a
+backend.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments ext_model --quick          # predictor vs simulator
     python -m repro.experiments ext_fuzz --quick           # differential fuzzing
     python -m repro.experiments ext_fuzz --seed 9 --count 1      # one fuzz case
-    python -m repro.experiments ext_symbolic --quick       # symbolic vs simulator
+    python -m repro.experiments ext_symbolic --quick       # exact levels vs simulator
     python -m repro.experiments fig9 --backend sim         # force pure simulation
     python -m repro.experiments assoc_claim --quick        # Section 1 claim check
     python -m repro.experiments all --quick --out results/

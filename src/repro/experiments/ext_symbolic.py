@@ -1,27 +1,29 @@
-"""Extension: the symbolic tier vs. the trace simulator.
+"""Extension: the predictor's exact levels vs. the trace simulator.
 
-Two artifacts, one verb:
+The exactness gate of the one analytic estimator
+(:func:`repro.model.predict_job`): every level it flags ``exact`` claims
+a miss count bit-for-bit equal to the simulator's.  Two artifacts:
 
 **Agreement table** -- the Table 1 pad sweep (the same jobs as Figure 9:
-every kernel in ``orig`` / ``L1 Opt`` / ``L1&L2 Opt`` layouts) computed
-twice, once by :func:`~repro.symbolic.analyze_job` and once by a fresh
-storeless ``sim`` executor, with per-level miss counts side by side.
-Rows the classifier marks *exact* must agree bit-for-bit -- any
-disagreement is a bug in the no-eviction proof, counted in
-``exact_disagreements`` and gated to zero in CI.  Inexact rows show the
-analytic estimate's relative error and the downgrade reason, which is
-the honest picture of where the closed form is authoritative and where
-it only ranks.  The wall-clock of the two passes gives the headline
-speedup (the acceptance criterion: >= 10x on this sweep).
+every kernel in ``orig`` / ``L1 Opt`` / ``L1&L2 Opt`` layouts) predicted
+once and simulated once by a fresh storeless ``sim`` executor, with
+per-level miss counts side by side.  Rows flagged *exact* must agree
+bit-for-bit -- any disagreement is a bug in the no-eviction proof,
+counted in ``exact_disagreements`` and gated to zero in CI.  Estimated
+rows show the relative error and the downgrade reason, which is the
+honest picture of where the closed form is authoritative and where it
+only ranks.  The wall-clock of the two passes gives the headline
+speedup (the target: >= 10x on this sweep).
 
 **Fuzz cross-validation** -- a fixed-seed sample of the fuzzed workload
-population (:func:`repro.fuzz.fuzzed_workloads`) classified against
-small conflict-prone hierarchies and one roomy hierarchy; every
-exact-classified (job, hierarchy) pair is simulated and compared
+population (:func:`repro.fuzz.fuzzed_workloads`) predicted against small
+conflict-prone hierarchies and one roomy hierarchy; every (job,
+hierarchy) pair exact at every level is simulated and compared
 bit-for-bit.  The trailing ``[symbolic] smoke`` line condenses the CI
 gate: ``exact_disagreements=0`` over the whole sample.
 
-See ``docs/symbolic.md`` for the exactness rules the classifier applies.
+See ``docs/model.md`` ("When the estimate becomes exact") for the
+exactness rules.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.exec.jobs import SimJob
 from repro.experiments.fig9_pad import build_jobs
 from repro.fuzz.generator import fuzzed_workloads
 from repro.fuzz.harness import FUZZ_HIERARCHIES
-from repro.symbolic import analyze_job, classify_job
+from repro.model import predict_job
 
 __all__ = ["run", "SymbolicResult", "CROSSVAL_HIERARCHIES", "SPEEDUP_TARGET"]
 
@@ -119,14 +121,14 @@ class SymbolicResult:
 
     def format(self) -> str:
         lines = [
-            "Symbolic tier vs. simulator -- Table 1 pad sweep",
-            f"  symbolic wall {self.sym_wall:.2f}s, simulator wall "
+            "Predictor exact levels vs. simulator -- Table 1 pad sweep",
+            f"  predictor wall {self.sym_wall:.2f}s, simulator wall "
             f"{self.sim_wall:.2f}s, speedup {self.speedup:.1f}x "
             f"(target >= {SPEEDUP_TARGET:.0f}x: "
             f"{'met' if self.speedup_ok else 'MISSED'})",
             "",
             f"  {'program':<10} {'version':<10} {'lvl':<4} "
-            f"{'sim misses':>12} {'symbolic':>14} {'exact':>5} "
+            f"{'sim misses':>12} {'predicted':>14} {'exact':>5} "
             f"{'relerr':>7}  note",
         ]
         for r in self.rows:
@@ -146,7 +148,7 @@ class SymbolicResult:
             "Fuzz cross-validation "
             f"(seed={self.seed}, {self.programs} programs x "
             f"{len(CROSSVAL_HIERARCHIES)} hierarchies)",
-            f"  exact-classified: {self.fuzz_exact}/{self.fuzz_cases} "
+            f"  exact at every level: {self.fuzz_exact}/{self.fuzz_cases} "
             f"(downgraded {self.fuzz_downgraded}), "
             f"simulated+compared: {self.fuzz_checked}, "
             f"disagreements: {self.exact_disagreements}",
@@ -163,7 +165,7 @@ def _pad_sweep_agreement(
     jobs = build_jobs(quick)
 
     t0 = time.perf_counter()
-    symbolics = [analyze_job(job) for job in jobs]
+    predictions = [predict_job(job) for job in jobs]
     result.sym_wall = time.perf_counter() - t0
 
     sim_ex = SweepExecutor(workers=workers, store=None, backend="sim")
@@ -171,17 +173,17 @@ def _pad_sweep_agreement(
     sim_results = sim_ex.run(jobs)
     result.sim_wall = time.perf_counter() - t0
 
-    for job, sim, symbolic in zip(jobs, sim_results, symbolics):
+    for job, sim, predicted in zip(jobs, sim_results, predictions):
         name, version = job.tag[0], job.tag[1]
-        for sim_lv, sym_lv in zip(sim.levels, symbolic.levels):
+        for sim_lv, pred in zip(sim.levels, predicted.predictions):
             row = AgreementRow(
                 program=name,
                 version=version,
                 level=sim_lv.name,
                 sim_misses=sim_lv.misses,
-                sym_misses=sym_lv.misses,
-                exact=sym_lv.exact,
-                note=sym_lv.note,
+                sym_misses=pred.misses,
+                exact=pred.exact,
+                note=pred.note,
             )
             result.rows.append(row)
             if row.exact and not row.agrees:
@@ -195,7 +197,7 @@ def _fuzz_crossval(
     workers: int | None,
     result: SymbolicResult,
 ) -> None:
-    """Classify fuzzed workloads; simulate and bit-compare the exact ones."""
+    """Predict fuzzed workloads; simulate and bit-compare the exact ones."""
     workloads = fuzzed_workloads(seed, count)
     result.seed = seed
     result.programs = len(workloads)
@@ -208,20 +210,18 @@ def _fuzz_crossval(
             job = SimJob(
                 program, layout, hier, tag=("symbolic", case_seed, hier_name)
             )
-            classification = classify_job(job)
-            if not all(c.exact for c in classification):
+            predicted = predict_job(job)
+            if not predicted.exact:
                 result.fuzz_downgraded += 1
                 continue
             result.fuzz_exact += 1
             exact_jobs.append(job)
-            expectations.append(
-                analyze_job(job, classification=classification).result
-            )
+            expectations.append(predicted.result)
 
     if executor is None:
         executor = SweepExecutor(workers=workers, store=None)
     sims = executor.run(exact_jobs, backend="sim")
-    for job, expected, sim in zip(exact_jobs, expectations, sims):
+    for expected, sim in zip(expectations, sims):
         result.fuzz_checked += 1
         same = expected.total_refs == sim.total_refs and all(
             a.misses == b.misses and a.accesses == b.accesses

@@ -16,13 +16,15 @@ classified :class:`Divergence` records:
   (``exact <= 1% < close <= 10% < coarse <= 1x < loose <= 10x < blind``);
   only ``blind`` counts as a divergence worth distilling;
 * ``error`` -- any component raising where it should have produced a
-  number.
+  number, or a level the predictor flags ``exact`` whose accesses or
+  misses differ from the simulator's.
 
-The exact pairs (``trace``, ``sim``) are hard contracts: a single
-divergence is a bug.  The ``model`` band is an accuracy envelope: blind
-spots are expected occasionally, get shrunk and committed to the
-regression corpus, and the CI gate requires every one found by the
-fixed-seed smoke campaign to already be a committed (minimized) case.
+The exact pairs (``trace``, ``sim``) and the predictor's exact claims
+are hard contracts: a single divergence is a bug.  The ``model`` band
+is an accuracy envelope: blind spots are expected occasionally, get
+shrunk and committed to the regression corpus, and the CI gate requires
+every one found by the fixed-seed smoke campaign to already be a
+committed (minimized) case.
 
 Every case knows its one-line repro command (:func:`repro_command`), so
 a failure at campaign scale collapses to ``ext_fuzz --seed N --count 1``.
@@ -242,7 +244,25 @@ def diff_case(
     try:
         from repro.model import predict_job
 
-        predicted = predict_job(SimJob(program, layout, hierarchy)).result
+        prediction = predict_job(SimJob(program, layout, hierarchy))
+        predicted = prediction.result
+        for p, pred_lv, sim_lv in zip(
+            prediction.predictions, predicted.levels, vec_result.levels
+        ):
+            if p.exact and (pred_lv.accesses, pred_lv.misses) != (
+                sim_lv.accesses, sim_lv.misses
+            ):
+                divergences.append(
+                    Divergence(
+                        "error", sim_lv.name,
+                        float(abs(pred_lv.misses - sim_lv.misses)
+                              + abs(pred_lv.accesses - sim_lv.accesses)),
+                        "mismatch",
+                        f"exact claim {pred_lv.accesses}/{pred_lv.misses} vs "
+                        f"simulated {sim_lv.accesses}/{sim_lv.misses} "
+                        f"(accesses/misses)",
+                    )
+                )
         for level, err, band in classify_model_error(predicted, vec_result):
             model_bands.append((level, band))
             if band == "blind":

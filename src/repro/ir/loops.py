@@ -121,28 +121,15 @@ class Loop:
         """Evaluate ``max(lower, *extra_lowers)`` at concrete outer indices."""
         return max(int(l.evaluate(env)) for l in self.lowers)
 
-    def concrete_trip(self, env) -> tuple[int, int]:
-        """``(first value, trip count)`` at concrete outer indices.
-
-        The loop's value set is the arithmetic progression
-        ``first + step*j`` for ``j in range(count)`` -- exactly the
-        values :meth:`concrete_trips` gives the trace generator row by
-        row, so footprint enumeration and trace generation cannot
-        disagree on which indices execute.
-        """
-        lo = self.effective_lower(env)
-        hi = self.effective_upper(env)
-        count = (hi - lo) // self.step + 1 if (hi - lo) * self.step >= 0 else 0
-        return lo, max(0, count)
-
     def concrete_trips(
         self, env: Mapping[str, np.ndarray], size: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`concrete_trip` over ``size`` rows of outer indices at once.
+        """``(first value, trip count)`` over ``size`` rows of outer indices.
 
         ``env`` maps each outer loop variable to an int64 array of its
-        value in every row; returns int64 ``(first, count)`` arrays with
-        the same arithmetic, row by row.
+        value in every row; returns int64 ``(first, count)`` arrays.  In
+        every row the loop's values are the arithmetic progression
+        ``first + step*j`` for ``j in range(count)``.
         """
         lo = _bound(self.lowers, env, size, np.maximum)
         hi = _bound(self.uppers, env, size, np.minimum)
@@ -335,9 +322,9 @@ class LoopNest:
         outer indices are fixed.
 
         Holds when no bound from ``level`` inward references a loop
-        variable at or inside ``level`` -- the condition both the trace
-        generator and the symbolic footprint enumeration need before they
-        may treat the remaining loops as an independent product space.
+        variable at or inside ``level`` -- the condition :meth:`rows` needs
+        before it may treat the remaining loops as an independent product
+        space.
         """
         inner_vars = {lp.var for lp in self.loops[level:]}
         return not any(

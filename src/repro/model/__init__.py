@@ -4,8 +4,11 @@ Everything the simulator measures by replaying a trace, this subsystem
 estimates in closed form from the program IR, the data layout, and the
 hierarchy: spatial misses from strides, conflict misses from k-way
 set-mapping overlap, capacity and cross-nest temporal reuse from
-footprints.  A prediction costs microseconds where a simulation costs
-seconds, which is what powers the two-tier predict-then-verify search
+footprints.  Where the exactness proof of :mod:`repro.symbolic` holds
+(the no-eviction regime), a level's count is the proven distinct-line
+count, bit-for-bit the simulator's, and flagged ``exact``.  A prediction
+costs microseconds to milliseconds where a simulation costs seconds,
+which is what powers the two-tier predict-then-verify search
 (:class:`repro.search.strategies.PredictThenVerifyStrategy`).
 
 Entry points:
@@ -17,7 +20,8 @@ Entry points:
   batch hook maps this over job lists);
 * :class:`PredictedStats` -- the result type, mirroring
   :class:`~repro.cache.stats.SimulationResult` so predictions drop into
-  existing reports, objectives, and cycle models;
+  existing reports, objectives, and cycle models, with a per-level
+  ``exact`` flag;
 * :func:`spearman` -- the rank-agreement metric ``ext_model`` and the
   property suite validate the predictor with.
 """

@@ -26,10 +26,19 @@ the simulator's O(trace).  That asymmetry is what makes the
 predict-then-verify search strategy pay off: score everything
 analytically, simulate only what looks good.
 
-Accuracy contract: the predictor is built to *rank* layouts, not to hit
-miss counts exactly.  Resonant layouts (the severe-conflict closed form)
-are predicted exactly; smooth layouts carry O(1) per-array error from
-boundary effects.  See ``docs/model.md`` for the measured error envelope.
+Before any of these terms, the exactness proof of :mod:`repro.symbolic`
+runs: every level in the *no-eviction* regime (no set receives more
+distinct lines than it has ways) misses exactly once per distinct line,
+so those levels get the proven count, flagged ``exact``.  The terms
+above estimate every other level, whose ``note`` records why the proof
+failed there; an estimate never falls below the level's proven cold
+misses (its distinct-line count) when the proof enumerated them.
+
+Accuracy contract: estimated levels are built to *rank* layouts, not to
+hit miss counts exactly.  Resonant layouts (the severe-conflict closed
+form) are estimated exactly; smooth layouts carry O(1) per-array error
+from boundary effects.  See ``docs/model.md`` for the measured error
+envelope.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from repro.ir.ranges import affine_interval, loop_var_ranges
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 from repro.model.conflicts import thrashing_refs
+from repro.symbolic import LevelClassification, classify_job, classify_program
 
 __all__ = [
     "LevelPrediction",
@@ -59,15 +69,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelPrediction:
-    """Predicted miss count at one level, with its conflict component."""
+    """Predicted miss count at one level, with its conflict component.
+
+    ``exact`` marks a count proven bit-for-bit equal to the simulator's
+    (the no-eviction distinct-line count, :mod:`repro.symbolic`), which
+    is therefore an integer.  An estimated level's ``note`` says why the
+    proof does not hold there: a downgrade reason, then its detail.
+    """
 
     name: str
     misses: float
     conflict_misses: float = 0.0
+    exact: bool = False
+    note: str = ""
 
     def __post_init__(self) -> None:
         if self.misses < 0 or self.conflict_misses < 0:
             raise AnalysisError("predicted miss counts must be non-negative")
+        if self.exact and self.misses != int(self.misses):
+            raise AnalysisError(
+                f"level {self.name!r}: an exact miss count must be an integer, "
+                f"got {self.misses}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,7 +116,14 @@ class PredictedStats:
     accesses follow the miss stream (accesses at level *i+1* equal misses
     at level *i*, clamped), so :attr:`result` is a well-formed
     :class:`SimulationResult` that drops into every existing report,
-    objective, and cycle model.
+    objective, and cycle model.  Rounding and clamping never change an
+    exact level: its distinct-line count is an integer no larger than
+    the level above's.
+
+    Exactness is a *prefix* over levels: a level's access stream is the
+    miss stream of the level above, so it can only be exact when that
+    level is.  ``nests`` keeps each nest's estimated breakdown; exact
+    levels replace only the program-level ``predictions``.
     """
 
     total_refs: int
@@ -107,6 +137,16 @@ class PredictedStats:
             raise AnalysisError("total_refs must be non-negative")
         if not self.predictions:
             raise AnalysisError("at least one level prediction is required")
+        for above, below in zip(self.predictions, self.predictions[1:]):
+            if below.exact and not above.exact:
+                raise AnalysisError(
+                    f"level {below.name!r} claims exactness below an inexact level"
+                )
+
+    @property
+    def exact(self) -> bool:
+        """True when every level's count is proven exact."""
+        return all(p.exact for p in self.predictions)
 
     # -- SimulationResult mirror --------------------------------------------
     @cached_property
@@ -303,14 +343,41 @@ def predict_program(
 ) -> PredictedStats:
     """Predict per-level misses for a whole program (or a nest subset).
 
-    Nests are processed in program order; arrays a nest leaves resident
-    at a level (its footprint fit) satisfy the next nest's cold misses
-    there -- the cross-nest temporal reuse that fusion profitability and
-    the three-level experiments depend on.
+    The exactness proof (:func:`repro.symbolic.classify_program`) runs
+    first: every level in its exact prefix gets the proven distinct-line
+    count.  The other levels sum the per-nest estimates, raised to the
+    proven cold misses where the proof knows them, with nests
+    processed in program order: arrays a nest leaves resident at a level
+    (its footprint fit) satisfy the next nest's cold misses there -- the
+    cross-nest temporal reuse that fusion profitability and the
+    three-level experiments depend on.
     """
+    selected = _selected_nests(program, nests)
+    return _predict(
+        program,
+        layout,
+        hierarchy,
+        selected,
+        classify_program(program, layout, hierarchy, selected),
+    )
+
+
+def _selected_nests(
+    program: Program, nests: tuple[LoopNest, ...] | None
+) -> tuple[LoopNest, ...]:
     selected = tuple(nests) if nests is not None else tuple(program.nests)
     if not selected:
         raise AnalysisError(f"program {program.name!r} has no nests to predict")
+    return selected
+
+
+def _predict(
+    program: Program,
+    layout: DataLayout,
+    hierarchy: HierarchyConfig,
+    selected: tuple[LoopNest, ...],
+    classification: tuple[LevelClassification, ...],
+) -> PredictedStats:
     resident: list[frozenset[str]] = [frozenset() for _ in hierarchy.levels]
     totals = [0.0] * len(hierarchy.levels)
     conflicts = [0.0] * len(hierarchy.levels)
@@ -326,12 +393,25 @@ def predict_program(
             totals[i] += lv.misses
             conflicts[i] += lv.conflict_misses
         _update_residency(program, nest, hierarchy, resident)
+    predictions = []
+    for cache, cls, misses, conflict in zip(
+        hierarchy.levels, classification, totals, conflicts
+    ):
+        if cls.exact:
+            predictions.append(
+                LevelPrediction(cache.name, float(cls.distinct_lines), exact=True)
+            )
+        else:
+            # Every distinct line's first touch misses, so a known cold
+            # count bounds the estimate from below.
+            misses = max(misses, cls.cold_misses or 0)
+            note = f"{cls.reason}: {cls.detail}" if cls.detail else cls.reason
+            predictions.append(
+                LevelPrediction(cache.name, misses, conflict, note=note)
+            )
     return PredictedStats(
         total_refs=total_refs,
-        predictions=tuple(
-            LevelPrediction(name=c.name, misses=m, conflict_misses=k)
-            for c, m, k in zip(hierarchy.levels, totals, conflicts)
-        ),
+        predictions=tuple(predictions),
         nests=tuple(nest_preds),
     )
 
@@ -339,14 +419,20 @@ def predict_program(
 def predict_job(job) -> PredictedStats:
     """Score one :class:`~repro.exec.jobs.SimJob` analytically.
 
-    The exact analytic counterpart of ``job.run()``: same program,
-    layout, and hierarchy, with ``nest_index`` jobs predicted on that
-    nest alone (cold caches, as :func:`simulate_nest` measures).  Kernels
-    with custom trace hooks (IRR's runtime gathers) are predicted from
-    their affine IR, which ignores the data-dependent indirection -- rank
-    them with care, or not at all.
+    The analytic counterpart of ``job.run()``: same program, layout, and
+    hierarchy, with ``nest_index`` jobs predicted on that nest alone
+    (cold caches, as :func:`simulate_nest` measures).  Kernels with
+    custom trace hooks (IRR's runtime gathers) are estimated from their
+    affine IR, which ignores the data-dependent indirection -- no level
+    of theirs is exact, so rank them with care, or not at all.
     """
     nests = None
     if job.nest_index is not None:
         nests = (job.program.nests[job.nest_index],)
-    return predict_program(job.program, job.layout, job.hierarchy, nests=nests)
+    return _predict(
+        job.program,
+        job.layout,
+        job.hierarchy,
+        _selected_nests(job.program, nests),
+        classify_job(job),
+    )

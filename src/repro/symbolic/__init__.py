@@ -1,55 +1,52 @@
-"""Trace-free closed-form miss counting.
+"""The exactness proof behind the analytic predictor.
 
-The symbolic tier computes per-level miss counts for affine loop nests
-directly from the IR -- no address trace, no simulator.  Where it can
-prove the *no-eviction* property (every set of a level receives at most
-as many distinct lines as it has ways) its counts are exact, bit-for-bit
-what the LRU simulator reports; everywhere else it degrades gracefully
-to the analytic predictor's estimates, with every term carrying an
-explicit ``exact`` flag so downstream consumers know which is which.
+For affine loop nests in the *no-eviction* regime (every set of a level
+receives at most as many distinct lines as it has ways), a level's miss
+count is its distinct-line count, bit-for-bit what the LRU simulator
+reports -- computable from the IR alone, without an address trace.
+This package decides, per level, whether that proof holds
+(:func:`classify_program` / :func:`classify_job`) and enumerates the
+footprint it counts (:mod:`repro.symbolic.lines`).  The one analytic
+estimator, :func:`repro.model.predict_program`, runs the proof first and
+uses its counts at every exact level.
 
-See ``docs/symbolic.md`` for the term derivation and the exactness
-rules.  This is an analysis (``ext_symbolic``), not an executor backend.
+See ``docs/model.md`` ("When the estimate becomes exact") for the
+exactness rules.  This package never imports :mod:`repro.model` at
+import time: the dependency runs model -> symbolic.
 """
 
-from repro.symbolic.engine import (
-    LevelClassification,
-    analyze_job,
-    analyze_program,
-    classify_job,
-    classify_program,
-)
+from repro.symbolic.engine import LevelClassification, classify_job, classify_program
 from repro.symbolic.lines import (
-    DEFAULT_MAX_OFFSETS,
-    DEFAULT_MAX_STEPS,
+    MAX_OFFSETS,
+    MAX_ROWS,
     distinct_lines,
     distinct_offsets,
     max_set_occupancy,
     ref_distinct_offsets,
     unique_ref_exprs,
 )
-from repro.symbolic.terms import (
-    TERM_KINDS,
-    SymbolicLevel,
-    SymbolicStats,
-    SymbolicTerm,
-)
 
 __all__ = [
-    "TERM_KINDS",
-    "SymbolicTerm",
-    "SymbolicLevel",
-    "SymbolicStats",
     "LevelClassification",
     "classify_program",
     "classify_job",
-    "analyze_program",
-    "analyze_job",
-    "DEFAULT_MAX_OFFSETS",
-    "DEFAULT_MAX_STEPS",
+    "MAX_OFFSETS",
+    "MAX_ROWS",
     "unique_ref_exprs",
     "ref_distinct_offsets",
     "distinct_offsets",
     "distinct_lines",
     "max_set_occupancy",
 ]
+
+
+def analyze_job(job):
+    """Alias of :func:`repro.model.predict_job`.
+
+    It exists only because the benchmark's traced ledger
+    (``benchmarks/e2e/layers.py``) wraps this name; the benchmark
+    refresh deletes it.
+    """
+    from repro.model import predict_job  # lazy: model imports this package
+
+    return predict_job(job)

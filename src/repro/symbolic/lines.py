@@ -1,23 +1,24 @@
 """Closed-form footprint enumeration: distinct byte offsets and lines.
 
-The symbolic tier's exactness argument rests on the *no-eviction* regime:
-at a level where every set receives no more distinct lines than it has
-ways, LRU never evicts, so the level's miss count equals its distinct
-line count regardless of access order.  This module computes those
-distinct sets -- the absolute byte offsets every reference touches, and
-the cache lines they map to -- **without materializing a trace**.
+The exactness proof rests on the *no-eviction* regime: at a level where
+every set receives no more distinct lines than it has ways, LRU never
+evicts, so the level's miss count equals its distinct line count
+regardless of access order.  This module computes those distinct sets --
+the absolute byte offsets every reference touches, and the cache lines
+they map to -- **without materializing a trace**.
 
-Offsets of one affine reference over a rectangular (sub-)space form a
-multi-dimensional arithmetic progression; the distinct values are built
-by staged ``np.unique`` over per-loop progressions, smallest stride
-first, so intermediate arrays collapse as early as possible.  Loops with
-outer-dependent (triangular/min/max) bounds are walked in Python via
-:meth:`Loop.concrete_trip` -- the same value sets the trace generator's
-vectorized :meth:`Loop.concrete_trips` produces row by row, so
-enumeration and simulation cannot disagree on which indices execute.
+A nest is enumerated as its rows (:meth:`LoopNest.rows`), the same
+enumeration the trace generator runs, so the two cannot disagree on
+which indices execute.  Within one row the remaining loops form a
+rectangular space, over which a reference's offsets are the row's base
+offset plus a multi-dimensional arithmetic progression that depends only
+on the row's inner trip counts.  Rows are therefore grouped by trip
+counts: each group builds its progression set once (a staged union of
+per-loop progressions, smallest stride first, so intermediate arrays
+collapse early) and adds it to each of the group's distinct row bases.
 
-Everything is budgeted: enumeration returns ``None`` (caller downgrades
-to the approximate tier) rather than burning unbounded time or memory.
+Everything is budgeted: enumeration returns ``None`` (the caller
+downgrades the level) rather than burning unbounded time or memory.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 
 __all__ = [
-    "DEFAULT_MAX_OFFSETS",
-    "DEFAULT_MAX_STEPS",
+    "MAX_OFFSETS",
+    "MAX_ROWS",
     "unique_ref_exprs",
     "ref_distinct_offsets",
     "distinct_offsets",
@@ -43,15 +44,15 @@ __all__ = [
 #: Per-reference cap on distinct byte offsets before giving up.  64Ki
 #: offsets cover every no-eviction-classifiable job against realistic
 #: caches (a 512 KB L2 holds 8Ki lines) with room to spare.
-DEFAULT_MAX_OFFSETS = 1 << 16
+MAX_OFFSETS = 1 << 16
 
-#: Cap on Python-level loop iterations spent descending triangular
-#: prefixes before giving up.
-DEFAULT_MAX_STEPS = 1 << 12
+#: Per-nest cap on rows (:meth:`LoopNest.rows`) before giving up.
+MAX_ROWS = 1 << 12
 
-#: Materialization guard: a staged-unique step may expand to at most this
-#: many intermediate entries (4x the offset cap tolerates moderate
-#: overlap between shifted copies without unbounded memory).
+#: Materialization guard: a reference's row unions and staged-unique
+#: steps may expand to at most this many times ``MAX_OFFSETS`` entries
+#: (tolerates moderate overlap between shifted copies without unbounded
+#: memory).
 _ENTRY_FACTOR = 4
 
 
@@ -77,127 +78,177 @@ def unique_ref_exprs(
     return out
 
 
-def _rect_offsets(
-    nest: LoopNest,
-    level: int,
-    env: dict[str, int],
-    expr: AffineExpr,
-    max_offsets: int,
-) -> np.ndarray | None:
-    """Distinct offsets of ``expr`` over the rectangular sub-nest at
-    ``level`` (outer indices fixed by ``env``), or ``None`` on budget."""
-    start_env: dict[str, int] = dict(env)
-    progressions: list[tuple[int, int]] = []  # (signed byte stride, trip)
-    for lp in nest.loops[level:]:
-        first, count = lp.concrete_trip(env)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        start_env[lp.var] = first
-        stride = expr.coeff(lp.var) * lp.step
-        if stride != 0 and count > 1:
-            progressions.append((stride, count))
-    arr = np.array([int(expr.evaluate(start_env))], dtype=np.int64)
-    progressions.sort(key=lambda p: abs(p[0]))
-    entry_cap = _ENTRY_FACTOR * max_offsets
-    for stride, count in progressions:
-        if arr.size * count > entry_cap:
-            return None
-        steps = stride * np.arange(count, dtype=np.int64)
-        arr = np.unique(arr[:, None] + steps[None, :])
-        if arr.size > max_offsets:
-            return None
+def is_short(nests: tuple[LoopNest, ...]) -> bool:
+    """True when the nests issue at most :data:`MAX_OFFSETS` references.
+
+    No reference of such nests can exceed the offset budget, and
+    enumerating their whole footprint costs little.
+    """
+    total = sum(nest.iterations() * nest.refs_per_iteration for nest in nests)
+    return total <= MAX_OFFSETS
+
+
+class _OverBudget(Exception):
+    """Enumeration exceeded :data:`MAX_OFFSETS` or :data:`MAX_ROWS`."""
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  Enumeration mostly yields sorted runs, so
+    the sort is skipped when the values are already in order; either way
+    this is several times faster than ``np.unique`` on ``int64``."""
+    values = values.ravel()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.greater_equal(values[1:], values[:-1], out=keep[1:])
+    if not keep.all():
+        values = np.sort(values)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+class _RowGroups:
+    """A nest's live rows grouped by their inner trip counts.
+
+    ``trips[g]`` holds group ``g``'s trip count of every inner loop and
+    ``members[g]`` the indices of its rows; rows with an empty inner loop
+    run nothing and belong to no group.
+    """
+
+    def __init__(self, nest: LoopNest) -> None:
+        rows = nest.rows()
+        if rows.counts[0].size > MAX_ROWS:
+            raise _OverBudget
+        counts = np.stack(rows.counts, axis=1)
+        live = np.flatnonzero((counts > 0).all(axis=1))
+        self.nest = nest
+        self.rows = rows
+        if live.size < 2:  # a rectangular nest is a single row
+            self.trips, self.members = counts[live], [live]
+            return
+        trips, inverse = np.unique(counts[live], axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        order = np.argsort(inverse, kind="stable")
+        splits = np.cumsum(np.bincount(inverse, minlength=len(trips)))
+        self.trips = trips
+        self.members = np.split(live[order], splits[:-1])
+
+    def pieces(self, expr: AffineExpr):
+        """Yield ``expr``'s offsets group by group, each sorted and
+        distinct: the group's distinct row bases plus its progression."""
+        rows = self.rows
+        env = dict(zip(self.nest.loop_vars, rows.values + rows.firsts))
+        bases = np.broadcast_to(expr.evaluate(env), rows.counts[0].shape)
+        inner = self.nest.loops[rows.level:]
+        strides = [expr.coeff(lp.var) * lp.step for lp in inner]
+        entries = 0
+        for trips, members in zip(self.trips, self.members):
+            steps = _progression(strides, trips)
+            starts = _unique(bases[members])
+            entries += starts.size * steps.size
+            if entries > _ENTRY_FACTOR * MAX_OFFSETS:
+                raise _OverBudget
+            piece = starts[:, None] + steps[None, :]
+            yield piece.ravel() if starts.size == 1 else _unique(piece)
+
+
+def _progression(strides: list[int], trips: np.ndarray) -> np.ndarray:
+    """Distinct values of ``sum(strides[k] * j_k)`` over ``j_k < trips[k]``."""
+    pairs = sorted(
+        ((s, int(t)) for s, t in zip(strides, trips) if s != 0 and t > 1),
+        key=lambda p: abs(p[0]),
+    )
+    arr = np.zeros(1, dtype=np.int64)
+    for stride, trip in pairs:
+        if arr.size * trip > _ENTRY_FACTOR * MAX_OFFSETS:
+            raise _OverBudget
+        # Ascending copies of the (sorted) set: already in order when
+        # they do not overlap.
+        steps = abs(stride) * np.arange(trip, dtype=np.int64)
+        if stride < 0:
+            steps -= steps[-1]
+        arr = steps if arr.size == 1 else _unique(steps[:, None] + arr[None, :])
+        if arr.size > MAX_OFFSETS:
+            raise _OverBudget
     return arr
 
 
-def ref_distinct_offsets(
-    nest: LoopNest,
-    expr: AffineExpr,
-    max_offsets: int = DEFAULT_MAX_OFFSETS,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> np.ndarray | None:
+def _union(pieces: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values of sorted, distinct pieces; pieces that do
+    not overlap, once ordered by their first value, need no sort."""
+    pieces = sorted((p for p in pieces if p.size), key=lambda p: p[0])
+    if len(pieces) < 2:
+        return pieces[0] if pieces else np.empty(0, dtype=np.int64)
+    return _unique(np.concatenate(pieces))
+
+
+def _ref_union(pieces: list[np.ndarray]) -> np.ndarray:
+    out = _union(pieces)
+    if out.size > MAX_OFFSETS:
+        raise _OverBudget
+    return out
+
+
+def ref_distinct_offsets(nest: LoopNest, expr: AffineExpr) -> np.ndarray | None:
     """All distinct byte offsets one absolute-address expression touches.
 
     Returns a sorted ``int64`` array, or ``None`` when the enumeration
-    budget (``max_offsets`` distinct values, ``max_steps`` Python-level
-    iterations over non-rectangular prefixes) is exceeded.
+    budget (:data:`MAX_OFFSETS` distinct values, :data:`MAX_ROWS` rows)
+    is exceeded.
     """
-    pieces: list[np.ndarray] = []
-    steps = 0
-    entries = 0
-    entry_cap = _ENTRY_FACTOR * max_offsets
-
-    def walk(level: int, env: dict[str, int]) -> bool:
-        nonlocal steps, entries
-        if nest.concrete_from(level):
-            part = _rect_offsets(nest, level, env, expr, max_offsets)
-            if part is None:
-                return False
-            entries += part.size
-            if entries > entry_cap:
-                return False
-            if part.size:
-                pieces.append(part)
-            return True
-        lp = nest.loops[level]
-        first, count = lp.concrete_trip(env)
-        for j in range(count):
-            steps += 1
-            if steps > max_steps:
-                return False
-            child = dict(env)
-            child[lp.var] = first + lp.step * j
-            if not walk(level + 1, child):
-                return False
-        return True
-
-    if not walk(0, {}):
+    try:
+        return _ref_union(list(_RowGroups(nest).pieces(expr)))
+    except _OverBudget:
         return None
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    out = np.unique(np.concatenate(pieces))
-    if out.size > max_offsets:
-        return None
-    return out
 
 
 def distinct_offsets(
     program: Program,
     layout: DataLayout,
     nests: tuple[LoopNest, ...] | None = None,
-    max_offsets: int = DEFAULT_MAX_OFFSETS,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    stop: CacheConfig | None = None,
 ) -> np.ndarray | None:
     """Distinct absolute byte offsets a whole program (or nest subset)
     touches, or ``None`` when any reference exceeds the budget.
 
     This is the program's exact byte footprint; per-level line sets
     follow by floor division (:func:`distinct_lines`), which commutes
-    with the union taken here.
+    with the union taken here.  With a ``stop`` level, enumeration ends
+    as soon as the offsets seen so far span more of its lines than it
+    holds, and returns that partial set: by pigeonhole some set of
+    ``stop`` then receives more lines than it has ways, whatever the
+    rest of the footprint is.
     """
     pieces: list[np.ndarray] = []
-    for nest in nests if nests is not None else program.nests:
-        for expr in unique_ref_exprs(program, layout, nest):
-            offs = ref_distinct_offsets(nest, expr, max_offsets, max_steps)
-            if offs is None:
-                return None
-            if offs.size:
-                pieces.append(offs)
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(pieces))
+    lines = np.empty(0, dtype=np.int64)
+    try:
+        for nest in nests if nests is not None else program.nests:
+            groups = _RowGroups(nest)
+            for expr in unique_ref_exprs(program, layout, nest):
+                ref_pieces = []
+                for piece in groups.pieces(expr):
+                    ref_pieces.append(piece)
+                    if stop is None:
+                        continue
+                    lines = _unique(np.concatenate((lines, piece // stop.line_size)))
+                    if lines.size > stop.num_lines:
+                        return _union(pieces + ref_pieces)
+                pieces.append(_ref_union(ref_pieces))
+    except _OverBudget:
+        return None
+    return _union(pieces)
 
 
 def distinct_lines(offsets: np.ndarray, line_size: int) -> np.ndarray:
     """The distinct cache lines a set of byte offsets occupies.
 
-    Floor division maps each offset to its line index; ``np.unique``
-    collapses shared lines.  Because ``floor_div`` commutes with set
+    Floor division maps each offset to its line index, and shared lines
+    collapse to one.  Because ``floor_div`` commutes with set
     union, feeding the union of all references' offsets here yields
     exactly the lines the merged access stream touches.
     """
     if offsets.size == 0:
         return offsets
-    return np.unique(offsets // line_size)
+    return _unique(offsets // line_size)
 
 
 def max_set_occupancy(lines: np.ndarray, cache: CacheConfig) -> int:

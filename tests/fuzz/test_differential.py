@@ -11,8 +11,11 @@ exact contracts:
 * ``k=1`` LRU equals the direct-mapped simulator,
 * the full differential harness (:func:`repro.fuzz.diff_case`) finds no
   trace or simulation divergence on any seed -- those two kinds are hard
-  bugs by definition.
+  bugs by definition -- and records a wrong exact claim of the predictor
+  as an ``error``.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from hypothesis import strategies as st
 from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
 from repro.cache.assoc_vec import miss_mask_assoc_vec
 from repro.cache.direct import miss_mask_direct
+from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.fuzz.generator import FuzzConfig, random_program
 from repro.fuzz.harness import FUZZ_HIERARCHIES, diff_case, oracle_simulate
+from repro.ir.builder import ProgramBuilder
 from repro.layout.layout import DataLayout
 from repro.trace.generator import generate_trace
 
@@ -95,3 +100,38 @@ class TestHarnessHardContracts:
         assert l1.accesses == trace.size
         assert l2.accesses == l1.misses
         assert result.total_refs == trace.size
+
+    def test_wrong_exact_claim_is_an_error_divergence(self, monkeypatch):
+        """A level the predictor flags exact must match the simulator; a
+        predictor claiming a wrong exact count trips the hard contract."""
+        import repro.model
+
+        b = ProgramBuilder("stream")
+        A = b.array("A", (64,))
+        (i,) = b.vars("i")
+        b.nest([b.loop(i, 1, 64)], [b.use(reads=[A[i]])])
+        program = b.build()
+        roomy = HierarchyConfig(levels=(
+            CacheConfig(size=16 * 1024, line_size=32, name="L1"),
+            CacheConfig(size=64 * 1024, line_size=64, name="L2"),
+        ))
+        clean = diff_case(0, program, "roomy", roomy)
+        assert not clean.divergences
+
+        honest = repro.model.predict_job
+
+        def wrong(job):
+            stats = honest(job)
+            l1 = stats.predictions[0]
+            assert l1.exact
+            bad = dataclasses.replace(l1, misses=l1.misses + 1)
+            return dataclasses.replace(
+                stats, predictions=(bad,) + stats.predictions[1:]
+            )
+
+        monkeypatch.setattr(repro.model, "predict_job", wrong)
+        report = diff_case(0, program, "roomy", roomy)
+        errors = [d for d in report.divergences if d.kind == "error"]
+        # L2 is exact too, and its accesses are L1's (wrong) misses.
+        assert [d.level for d in errors] == ["L1", "L2"]
+        assert all("exact claim" in d.detail for d in errors)

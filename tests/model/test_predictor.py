@@ -12,6 +12,7 @@ from repro.model import (
     LevelPrediction,
     mean_abs_rel_error,
     predict_job,
+    predict_nest,
     predict_program,
     rankdata,
     spearman,
@@ -23,6 +24,7 @@ from repro.transforms.pad import pad
 
 from tests.conftest import build_fig2
 from tests.search.conftest import build_pingpong, build_tiny_hier
+from tests.symbolic.test_engine import build_big, build_small, roomy_hier
 
 
 @pytest.fixture
@@ -208,6 +210,111 @@ class TestPredictedStatsMirror:
             PredictedStats(total_refs=1, predictions=())
         with pytest.raises(AnalysisError):
             LevelPrediction(name="L1", misses=-1.0)
+
+
+class TestExactLevels:
+    """Levels in the exact prefix carry the proven distinct-line count,
+    bit-for-bit the simulator's; the others keep the estimated terms."""
+
+    def test_exact_matches_simulator_bitwise(self):
+        program = build_small()
+        job = SimJob(program, DataLayout.sequential(program), roomy_hier())
+        stats = predict_job(job)
+        assert stats.exact
+        sim = job.run()
+        assert stats.result.total_refs == sim.total_refs
+        for pred_lv, sim_lv in zip(stats.result.levels, sim.levels):
+            assert pred_lv.misses == sim_lv.misses
+            assert pred_lv.accesses == sim_lv.accesses
+
+    def test_exact_nest_restricted_matches_simulator(self):
+        program = build_pingpong(32)
+        job = SimJob(
+            program, DataLayout.sequential(program), roomy_hier(), nest_index=0
+        )
+        stats = predict_job(job)
+        assert stats.exact
+        sim = job.run()
+        for pred_lv, sim_lv in zip(stats.result.levels, sim.levels):
+            assert pred_lv.misses == sim_lv.misses
+
+    def test_inexact_levels_use_predictor_terms(self):
+        program = build_big()
+        layout = DataLayout.sequential(program)
+        stats = predict_program(program, layout, build_tiny_hier())
+        assert not stats.exact
+        lv = stats.predictions[0]
+        assert not lv.exact
+        assert lv.note.startswith("capacity")
+        # The estimate is the sum of the per-nest terms, and a sane
+        # magnitude: a 1024-line sweep misses at least once per line.
+        assert lv.misses == sum(n.levels[0].misses for n in stats.nests)
+        assert lv.misses >= 1024
+
+    def test_exact_levels_keep_the_nest_breakdown(self):
+        program = build_small()
+        layout = DataLayout.sequential(program)
+        hier = roomy_hier()
+        stats = predict_program(program, layout, hier)
+        assert stats.exact
+        (nest,) = program.nests
+        assert stats.nests == (predict_nest(program, layout, nest, hier),)
+
+    def test_custom_trace_is_never_exact(self):
+        program = build_small()
+        job = SimJob(
+            program, DataLayout.sequential(program), roomy_hier(), kernel="dot"
+        )
+        stats = predict_job(job)
+        assert not any(p.exact for p in stats.predictions)
+        assert all(p.note.startswith("custom-trace") for p in stats.predictions)
+
+    def test_exact_claim_never_wrong_under_padding_sweep(self):
+        # Sweep paddings that move the two arrays through every relative
+        # set alignment of the tiny L1; whenever the predictor says
+        # exact, the simulator must agree exactly.
+        program = build_small(32)
+        base = DataLayout.sequential(program)
+        hier = build_tiny_hier()
+        verdicts = set()
+        for pad in range(0, 1024 + 32, 32):
+            job = SimJob(program, base.with_pad("B", pad), hier)
+            stats = predict_job(job)
+            verdicts.add(stats.exact)
+            if stats.exact:
+                sim = job.run()
+                for pred_lv, sim_lv in zip(stats.result.levels, sim.levels):
+                    assert pred_lv.misses == sim_lv.misses, (
+                        f"exact claim wrong at pad={pad}"
+                    )
+        # The sweep must exercise both branches to mean anything.
+        assert verdicts == {True, False}
+
+    def test_exact_requires_integer_count(self):
+        with pytest.raises(AnalysisError, match="integer"):
+            LevelPrediction("L1", 1.5, exact=True)
+        # Estimates may be fractional; exact integral floats pass.
+        LevelPrediction("L1", 1.5)
+        LevelPrediction("L1", 4.0, exact=True)
+
+    def test_exactness_prefix_enforced(self):
+        # An exact level *below* an estimated one is a contradiction: its
+        # access stream is the estimated miss stream of the level above.
+        exact_l1 = LevelPrediction("L1", 10.0, exact=True)
+        exact_l2 = LevelPrediction("L2", 4.0, exact=True)
+        with pytest.raises(AnalysisError, match="below an inexact level"):
+            PredictedStats(
+                total_refs=100,
+                predictions=(LevelPrediction("L1", 10.0), exact_l2),
+            )
+        # The legal orders: exact prefix, then estimated suffix.
+        mixed = PredictedStats(
+            total_refs=100,
+            predictions=(exact_l1, LevelPrediction("L2", 4.0)),
+        )
+        assert not mixed.exact
+        both = PredictedStats(total_refs=100, predictions=(exact_l1, exact_l2))
+        assert both.exact
 
 
 class TestPredictJob:

@@ -1,12 +1,14 @@
-"""Property tests of the symbolic tier (hypothesis + the fuzz corpus).
+"""Property tests of the predictor's exact levels (hypothesis + the fuzz
+corpus).
 
-The tier's one load-bearing promise: **an exact claim is never wrong**.
-Whenever the classifier marks a level exact, the closed-form count must
-equal the vectorized LRU simulator bit-for-bit -- over random fuzzed
-programs, over the committed regression corpus (cases distilled
-precisely because *some* backend disagreed there), and against the
-sequential oracle.  Downgrades are the safety valve: they may be
-conservative, but they must carry a documented reason.
+The one load-bearing promise of an exact level: **an exact claim is
+never wrong**.  Whenever :func:`repro.model.predict_program` flags a
+level exact, its count must equal the vectorized LRU simulator
+bit-for-bit -- over random fuzzed programs, over the committed
+regression corpus (cases distilled precisely because *some* backend
+disagreed there), and against the sequential oracle.  Downgrades are the
+safety valve: they may be conservative, but they must carry a documented
+reason.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from repro.fuzz import (
     load_corpus,
     oracle_simulate,
 )
-from repro.symbolic import analyze_program, classify_program
+from repro.model import predict_program
 from repro.trace import generate_trace
 
-#: Every downgrade reason the engine documents; "" means exact.
+#: Every downgrade reason the exactness proof documents; "" means exact.
 KNOWN_REASONS = {
     "", "custom-trace", "capacity", "budget", "line-split",
     "interference", "inherited",
@@ -43,26 +45,30 @@ ROOMY = HierarchyConfig(
 CORPUS = load_corpus(default_corpus_dir())
 
 
+def reason(prediction) -> str:
+    """The downgrade reason heading a level's note ("" when exact)."""
+    return prediction.note.partition(":")[0]
+
+
 def check_exact_levels(program, layout, hierarchy) -> int:
-    """Analyze, and bit-compare every exact level against the simulator.
+    """Predict, and bit-compare every exact level against the simulator.
 
     Returns the number of exact levels checked (0 is legal -- a fully
     downgraded program makes no claims to verify).
     """
-    stats = analyze_program(program, layout, hierarchy)
-    if not any(lv.exact for lv in stats.levels):
+    stats = predict_program(program, layout, hierarchy)
+    if not any(p.exact for p in stats.predictions):
         return 0
     sim = simulate_program(program, layout, hierarchy)
     checked = 0
-    for sym_lv, sim_lv in zip(stats.result.levels, sim.levels):
-        sym = stats.level(sym_lv.name)
-        if not sym.exact:
+    for p, pred_lv, sim_lv in zip(stats.predictions, stats.result.levels, sim.levels):
+        if not p.exact:
             break  # exactness is a prefix; nothing below is claimed
-        assert sym_lv.misses == sim_lv.misses, (
-            f"{sym_lv.name}: symbolic {sym_lv.misses} != "
+        assert pred_lv.misses == sim_lv.misses, (
+            f"{pred_lv.name}: predicted {pred_lv.misses} != "
             f"simulator {sim_lv.misses}"
         )
-        assert sym_lv.accesses == sim_lv.accesses
+        assert pred_lv.accesses == sim_lv.accesses
         checked += 1
     return checked
 
@@ -80,7 +86,7 @@ class TestFuzzedExactness:
     def test_classification_is_deterministic(self, seed):
         [(_, program, layout)] = fuzzed_workloads(seed, count=1)
         hier = FUZZ_HIERARCHIES["2way"]
-        assert classify_program(program, layout, hier) == classify_program(
+        assert predict_program(program, layout, hier) == predict_program(
             program, layout, hier
         )
 
@@ -89,10 +95,10 @@ class TestFuzzedExactness:
     def test_downgrade_reasons_are_documented(self, seed):
         [(_, program, layout)] = fuzzed_workloads(seed, count=1)
         for hier in FUZZ_HIERARCHIES.values():
-            for c in classify_program(program, layout, hier):
-                assert c.reason in KNOWN_REASONS
-                assert c.exact == (c.reason == "")
-                assert (c.distinct_lines is not None) == c.exact
+            for p in predict_program(program, layout, hier).predictions:
+                assert reason(p) in KNOWN_REASONS
+                assert p.exact == (p.note == "")
+                assert not p.exact or p.conflict_misses == 0
 
 
 class TestCorpus:
@@ -108,22 +114,25 @@ class TestCorpus:
     @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
     def test_exact_claims_match_sequential_oracle(self, case):
         layout = DataLayout.sequential(case.program)
-        stats = analyze_program(case.program, layout, case.hierarchy)
-        if not any(lv.exact for lv in stats.levels):
+        stats = predict_program(case.program, layout, case.hierarchy)
+        if not any(p.exact for p in stats.predictions):
             return
         oracle = oracle_simulate(
             generate_trace(case.program, layout), case.hierarchy
         )
-        for sym_lv, orc_lv in zip(stats.result.levels, oracle.levels):
-            if not stats.level(sym_lv.name).exact:
+        for p, pred_lv, orc_lv in zip(
+            stats.predictions, stats.result.levels, oracle.levels
+        ):
+            if not p.exact:
                 break
-            assert sym_lv.misses == orc_lv.misses
+            assert pred_lv.misses == orc_lv.misses
 
     @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
     def test_downgrades_carry_documented_reasons(self, case):
         layout = DataLayout.sequential(case.program)
-        for c in classify_program(case.program, layout, case.hierarchy):
-            assert c.reason in KNOWN_REASONS
+        stats = predict_program(case.program, layout, case.hierarchy)
+        for p in stats.predictions:
+            assert reason(p) in KNOWN_REASONS
 
     def test_conflict_cases_downgrade_gracefully(self):
         """The corpus's interference-heavy pair must not claim exactness
@@ -132,6 +141,6 @@ class TestCorpus:
         assert conflicted, "expected the model-95 conflict pair in the corpus"
         for case in conflicted:
             layout = DataLayout.sequential(case.program)
-            cls = classify_program(case.program, layout, case.hierarchy)
-            assert not any(c.exact for c in cls)
-            assert cls[0].reason == "interference"
+            stats = predict_program(case.program, layout, case.hierarchy)
+            assert not any(p.exact for p in stats.predictions)
+            assert reason(stats.predictions[0]) == "interference"

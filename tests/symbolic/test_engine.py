@@ -1,8 +1,9 @@
-"""The classifier's verdicts and the analyzer's counts.
+"""The exactness proof's per-level verdicts.
 
-Ground truth throughout is ``SimJob.run()`` -- the vectorized LRU
-simulator.  Exact classifications must match it bit-for-bit; inexact
-classifications must carry the right downgrade reason.
+Exact classifications must carry the right distinct-line counts (the
+predictor's counts at those levels are checked against ``SimJob.run()``
+in ``tests/model/test_predictor.py``); inexact classifications must
+carry the right downgrade reason.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.exec.jobs import SimJob
 from repro.symbolic import (
     LevelClassification,
-    analyze_job,
-    analyze_program,
     classify_job,
     classify_program,
+    lines,
 )
 from tests.search.conftest import build_pingpong, build_tiny_hier
 
@@ -100,13 +100,27 @@ class TestClassify:
         assert cls[0].exact
         assert reasons(cls)[1] == "line-split"
 
-    def test_budget_downgrade(self):
+    def test_budget_downgrade(self, monkeypatch):
+        monkeypatch.setattr(lines, "MAX_OFFSETS", 4)
         program = build_small()
         layout = DataLayout.sequential(program)
-        cls = classify_program(
-            program, layout, roomy_hier(), max_offsets=4
-        )
+        cls = classify_program(program, layout, roomy_hier())
         assert reasons(cls) == ["budget", "inherited"]
+
+    def test_footprint_capacity_downgrade(self):
+        # A row of A: reads 128 B apart, each on a new 32 B line -- 64
+        # lines against L1's 32.  The per-reference lower bound cannot
+        # see it (the gaps exceed a line), so the enumerated footprint
+        # proves the overflow.
+        b = ProgramBuilder("wide")
+        A = b.array("A", (16, 64))
+        (i,) = b.vars("i")
+        b.nest([b.loop(i, 1, 64)], [b.use(reads=[A[1, i]])])
+        program = b.build()
+        layout = DataLayout.sequential(program)
+        cls = classify_program(program, layout, build_tiny_hier())
+        assert reasons(cls) == ["capacity", "inherited"]
+        assert cls[0].detail.startswith("footprint spans")
 
     def test_deterministic(self):
         program = build_pingpong()
@@ -142,76 +156,6 @@ class TestClassifyJob:
         first = SimJob(program, layout, build_tiny_hier(), nest_index=0)
         assert not all(c.exact for c in classify_job(whole))
         assert all(c.exact for c in classify_job(first))
-
-
-class TestAnalyze:
-    def test_exact_matches_simulator_bitwise(self):
-        program = build_small()
-        job = SimJob(program, DataLayout.sequential(program), roomy_hier())
-        stats = analyze_job(job)
-        assert stats.exact
-        sim = job.run()
-        assert stats.result.total_refs == sim.total_refs
-        for sym_lv, sim_lv in zip(stats.result.levels, sim.levels):
-            assert sym_lv.misses == sim_lv.misses
-            assert sym_lv.accesses == sim_lv.accesses
-
-    def test_exact_nest_restricted_matches_simulator(self):
-        program = build_pingpong(32)
-        job = SimJob(
-            program, DataLayout.sequential(program), roomy_hier(), nest_index=0
-        )
-        stats = analyze_job(job)
-        assert stats.exact
-        sim = job.run()
-        for sym_lv, sim_lv in zip(stats.result.levels, sim.levels):
-            assert sym_lv.misses == sim_lv.misses
-
-    def test_inexact_levels_use_predictor_terms(self):
-        program = build_big()
-        layout = DataLayout.sequential(program)
-        stats = analyze_program(program, layout, build_tiny_hier())
-        assert not stats.exact
-        lv = stats.levels[0]
-        assert not lv.exact
-        assert lv.note.startswith("capacity")
-        assert {t.kind for t in lv.terms} <= {"sweep", "conflict"}
-        # The estimate is still a sane magnitude: a 1024-line sweep
-        # misses at least once per line at L1.
-        assert lv.misses >= 1024
-
-    def test_classification_reuse_is_equivalent(self):
-        program = build_small()
-        layout = DataLayout.sequential(program)
-        hier = roomy_hier()
-        cls = classify_program(program, layout, hier)
-        a = analyze_program(program, layout, hier)
-        b = analyze_program(program, layout, hier, classification=cls)
-        assert a.total_refs == b.total_refs
-        assert [lv.misses for lv in a.levels] == [lv.misses for lv in b.levels]
-        assert [lv.exact for lv in a.levels] == [lv.exact for lv in b.levels]
-
-    def test_exact_claim_never_wrong_under_padding_sweep(self):
-        # Sweep paddings that move the two arrays through every relative
-        # set alignment of the tiny L1; whenever the classifier says
-        # exact, the simulator must agree exactly.
-        program = build_small(32)
-        base = DataLayout.sequential(program)
-        hier = build_tiny_hier()
-        verdicts = set()
-        for pad in range(0, 1024 + 32, 32):
-            layout = base.with_pad("B", pad)
-            job = SimJob(program, layout, hier)
-            stats = analyze_job(job)
-            verdicts.add(stats.exact)
-            if stats.exact:
-                sim = job.run()
-                for sym_lv, sim_lv in zip(stats.result.levels, sim.levels):
-                    assert sym_lv.misses == sim_lv.misses, (
-                        f"exact claim wrong at pad={pad}"
-                    )
-        # The sweep must exercise both branches to mean anything.
-        assert verdicts == {True, False}
 
 
 class TestLevelClassification:

@@ -2,9 +2,9 @@
 
 Every test here has a brute-force referee: materialize the full address
 trace (:func:`repro.trace.generate_trace`) and take ``np.unique``.  The
-staged enumeration must reproduce that set exactly on every program
-shape -- rectangular, strided, reversed, triangular -- or return ``None``
-when budgeted out, never a wrong set.
+row-grouped enumeration must reproduce that set exactly on every program
+shape -- rectangular, strided, reversed, triangular, min-bounded tiles --
+or return ``None`` when budgeted out, never a wrong set.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import pytest
 
 from repro import DataLayout, ProgramBuilder
 from repro.cache.config import CacheConfig
+from repro.ir.affine import AffineExpr
+from repro.ir.loops import Loop
+from repro.symbolic import lines
 from repro.symbolic.lines import (
     distinct_lines,
     distinct_offsets,
@@ -47,6 +50,28 @@ def build_triangular(n: int = 12):
     return b.build()
 
 
+def build_tiled_matmul(n: int = 10, t: int = 4):
+    """Figure 8's tiled matrix multiply: ``min``-bounded inner loops, so
+    full and partial tiles give rows with different trip counts."""
+    b = ProgramBuilder("tiled_matmul")
+    A = b.array("A", (n, n))
+    B = b.array("B", (n, n))
+    C = b.array("C", (n, n))
+    kk, jj, i, k, j = b.vars("kk", "jj", "i", "k", "j")
+    last = (AffineExpr.wrap(n),)
+    b.nest(
+        [
+            b.loop(kk, 1, n, step=t),
+            b.loop(jj, 1, n, step=t),
+            b.loop(i, 1, n),
+            Loop("k", kk, kk + (t - 1), extra_uppers=last),
+            Loop("j", jj, jj + (t - 1), extra_uppers=last),
+        ],
+        [b.assign(C[i, j], reads=[C[i, j], A[i, k], B[k, j]], flops=2)],
+    )
+    return b.build()
+
+
 def build_strided_reverse(n: int = 20):
     b = ProgramBuilder("strided")
     A = b.array("A", (n,))
@@ -76,6 +101,7 @@ PROGRAMS = {
     "triangular": build_triangular,
     "strided_reverse": build_strided_reverse,
     "dups": build_dup_refs,
+    "tiled_matmul": build_tiled_matmul,
 }
 
 
@@ -103,24 +129,47 @@ class TestAgainstTrace:
 
 
 class TestBudgets:
-    def test_offset_budget_returns_none(self):
+    def test_offset_budget_returns_none(self, monkeypatch):
+        monkeypatch.setattr(lines, "MAX_OFFSETS", 8)
         program = build_2d(32)
         layout = DataLayout.sequential(program)
         nest = program.nests[0]
         expr = unique_ref_exprs(program, layout, nest)[0]
-        assert ref_distinct_offsets(nest, expr, max_offsets=8) is None
-        assert distinct_offsets(program, layout, max_offsets=8) is None
+        assert ref_distinct_offsets(nest, expr) is None
+        assert distinct_offsets(program, layout) is None
 
-    def test_step_budget_returns_none(self):
-        # The triangular prefix is walked in Python; starve that walk.
+    def test_step_budget_returns_none(self, monkeypatch):
+        # The triangular nest has 66 rows; allow only 3.
+        monkeypatch.setattr(lines, "MAX_ROWS", 3)
         program = build_triangular()
         layout = DataLayout.sequential(program)
-        assert distinct_offsets(program, layout, max_steps=3) is None
+        assert distinct_offsets(program, layout) is None
 
     def test_generous_budget_is_not_tripped(self):
         program = build_strided_reverse()
         layout = DataLayout.sequential(program)
         assert distinct_offsets(program, layout) is not None
+
+
+class TestStop:
+    def test_stops_once_the_level_overflows(self):
+        program = build_2d(32)  # 8 KB of A alone
+        layout = DataLayout.sequential(program)
+        cache = CacheConfig(size=1024, line_size=32, name="L1")
+        full = distinct_offsets(program, layout)
+        part = distinct_offsets(program, layout, stop=cache)
+        assert part.size < full.size
+        assert np.isin(part, full).all()
+        assert distinct_lines(part, cache.line_size).size > cache.num_lines
+
+    def test_full_footprint_when_it_fits(self):
+        program = build_2d()
+        layout = DataLayout.sequential(program)
+        cache = CacheConfig(size=16 * 1024, line_size=32, name="L1")
+        np.testing.assert_array_equal(
+            distinct_offsets(program, layout, stop=cache),
+            distinct_offsets(program, layout),
+        )
 
 
 class TestUniqueRefExprs:

@@ -187,13 +187,9 @@ class TestFuzzExports:
 
 
 class TestSymbolicExports:
-    """The symbolic tier's entry points are re-exported from the root."""
+    """The exactness proof's entry point is re-exported from the root."""
 
-    SYMBOLIC_NAMES = [
-        "SymbolicStats",
-        "classify_job",
-        "analyze_job",
-    ]
+    SYMBOLIC_NAMES = ["classify_job"]
 
     def test_names_in_package_all(self):
         import repro
@@ -213,13 +209,47 @@ class TestSymbolicExports:
         import repro.symbolic
 
         for name in (
-            "SymbolicTerm", "SymbolicLevel", "SymbolicStats", "TERM_KINDS",
             "LevelClassification", "classify_program", "classify_job",
-            "analyze_program", "analyze_job", "distinct_offsets",
+            "MAX_OFFSETS", "MAX_ROWS", "distinct_offsets",
             "distinct_lines", "max_set_occupancy",
         ):
             assert name in repro.symbolic.__all__
             assert getattr(repro.symbolic, name) is not None
+
+    def test_one_estimator(self):
+        """The symbolic result layer is gone: ``predict_program`` is the
+        only estimator, and ``analyze_job`` is an unexported alias."""
+        import repro
+        import repro.symbolic
+        from repro.model import PredictedStats
+
+        for name in ("SymbolicStats", "SymbolicTerm", "SymbolicLevel",
+                     "TERM_KINDS", "analyze_program", "analyze_job"):
+            assert name not in repro.__all__
+            assert name not in repro.symbolic.__all__
+        assert not hasattr(repro.symbolic, "SymbolicStats")
+        assert not hasattr(repro.symbolic, "analyze_program")
+        assert not hasattr(PredictedStats, "to_predicted")
+
+    def test_symbolic_does_not_import_model(self):
+        """The dependency runs model -> symbolic: no module of
+        ``repro.symbolic`` imports ``repro.model`` at import time."""
+        import ast
+        import pathlib
+
+        import repro.symbolic
+
+        root = pathlib.Path(repro.symbolic.__file__).parent
+        for path in root.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:  # module level only
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("repro.model") for n in names), path
 
     def test_exec_exports_backend_surface(self):
         import repro.exec
