@@ -16,6 +16,7 @@ over whole arrays of rows, never one loop value at a time in Python.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -363,7 +364,10 @@ class LoopNest:
         )
 
     def iterations(self) -> int:
-        """Total iteration count: the sum of every row's inner iterations."""
+        """Total iteration count: the sum of every row's inner iterations
+        (for a rectangular nest, one row: the product of trip counts)."""
+        if self.is_rectangular:
+            return math.prod(lp.trip_count() for lp in self.loops)
         return int(self.rows().iterations.sum())
 
     def arrays_used(self) -> tuple[str, ...]:
