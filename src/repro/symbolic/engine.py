@@ -211,8 +211,9 @@ def classify_program(
                     cold,
                 )
             else:
+                count = int(lines.size)
                 cls = LevelClassification(
-                    cache.name, True, distinct_lines=cold, cold_misses=cold
+                    cache.name, True, distinct_lines=count, cold_misses=count
                 )
             out.append(cls)
         span.set(

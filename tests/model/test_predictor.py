@@ -260,6 +260,31 @@ class TestExactLevels:
         (nest,) = program.nests
         assert stats.nests == (predict_nest(program, layout, nest, hier),)
 
+    def test_estimate_never_below_cold_misses(self):
+        # Two 129-double arrays touch 65 distinct 32 B lines, one more
+        # than the cache holds.  The sweep terms count 2 * 129 / 4 = 64.5
+        # lines, but every line's first touch misses: the estimate is
+        # raised to the proven 65, as a bigger cache would count exactly.
+        b = ProgramBuilder("pair")
+        A = b.array("A", (129,))
+        Bm = b.array("B", (129,))
+        (i,) = b.vars("i")
+        b.nest([b.loop(i, 1, 129)], [b.use(reads=[A[i], Bm[i]])])
+        program = b.build()
+        layout = DataLayout.sequential(program)
+        hier = HierarchyConfig(
+            levels=(CacheConfig(size=2048, line_size=32, name="L1"),)
+        )
+        stats = predict_program(program, layout, hier)
+        (l1,) = stats.predictions
+        assert not l1.exact and l1.note.startswith("capacity")
+        assert stats.nests[0].levels[0].misses == 64.5
+        assert l1.misses == 65
+        bigger = HierarchyConfig(
+            levels=(CacheConfig(size=4096, line_size=32, name="L1"),)
+        )
+        assert predict_program(program, layout, bigger).predictions[0].exact
+
     def test_custom_trace_is_never_exact(self):
         program = build_small()
         job = SimJob(
