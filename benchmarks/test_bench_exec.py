@@ -12,18 +12,26 @@ as ``extra_info``:
   manifest scan + hot tier) against the cold run that populated it --
   recorded as ``warm_vs_cold_speedup``;
 * how sweep wall time behaves across **worker counts** (1/2/4), so
-  scheduler regressions show up as a timing trend, not an anecdote.
+  scheduler regressions show up as a timing trend, not an anecdote;
+* what **job keying** costs at first sight: the fuzzed 100-program x
+  3-hierarchy population keyed on freshly unpickled objects, so only
+  reuse inside the sweep (one program, three hierarchies) hits the key
+  memo -- recorded as ``keys_per_sec`` and ``us_per_job``.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
 
 from repro.exec.executor import SweepExecutor
+from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore
+from repro.experiments.ext_symbolic import CROSSVAL_HIERARCHIES
 from repro.experiments.fig9_pad import build_jobs
+from repro.fuzz import FuzzConfig, fuzzed_workloads
 from tests.exec.test_executor import job_for
 
 pytestmark = pytest.mark.benchmark(group="exec")
@@ -112,3 +120,32 @@ def test_bench_sweep_workers(benchmark, workers):
     stats = getattr(benchmark.stats, "stats", benchmark.stats)
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["jobs_per_sec"] = round(len(jobs) / stats.min, 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_population_blob():
+    """The 300 fuzzed jobs (100 programs x the 3 cross-validation
+    hierarchies), pickled so every round can key fresh objects."""
+    population = fuzzed_workloads(0, 100, FuzzConfig(max_refs=200_000, max_trip=96))
+    jobs = [SimJob(program, layout, hierarchy)
+            for hierarchy in CROSSVAL_HIERARCHIES.values()
+            for _, program, layout in population]
+    return pickle.dumps(jobs)
+
+
+def test_bench_job_keys(benchmark, fuzz_population_blob):
+    """First-sight key cost: each round keys a freshly unpickled copy of
+    the population, so the per-object key memo starts empty."""
+
+    def fresh():
+        return (pickle.loads(fuzz_population_blob),), {}
+
+    def key_all(jobs):
+        return [job.key() for job in jobs]
+
+    keys = benchmark.pedantic(key_all, setup=fresh, rounds=20, iterations=1)
+    assert len(set(keys)) == len(keys) == 300
+    stats = getattr(benchmark.stats, "stats", benchmark.stats)
+    benchmark.extra_info["jobs"] = len(keys)
+    benchmark.extra_info["us_per_job"] = round(stats.median / len(keys) * 1e6, 1)
+    benchmark.extra_info["keys_per_sec"] = round(len(keys) / stats.median, 1)

@@ -335,7 +335,11 @@ class SweepExecutor:
                         f"SweepExecutor.run expects SimJobs, got {type(job)!r}"
                     )
                 key = job.key(chosen)
-                if self.shard is not None and not self.shard.owns(job):
+                if self.shard is not None and not (
+                    # Ownership is decided on the sim key; reuse it.
+                    self.shard.owns_key(key) if chosen == "sim"
+                    else self.shard.owns(job)
+                ):
                     # Another shard computes it: serve it from the store
                     # or leave its slot None.
                     if not self._serve_stored(i, key, job, stats, results,

@@ -5,11 +5,11 @@ A simulation's miss counters are fully determined by (a) the program IR
 origin -- i.e. every base address), (c) the cache geometry of every
 hierarchy level, (d) how the trace is produced (whole program, one
 nest, or a kernel's custom trace hook), and (e) which *backend* produced
-the counters (vectorized simulator, sequential oracle, or the symbolic
-tier).  :func:`job_key` hashes exactly that set and nothing else, so the
-on-disk result store can safely reuse results across processes,
-sessions, and cosmetic refactors -- and results from different backends
-can never alias under one key.
+the counters (vectorized simulator or sequential oracle).  :func:`job_key`
+hashes exactly that set and nothing else, so the on-disk result store
+can safely reuse results across processes, sessions, and cosmetic
+refactors -- and results from different backends can never alias under
+one key.
 
 Deliberately **excluded** from the key:
 
@@ -22,14 +22,31 @@ Deliberately **excluded** from the key:
 Cache level *names* are included: they are recorded inside the stored
 :class:`~repro.cache.stats.SimulationResult`.
 
+A key is the SHA-256 of one JSON list.  A JSON list's text is its
+items' texts joined by commas inside brackets, so :func:`job_key`
+serializes each input on its own and joins the pieces.  The pieces of
+a :class:`~repro.ir.program.Program`, a
+:class:`~repro.layout.layout.DataLayout` and a
+:class:`~repro.cache.config.HierarchyConfig` are memoized per live
+object (:func:`fragment`): a sweep that reuses one program across many
+layouts or hierarchies serializes it once, and the key bytes are the
+same as hashing the whole list at once.  The text around them (schema
+version, backend, trace mode) is cached per (backend, trace) pair.
+The memo is a side table keyed by ``id`` whose entries die with their
+object (a weak reference evicts them); nothing is stored on the frozen
+IR objects themselves, so their pickled bytes -- and the payload
+digests of :mod:`repro.exec.scheduler` -- do not change.
+
 Bump :data:`SCHEMA_VERSION` whenever trace generation or simulation
 semantics change in a way that invalidates previously stored results.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import weakref
 
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.ir.affine import AffineExpr
@@ -43,6 +60,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "canonical",
     "digest",
+    "encode",
+    "fragment",
+    "digest_fragments",
     "job_key",
     "program_fingerprint",
 ]
@@ -52,9 +72,17 @@ __all__ = [
 # simulator request, and vice versa.
 SCHEMA_VERSION = 2
 
+#: The key's JSON text of an already-lowered structure.  One shared
+#: encoder: ``json.dumps`` with custom separators builds a fresh encoder
+#: per call, which costs more than encoding a short list.
+encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+#: ``id(obj) -> (weak reference to obj, JSON text of canonical(obj))``.
+_FRAGMENTS: dict[int, tuple[weakref.ref, str]] = {}
+
 
 def _affine(e: AffineExpr) -> list:
-    return ["affine", sorted(e.terms.items()), e.constant]
+    return ["affine", e.sorted_terms, e.constant]
 
 
 def _array(a: ArrayDecl) -> list:
@@ -122,15 +150,60 @@ def canonical(obj) -> object:
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(payload: object) -> str:
     """SHA-256 hex digest of a canonical structure."""
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256(encode(payload))
+
+
+def _evict(key: int, table: dict = _FRAGMENTS):
+    return lambda _ref: table.pop(key, None)
+
+
+def fragment(obj) -> str:
+    """The JSON text of ``canonical(obj)``, memoized per live object.
+
+    Objects that take no weak reference (plain tuples, ints) are
+    serialized afresh on every call.  A memo entry is served only while
+    its weak reference still points at ``obj``, so a recycled ``id``
+    can never return another object's text.
+    """
+    key = id(obj)
+    entry = _FRAGMENTS.get(key)
+    if entry is not None and entry[0]() is obj:
+        return entry[1]
+    # No lock: threads racing on one object store equal text, and the
+    # losing weak reference is dropped without ever calling back.
+    text = encode(canonical(obj))
+    try:
+        ref = weakref.ref(obj, _evict(key))
+    except TypeError:
+        return text
+    _FRAGMENTS[key] = (ref, text)
+    return text
+
+
+def digest_fragments(fragments) -> str:
+    """:func:`digest` of the list whose items serialize to ``fragments``."""
+    return _sha256("[" + ",".join(fragments) + "]")
 
 
 def program_fingerprint(program: Program) -> str:
     """Content hash of a program's IR alone (arrays + nests)."""
-    return digest(canonical(program))
+    return _sha256(fragment(program))
+
+
+_SCALARS = (str, int)
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(backend: str, trace: tuple) -> tuple[str, str]:
+    """The key text before the program fragment and after the hierarchy one."""
+    head = "[" + encode(SCHEMA_VERSION) + "," + encode(["backend", backend]) + ","
+    return head, "," + encode(canonical(trace)) + "]"
 
 
 def job_key(
@@ -149,14 +222,17 @@ def job_key(
     (``"sim"`` or ``"oracle"``; older stores also hold ``"symbolic"``
     entries); it partitions the store so backends never serve each
     other's results.
+
+    Equal to ``digest([SCHEMA_VERSION, ["backend", backend],
+    canonical(program), canonical(layout), canonical(hierarchy),
+    canonical(tuple(trace))])``, byte for byte.
     """
-    return digest(
-        [
-            SCHEMA_VERSION,
-            ["backend", backend],
-            canonical(program),
-            canonical(layout),
-            canonical(hierarchy),
-            canonical(tuple(trace)),
-        ]
+    trace = tuple(trace)
+    # Only exact str/int items may share a cached frame: ``True == 1``
+    # would otherwise serve ``1`` for a trace that encodes ``true``.
+    cached = type(backend) is str and all(type(x) in _SCALARS for x in trace)
+    head, tail = (_frame if cached else _frame.__wrapped__)(backend, trace)
+    return _sha256(
+        head + fragment(program) + "," + fragment(layout) + ","
+        + fragment(hierarchy) + tail
     )

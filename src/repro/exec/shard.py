@@ -66,7 +66,8 @@ class ShardSpec:
 
         The ``sim`` key is the partition domain: every backend of the
         same job then lands in the same shard, so a shard's store is
-        self-contained whatever backend computed each job.
+        self-contained whatever backend computed each job.  A ``sim``
+        sweep that already holds that key calls :meth:`owns_key` instead.
         """
         return self.owns_key(job.key("sim"))
 

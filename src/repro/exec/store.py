@@ -207,8 +207,24 @@ class ResultStore:
                 continue  # torn or stale line; the loose file wins
         return out
 
+    def _loose_entries(self) -> list[os.DirEntry]:
+        """Every loose ``<shard>/<key>.json`` entry, one scandir per directory."""
+        try:
+            with os.scandir(self.root) as it:
+                shards = [entry.path for entry in it if entry.is_dir()]
+        except OSError:
+            return []
+        found = []
+        for shard in shards:
+            try:
+                with os.scandir(shard) as it:
+                    found += [entry for entry in it if entry.name.endswith(".json")]
+            except OSError:
+                continue  # removed under us; its entries are gone too
+        return found
+
     def _loose_keys(self) -> set[str]:
-        return {p.stem for p in self.root.glob("*/*.json")}
+        return {entry.name[:-len(".json")] for entry in self._loose_entries()}
 
     def scan(self, refresh: bool = False) -> dict[str, SimulationResult]:
         """Load every stored entry in one batched read; returns the map.
@@ -267,14 +283,14 @@ class ResultStore:
         return key in self._hot or self.path_for(key).is_file()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._loose_entries())
 
     def clear(self) -> int:
         """Delete every stored entry; returns how many were removed."""
         removed = 0
-        for path in self.root.glob("*/*.json"):
+        for entry in self._loose_entries():
             try:
-                path.unlink()
+                os.unlink(entry.path)
                 removed += 1
             except OSError:
                 pass

@@ -58,6 +58,11 @@ class AffineExpr:
         return dict(self._terms)
 
     @property
+    def sorted_terms(self) -> tuple[tuple[str, int], ...]:
+        """``(variable, coefficient)`` pairs sorted by variable name."""
+        return self._terms
+
+    @property
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._terms)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.cache.config import CacheConfig, HierarchyConfig, alpha_21164, ultrasparc_i
 from repro.driver import STRATEGIES
 from repro.errors import ConfigError, IRError, ReproError
-from repro.exec.hashing import SCHEMA_VERSION, canonical, digest
+from repro.exec.hashing import SCHEMA_VERSION, digest_fragments, encode, fragment
 from repro.ir.affine import AffineExpr
 from repro.ir.arrays import ArrayDecl
 from repro.ir.loops import Loop, LoopNest, Statement
@@ -438,12 +438,12 @@ def request_key(req: TuningRequest) -> str:
     params: list = ["params", req.strategy, req.search]
     if req.search != "none":
         params += [req.budget, req.max_lines, req.seed]
-    return digest([
-        "tune",
-        SERVICE_SCHEMA,
-        SCHEMA_VERSION,
-        canonical(req.program),
-        canonical(req.hierarchy),
-        ["trace", req.kernel],
-        params,
-    ])
+    return digest_fragments((
+        encode("tune"),
+        encode(SERVICE_SCHEMA),
+        encode(SCHEMA_VERSION),
+        fragment(req.program),
+        fragment(req.hierarchy),
+        encode(["trace", req.kernel]),
+        encode(params),
+    ))

@@ -117,6 +117,30 @@ class TestShardedExecution:
         assert replay == serial
         assert replay_ex.stats.hit_rate == 1.0
 
+    @pytest.mark.parametrize("backend, per_job", [("sim", 1), ("auto", 1),
+                                                  ("oracle", 2)])
+    def test_sharded_sweep_keys_each_job_once_per_backend(
+        self, monkeypatch, tmp_path, backend, per_job
+    ):
+        # A sim run decides ownership on the key it already computed; an
+        # oracle run still partitions by the sim key, so it keys twice.
+        import repro.exec.jobs as jobs_mod
+
+        calls = []
+        real = jobs_mod.job_key
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "job_key", counting)
+        jobs = [job_for(n) for n in (64, 72, 80, 88)]
+        store = ResultStore(tmp_path / "s")
+        ex = SweepExecutor(workers=1, store=store, backend=backend, shard="1/2")
+        ex.run(jobs)
+        assert len(calls) == per_job * len(jobs)
+        assert ex.stats.jobs + ex.stats.skipped == len(jobs)
+
 
 class TestMergeStores:
     def test_byte_equal_duplicates_are_fine(self, tmp_path):
