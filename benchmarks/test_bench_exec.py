@@ -1,16 +1,19 @@
 """Benchmark: the sweep executor -- pool reuse, warm stores, scaling.
 
 Every benchmark carries ``group="exec"`` so the recorder routes its rows
-to ``BENCH_exec.json``.  Three questions, answered with numbers attached
+to ``BENCH_exec.json``.  The questions, answered with numbers attached
 as ``extra_info``:
 
 * how much does the **persistent pool** buy a multi-round driver (the
   autotuner's executor pattern: one executor, many small ``run()``
   calls) over the old spin-a-pool-per-run behaviour -- recorded as
   ``pool_reuse_speedup``;
-* how fast is a **warm sweep** (everything served through the store's
-  manifest scan + hot tier) against the cold run that populated it --
-  recorded as ``warm_vs_cold_speedup``;
+* how fast is a **warm sweep** (a fresh store handle loads the store's
+  log once, then serves every job from its hot tier) against the cold
+  run that populated it -- recorded as ``warm_vs_cold_speedup``;
+* what a cold sweep's **store writes** cost: 300 interleaved
+  miss-then-``put`` calls into a fresh store -- recorded as
+  ``us_per_put``;
 * how sweep wall time behaves across **worker counts** (1/2/4), so
   scheduler regressions show up as a timing trend, not an anecdote;
 * what **job keying** costs at first sight: the fuzzed 100-program x
@@ -21,11 +24,13 @@ as ``extra_info``:
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import time
 
 import pytest
 
+from repro.cache.stats import LevelStats, SimulationResult
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore
@@ -80,8 +85,8 @@ def test_bench_pool_reuse_multiround(benchmark, round_jobs):
 
 
 def test_bench_warm_sweep_manifest_scan(benchmark, sweep_jobs, tmp_path):
-    """A fully-warm sweep through a fresh store instance: one manifest
-    scan + hot-tier lookups, no per-key JSON opens."""
+    """A fully-warm sweep through a fresh store instance: the first miss
+    reads the whole log once, every other lookup is a hot-tier hit."""
     store_root = tmp_path / "store"
     t0 = time.perf_counter()
     with SweepExecutor(workers=1, store=ResultStore(store_root)) as ex:
@@ -90,7 +95,7 @@ def test_bench_warm_sweep_manifest_scan(benchmark, sweep_jobs, tmp_path):
 
     def warm():
         # A fresh instance per round: the hot tier starts empty, so the
-        # round pays exactly one manifest scan (the cross-process shape).
+        # round pays exactly one log read (the cross-process shape).
         ex = SweepExecutor(workers=1, store=ResultStore(store_root))
         ex.run(sweep_jobs)
         return ex.stats
@@ -103,6 +108,36 @@ def test_bench_warm_sweep_manifest_scan(benchmark, sweep_jobs, tmp_path):
     benchmark.extra_info["warm_vs_cold_speedup"] = round(
         cold_s / stats.min, 1
     )
+
+
+STORE_WRITES = 300
+
+
+def test_bench_store_writes(benchmark, tmp_path):
+    """A cold sweep's store traffic: each job misses, then its result is
+    put, 300 times into a fresh store."""
+    result = SimulationResult(
+        total_refs=1000,
+        levels=(LevelStats("L1", 1000, 120), LevelStats("L2", 120, 17)),
+    )
+    keys = [f"{n:064x}" for n in range(STORE_WRITES)]
+    roots = itertools.count()
+
+    def fresh():
+        return (ResultStore(tmp_path / str(next(roots))),), {}
+
+    def sweep(store):
+        for key in keys:
+            if store.get(key) is None:
+                store.put(key, result)
+        return store
+
+    store = benchmark.pedantic(sweep, setup=fresh, rounds=20, iterations=1)
+    assert (store.misses, store.puts) == (STORE_WRITES, STORE_WRITES)
+    assert len(ResultStore(store.root)) == STORE_WRITES
+    stats = getattr(benchmark.stats, "stats", benchmark.stats)
+    benchmark.extra_info["puts"] = STORE_WRITES
+    benchmark.extra_info["us_per_put"] = round(stats.median / STORE_WRITES * 1e6, 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

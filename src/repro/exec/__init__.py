@@ -5,9 +5,10 @@ The subsystem's layers:
 * :mod:`repro.exec.hashing` -- stable content hashing of simulation
   inputs (program IR, layout, hierarchy geometry, trace mode);
 * :mod:`repro.exec.store` -- :class:`ResultStore`, an on-disk
-  content-addressed cache of :class:`~repro.cache.stats.SimulationResult`
-  with an in-memory hot tier and a packed per-store manifest for
-  batched warm-up scans;
+  content-addressed cache of :class:`~repro.cache.stats.SimulationResult`:
+  one append-only JSONL log behind an in-memory hot tier (the same
+  :class:`~repro.exec.store.LogStore` the tuning service's response
+  store is built on);
 * :mod:`repro.exec.cost` -- trace-free per-job cost estimates (dynamic
   reference count, working-set lower bound) that order dispatch and
   size trace chunk budgets;

@@ -5,9 +5,9 @@ Every experiment in the reproduction is a list of *independent*
 a list with
 
 * **memoization** -- each job's content key is checked against a
-  :class:`~repro.exec.store.ResultStore` before any work happens; large
-  sweeps trigger one batched :meth:`~repro.exec.store.ResultStore.scan`
-  so a warm sweep costs one manifest read, not thousands of JSON opens;
+  :class:`~repro.exec.store.ResultStore` before any work happens; the
+  store's first miss loads its whole log once, so a warm sweep costs one
+  file read, not one per job;
 * **one way to compute** -- every job is simulated by the vectorized
   simulator (``backend="sim"``), or replayed on the sequential reference
   when asked (``"oracle"``; see :mod:`repro.exec.backends`); results are
@@ -68,13 +68,6 @@ __all__ = [
 ]
 
 _UNSET = object()
-
-#: Sweeps at least this large trigger one batched store scan up front
-#: (warm sweeps then resolve every hit from the hot tier); smaller calls
-#: keep the historic per-key lookups, so one-off helpers never pay a
-#: whole-store read.
-SCAN_THRESHOLD = 32
-
 
 @dataclass(frozen=True)
 class JobRecord:
@@ -321,9 +314,6 @@ class SweepExecutor:
         results: list[SimulationResult | None] = [None] * len(jobs)
         pending: list[tuple[int, str, SimJob]] = []
         fresh_results: list[SimulationResult] = []
-        if self.store is not None and len(jobs) >= SCAN_THRESHOLD:
-            # One batched read; warm sweeps then hit the hot tier only.
-            self.store.scan()
 
         with tracer.span(
             "exec.sweep", cat="exec", jobs=len(jobs), workers=self.workers,

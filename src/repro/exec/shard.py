@@ -99,8 +99,8 @@ def merge_stores(
 ) -> dict[str, int]:
     """Fuse shard stores into ``dest``; returns merge statistics.
 
-    Every entry of every source is copied into ``dest``
-    (write-through, atomic per entry).  A key present in several
+    Every entry of every source is copied into ``dest`` (one appended
+    log row per entry).  A key present in several
     sources -- or already in ``dest`` -- must carry an identical
     payload; differing payloads under one content key mean a corrupt
     store and raise :class:`~repro.errors.ReproError`.  Returns

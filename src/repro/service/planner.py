@@ -11,22 +11,20 @@ It owns two decisions:
   :class:`TuningStore` is *warm* and answered without touching the
   queue; everything else is cold work for the pipeline.
 
-:class:`TuningStore` mirrors the executor's
-:class:`~repro.exec.store.ResultStore` discipline one level up: loose
-JSON files sharded by key prefix, write-temp-then-rename atomicity (so
-service restarts and concurrent instances sharing a directory are
-safe), and a hot in-memory tier for repeat lookups.  It deliberately
-stores whole *responses*: a warm hit skips not just simulation but the
-entire optimization + search pipeline.
+:class:`TuningStore` is the executor's
+:class:`~repro.exec.store.ResultStore` one level up -- both are one
+:class:`~repro.exec.store.LogStore`: an append-only JSONL log under
+``<store-dir>/tunings/`` behind a hot in-memory tier, safe across
+service restarts and concurrent instances sharing a directory.  It
+deliberately stores whole *responses*: a warm hit skips not just
+simulation but the entire optimization + search pipeline.  A tuning
+store written when each response was a loose ``<ab>/<key>.json`` file
+has no log, so each of its responses is recomputed once.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import tempfile
-
+from repro.exec.store import LogStore
 from repro.service.protocol import (
     SERVICE_SCHEMA,
     TuningRequest,
@@ -39,68 +37,26 @@ __all__ = ["TuningStore", "RequestPlanner"]
 TUNINGS_DIRNAME = "tunings"
 
 
-class TuningStore:
-    """Content-addressed persistence of full tuning responses."""
+class TuningStore(LogStore):
+    """Content-addressed persistence of full tuning responses.
 
-    def __init__(self, root: str | os.PathLike):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self._hot: dict[str, dict] = {}
+    A :class:`~repro.exec.store.LogStore` like the executor's result
+    store; it adds its decoding and copies responses in and out, so no
+    caller shares a dict with the hot tier.  A stored response carries
+    its ``key``, and a row whose ``schema`` is not :data:`SERVICE_SCHEMA`
+    (orphaned by a schema bump) reads as a miss.
+    """
 
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+    def decode(self, row: dict) -> dict | None:
+        return row if row.get("schema") == SERVICE_SCHEMA else None
 
     def get(self, key: str) -> dict | None:
-        """The stored response for ``key``, or None (counts hit/miss)."""
-        payload = self._hot.get(key)
-        if payload is None:
-            try:
-                payload = json.loads(self.path_for(key).read_text())
-            except (OSError, ValueError):
-                payload = None
-            if payload is not None and payload.get("schema") != SERVICE_SCHEMA:
-                payload = None  # orphaned by a schema bump
-            if payload is not None:
-                self._hot[key] = payload
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return dict(payload)
+        """The stored response for ``key`` (a copy), or None."""
+        payload = super().get(key)
+        return None if payload is None else dict(payload)
 
     def put(self, key: str, payload: dict) -> None:
-        """Persist one response atomically (temp file + rename)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(payload, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._hot[key] = dict(payload)
-        self.puts += 1
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._hot or self.path_for(key).is_file()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def __repr__(self) -> str:
-        return (
-            f"TuningStore({str(self.root)!r}, hits={self.hits}, "
-            f"misses={self.misses}, puts={self.puts})"
-        )
+        super().put(key, {**payload, "key": key})
 
 
 class RequestPlanner:

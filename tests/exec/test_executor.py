@@ -168,7 +168,7 @@ class TestCLI:
         first = capsys.readouterr().out
         assert "[exec]" in first
         assert (out / "timetile.txt").is_file()
-        assert any(cache.glob("*/*.json")), "store not populated"
+        assert len(ResultStore(cache)) > 0, "store not populated"
 
         # Second invocation: everything served from the store.
         assert main(argv) == 0

@@ -10,7 +10,10 @@ separates keys.
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from repro.exec.hashing import (
     job_key,
     program_fingerprint,
 )
+from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore, payload_to_result, result_to_payload
 
@@ -215,30 +219,23 @@ class TestResultStore:
         assert len(store) == 1
         assert (store.hits, store.misses, store.puts) == (1, 1, 1)
 
-    def test_sharded_layout(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "cd" + "1" * 62
-        store.put(key, self.make_result())
-        assert store.path_for(key) == tmp_path / "cd" / f"{key}.json"
-        assert store.path_for(key).is_file()
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         key = "ef" + "2" * 62
         store.put(key, self.make_result())
         # The writing instance keeps serving from its hot tier even if
-        # the loose file is clobbered behind its back...
-        store.path_for(key).write_text("{not json")
+        # the log is clobbered behind its back...
+        store.log_path.write_text("{not json\n")
         assert store.get(key) == self.make_result()
-        # ...but a fresh instance (a new process) sees the corrupt file
-        # as a miss.  The manifest is a cache of the loose files, so it
-        # must not resurrect the corrupted entry either.
-        fresh = ResultStore(tmp_path)
-        fresh.manifest_path.unlink(missing_ok=True)
-        assert fresh.get(key) is None
+        # ...but a fresh instance (a new process) sees a miss.
+        assert ResultStore(tmp_path).get(key) is None
         # A wrong-schema payload is also rejected, not mis-parsed.
-        store.path_for(key).write_text(json.dumps({"schema": 99}))
+        store.log_path.write_text(json.dumps({"key": key, "schema": 99}) + "\n")
         assert ResultStore(tmp_path).peek(key) is None
+
+    def test_put_rejects_a_key_no_reader_would_accept(self, tmp_path):
+        with pytest.raises(ValueError):
+            ResultStore(tmp_path).put("AB" * 32, self.make_result())
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -269,7 +266,8 @@ class TestHotTierAndManifest:
         keys = [f"{i:02d}" + "5" * 62 for i in range(3)]
         for key in keys:
             store.put(key, self.make_result())
-        lines = store.manifest_path.read_text().splitlines()
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]
+        lines = store.log_path.read_text().splitlines()
         assert [json.loads(l)["key"] for l in lines] == keys
 
     def test_scan_loads_everything_in_one_pass(self, tmp_path):
@@ -280,58 +278,28 @@ class TestHotTierAndManifest:
         fresh = ResultStore(tmp_path)
         entries = fresh.scan()
         assert set(entries) == set(keys)
-        # Every later get is a hot-tier hit; clobbering the loose files
-        # proves the filesystem is not consulted again.
-        for key in keys:
-            fresh.path_for(key).write_text("{clobbered")
+        # Every later get is a hot-tier hit; deleting the log proves the
+        # filesystem is not consulted again.
+        store.log_path.unlink()
         for key in keys:
             assert fresh.get(key) == self.make_result()
         assert fresh.hits == len(keys)
 
-    def test_scan_reconciles_missing_manifest_lines(self, tmp_path):
+    def test_first_miss_loads_the_whole_log(self, tmp_path):
         store = ResultStore(tmp_path)
-        known = "aa" + "7" * 62
-        store.put(known, self.make_result())
-        # A file the manifest never saw (another process, torn append).
-        orphan = "bb" + "7" * 62
-        sneaky = ResultStore(tmp_path)
-        sneaky.put(orphan, self.make_result(misses=7))
-        store.manifest_path.write_text(
-            store.manifest_path.read_text().splitlines()[0] + "\n"
-        )
+        keys = [f"{i:02d}" + "d" * 62 for i in range(3)]
+        for key in keys:
+            store.put(key, self.make_result())
         fresh = ResultStore(tmp_path)
-        entries = fresh.scan()
-        assert set(entries) == {known, orphan}
-        # ...and the manifest was rebuilt to cover both.
-        rebuilt = ResultStore(tmp_path)
-        assert set(rebuilt._read_manifest()) == {known, orphan}
-
-    def test_scan_drops_stale_manifest_entries(self, tmp_path):
-        store = ResultStore(tmp_path)
-        kept = "cc" + "8" * 62
-        gone = "dd" + "8" * 62
-        store.put(kept, self.make_result())
-        store.put(gone, self.make_result())
-        store.path_for(gone).unlink()
-        fresh = ResultStore(tmp_path)
-        assert set(fresh.scan()) == {kept}
-
-    def test_scan_is_cached_until_refresh(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = "ee" + "9" * 62
-        store.put(first, self.make_result())
-        reader = ResultStore(tmp_path)
-        assert set(reader.scan()) == {first}
-        late = "ff" + "9" * 62
-        store.put(late, self.make_result())
-        assert set(reader.scan()) == {first}, "cached scan must not re-read"
-        assert set(reader.scan(refresh=True)) == {first, late}
+        assert fresh.get(keys[0]) == self.make_result()
+        store.log_path.unlink()
+        assert all(fresh.get(key) == self.make_result() for key in keys[1:])
 
     def test_malformed_manifest_lines_are_skipped(self, tmp_path):
         store = ResultStore(tmp_path)
         key = "ab" + "a" * 62
         store.put(key, self.make_result())
-        with open(store.manifest_path, "a") as f:
+        with open(store.log_path, "a") as f:
             f.write("{torn line\n")
         fresh = ResultStore(tmp_path)
         assert set(fresh.scan()) == {key}
@@ -341,14 +309,127 @@ class TestHotTierAndManifest:
         key = "cd" + "b" * 62
         store.put(key, self.make_result())
         store.clear()
-        assert not store.manifest_path.exists()
+        assert not store.log_path.exists()
         assert store.get(key) is None
 
-    def test_merge_from_copies_everything(self, tmp_path):
-        src = ResultStore(tmp_path / "src")
-        keys = [f"{i:02d}" + "c" * 62 for i in range(3)]
-        for key in keys:
-            src.put(key, self.make_result())
-        dest = ResultStore(tmp_path / "dest")
-        assert dest.merge_from(src) == 3
-        assert set(dest.scan()) == set(keys)
+
+GOOD_PAYLOAD = {
+    "schema": 1,
+    "total_refs": 10,
+    "levels": [{"name": "L1", "accesses": 10, "misses": 3}],
+}
+
+
+def with_level(**fields) -> dict:
+    return {**GOOD_PAYLOAD, "levels": [{**GOOD_PAYLOAD["levels"][0], **fields}]}
+
+
+#: Rows that older decoders coerced into a *wrong* result (or crashed on).
+BAD_PAYLOADS = {
+    "float_misses": with_level(misses=2.9),
+    "string_accesses": with_level(accesses="10"),
+    "bool_misses": with_level(misses=True),
+    "bool_total_refs": {**GOOD_PAYLOAD, "total_refs": True},
+    "int_level_name": with_level(name=7),
+}
+
+
+def plant(root, key: str, payload) -> None:
+    """Store ``payload`` under ``key`` in both on-disk layouts a store has
+    had: a log row and a loose ``<ab>/<key>.json`` file.  A decoder of
+    either layout therefore sees the same bytes."""
+    row = {"key": key, **payload} if isinstance(payload, dict) else payload
+    with open(root / "manifest.jsonl", "a") as f:
+        f.write(json.dumps(row) + "\n")
+    shard = root / key[:2]
+    shard.mkdir(parents=True, exist_ok=True)
+    (shard / f"{key}.json").write_text(json.dumps(payload))
+
+
+class TestStrictDecoding:
+    """A row decodes exactly or reads as a miss: nothing is coerced."""
+
+    def test_good_payload_decodes(self, tmp_path):
+        key = "12" * 32
+        plant(tmp_path, key, GOOD_PAYLOAD)
+        assert ResultStore(tmp_path).get(key) == payload_to_result(GOOD_PAYLOAD)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+    def test_bad_payload_does_not_decode(self, case):
+        with pytest.raises((TypeError, ValueError)):
+            payload_to_result(BAD_PAYLOADS[case])
+
+    @pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+    def test_bad_row_is_a_miss(self, tmp_path, case):
+        key = "34" * 32
+        plant(tmp_path, key, BAD_PAYLOADS[case])
+        store = ResultStore(tmp_path)
+        assert store.get(key) is None
+        assert store.scan() == {}
+
+    @pytest.mark.parametrize("payload", [[1], "x", 7, None])
+    def test_non_object_entry_is_a_miss(self, tmp_path, payload):
+        key = "56" * 32
+        plant(tmp_path, key, payload)
+        assert ResultStore(tmp_path).get(key) is None
+
+    @pytest.mark.parametrize("payload", [[1], {"schema": 2, "kernel": "demo"}])
+    def test_tuning_store_reads_non_objects_and_other_schemas_as_misses(
+        self, tmp_path, payload
+    ):
+        from repro.service.planner import TuningStore
+
+        key = "9a" * 32
+        plant(tmp_path, key, payload)
+        assert TuningStore(tmp_path).get(key) is None
+
+    @pytest.mark.parametrize("key", ["AB" * 32, "deadbeef", "g" * 64])
+    def test_row_without_a_hex_key_is_a_miss(self, tmp_path, key):
+        plant(tmp_path, key, GOOD_PAYLOAD)
+        store = ResultStore(tmp_path)
+        assert store.get(key) is None
+        assert store.scan() == {}
+
+    def test_later_good_row_wins_over_an_earlier_bad_one(self, tmp_path):
+        key = "78" * 32
+        plant(tmp_path, key, with_level(misses=2.9))
+        ResultStore(tmp_path).put(key, payload_to_result(GOOD_PAYLOAD))
+        assert ResultStore(tmp_path).get(key) == payload_to_result(GOOD_PAYLOAD)
+
+
+#: A store written when every entry was a loose ``<ab>/<key>.json`` file
+#: *and* a ``manifest.jsonl`` row (the manifest row of the third job was
+#: dropped, so that entry exists only as a loose file), plus a tuning
+#: store of that era, which had loose files only.
+PARENT_STORE = pathlib.Path(__file__).with_name("parent_store")
+PARENT_SIZES = (16, 24, 32)
+
+
+class TestParentFormatStore:
+    def copy(self, tmp_path) -> pathlib.Path:
+        return pathlib.Path(shutil.copytree(PARENT_STORE, tmp_path / "store"))
+
+    def test_manifest_rows_replay_as_hits(self, tmp_path):
+        from tests.exec.test_executor import job_for
+
+        root = self.copy(tmp_path)
+        jobs = [job_for(n) for n in PARENT_SIZES]
+        store = ResultStore(root)
+        for job in jobs[:2]:
+            assert store.get(job.key()) == job.run()
+        # The loose-only entry is invisible now: a miss, recomputed once.
+        assert store.get(jobs[2].key()) is None
+        ex = SweepExecutor(workers=1, store=store)
+        assert ex.run(jobs) == [job.run() for job in jobs]
+        assert (ex.stats.cache_hits, ex.stats.jobs) == (2, 3)
+        assert ResultStore(root).get(jobs[2].key()) == jobs[2].run()
+
+    def test_loose_only_tuning_store_is_recomputed_once(self, tmp_path):
+        from repro.service.planner import TuningStore
+
+        root = self.copy(tmp_path) / "tunings"
+        key = "5" * 64
+        tunings = TuningStore(root)
+        assert tunings.get(key) is None  # only a loose file: a miss
+        tunings.put(key, {"schema": 1, "kernel": "demo"})
+        assert TuningStore(root).get(key) == {"schema": 1, "key": key, "kernel": "demo"}

@@ -230,4 +230,4 @@ class TestCLI:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[shard]" in out and "shard 1/1" in out
-        assert any((tmp_path / "s").glob("*/*.json")), "store not populated"
+        assert len(ResultStore(tmp_path / "s")) > 0, "store not populated"

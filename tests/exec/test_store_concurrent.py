@@ -3,21 +3,22 @@
 The tuning service keeps a long-lived store open while CLI sweeps (or
 other service workers) write the same directory.  These tests pin the
 store's concurrency contract: racing ``put()`` calls from several
-processes/instances never corrupt an entry, the manifest survives
-interleaved appends without torn lines, and ``scan()`` reconciles
-whatever a concurrent writer did behind an instance's back.
+processes/instances never corrupt an entry, the log survives
+interleaved appends without torn lines, and a long-lived instance
+reads whatever a concurrent writer appended behind its back.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import sys
 import threading
 
 import pytest
 
 from repro.cache.stats import LevelStats, SimulationResult
-from repro.exec.store import ResultStore
+from repro.exec.store import ResultStore, result_to_payload
 
 
 def result_for(n: int) -> SimulationResult:
@@ -85,9 +86,44 @@ class TestConcurrentPuts:
             keys.add(row["key"])
         assert len(keys) == 120
 
+    def test_threads_sharing_one_handle_lose_no_row(self, tmp_path):
+        """Reader threads race one handle's refreshes while another
+        handle appends; a row skipped by a lost offset update would
+        never be read again."""
+        keys = [key_for(n) for n in range(300)]
+        reader = ResultStore(tmp_path)
+        done = threading.Event()
+
+        def write() -> None:
+            writer = ResultStore(tmp_path)
+            for n, key in enumerate(keys):
+                writer.put(key, result_for(n))
+            done.set()
+
+        def read(seed: int) -> None:
+            n = seed
+            while not done.is_set():
+                reader.get(keys[n % len(keys)])
+                n += 7
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read, args=(i,)) for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(reader.get(key) == result_for(n) for n, key in enumerate(keys))
+
     def test_same_key_racers_leave_one_readable_entry(self, tmp_path):
-        """Identical-content racers on one key: last replace wins, content
-        identical, and the duplicate manifest lines collapse on scan."""
+        """Identical-content racers on one key: every duplicate row carries
+        the same content, and the first decoded row wins on scan."""
         a, b = ResultStore(tmp_path), ResultStore(tmp_path)
         for _ in range(10):
             a.put(key_for(7), result_for(7))
@@ -96,8 +132,19 @@ class TestConcurrentPuts:
         assert fresh.scan() == {key_for(7): result_for(7)}
         assert len(fresh) == 1
 
+    def test_first_decoded_row_wins(self, tmp_path):
+        """Duplicate rows of one key: a reader keeps the first that
+        decodes, and a re-read never replaces a value it holds."""
+        store = ResultStore(tmp_path)
+        store.put(key_for(7), result_for(7))
+        with open(tmp_path / "manifest.jsonl", "a") as f:
+            row = {"key": key_for(7), **result_to_payload(result_for(8))}
+            f.write(json.dumps(row) + "\n")
+        assert ResultStore(tmp_path).scan() == {key_for(7): result_for(7)}
+        assert store.scan() == {key_for(7): result_for(7)}
+
     def test_scan_refresh_picks_up_a_concurrent_writer(self, tmp_path):
-        """A long-lived instance reconciles entries another wrote."""
+        """A long-lived instance's scan reads entries another wrote."""
         service = ResultStore(tmp_path)
         service.put(key_for(1), result_for(1))
         assert len(service.scan()) == 1
@@ -105,32 +152,17 @@ class TestConcurrentPuts:
         cli = ResultStore(tmp_path)
         cli.put(key_for(2), result_for(2))
         cli.put(key_for(3), result_for(3))
-        assert len(service.scan()) == 1  # cached; no refresh requested
-        refreshed = service.scan(refresh=True)
-        assert set(refreshed) == {key_for(1), key_for(2), key_for(3)}
+        assert set(service.scan()) == {key_for(1), key_for(2), key_for(3)}
 
-    def test_rewrite_racing_append_is_recovered_by_next_scan(self, tmp_path):
-        """A manifest rewrite may drop a racing append; the loose files
-        win and the next scan reads the dropped entry individually."""
-        store = ResultStore(tmp_path)
-        store.put(key_for(1), result_for(1))
-        # Simulate the race: an entry whose manifest line vanished.
-        other = ResultStore(tmp_path)
-        other.put(key_for(2), result_for(2))
-        manifest = tmp_path / "manifest.jsonl"
-        lines = [
-            line for line in manifest.read_text().splitlines()
-            if json.loads(line)["key"] != key_for(2)
-        ]
-        manifest.write_text("\n".join(lines) + "\n")
-        entries = ResultStore(tmp_path).scan()
-        assert set(entries) == {key_for(1), key_for(2)}
-        # The reconciling scan also repaired the manifest.
-        repaired = {
-            json.loads(line)["key"]
-            for line in manifest.read_text().splitlines()
-        }
-        assert repaired == {key_for(1), key_for(2)}
+    def test_long_lived_get_finds_a_later_put(self, tmp_path):
+        """No explicit refresh: a hot-tier miss reads the rows appended
+        since the handle last looked."""
+        service = ResultStore(tmp_path)
+        service.put(key_for(1), result_for(1))
+        assert service.get(key_for(2)) is None
+        ResultStore(tmp_path).put(key_for(2), result_for(2))
+        assert service.get(key_for(2)) == result_for(2)
+        assert (service.hits, service.misses) == (1, 1)
 
     def test_torn_manifest_line_is_tolerated(self, tmp_path):
         store = ResultStore(tmp_path)
