@@ -2,22 +2,31 @@
 
 Used by fusion (capacity check: "we assume no reuse between nests due to
 capacity constraints"), by GROUPPAD (how many columns fit in the cache),
-and by tiling profitability.
+by tiling profitability, by the predictor's residency rule and by the
+exactness proof's capacity pre-filter.
+
+Every estimate reads the program's lowered form
+(:func:`repro.ir.lowering.lower`): a reference's span is its offset
+interval over the nest's loop ranges (the lowered ``lo``/``hi``, one
+span rule for every caller), and its line-count lower bound composes its
+coefficient column's per-loop strides.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import IRError
-from repro.ir.affine import AffineExpr
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import LoweredNest, lower
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval, loop_var_ranges
 
 __all__ = [
     "nest_footprint_bytes",
     "columns_in_cache",
     "ref_span_bytes",
     "ref_lines_lower_bound",
+    "ref_line_bounds",
 ]
 
 
@@ -25,33 +34,33 @@ def ref_span_bytes(program: Program, nest: LoopNest, array: str) -> int:
     """Bytes of ``array`` spanned by the nest's references to it.
 
     Interval width of the reference offsets over the iteration space plus
-    one element -- an upper bound on the data touched in that array.
+    one element -- an upper bound on the data touched in that array.  The
+    intervals are the lowered form's span rule
+    (:class:`repro.ir.lowering.LoweredNest` ``lo``/``hi``).
     """
-    decl = program.decl(array)
-    ranges = loop_var_ranges(nest)
-    lo, hi = None, None
-    for ref in nest.refs:
-        if ref.array != array:
-            continue
-        rlo, rhi = affine_interval(ref.offset_expr(decl), ranges)
-        lo = rlo if lo is None else min(lo, rlo)
-        hi = rhi if hi is None else max(hi, rhi)
-    if lo is None:
+    low = lower(program).nest(nest)
+    mine = [u for u, r in enumerate(low.unique) if r.array == array]
+    if not mine:
         return 0
-    return (hi - lo) + decl.element_size
+    return int(low.hi[mine].max() - low.lo[mine].min() + low.element[mine[0]])
 
 
 def nest_footprint_bytes(program: Program, nest: LoopNest) -> int:
-    """Total bytes touched by a nest (sum of per-array spans)."""
-    return sum(ref_span_bytes(program, nest, a) for a in nest.arrays_used())
+    """Total bytes touched by a nest (sum of per-array spans), computed
+    once per lowered nest."""
+    return lower(program).nest(nest).cached("footprint", lambda: sum(
+        ref_span_bytes(program, nest, a) for a in nest.arrays_used()
+    ))
 
 
 def ref_lines_lower_bound(
-    nest: LoopNest, offset_expr: AffineExpr, line_size: int
+    nest: LoopNest, column: Sequence[int], line_size: int
 ) -> int:
     """A provable lower bound on the distinct cache lines one reference
     touches over its iteration space.
 
+    ``column`` is the reference's lowered coefficient column: its byte
+    offset moves by ``column[l]`` per unit of loop ``l``'s variable.
     Used by :mod:`repro.symbolic` as a capacity pre-filter: when the bound
     already exceeds a level's ``num_lines``, some set must receive more
     lines than it has ways (pigeonhole), so the no-eviction exactness
@@ -70,8 +79,7 @@ def ref_lines_lower_bound(
     lower bound.
     """
     pairs = []  # (trip, |stride|) of rectangular loops the address varies in
-    for lp in nest.loops:
-        coeff = offset_expr.coeff(lp.var)
+    for lp, coeff in zip(nest.loops, column):
         if coeff == 0 or not lp.is_rectangular:
             continue
         try:
@@ -98,6 +106,15 @@ def ref_lines_lower_bound(
         if gap <= line_size:
             lines = max(lines, span // line_size - 1)
     return max(1, lines)
+
+
+def ref_line_bounds(low: LoweredNest, line_size: int) -> tuple[int, ...]:
+    """:func:`ref_lines_lower_bound` of each unique reference of a lowered
+    nest, computed once per line size."""
+    return low.cached(("line_bounds", line_size), lambda: tuple(
+        ref_lines_lower_bound(low.nest, column, line_size)
+        for column in low.coeff.T.tolist()
+    ))
 
 
 def columns_in_cache(program: Program, array: str, cache_size: int) -> float:

@@ -8,7 +8,9 @@ pair forms a reuse **arc** -- the leading reference (larger offset)
 touches data that the trailing reference re-touches some iterations later.
 These arcs are precisely the arcs drawn in the paper's layout diagrams
 (Figures 3, 4, 5, 7), and "number of arcs exploited" is the objective
-GROUPPAD maximizes.
+GROUPPAD maximizes.  Byte offsets come from the program's lowered form
+(:func:`repro.ir.lowering.lower`): members of a class share a
+coefficient column and differ in their constants.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import lower
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 
@@ -83,40 +86,36 @@ def uniform_classes(program: Program, nest: LoopNest) -> list[UniformClass]:
     """Partition a nest's references into uniformly generated classes.
 
     References are deduplicated first; classes are returned ordered by
-    array name and then by the position of their first reference.
+    array name and then by the position of their first reference.  A
+    class's byte offsets are the constants of the program's lowered form
+    (:func:`repro.ir.lowering.lower`), whose coefficient columns its
+    members share.
     """
-    uniq = nest.unique_refs
+    low = lower(program).nest(nest)
+    uniq = low.unique
+    const = low.const.tolist()
     assigned = [False] * len(uniq)
     classes: list[UniformClass] = []
-    for i, (ref, count) in enumerate(uniq):
+    for i, ref in enumerate(uniq):
         if assigned[i]:
             continue
-        decl = program.decl(ref.array)
-        members = [(ref, count)]
+        members = [i]
         assigned[i] = True
         for j in range(i + 1, len(uniq)):
-            if not assigned[j] and ref.is_uniformly_generated_with(uniq[j][0]):
-                members.append(uniq[j])
+            if not assigned[j] and ref.is_uniformly_generated_with(uniq[j]):
+                members.append(j)
                 assigned[j] = True
-        # Order members by byte offset of their constant part.
-        base_off = members[0][0].offset_expr(decl)
-        keyed = []
-        for r, mult in members:
-            delta = r.offset_expr(decl) - base_off
-            if not delta.is_constant:
-                raise AnalysisError(
-                    f"references {members[0][0]!r} and {r!r} are uniformly "
-                    f"generated but have non-constant delta {delta!r}"
-                )
-            keyed.append((delta.constant, r, mult))
-        keyed.sort(key=lambda t: t[0])
-        lo = keyed[0][0]
+        # Subscripts that differ by constants give offsets that do too:
+        # the members share a coefficient column, so their constants
+        # order them along memory.
+        members.sort(key=lambda j: const[j])
+        lo = const[members[0]]
         classes.append(
             UniformClass(
                 array=ref.array,
-                refs=tuple(r for _, r, _ in keyed),
-                offsets=tuple(off - lo for off, _, _ in keyed),
-                multiplicity=tuple(m for _, _, m in keyed),
+                refs=tuple(uniq[j] for j in members),
+                offsets=tuple(const[j] - lo for j in members),
+                multiplicity=tuple(low.multiplicity[j] for j in members),
             )
         )
     return classes

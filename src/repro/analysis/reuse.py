@@ -7,6 +7,9 @@ carries self-temporal reuse for a reference when the reference's address
 does not depend on that loop's variable, and self-spatial reuse when
 consecutive iterations move the address by less than a line.
 
+A reference's per-loop stride is its lowered coefficient
+(:func:`repro.ir.lowering.lower`) times the loop step.
+
 The innermost-locality score built on top is the standard memory-order
 cost model used to choose loop permutations (McKinley, Carr & Tseng [18]):
 it is cache-size independent, which is the paper's Section 2 argument for
@@ -19,6 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import lower
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 
@@ -60,11 +64,11 @@ def classify_ref(
     line_size: int,
 ) -> RefReuse:
     """Classify ``ref``'s self reuse with respect to each loop of the nest."""
-    decl = program.decl(ref.array)
-    off = ref.offset_expr(decl)
+    low = lower(program).nest(nest)
+    column = low.coeff[:, low.slot(ref)].tolist()
     per_loop = []
-    for lp in nest.loops:
-        stride = off.coeff(lp.var) * lp.step
+    for lp, coeff in zip(nest.loops, column):
+        stride = coeff * lp.step
         if stride == 0:
             kind = ReuseKind.TEMPORAL
         elif abs(stride) < line_size:
@@ -97,15 +101,14 @@ def innermost_locality_score(
     score depends on the line size but on *no* cache size, so any level's
     line size yields the same ranking for these codes (Section 2.1).
     """
+    if candidate_var not in nest.loop_vars:
+        return float(nest.refs_per_iteration)  # every address is invariant
+    low = lower(program).nest(nest)
+    l = nest.loop_vars.index(candidate_var)
+    row = (low.coeff[l] * nest.loops[l].step).tolist()
     total = 0.0
-    for ref in nest.refs:
-        decl = program.decl(ref.array)
-        stride = ref.offset_expr(decl).coeff(candidate_var)
-        for lp in nest.loops:
-            if lp.var == candidate_var:
-                stride *= lp.step
-                break
-        stride = abs(stride)
+    for u in low.index.tolist():
+        stride = abs(row[u])
         if stride == 0:
             total += 1.0
         elif stride < line_size:

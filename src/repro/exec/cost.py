@@ -13,15 +13,17 @@ no simulation:
   uses, so the estimate counts precisely the references the simulator
   will stream);
 * the **refinement** is the symbolic analysis's working-set lower bound
-  (:func:`repro.analysis.footprint.ref_lines_lower_bound`, microseconds
-  per reference): of two jobs with equal reference counts, the one
-  touching more distinct lines compresses worse in the vectorized
-  simulator and runs longer.
+  (:func:`repro.analysis.footprint.ref_lines_lower_bound` over each
+  reference's coefficient column in the program's lowered form,
+  microseconds per reference): of two jobs with equal reference counts,
+  the one touching more distinct lines compresses worse in the
+  vectorized simulator and runs longer.
 """
 
 from __future__ import annotations
 
-from repro.analysis.footprint import ref_lines_lower_bound
+from repro.analysis.footprint import ref_line_bounds
+from repro.ir.lowering import lower
 
 __all__ = ["estimate_job_refs", "estimate_job_lines", "job_cost"]
 
@@ -56,11 +58,12 @@ def estimate_job_lines(job, line_size: int | None = None) -> int:
     """
     if line_size is None:
         line_size = min(c.line_size for c in job.hierarchy)
+    lowered = lower(job.program)
     total = 0
     for nest in _job_nests(job):
-        for ref in nest.refs:
-            decl = job.program.decl(ref.array)
-            total += ref_lines_lower_bound(nest, ref.offset_expr(decl), line_size)
+        low = lowered.nest(nest)
+        bounds = ref_line_bounds(low, line_size)
+        total += sum(bounds[u] for u in low.index.tolist())
     return total
 
 

@@ -32,9 +32,9 @@ object (:func:`fragment`): a sweep that reuses one program across many
 layouts or hierarchies serializes it once, and the key bytes are the
 same as hashing the whole list at once.  The text around them (schema
 version, backend, trace mode) is cached per (backend, trace) pair.
-The memo is a side table keyed by ``id`` whose entries die with their
-object (a weak reference evicts them); nothing is stored on the frozen
-IR objects themselves, so their pickled bytes -- and the payload
+The memo is :func:`repro.util.memo.memoize`'s side table keyed by
+``id``, whose entries die with their object; nothing is stored on the
+frozen IR objects themselves, so their pickled bytes -- and the payload
 digests of :mod:`repro.exec.scheduler` -- do not change.
 
 Bump :data:`SCHEMA_VERSION` whenever trace generation or simulation
@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import weakref
 
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.ir.affine import AffineExpr
@@ -55,6 +54,7 @@ from repro.ir.loops import Loop, LoopNest, Statement
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
+from repro.util.memo import memoize
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,7 +78,7 @@ SCHEMA_VERSION = 2
 encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 #: ``id(obj) -> (weak reference to obj, JSON text of canonical(obj))``.
-_FRAGMENTS: dict[int, tuple[weakref.ref, str]] = {}
+_FRAGMENTS: dict = {}
 
 
 def _affine(e: AffineExpr) -> list:
@@ -159,31 +159,10 @@ def digest(payload: object) -> str:
     return _sha256(encode(payload))
 
 
-def _evict(key: int, table: dict = _FRAGMENTS):
-    return lambda _ref: table.pop(key, None)
-
-
 def fragment(obj) -> str:
-    """The JSON text of ``canonical(obj)``, memoized per live object.
-
-    Objects that take no weak reference (plain tuples, ints) are
-    serialized afresh on every call.  A memo entry is served only while
-    its weak reference still points at ``obj``, so a recycled ``id``
-    can never return another object's text.
-    """
-    key = id(obj)
-    entry = _FRAGMENTS.get(key)
-    if entry is not None and entry[0]() is obj:
-        return entry[1]
-    # No lock: threads racing on one object store equal text, and the
-    # losing weak reference is dropped without ever calling back.
-    text = encode(canonical(obj))
-    try:
-        ref = weakref.ref(obj, _evict(key))
-    except TypeError:
-        return text
-    _FRAGMENTS[key] = (ref, text)
-    return text
+    """The JSON text of ``canonical(obj)``, memoized per live object
+    (:func:`repro.util.memo.memoize`)."""
+    return memoize(_FRAGMENTS, obj, lambda o: encode(canonical(o)))
 
 
 def digest_fragments(fragments) -> str:

@@ -2,14 +2,15 @@
 
 A reference like ``A(i, j+1)`` is ``ArrayRef("A", (var("i"), var("j")+1))``.
 Given the owning :class:`~repro.ir.arrays.ArrayDecl`, a reference lowers to
-a single affine expression for its byte offset from the array base --
-the form both the trace generator and the padding analyses consume.
+a single affine expression for its byte offset from the array base
+(:meth:`ArrayRef.offset_expr`) -- the reference definition that
+:func:`repro.ir.lowering.lower` reads once per program into the integer
+tables every address reader consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import IRError
 from repro.ir.affine import AffineExpr
@@ -100,12 +101,3 @@ class ArrayRef:
         subs = ",".join(repr(s) for s in self.subscripts)
         tag = "W" if self.is_write else "R"
         return f"{self.array}({subs})[{tag}]"
-
-
-def as_refs(items: Sequence[ArrayRef]) -> tuple[ArrayRef, ...]:
-    """Validate and freeze a sequence of references."""
-    out = tuple(items)
-    for r in out:
-        if not isinstance(r, ArrayRef):
-            raise IRError(f"expected ArrayRef, got {type(r).__name__}")
-    return out

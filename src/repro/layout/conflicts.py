@@ -8,6 +8,12 @@ arithmetic; for pairs whose address difference varies across iterations we
 fall back to a conservative interval test (does any iteration bring them
 within a line, modulo the cache size?).
 
+Both tests read the program's lowered form (:func:`repro.ir.lowering.lower`):
+a pair's delta is the difference of two references' constants and
+coefficient columns plus their base difference, its interval the span
+rule over the nest's loop ranges, and it is constant exactly when the
+columns are equal.
+
 Only the *constant-delta* conflicts are fixable by inter-variable padding;
 the report keeps the two kinds separate so PAD does not chase conflicts it
 cannot eliminate.
@@ -17,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import LoweredNest, lower, span_rule
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval, loop_var_ranges
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 from repro.util.mathutil import circular_distance
@@ -67,6 +75,14 @@ class ConflictReport:
         return bool(self.pairs)
 
 
+def _delta_bounds(low: LoweredNest, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """The span rule of ``offset(i) - offset(j)``: add the bases' difference
+    for addresses."""
+    return span_rule(
+        low.const[i] - low.const[j], low.coeff[:, i] - low.coeff[:, j], low.ranges
+    )
+
+
 def delta_interval(
     program: Program,
     layout: DataLayout,
@@ -75,12 +91,10 @@ def delta_interval(
     ref_b: ArrayRef,
 ) -> tuple[int, int]:
     """(min, max) of ``address(ref_a) - address(ref_b)`` over the nest."""
-    expr = (
-        ref_a.offset_expr(program.decl(ref_a.array))
-        - ref_b.offset_expr(program.decl(ref_b.array))
-        + (layout.base(ref_a.array) - layout.base(ref_b.array))
-    )
-    return affine_interval(expr, loop_var_ranges(nest))
+    low = lower(program).nest(nest)
+    lo, hi = _delta_bounds(low, [low.slot(ref_a)], [low.slot(ref_b)])
+    base = layout.base(ref_a.array) - layout.base(ref_b.array)
+    return int(lo[0]) + base, int(hi[0]) + base
 
 
 def interval_conflicts_with_cache(
@@ -115,27 +129,29 @@ def nest_severe_conflicts(
     pairs :func:`repro.layout.diagram.severe_conflict` tests; a delta that
     merely takes one value (a one-trip loop) is reported but not fixable.
     """
-    refs = [r for r, _ in nest.unique_refs]
-    ranges = loop_var_ranges(nest)
+    lowered = lower(program)
+    low = lowered.nest(nest)
+    i, j = np.triu_indices(len(low.unique), 1)
+    keep = low.array[i] != low.array[j]
+    i, j = i[keep], j[keep]
+    lo, hi = _delta_bounds(low, i, j)
+    bases = lowered.bases(layout)
+    base = bases[low.array[i]] - bases[low.array[j]]
+    fixable = (low.coeff[:, i] == low.coeff[:, j]).all(axis=0)
     pairs: list[ConflictPair] = []
-    for i, ra in enumerate(refs):
-        decl_a = program.decl(ra.array)
-        off_a = ra.offset_expr(decl_a) + layout.base(ra.array)
-        for rb in refs[i + 1 :]:
-            if rb.array == ra.array:
-                continue
-            decl_b = program.decl(rb.array)
-            expr = off_a - (rb.offset_expr(decl_b) + layout.base(rb.array))
-            dmin, dmax = affine_interval(expr, ranges)
-            if interval_conflicts_with_cache(dmin, dmax, cache_size, line_size):
-                pairs.append(
-                    ConflictPair(
-                        nest_label=nest.label,
-                        ref_a=ra,
-                        ref_b=rb,
-                        fixable=expr.is_constant,
-                    )
+    for a, b, dmin, dmax, fix in zip(
+        i.tolist(), j.tolist(), (lo + base).tolist(), (hi + base).tolist(),
+        fixable.tolist(),
+    ):
+        if interval_conflicts_with_cache(dmin, dmax, cache_size, line_size):
+            pairs.append(
+                ConflictPair(
+                    nest_label=nest.label,
+                    ref_a=low.unique[a],
+                    ref_b=low.unique[b],
+                    fixable=fix,
                 )
+            )
     return pairs
 
 

@@ -14,8 +14,11 @@ inside the open interval ``(x - d, x)`` reaches ``x`` sooner than the
 trailing reference and evicts the line first.  This is exactly the visual
 criterion described with Figure 3.
 
-Every padding decision reads this one picture: a program is lowered once
-(:class:`DiagramGeometry`) to dots and arcs held as integer arrays, and
+Every padding decision reads this one picture: a program's dots and
+arcs (:class:`DiagramGeometry`) are built once, from its lowered form
+(:func:`repro.ir.lowering.lower`: a dot is a reference's constant plus
+its coefficient column at the canonical point, and a constant-delta pair
+is two references with equal columns), and held as integer arrays;
 :func:`arc_exploited` and :func:`severe_conflict` evaluate it against a
 ``bases`` map plus K candidate pads for the arrays a pad moves.
 :class:`CacheDiagram` asks about one candidate, PAD about its whole line
@@ -26,7 +29,6 @@ a variable's candidates in one array pass instead of one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -34,8 +36,8 @@ import numpy as np
 from repro.analysis.groups import ReuseArc, reuse_arcs
 from repro.errors import AnalysisError, ReproError
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import LoweredNest, frozen_array, lower
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 
@@ -58,28 +60,24 @@ def check_cache(cache_size: int, line_size: int, error: type[ReproError]) -> Non
         )
 
 
-def _frozen(values, dtype=np.int64) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
-def _constant_pairs(refs: Sequence[ArrayRef], offs) -> tuple[tuple[int, int], ...]:
+def _constant_pairs(low: LoweredNest) -> tuple[tuple[int, int], ...]:
     """Pairs ``(i, j)``, ``i < j``, of different arrays at a constant delta.
 
-    Two offsets differ by a constant exactly when their linear terms are
-    equal, so references are bucketed by terms and only pairs within a
-    bucket are emitted -- linear in the references beyond the output.
+    Two offsets differ by a constant exactly when their coefficient
+    columns are equal, so references are bucketed by column and only
+    pairs within a bucket are emitted -- linear in the references beyond
+    the output.
     """
     buckets: dict[tuple, list[int]] = {}
-    for i, off in enumerate(offs):
-        buckets.setdefault(tuple(off.terms.items()), []).append(i)
+    for i, column in enumerate(low.coeff.T.tolist()):
+        buckets.setdefault(tuple(column), []).append(i)
+    array = low.array.tolist()
     return tuple(sorted(
         (i, j)
         for members in buckets.values()
         for n, i in enumerate(members)
         for j in members[n + 1:]
-        if refs[i].array != refs[j].array
+        if array[i] != array[j]
     ))
 
 
@@ -113,33 +111,34 @@ class NestGeometry:
     span: np.ndarray
 
     @classmethod
-    @lru_cache(maxsize=256)
     def of(cls, program: Program, nest: LoopNest) -> "NestGeometry":
-        # Memoized: the predictor and the padding passes lower the same
-        # nests level after level and pass after pass.
-        env = canonical_env(nest)
-        unique = nest.unique_refs
-        refs = tuple(r for r, _ in unique)
-        offs = [r.offset_expr(program.decl(r.array)) for r in refs]
-        dots = tuple(
-            (r.array, int(off.evaluate(env)), m)
-            for (r, m), off in zip(unique, offs)
-        )
-        index = {r: i for i, r in enumerate(refs)}
-        reuse = tuple(reuse_arcs(program, nest))
-        arcs = tuple(
-            (index[a.trailing], index[a.leading], a.distance_bytes) for a in reuse
-        )
-        names = tuple(dict.fromkeys(r.array for r in refs))
+        # Memoized on the lowered nest: the predictor and the padding
+        # passes read the same nests level after level and pass after pass.
+        low = lower(program).nest(nest)
+        return low.cached(cls, lambda: cls._build(program, low))
+
+    @classmethod
+    def _build(cls, program: Program, low: LoweredNest) -> "NestGeometry":
+        names = tuple(dict.fromkeys(r.array for r in low.unique))
         ids = {name: k for k, name in enumerate(names)}
+        offsets = (low.const + low.point @ low.coeff).tolist()
+        dots = tuple(
+            (r.array, off, m)
+            for r, off, m in zip(low.unique, offsets, low.multiplicity)
+        )
+        reuse = tuple(reuse_arcs(program, low.nest))
+        arcs = tuple(
+            (low.slot(a.trailing), low.slot(a.leading), a.distance_bytes)
+            for a in reuse
+        )
         columns = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
         return cls(
-            refs, dots, reuse, arcs, _constant_pairs(refs, offs), names,
-            dot_array=_frozen([ids[a] for a, _, _ in dots], np.intp),
-            dot_offset=_frozen([off for _, off, _ in dots]),
-            trail=_frozen(columns[0], np.intp),
-            lead=_frozen(columns[1], np.intp),
-            span=_frozen(columns[2]),
+            low.unique, dots, reuse, arcs, _constant_pairs(low), names,
+            dot_array=frozen_array([ids[r.array] for r in low.unique], np.intp),
+            dot_offset=frozen_array(offsets),
+            trail=frozen_array(columns[0], np.intp),
+            lead=frozen_array(columns[1], np.intp),
+            span=frozen_array(columns[2]),
         )
 
 
@@ -159,10 +158,13 @@ class DiagramGeometry:
     delta_columns: Mapping[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]]
 
     @classmethod
-    @lru_cache(maxsize=64)
     def of(cls, program: Program) -> "DiagramGeometry":
-        # Memoized: PAD, MULTILVLPAD and GROUPPAD lower the same program
-        # heuristic after heuristic.
+        # Memoized on the lowered program: PAD, MULTILVLPAD and GROUPPAD
+        # read the same program heuristic after heuristic.
+        return lower(program).cached(cls, lambda: cls._build(program))
+
+    @classmethod
+    def _build(cls, program: Program) -> "DiagramGeometry":
         nests = tuple(NestGeometry.of(program, nest) for nest in program.nests)
         pairs: dict[str, set[tuple[str, int]]] = {}
         for nest in nests:
@@ -178,8 +180,8 @@ class DiagramGeometry:
             ids = {b: k for k, b in enumerate(others)}
             columns[a] = (
                 others,
-                _frozen([ids[b] for b, _ in listed], np.intp),
-                _frozen([d for _, d in listed]),
+                frozen_array([ids[b] for b, _ in listed], np.intp),
+                frozen_array([d for _, d in listed]),
             )
         return cls(nests, deltas, columns)
 

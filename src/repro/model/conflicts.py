@@ -73,7 +73,8 @@ def thrash_clusters(
     line = cache.line_size
     geometry = NestGeometry.of(program, nest)
     refs = geometry.refs
-    addrs = [layout.base(a) + off for a, off, _ in geometry.dots]
+    bases = layout.bases()
+    addrs = [bases[a] + off for a, off, _ in geometry.dots]
 
     parent = list(range(len(refs)))
 

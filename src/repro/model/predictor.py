@@ -20,6 +20,10 @@ tunes over:
   resident); one that does not fit re-faults on every revisit of its
   varying subspace.
 
+Every layout-independent term -- a reference's strides, sweep length,
+span and revisits, the diagram's dots and arcs, the footprints -- is read
+from the program's lowered form (:func:`repro.ir.lowering.lower`) and
+computed once per program; a prediction adds only the layout's bases.
 The per-reference cost is O(loops x levels); a whole-program prediction
 is O(refs^2) at worst (the pairwise conflict graph), microseconds against
 the simulator's O(trace).  That asymmetry is what makes the
@@ -48,11 +52,10 @@ from functools import cached_property
 
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.stats import LevelStats, SimulationResult
-from repro.errors import AnalysisError, IRError
-from repro.ir.loops import Loop, LoopNest
+from repro.errors import AnalysisError
+from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval, loop_var_ranges
-from repro.ir.refs import ArrayRef
+from repro.ir.lowering import LoweredNest, lower
 from repro.layout.layout import DataLayout
 from repro.model.conflicts import thrashing_refs
 from repro.symbolic import LevelClassification, classify_job, classify_program
@@ -196,69 +199,64 @@ class PredictedStats:
 
 # -- per-reference model -----------------------------------------------------
 
-def _ref_span_bytes(
-    program: Program,
-    nest: LoopNest,
-    ref: ArrayRef,
-    ranges: dict[str, tuple[int, int]],
-) -> int:
-    """Bytes spanned by this one reference over the iteration space."""
-    decl = program.decl(ref.array)
-    lo, hi = affine_interval(ref.offset_expr(decl), ranges)
-    return (hi - lo) + decl.element_size
+def _sweeps(low: LoweredNest) -> tuple[tuple[int, int, int, int] | None, ...]:
+    """Each unique reference's layout- and cache-independent sweep terms.
 
-
-def _trip_count(lp: Loop, ranges: dict[str, tuple[int, int]]) -> int:
-    """A loop's trip count; triangular loops use their value-range width
-    (the rectangular hull, an upper bound consistent with the interval
-    arithmetic the span estimates already use)."""
-    try:
-        return max(1, lp.trip_count())
-    except IRError:
-        vmin, vmax = ranges[lp.var]
-        return max(1, (vmax - vmin) // abs(lp.step) + 1)
+    ``(sweep iterations, innermost varying stride, span bytes, revisits)``,
+    or ``None`` for a scalar-like address.  One *sweep* is a full
+    traversal of the loops the address depends on; ``revisits`` is the
+    product of the invariant loops wrapped around it.  A loop's trip
+    count is its value range over its step (for a triangular loop, the
+    rectangular hull: an upper bound consistent with the span rule's
+    interval arithmetic), at least one.  The span is the lowered span
+    rule (:class:`repro.ir.lowering.LoweredNest`).
+    """
+    loops = low.nest.loops
+    trips = [
+        (hi - lo) // abs(lp.step) + 1
+        for lp, (lo, hi) in zip(loops, low.ranges.tolist())
+    ]
+    spans = (low.hi - low.lo + low.element).tolist()
+    out = []
+    for column, span in zip(low.coeff.T.tolist(), spans):
+        strides = [c * lp.step for c, lp in zip(column, loops)]
+        varying = [i for i, s in enumerate(strides) if s != 0]
+        if not varying:
+            out.append(None)
+            continue
+        sweep_iters = 1
+        for i in varying:
+            sweep_iters *= trips[i]
+        revisits = 1
+        for i, s in enumerate(strides):
+            if s == 0 and i < varying[-1]:
+                revisits *= trips[i]
+        out.append((sweep_iters, abs(strides[varying[-1]]), span, revisits))
+    return tuple(out)
 
 
 def _ref_sweep_misses(
-    program: Program,
-    nest: LoopNest,
-    ref: ArrayRef,
+    sweep: tuple[int, int, int, int] | None,
     cache: CacheConfig,
-    resident: frozenset[str],
-    ranges: dict[str, tuple[int, int]],
+    resident: bool,
 ) -> float:
     """Self-reuse misses of one reference at one level (no conflicts).
 
-    One *sweep* is a full traversal of the loops the address depends on;
-    it costs one miss per new line entered.  Invariant loops wrapped
+    A sweep costs one miss per new line entered.  Invariant loops wrapped
     around the sweep repeat it; the repeats are free when the reference's
     span fits the cache, and cost full sweeps when it does not.  An array
-    left resident by the previous nest makes the first sweep free too.
+    left ``resident`` by the previous nest makes the first sweep free too.
     """
-    decl = program.decl(ref.array)
-    off = ref.offset_expr(decl)
-    strides = [off.coeff(lp.var) * lp.step for lp in nest.loops]
-    varying = [i for i, s in enumerate(strides) if s != 0]
-    if not varying:
+    if sweep is None:
         # Scalar-like address: one cold line, or none if already cached.
-        return 0.0 if ref.array in resident else 1.0
-
-    sweep_iters = 1
-    for i in varying:
-        sweep_iters *= _trip_count(nest.loops[i], ranges)
-    inner_stride = abs(strides[varying[-1]])
+        return 0.0 if resident else 1.0
+    sweep_iters, inner_stride, span, revisits = sweep
     frac = min(1.0, inner_stride / cache.line_size)
     per_sweep = frac * sweep_iters
-
-    span = _ref_span_bytes(program, nest, ref, ranges)
     if span <= cache.size:
-        return 0.0 if ref.array in resident else per_sweep
+        return 0.0 if resident else per_sweep
     # Does not fit: every enclosing invariant loop restarts the sweep
     # against a cold cache.
-    revisits = 1
-    for i, s in enumerate(strides):
-        if s == 0 and i < varying[-1]:
-            revisits *= _trip_count(nest.loops[i], ranges)
     return per_sweep * revisits
 
 
@@ -281,8 +279,9 @@ def predict_nest(
 
     if resident is None:
         resident = tuple(frozenset() for _ in hierarchy.levels)
-    iters = nest.iterations()
-    ranges = loop_var_ranges(nest)
+    low = lower(program).nest(nest)
+    sweeps = low.cached(_sweeps, lambda: _sweeps(low))
+    iters = low.iterations
     levels = []
     for cache, cached_arrays in zip(hierarchy.levels, resident):
         thrash = thrashing_refs(program, layout, nest, cache)
@@ -290,7 +289,7 @@ def predict_nest(
         exploited = diagram.trailing_refs_exploited()
         base = 0.0
         conflict = 0.0
-        for dot in diagram.dots:
+        for dot, sweep in zip(diagram.dots, sweeps):
             if dot.ref in thrash:
                 # Severe conflict: the competing reference evicts the
                 # line between consecutive touches, every iteration.
@@ -299,7 +298,7 @@ def predict_nest(
                 continue  # served by group reuse at this level
             else:
                 base += _ref_sweep_misses(
-                    program, nest, dot.ref, cache, cached_arrays, ranges
+                    sweep, cache, dot.ref.array in cached_arrays
                 )
         levels.append(
             LevelPrediction(

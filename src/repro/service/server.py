@@ -27,7 +27,11 @@ from the :class:`~repro.service.queue.TuningQueue`.
 
 The HTTP layer is deliberately minimal stdlib asyncio: HTTP/1.1,
 ``Connection: close``, JSON in/out.  It is an internal tool surface,
-not a general web server.
+not a general web server.  A request's head and body are read under
+one deadline, and a malformed one -- a bad or negative
+``Content-Length``, a body shorter than it, an over-long header line,
+JSON nested too deep to decode -- is answered 400 (413 for an
+oversized body) with a reason.
 """
 
 from __future__ import annotations
@@ -269,31 +273,35 @@ class TuningService:
             writer.close()
 
     async def _handle_request(self, reader) -> tuple[int, dict]:
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=_READ_TIMEOUT
-        )
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, target = parts[0].upper(), parts[1]
         length = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=_READ_TIMEOUT)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return 400, {"error": "bad Content-Length"}
-        if length > MAX_BODY_BYTES:
-            return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-        body = b""
-        if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=_READ_TIMEOUT
-            )
+        try:
+            # One deadline for the whole head and body: a client that
+            # drips header lines cannot hold the connection open.
+            async with asyncio.timeout(_READ_TIMEOUT):
+                parts = (await reader.readline()).decode("latin-1").split()
+                if len(parts) < 2:
+                    return 400, {"error": "malformed request line"}
+                while True:
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        try:
+                            length = int(value.strip())
+                        except ValueError:
+                            length = -1
+                        if length < 0:
+                            return 400, {"error": "bad Content-Length"}
+                if length > MAX_BODY_BYTES:
+                    return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+                body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            return 400, {"error": f"body ended after {len(exc.partial)} of "
+                                  f"{length} bytes"}
+        except ValueError:  # a line overran the reader's buffer limit
+            return 400, {"error": "request line or header too long"}
+        method, target = parts[0].upper(), parts[1]
         parsed = urllib.parse.urlsplit(target)
         query = urllib.parse.parse_qs(parsed.query)
         return await self._route(method, parsed.path, query, body)
@@ -324,7 +332,7 @@ class TuningService:
                 return 405, {"error": "POST a tuning request to /v1/tune"}
             try:
                 payload = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 return 400, {"error": f"body is not valid JSON: {exc}"}
             wait = query.get("wait", ["1"])[0] not in ("0", "false", "no")
             return await self._tune(payload, wait)

@@ -23,7 +23,6 @@ from repro.symbolic.lines import (
     distinct_offsets,
     max_set_occupancy,
     ref_distinct_offsets,
-    unique_ref_exprs,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "classify_job",
     "MAX_OFFSETS",
     "MAX_ROWS",
-    "unique_ref_exprs",
     "ref_distinct_offsets",
     "distinct_offsets",
     "distinct_lines",

@@ -7,8 +7,9 @@ LRU simulator -- and why not when it is not.  The analytic predictor
 the proven distinct-line count at every exact level.  Classification is
 dominated by the footprint enumeration (:mod:`repro.symbolic.lines`),
 itself skipped whenever the capacity pre-filter
-(:func:`~repro.analysis.footprint.ref_lines_lower_bound`) rules out the
-first level.
+(:func:`~repro.analysis.footprint.ref_lines_lower_bound` over the
+program's lowered coefficient columns, :mod:`repro.ir.lowering`) rules
+out the first level.
 
 Exactness rests on the **no-eviction theorem**: if every set of a level
 receives at most ``associativity`` distinct lines over the whole run,
@@ -44,11 +45,11 @@ and the ``ext_symbolic`` agreement table):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.analysis.footprint import ref_lines_lower_bound
+from repro.analysis.footprint import ref_line_bounds
 from repro.cache.config import HierarchyConfig
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import LoweredNest, lower
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 from repro.obs.tracer import get_tracer
@@ -85,10 +86,8 @@ class LevelClassification:
     cold_misses: int | None = None
 
 
-@lru_cache(maxsize=256)
 def _capacity_verdict(
-    program: Program,
-    nests: tuple[LoopNest, ...],
+    nests: tuple[LoweredNest, ...],
     geometry: tuple[tuple[str, int, int], ...],
 ) -> tuple[int, str] | None:
     """The first level the capacity pre-filter rules out, with its detail.
@@ -99,23 +98,18 @@ def _capacity_verdict(
     single offset.  Every level below is then ``inherited``, so the scan
     stops there.  The bound ignores layout bases (it depends only on
     loop strides), which is safe: bases shift offsets, never shrink a
-    reference's own line count below the bound.  Hence the verdict is
-    cached per ``(program, nests, geometry)``, where ``geometry`` holds
-    each level's ``(name, line_size, num_lines)``.
+    reference's own line count below the bound; so each lowered nest
+    computes its references' bounds once per line size.  ``geometry``
+    holds each level's ``(name, line_size, num_lines)``.
     """
-    refs = [
-        (nest, ref.array, ref.offset_expr(program.decl(ref.array)))
-        for nest in nests
-        for ref, _ in nest.unique_refs
-    ]
     for index, (name, line_size, num_lines) in enumerate(geometry):
-        for nest, array, expr in refs:
-            bound = ref_lines_lower_bound(nest, expr, line_size)
-            if bound > num_lines:
-                return index, (
-                    f"{array} alone spans >= {bound} lines, "
-                    f"{name} holds {num_lines}"
-                )
+        for low in nests:
+            for ref, bound in zip(low.unique, ref_line_bounds(low, line_size)):
+                if bound > num_lines:
+                    return index, (
+                        f"{ref.array} alone spans >= {bound} lines, "
+                        f"{name} holds {num_lines}"
+                    )
     return None
 
 
@@ -145,13 +139,14 @@ def classify_program(
     """
     selected = tuple(nests) if nests is not None else tuple(program.nests)
     levels = hierarchy.levels
-    short = is_short(selected)
     with get_tracer().span(
         "symbolic.classify", cat="symbolic", program=program.name
     ) as span:
+        lowered = lower(program)
+        lows = tuple(lowered.nest(nest) for nest in selected)
+        short = is_short(lows)
         verdict = _capacity_verdict(
-            program,
-            selected,
+            lows,
             tuple((c.name, c.line_size, c.num_lines) for c in levels),
         )
         ruled_out, capacity_detail = verdict or (len(levels), "")

@@ -7,13 +7,17 @@ regardless of access order.  This module computes those distinct sets --
 the absolute byte offsets every reference touches, and the cache lines
 they map to -- **without materializing a trace**.
 
-A nest is enumerated as its rows (:meth:`LoopNest.rows`), the same
+A reference is read from the program's lowered form
+(:func:`repro.ir.lowering.lower`) as an absolute constant (layout base
+plus offset constant) and one coefficient column per loop.  A nest is
+enumerated as its rows (:meth:`LoopNest.rows`), the same
 enumeration the trace generator runs, so the two cannot disagree on
 which indices execute.  Within one row the remaining loops form a
 rectangular space, over which a reference's offsets are the row's base
 offset plus a multi-dimensional arithmetic progression that depends only
 on the row's inner trip counts.  Rows are therefore grouped by trip
-counts: each group builds its progression set once (a staged union of
+counts (once per nest: the grouping does not depend on the layout): each
+group builds its progression set once (a staged union of
 per-loop progressions, smallest stride first, so intermediate arrays
 collapse early) and adds it to each of the group's distinct row bases.
 
@@ -26,15 +30,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.ir.affine import AffineExpr
 from repro.ir.loops import LoopNest
+from repro.ir.lowering import LoweredNest, lower
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 
 __all__ = [
     "MAX_OFFSETS",
     "MAX_ROWS",
-    "unique_ref_exprs",
     "ref_distinct_offsets",
     "distinct_offsets",
     "distinct_lines",
@@ -56,35 +59,14 @@ MAX_ROWS = 1 << 12
 _ENTRY_FACTOR = 4
 
 
-def unique_ref_exprs(
-    program: Program, layout: DataLayout, nest: LoopNest
-) -> list[AffineExpr]:
-    """Deduplicated absolute-address expressions of a nest's references.
-
-    Two references with identical array, subscript, and base touch
-    identical offsets; enumerating one of them is enough.  Expressions
-    are absolute (layout base included) so arrays that share cache lines
-    across a boundary are handled by construction.
-    """
-    bases = layout.bases()
-    seen: set[AffineExpr] = set()
-    out: list[AffineExpr] = []
-    for ref in nest.refs:
-        decl = program.decl(ref.array)
-        expr = ref.offset_expr(decl) + bases[ref.array]
-        if expr not in seen:
-            seen.add(expr)
-            out.append(expr)
-    return out
-
-
-def is_short(nests: tuple[LoopNest, ...]) -> bool:
-    """True when the nests issue at most :data:`MAX_OFFSETS` references.
+def is_short(nests: tuple[LoweredNest, ...]) -> bool:
+    """True when the lowered nests issue at most :data:`MAX_OFFSETS`
+    references.
 
     No reference of such nests can exceed the offset budget, and
     enumerating their whole footprint costs little.
     """
-    total = sum(nest.iterations() * nest.refs_per_iteration for nest in nests)
+    total = sum(low.iterations * len(low.refs) for low in nests)
     return total <= MAX_OFFSETS
 
 
@@ -111,17 +93,19 @@ class _RowGroups:
 
     ``trips[g]`` holds group ``g``'s trip count of every inner loop and
     ``members[g]`` the indices of its rows; rows with an empty inner loop
-    run nothing and belong to no group.
+    run nothing and belong to no group.  A nest of more than
+    :data:`MAX_ROWS` rows keeps none (``rows`` is ``None``), and asking
+    for its pieces raises :class:`_OverBudget`.
     """
 
     def __init__(self, nest: LoopNest) -> None:
-        rows = nest.rows()
+        self.nest = nest
+        self.rows = rows = nest.rows()
         if rows.counts[0].size > MAX_ROWS:
-            raise _OverBudget
+            self.rows = None
+            return
         counts = np.stack(rows.counts, axis=1)
         live = np.flatnonzero((counts > 0).all(axis=1))
-        self.nest = nest
-        self.rows = rows
         if live.size < 2:  # a rectangular nest is a single row
             self.trips, self.members = counts[live], [live]
             return
@@ -132,14 +116,19 @@ class _RowGroups:
         self.trips = trips
         self.members = np.split(live[order], splits[:-1])
 
-    def pieces(self, expr: AffineExpr):
-        """Yield ``expr``'s offsets group by group, each sorted and
-        distinct: the group's distinct row bases plus its progression."""
+    def pieces(self, const: int, column):
+        """Yield the offsets ``const + column . v`` group by group, each
+        sorted and distinct: the group's distinct row bases plus its
+        progression."""
         rows = self.rows
-        env = dict(zip(self.nest.loop_vars, rows.values + rows.firsts))
-        bases = np.broadcast_to(expr.evaluate(env), rows.counts[0].shape)
+        if rows is None:
+            raise _OverBudget
+        bases = np.full(rows.counts[0].shape, const, dtype=np.int64)
+        for coeff, values in zip(column, rows.values + rows.firsts):
+            if coeff:
+                bases = bases + coeff * values
         inner = self.nest.loops[rows.level:]
-        strides = [expr.coeff(lp.var) * lp.step for lp in inner]
+        strides = [c * lp.step for c, lp in zip(column[rows.level:], inner)]
         entries = 0
         for trips, members in zip(self.trips, self.members):
             steps = _progression(strides, trips)
@@ -188,15 +177,16 @@ def _ref_union(pieces: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def ref_distinct_offsets(nest: LoopNest, expr: AffineExpr) -> np.ndarray | None:
-    """All distinct byte offsets one absolute-address expression touches.
+def ref_distinct_offsets(nest: LoopNest, const: int, column) -> np.ndarray | None:
+    """All distinct byte offsets one reference touches, at absolute
+    address ``const + column . v`` for the nest's loop values ``v``.
 
     Returns a sorted ``int64`` array, or ``None`` when the enumeration
     budget (:data:`MAX_OFFSETS` distinct values, :data:`MAX_ROWS` rows)
     is exceeded.
     """
     try:
-        return _ref_union(list(_RowGroups(nest).pieces(expr)))
+        return _ref_union(list(_RowGroups(nest).pieces(const, column)))
     except _OverBudget:
         return None
 
@@ -218,14 +208,19 @@ def distinct_offsets(
     ``stop`` then receives more lines than it has ways, whatever the
     rest of the footprint is.
     """
+    lowered = lower(program)
+    bases = lowered.bases(layout)
     pieces: list[np.ndarray] = []
     lines = np.empty(0, dtype=np.int64)
     try:
         for nest in nests if nests is not None else program.nests:
-            groups = _RowGroups(nest)
-            for expr in unique_ref_exprs(program, layout, nest):
+            low = lowered.nest(nest)
+            # Built once per nest: the grouping does not depend on the layout.
+            groups = low.cached(_RowGroups, lambda: _RowGroups(low.nest))
+            consts = (bases[low.array] + low.const).tolist()
+            for const, column in zip(consts, low.coeff.T.tolist()):
                 ref_pieces = []
-                for piece in groups.pieces(expr):
+                for piece in groups.pieces(const, column):
                     ref_pieces.append(piece)
                     if stop is None:
                         continue

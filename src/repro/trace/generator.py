@@ -1,12 +1,12 @@
 """Vectorized address-trace generation.
 
-Every reference's byte address is affine in the loop indices, so each
-nest is lowered once to integer tables -- a constant and one coefficient
-per loop for every reference -- and a trace is a broadcast sum of loop
-index vectors times coefficient columns, with no Python-level
-per-iteration work.  Reference interleaving follows statement order
-exactly: a trace is an (iterations x refs) address matrix raveled
-row-major.
+Every reference's byte address is affine in the loop indices: the
+program's one lowered form (:func:`repro.ir.lowering.lower`) holds a
+constant and one coefficient per loop for every reference, a layout adds
+its base vector, and a trace is a broadcast sum of loop index vectors
+times coefficient columns, with no Python-level per-iteration work.
+Reference interleaving follows statement order exactly: a trace is an
+(iterations x refs) address matrix raveled row-major.
 
 A nest is traced row by row (:meth:`~repro.ir.loops.LoopNest.rows`): a
 row is one combination of values of the loops whose bounds others depend
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import IRError
 from repro.ir.loops import LoopNest, ragged_range
+from repro.ir.lowering import lower
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 
@@ -46,27 +47,6 @@ DEFAULT_CHUNK_REFS = 65_536
 #: A row of at least ``max_chunk_refs // BIG_ROW_DIVISOR`` references is
 #: emitted on its own; smaller rows are packed into batches.
 BIG_ROW_DIVISOR = 16
-
-
-def _lower(
-    program: Program, layout: DataLayout, nest: LoopNest
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute-address constant ``const[r]`` and per-loop coefficients
-    ``coeff[l, r]`` of every reference ``r`` in trace order:
-    ``addr[r] = const[r] + sum_l coeff[l, r] * v_l``."""
-    bases = layout.bases()
-    level = {v: l for l, v in enumerate(nest.loop_vars)}
-    refs = nest.refs
-    const = []
-    coeff = [[0] * len(refs) for _ in range(nest.depth)]
-    for r, ref in enumerate(refs):
-        c = bases[ref.array]
-        for sub, stride in zip(ref.subscripts, program.decl(ref.array).strides_bytes):
-            c += (sub.constant - 1) * stride
-            for name, k in sub.terms.items():
-                coeff[level[name]][r] += k * stride
-        const.append(c)
-    return np.array(const, dtype=np.int64), np.array(coeff, dtype=np.int64)
 
 
 def _broadcast(
@@ -145,7 +125,12 @@ def _nest_pieces(
     whenever one iteration fits it."""
     if max_chunk_refs <= 0:
         raise IRError("max_chunk_refs must be positive")
-    const, coeff = _lower(program, layout, nest)
+    lowered = lower(program)
+    low = lowered.nest(nest)
+    # Absolute address of reference r in trace order:
+    # const[r] + sum_l coeff[l, r] * v_l.
+    const = (lowered.bases(layout)[low.array] + low.const)[low.index]
+    coeff = low.coeff[:, low.index]
     rows = nest.rows()
     p = rows.level
     steps = [lp.step for lp in nest.loops[p:]]

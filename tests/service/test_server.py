@@ -9,6 +9,7 @@ topology, scaled down.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 
@@ -40,6 +41,53 @@ def run_service(test_body, tmp_path, **config_over):
             await service.shutdown()
 
     return asyncio.run(main())
+
+
+class _Capture:
+    """A stream writer that keeps what the handler writes."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def exchange(service, chunks, delay: float = 0.0, eof: bool = True):
+    """Feed raw request bytes to the service's connection handler.
+
+    ``chunks`` arrive ``delay`` seconds apart on a reader with the
+    socket server's default buffer limit, then EOF (unless ``eof`` is
+    false).  Runs on the service's event loop; returns ``(status, JSON
+    body)`` of the response.
+    """
+    async def go():
+        reader = asyncio.StreamReader()
+        writer = _Capture()
+
+        async def feed():
+            for chunk in chunks:
+                reader.feed_data(chunk)
+                await asyncio.sleep(delay)
+            if eof:
+                reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        try:
+            await service._handle_conn(reader, writer)
+        finally:
+            feeder.cancel()
+        head, _, body = writer.data.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    loop = service._server.get_loop()
+    return asyncio.run_coroutine_threadsafe(go(), loop).result(timeout=60)
 
 
 def jacobi_request(n: int = 32, **over):
@@ -162,6 +210,38 @@ class TestTuneEndpoint:
             assert status == 405
             status, err = client._request("GET", "/nothing/here")
             assert status == 404
+            deep = b"[" * 200_000 + b"]" * 200_000
+            for raw, want, reason in [
+                (b"POST /v1/tune HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                 400, "bad Content-Length"),
+                (b"POST /v1/tune HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+                 400, "body ended after 2 of 100 bytes"),
+                (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 100_000
+                 + b"\r\n\r\n", 400, "too long"),
+                (b"POST /v1/tune HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                 % len(deep) + deep, 400, "not valid JSON"),
+                (b"POST /v1/tune HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+                 413, "body exceeds"),
+            ]:
+                status, err = exchange(service, [raw])
+                assert (status, reason in err["error"]) == (want, True), err
+            assert not service._inflight, "a malformed request left an entry"
+            status, health = client.healthz()
+            assert status == 200 and health["inflight"] == 0
+
+        run_service(body, tmp_path)
+
+    def test_one_deadline_for_the_whole_head(self, tmp_path, monkeypatch):
+        # Each header line arrives well within the deadline, but the
+        # head as a whole does not: the request is cut off at 400.
+        monkeypatch.setattr(server_mod, "_READ_TIMEOUT", 0.5)
+
+        def body(client, service):
+            lines = [b"GET /healthz HTTP/1.1\r\n"] + [b"X-Drip: 1\r\n"] * 50
+            start = time.monotonic()
+            status, err = exchange(service, lines, delay=0.05, eof=False)
+            assert status == 400 and "timed out" in err["error"]
+            assert time.monotonic() - start < 2.0
 
         run_service(body, tmp_path)
 

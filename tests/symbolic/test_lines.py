@@ -22,8 +22,8 @@ from repro.symbolic.lines import (
     distinct_offsets,
     max_set_occupancy,
     ref_distinct_offsets,
-    unique_ref_exprs,
 )
+from repro.ir.lowering import lower
 from repro.trace import generate_trace
 
 
@@ -134,8 +134,10 @@ class TestBudgets:
         program = build_2d(32)
         layout = DataLayout.sequential(program)
         nest = program.nests[0]
-        expr = unique_ref_exprs(program, layout, nest)[0]
-        assert ref_distinct_offsets(nest, expr) is None
+        low = lower(program).nest(nest)
+        base = layout.base(low.unique[0].array)
+        const = base + int(low.const[0])
+        assert ref_distinct_offsets(nest, const, low.coeff[:, 0].tolist()) is None
         assert distinct_offsets(program, layout) is None
 
     def test_step_budget_returns_none(self, monkeypatch):
@@ -172,20 +174,23 @@ class TestStop:
         )
 
 
-class TestUniqueRefExprs:
-    def test_dedup_by_absolute_expr(self):
+class TestEnumeratedRefs:
+    """Each unique reference of the lowered form is enumerated once."""
+
+    def test_duplicates_enumerated_once(self):
         program = build_dup_refs()
-        layout = DataLayout.sequential(program)
-        exprs = unique_ref_exprs(program, layout, program.nests[0])
         # A[i] is read twice and A[i-1] once; only the two distinct
-        # absolute expressions survive.
-        assert len(exprs) == 2
+        # references are enumerated.
+        low = lower(program).nests[0]
+        assert len(low.unique) == 2 and low.multiplicity == (2, 1)
 
     def test_distinct_bases_stay_distinct(self):
         program = build_2d()
-        layout = DataLayout.sequential(program)
-        exprs = unique_ref_exprs(program, layout, program.nests[0])
-        assert len(exprs) == len(set(exprs))
+        lowered = lower(program)
+        low = lowered.nests[0]
+        consts = lowered.bases(DataLayout.sequential(program))[low.array] + low.const
+        refs = set(zip(consts.tolist(), map(tuple, low.coeff.T.tolist())))
+        assert len(refs) == len(low.unique) == 3
 
 
 class TestLineMapping:
