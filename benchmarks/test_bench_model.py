@@ -5,7 +5,10 @@ The predictor's whole value proposition is the cost asymmetry -- scoring
 a config analytically must be orders of magnitude cheaper than
 simulating it, or predict-then-verify buys nothing.  The rows here
 record predicted configs/sec and predicted jobs/sec (via ``extra_info``,
-so the trend gate tracks them) and pin the asymmetry itself.
+so the trend gate tracks them) and pin the asymmetry itself.  Each rate
+is the best of :data:`ROUNDS` rounds: a round takes milliseconds, and on
+a shared host the best of three still swung wider than the trend gate's
+30% band.
 """
 
 import time
@@ -21,6 +24,7 @@ from repro.kernels.registry import get_kernel
 from repro.model import predict_job
 
 N_CONFIGS = 24
+ROUNDS = 50
 
 
 def _jobs(name: str = "jacobi"):
@@ -38,7 +42,7 @@ def test_bench_predict_batch(benchmark):
     jobs = _jobs()
     executor = SweepExecutor(workers=1)
     results = benchmark.pedantic(
-        lambda: executor.predict(jobs), rounds=3, iterations=1, warmup_rounds=1
+        lambda: executor.predict(jobs), rounds=ROUNDS, iterations=1, warmup_rounds=1
     )
     assert len(results) == len(jobs)
     stats = benchmark.stats
@@ -88,7 +92,7 @@ def test_bench_predict_job(benchmark):
         return [predict_job(job) for job in jobs]
 
     results = benchmark.pedantic(
-        predict_all, rounds=3, iterations=1, warmup_rounds=1
+        predict_all, rounds=ROUNDS, iterations=1, warmup_rounds=1
     )
     assert len(results) == len(jobs)
     stats = benchmark.stats

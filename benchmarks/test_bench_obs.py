@@ -61,10 +61,11 @@ def test_disabled_obs_calls_are_under_2pct_of_simulation():
     """Analytic bound: per-chunk obs cost << 2% of per-chunk sim cost.
 
     An untraced `feed` adds exactly one `get_tracer()` + `enabled` test,
-    one `perf_counter` guard branch, and one cached counter `inc` per
-    chunk.  Time those calls at chunk frequency against the real
-    simulation of one chunk; the margin is orders of magnitude, so the
-    2% acceptance bar holds on any machine this runs on.
+    one `perf_counter` guard branch per chunk and per level, and two
+    cached counter `inc`s per chunk.  Time those calls at chunk
+    frequency against the real simulation of one chunk; the margin is
+    orders of magnitude, so the 2% acceptance bar holds on any machine
+    this runs on.
     """
     stop_tracing()
     rng = np.random.default_rng(7)
@@ -74,12 +75,15 @@ def test_disabled_obs_calls_are_under_2pct_of_simulation():
     sim_seconds = best_of(lambda: sim.feed(chunk), repeats=3)
 
     counter = get_metrics().counter("bench.obs.probe")
+    elided = get_metrics().counter("bench.obs.probe_elided")
 
     def obs_calls():
         # The exact per-chunk obs sequence feed() runs when disabled.
-        tracer = get_tracer()
-        if tracer.enabled:  # pragma: no cover - disabled here
-            pass
+        timed = get_tracer().enabled
+        for _ in HIER:
+            if timed:  # pragma: no cover - disabled here
+                pass
+        elided.inc(0)
         counter.inc(CHUNK)
 
     per_call = best_of(lambda: [obs_calls() for _ in range(1000)],

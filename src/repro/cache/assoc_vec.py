@@ -43,6 +43,7 @@ chunkings (``tests/properties/test_property_assoc_vec.py``).
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,30 @@ from repro.cache.config import check_geometry, check_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
-__all__ = ["StreamingAssocCache", "miss_mask_assoc_vec"]
+__all__ = ["StreamingAssocCache", "miss_mask_assoc_vec", "LineStream"]
+
+# Line numbers below this run the simulators' pipelines in int32: half
+# the memory traffic, and a chunk's intermediates stay cache-resident.
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class LineStream(NamedTuple):
+    """A checked trace chunk as line numbers in units of ``unit`` bytes.
+
+    What a hierarchy hands its levels instead of byte addresses:
+    ``lines`` holds each access's address floor-divided by ``unit``,
+    which divides every level's line size, so a level's own line number
+    is one more floor division.  ``hits`` counts accesses the hierarchy
+    already knows hit without changing cache state (dropped before the
+    level saw them); the level counts them as accesses that hit.  A
+    level fed a stream with ``mask`` False (a hierarchy's last level)
+    returns None instead of its miss mask.
+    """
+
+    lines: np.ndarray
+    unit: int
+    hits: int = 0
+    mask: bool = True
 
 
 def packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +115,31 @@ def line_numbers(addresses: np.ndarray, line_size: int, out=None) -> np.ndarray:
         shift = line_size.bit_length() - 1
         return np.right_shift(addresses, shift, out=out, casting="unsafe")
     return np.floor_divide(addresses, line_size, out=out, casting="unsafe")
+
+
+def narrow_lines(addresses: np.ndarray, unit: int) -> np.ndarray:
+    """``addresses // unit`` in int32 whenever every result fits."""
+    top = int(addresses.max()) if addresses.size else 0
+    if top <= _INT32_MAX:
+        # Narrowing first halves the bytes the division reads.
+        lines = addresses.astype(np.int32)
+        return line_numbers(lines, unit, out=lines)
+    dtype = np.int32 if top // unit < _INT32_MAX else np.int64
+    return line_numbers(addresses, unit, out=np.empty(addresses.size, dtype))
+
+
+def chunk_lines(chunk, line_size: int) -> tuple[np.ndarray, int, bool]:
+    """A level's line numbers of a chunk, the known hits it carries and
+    whether its miss mask is wanted.
+
+    ``chunk`` is a :class:`LineStream` or an array of byte addresses
+    (checked here).
+    """
+    if isinstance(chunk, LineStream):
+        factor = line_size // chunk.unit
+        lines = chunk.lines if factor == 1 else line_numbers(chunk.lines, factor)
+        return lines, chunk.hits, chunk.mask
+    return narrow_lines(check_trace(chunk), line_size), 0, True
 
 
 def set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
@@ -235,36 +284,36 @@ class StreamingAssocCache:
         valid = lru_first >= 0
         return sets[valid], lru_first[valid]
 
-    def feed(self, addresses: np.ndarray) -> np.ndarray:
+    def feed(self, addresses) -> np.ndarray | None:
         """Classify one chunk; returns its miss mask and updates the stack.
 
+        ``addresses`` is a byte-address array or a :class:`LineStream`.
         Per-chunk timing lands in the ``cache.assoc.chunk_seconds``
         histogram while a tracer is active.
         """
         tracer = get_tracer()
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        miss = self._classify(check_trace(addresses))
+        lines, hits, mask = chunk_lines(addresses, self.line_size)
+        self.accesses += hits
+        miss = self._classify(lines, mask)
         if tracer.enabled:
             get_metrics().histogram("cache.assoc.chunk_seconds").observe(
                 time.perf_counter() - t0
             )
         return miss
 
-    def _classify(self, addresses: np.ndarray) -> np.ndarray:
-        """``feed`` on a checked trace: the miss mask, stack and counters."""
-        n = addresses.size
+    def _classify(self, lines: np.ndarray, mask: bool) -> np.ndarray | None:
+        """``feed`` on a chunk's line numbers: the miss mask (if ``mask``),
+        stack and counters."""
+        n = lines.size
         if n == 0:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=bool) if mask else None
         k = self.associativity
         nsets = self.num_sets
-        # Line numbers (and everything derived from them) fit 32 bits for
-        # any address space below 2^31 * line_size; the narrow pipeline
-        # halves memory traffic and allocation cost on the hot path.
-        top = max(int(addresses.max()) // self.line_size, int(self.stack.max()))
-        dtype = np.int32 if top <= np.iinfo(np.int32).max - 1 else np.int64
-        lines = np.empty(n, dtype=dtype)
-        line_numbers(addresses, self.line_size, out=lines)
-        miss = np.zeros(n, dtype=bool)
+        # The narrow pipeline must also hold the carried stack's lines.
+        if lines.dtype != np.int64 and int(self.stack.max()) >= _INT32_MAX:
+            lines = lines.astype(np.int64)
+        dtype = lines.dtype
 
         # 1. Adjacent same-line repeats are hits at any associativity and
         # are also caught by the in-set collapse below, so compact here
@@ -333,12 +382,12 @@ class StreamingAssocCache:
         # 4. Scatter real (non-preamble) misses to original positions.
         if npre:
             mp = mp[mp >= npre] - npre
-        if surv_idx is not None:
-            miss[surv_idx[mp]] = True
-        else:
-            miss[mp] = True
         self.accesses += n
         self.misses += int(mp.size)
+        if not mask:
+            return None
+        miss = np.zeros(n, dtype=bool)
+        miss[mp if surv_idx is None else surv_idx[mp]] = True
         return miss
 
 

@@ -12,7 +12,9 @@ on it.
 :func:`check_geometry` and :func:`check_trace` are the one input check
 every simulator core shares -- direct-mapped, vectorized k-way and the
 sequential oracle -- so all of them reject a bad geometry or trace with
-the same :class:`~repro.errors.SimulationError`.
+the same :class:`~repro.errors.SimulationError`.  A trace chunk may be a
+:class:`SegmentedTrace`, whose segment shape lets the hierarchy drop L1
+hits that cannot change cache state (see ``docs/simulators.md``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "alpha_21164",
     "check_geometry",
     "check_trace",
+    "SegmentedTrace",
+    "segment_shape",
 ]
 
 
@@ -61,6 +65,44 @@ def check_trace(addresses) -> np.ndarray:
     if addresses.size and addresses.min() < 0:
         raise SimulationError("trace contains negative addresses")
     return addresses
+
+
+class SegmentedTrace(np.ndarray):
+    """A trace chunk made of whole, equal-length affine segments.
+
+    ``segment == (n, refs)``: the chunk is a run of segments, each ``n``
+    consecutive iterations of one innermost loop with ``refs`` references
+    per iteration, in which every reference's address is affine in the
+    iteration.  The trace generator tags the chunks it builds that way
+    with :meth:`tag`.  Every array derived from a tagged one -- a slice,
+    a ufunc result, a concatenation -- has ``segment`` None, since
+    derived data need not keep the segment structure.
+    """
+
+    segment: tuple[int, int] | None = None
+
+    def __array_finalize__(self, obj) -> None:
+        self.segment = None
+
+    @classmethod
+    def tag(cls, chunk: np.ndarray, n: int, refs: int) -> "SegmentedTrace":
+        """``chunk`` viewed as segments of ``n`` iterations x ``refs`` refs."""
+        out = chunk.view(cls)
+        out.segment = (n, refs)
+        return out
+
+
+def segment_shape(addresses) -> tuple[int, int] | None:
+    """The ``(n, refs)`` segment shape a trace chunk is tagged with, if any."""
+    if not isinstance(addresses, SegmentedTrace) or addresses.segment is None:
+        return None
+    n, refs = segment = addresses.segment
+    if n <= 0 or refs <= 0 or addresses.size % (n * refs):
+        raise SimulationError(
+            f"a trace of {addresses.size} references is not made of "
+            f"segments of {n} x {refs}"
+        )
+    return segment
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from repro.ir.affine import AffineExpr, const, var
 from repro.ir.arrays import ArrayDecl
 from repro.ir.loops import Loop, LoopNest, Statement
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval
+from repro.ir.ranges import affine_interval, loop_var_ranges
 from repro.ir.refs import ArrayRef
 
 __all__ = ["FuzzConfig", "random_program", "program_stream"]
@@ -89,22 +89,6 @@ class _ArraySpec:
     def __post_init__(self) -> None:
         if not self.extents:
             self.extents = [1] * self.rank
-
-
-def _loop_ranges(loops: list[Loop]) -> dict[str, tuple[int, int]]:
-    """(min, max) value of each loop variable, outer to inner.
-
-    The incremental form of :func:`repro.ir.ranges.loop_var_ranges`, usable
-    while the nest is still being built.
-    """
-    ranges: dict[str, tuple[int, int]] = {}
-    for lp in loops:
-        lower_ivs = [affine_interval(l, ranges) for l in lp.lowers]
-        upper_ivs = [affine_interval(u, ranges) for u in lp.uppers]
-        lo = max(iv[0] for iv in lower_ivs)
-        hi = min(iv[1] for iv in upper_ivs)
-        ranges[lp.var] = (lo, max(hi, lo))
-    return ranges
 
 
 def _make_loops(rng: random.Random, cfg: FuzzConfig, nest_idx: int,
@@ -235,7 +219,7 @@ def _draw_program(rng: random.Random, cfg: FuzzConfig, name: str) -> Program:
         else:
             loops = _make_loops(rng, cfg, n, per_nest_refs // refs_per_iter_est)
         prev_loops = loops
-        ranges = _loop_ranges(loops)
+        ranges = loop_var_ranges(loops)
 
         body: list[Statement] = []
         for _ in range(rng.randint(1, cfg.max_statements)):
@@ -257,7 +241,7 @@ def _draw_program(rng: random.Random, cfg: FuzzConfig, name: str) -> Program:
     # fire and every array participates in cross-nest reuse analysis.
     fixups: list[ArrayRef] = []
     last = nests[-1]
-    last_ranges = _loop_ranges(list(last.loops))
+    last_ranges = loop_var_ranges(last)
     for spec in specs:
         if not spec.read:
             fixups.append(
@@ -301,7 +285,7 @@ def _draw_program(rng: random.Random, cfg: FuzzConfig, name: str) -> Program:
             shrunk = Loop(lp.var, lp.lower,
                           const(lo + max(0, (hi - lo) // 2 - 1)), lp.step)
         else:
-            ranges = _loop_ranges(list(nest.loops))
+            ranges = loop_var_ranges(nest)
             by_range = [
                 (ranges[lp.var][1] - ranges[lp.var][0], li)
                 for li, lp in enumerate(nest.loops)

@@ -8,9 +8,11 @@ of its enclosing loops, then propagate.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import IRError
 from repro.ir.affine import AffineExpr
-from repro.ir.loops import LoopNest
+from repro.ir.loops import Loop, LoopNest
 
 __all__ = ["affine_interval", "loop_var_ranges", "canonical_env"]
 
@@ -40,15 +42,19 @@ def affine_interval(
     return lo, hi
 
 
-def loop_var_ranges(nest: LoopNest) -> dict[str, tuple[int, int]]:
+def loop_var_ranges(
+    nest: LoopNest | Sequence[Loop],
+) -> dict[str, tuple[int, int]]:
     """(min, max) value of each loop variable over the whole nest.
 
-    Handles symbolic bounds (triangular nests) by interval-evaluating each
-    bound over the enclosing variables' ranges.  Empty loops yield the
-    degenerate range of their lower bound.
+    ``nest`` may also be its loops alone, outermost first (a nest still
+    being built).  Handles symbolic bounds (triangular nests) by
+    interval-evaluating each bound over the enclosing variables' ranges.
+    Empty loops yield the degenerate range of their lower bound.
     """
+    loops = nest.loops if isinstance(nest, LoopNest) else nest
     ranges: dict[str, tuple[int, int]] = {}
-    for lp in nest.loops:
+    for lp in loops:
         lower_ivs = [affine_interval(l, ranges) for l in lp.lowers]
         lo_lo = max(iv[0] for iv in lower_ivs)
         lo_hi = max(iv[1] for iv in lower_ivs)

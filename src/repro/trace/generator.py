@@ -21,6 +21,13 @@ Consecutive smaller rows are packed into batches within the budget, and
 each batch is one ragged expansion over the loops whose bounds vary by
 row plus a broadcast over the constant-bound loops inside them.  A
 rectangular nest is a single row.
+
+A chunk made of whole runs of the innermost loop, all of one length, is
+a :class:`~repro.cache.config.SegmentedTrace` tagged with that
+``(iterations, refs)`` shape, which lets the simulator drop L1 hits that
+cannot change cache state: broadcasts with inner loops, blocks inside
+one innermost run, and coalesced chunks whose pieces share one shape.
+Ragged batches and mixed coalesced chunks are plain arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.cache.config import SegmentedTrace
 from repro.errors import IRError
 from repro.ir.loops import LoopNest, ragged_range
 from repro.ir.lowering import lower
@@ -58,7 +66,8 @@ def _broadcast(
     ``acc`` holds each point's per-reference address before the inner
     loops.  The result is the (points x n_1 x ... x n_m x refs) array
     raveled row-major, built innermost loop first so every intermediate
-    but the last stays small.
+    but the last stays small: segments of ``n_m`` iterations x ``refs``
+    references, tagged as such when there are inner loops.
     """
     points, nrefs = acc.shape
     shape = (points,) + tuple(v.size for v in values) + (nrefs,)
@@ -75,7 +84,8 @@ def _broadcast(
         out = lead if out is None else lead + out
     if out.shape != shape:
         out = np.broadcast_to(out, shape)
-    return np.ascontiguousarray(out).reshape(-1)
+    out = np.ascontiguousarray(out).reshape(-1)
+    return SegmentedTrace.tag(out, values[-1].size, nrefs) if values else out
 
 
 def _row_blocks(
@@ -93,7 +103,9 @@ def _row_blocks(
     loops run ``firsts[k] + steps[k]*j`` for ``j < counts[k]``.  The
     outermost loops are flattened into one index space, as few as leave
     a single flat index within the budget, and each block is a slice of
-    that space broadcast against the remaining loops.
+    that space broadcast against the remaining loops.  A block without
+    inner loops is one segment when it lies inside one run of the
+    innermost loop.
     """
     per_index = base.size
     split = len(counts)
@@ -107,12 +119,16 @@ def _row_blocks(
     flat = int(np.prod(counts[:split]))
     block = max(1, max_chunk_refs // per_index)
     for start in range(0, flat, block):
-        index = np.arange(start, min(flat, start + block), dtype=np.int64)
+        stop = min(flat, start + block)
+        index = np.arange(start, stop, dtype=np.int64)
         acc = base[None, :]
         for k in range(split - 1, -1, -1):
             index, j = np.divmod(index, counts[k])
             acc = acc + (firsts[k] + steps[k] * j)[:, None] * coeff[k]
-        yield _broadcast(acc, coeff[split:], inner)
+        out = _broadcast(acc, coeff[split:], inner)
+        if not inner and split and start % counts[-1] + stop - start <= counts[-1]:
+            out = SegmentedTrace.tag(out, stop - start, base.size)
+        yield out
 
 
 def _nest_pieces(
@@ -188,6 +204,15 @@ def _nest_pieces(
             start = stop + 1
 
 
+def _join(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces as one chunk, keeping a segment shape they all share."""
+    if len(pieces) == 1:
+        return pieces[0]
+    out = np.concatenate(pieces)
+    (segment, *others) = {getattr(p, "segment", None) for p in pieces}
+    return out if others or segment is None else SegmentedTrace.tag(out, *segment)
+
+
 def _coalesce(pieces: Iterator[np.ndarray], max_chunk_refs: int) -> Iterator[np.ndarray]:
     """Concatenate consecutive small pieces into chunks of at most
     ``max_chunk_refs`` references (a larger piece passes through alone),
@@ -197,13 +222,13 @@ def _coalesce(pieces: Iterator[np.ndarray], max_chunk_refs: int) -> Iterator[np.
     size = 0
     for piece in pieces:
         if size + piece.size > max_chunk_refs and pending:
-            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+            yield _join(pending)
             pending, size = [], 0
         if piece.size:
             pending.append(piece)
             size += piece.size
     if pending:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+        yield _join(pending)
 
 
 def nest_trace_chunks(

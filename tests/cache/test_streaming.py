@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, HierarchyConfig
+from repro.cache.assoc_vec import LineStream
+from repro.cache.config import SegmentedTrace, segment_shape
 from repro.cache.streaming import (
     StreamingAssocCache,
     StreamingDirectCache,
@@ -12,6 +14,7 @@ from repro.cache.streaming import (
 from repro.cache.direct import miss_mask_direct
 from repro.cache.assoc import miss_mask_assoc, replay_hierarchy
 from repro.errors import SimulationError
+from repro.obs.metrics import get_metrics
 
 
 def chunked(trace, sizes):
@@ -89,3 +92,101 @@ class TestStreamingHierarchy:
         mono = replay_hierarchy(config, [trace])
         stream = StreamingHierarchy(config).feed_all(chunked(trace, [64] * 8))
         assert stream.result() == mono
+
+
+def _segmented(trace, n, refs):
+    return SegmentedTrace.tag(np.asarray(trace, dtype=np.int64), n, refs)
+
+
+def _two_level(l1_line=32, l2_line=64):
+    return HierarchyConfig(
+        levels=(
+            CacheConfig(size=1024, line_size=l1_line, name="L1"),
+            CacheConfig(size=8192, line_size=l2_line, name="L2"),
+        )
+    )
+
+
+class TestSegmentedTrace:
+    def test_derived_arrays_drop_the_tag(self):
+        t = _segmented(np.arange(12), 3, 2)
+        assert segment_shape(t) == (3, 2)
+        for derived in (t[2:], t + 1, t[t > 3], np.concatenate([t, t]), t.copy()):
+            assert segment_shape(derived) is None
+        assert segment_shape(np.arange(12)) is None
+
+    def test_inconsistent_shape_rejected(self):
+        with pytest.raises(SimulationError):
+            StreamingHierarchy(_two_level()).feed(_segmented(np.arange(10), 3, 2))
+
+
+class TestMruElision:
+    def _elided(self, config, chunks):
+        counter = get_metrics().counter("cache.mru_elided")
+        before = counter.value
+        result = StreamingHierarchy(config).feed_all(chunks).result()
+        return result, counter.value - before
+
+    def test_unit_stride_stream_drops_same_line_repeats(self):
+        """8-byte elements on 32-byte lines: 3 of every 4 accesses after
+        a segment's first repeat the previous iteration's line."""
+        trace = np.arange(0, 64 * 8 * 4, 8)  # 4 segments of 64 iterations
+        config = _two_level()
+        result, elided = self._elided(config, [_segmented(trace, 64, 1)])
+        assert elided == 4 * 48
+        assert result == replay_hierarchy(config, [trace])
+
+    def test_columns_a_cache_size_apart_are_kept(self):
+        """Two streams exactly one L1 apart evict each other every
+        access: no repeat is a safe MRU hit."""
+        a = np.arange(0, 64 * 8, 8)
+        trace = np.stack([a, a + 1024], axis=1).ravel()
+        config = _two_level()
+        result, elided = self._elided(config, [_segmented(trace, 64, 2)])
+        assert elided == 0
+        assert result == replay_hierarchy(config, [trace])
+
+    def test_padded_columns_drop_again(self):
+        a = np.arange(0, 64 * 8, 8)
+        trace = np.stack([a, a + 1024 + 32], axis=1).ravel()
+        config = _two_level()
+        result, elided = self._elided(config, [_segmented(trace, 64, 2)])
+        assert elided == 2 * 48
+        assert result == replay_hierarchy(config, [trace])
+
+    def test_untagged_and_short_segments_elide_nothing(self):
+        a = np.arange(0, 64 * 8, 8)
+        config = _two_level()
+        for chunk in (a, _segmented(np.repeat(a[:4], 8), 4, 8)):
+            result, elided = self._elided(config, [chunk])
+            assert elided == 0
+            assert result == replay_hierarchy(config, [chunk])
+
+
+class TestLineStream:
+    @pytest.mark.parametrize("make", [
+        lambda: StreamingDirectCache(768, 48),
+        lambda: StreamingAssocCache(768, 48, 2),
+    ])
+    def test_lines_in_gcd_units_match_addresses(self, make):
+        """A level fed line numbers in units dividing its line size
+        classifies exactly as when fed the addresses, and counts the
+        stream's known hits as accesses."""
+        trace = np.random.default_rng(5).integers(0, 1 << 15, size=2000)
+        plain, lined = make(), make()
+        expected = plain.feed(trace)
+        np.testing.assert_array_equal(lined.feed(LineStream(trace // 16, 16, 5)), expected)
+        assert (lined.accesses, lined.misses) == (plain.accesses + 5, plain.misses)
+        assert lined.feed(LineStream(trace[:10] // 16, 16, mask=False)) is None
+
+    def test_non_multiple_line_sizes_in_a_hierarchy(self):
+        config = HierarchyConfig(
+            levels=(
+                CacheConfig(size=768, line_size=32, name="L1"),
+                CacheConfig(size=768 * 6, line_size=48, name="L2"),
+            )
+        )
+        rng = np.random.default_rng(9)
+        trace = rng.integers(0, 1 << 16, size=3000)
+        stream = StreamingHierarchy(config).feed_all(chunked(trace, [250] * 12))
+        assert stream.result() == replay_hierarchy(config, [trace])

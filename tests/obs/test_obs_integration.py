@@ -191,3 +191,26 @@ class TestCLITrace:
         capsys.readouterr()
         assert main(["report", "--trace", str(trace)]) == 0
         assert capsys.readouterr().out.strip() == format_report(trace).strip()
+
+
+class TestPerLevelChunkTiming:
+    def test_traced_hierarchy_times_each_level_and_counts_elided_hits(self):
+        """Under a tracer every level's share of each chunk lands in its
+        own histogram, so a report splits L1 from L2; the elided-hit
+        counter advances whether or not a tracer is active."""
+        job = job_for(96)
+        untraced = job.run()
+        elided = get_metrics().counter("cache.mru_elided").value
+        assert 0 < elided <= untraced.levels[0].accesses - untraced.levels[0].misses
+        assert "cache.L1.chunk_seconds" not in get_metrics().snapshot().get("histograms", {})
+        start_tracing()
+        try:
+            assert job.run() == untraced
+        finally:
+            stop_tracing()
+        hists = get_metrics().snapshot()["histograms"]
+        chunks = hists["cache.chunk_seconds"]["count"]
+        assert chunks > 0
+        assert hists["cache.L1.chunk_seconds"]["count"] == chunks
+        assert hists["cache.L2.chunk_seconds"]["count"] == chunks
+        assert get_metrics().counter("cache.mru_elided").value == 2 * elided

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DataLayout, ProgramBuilder
+from repro.cache.config import segment_shape
 from repro.errors import IRError
 from repro.ir.affine import var
 from repro.trace.generator import generate_trace, nest_trace_chunks
@@ -145,3 +146,19 @@ class TestMinBounds:
         expected = interpret_program(prog, layout)
         np.testing.assert_array_equal(trace, expected)
         assert trace.size == 10  # 4 + 4 + 2 iterations, one ref each
+
+
+class TestSegmentTags:
+    def test_rectangular_chunks_carry_their_inner_loop_shape(self):
+        prog = rectangular_program()
+        layout = DataLayout.sequential(prog)
+        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0]))
+        # 7 iterations of the inner loop x 4 references per iteration.
+        assert [segment_shape(c) for c in chunks] == [(7, 4)]
+        assert all(c.dtype == np.int64 and c.ndim == 1 for c in chunks)
+
+    def test_ragged_batches_carry_none(self):
+        prog = triangular_program()
+        layout = DataLayout.sequential(prog)
+        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0]))
+        assert chunks and all(segment_shape(c) is None for c in chunks)
