@@ -1,11 +1,11 @@
 """Benchmarks for the extension experiments (paper prose claims)."""
 
-from repro.experiments import ext_associativity, ext_timetile, ext_tlb
+from repro.experiments import ext_assoc, ext_timetile, ext_tlb
 
 
 def test_bench_associativity(benchmark):
     result = benchmark.pedantic(
-        lambda: ext_associativity.run(quick=True, programs=["dot", "su2cor"]),
+        lambda: ext_assoc.measure_claim(quick=True, programs=["dot", "su2cor"]),
         rounds=2, iterations=1,
     )
     # Direct-mapped-targeted PAD still helps the associative caches.

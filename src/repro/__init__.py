@@ -15,8 +15,9 @@ The package implements, from scratch, every system the paper relies on:
   L2MAXPAD padding, loop permutation, fusion, and tiling with
   self-interference-free tile-size selection;
 * :mod:`repro.kernels` -- the Table 1 programs as IR + runnable NumPy code;
-* :mod:`repro.search` -- empirical autotuning over pad/tile/fusion spaces,
-  stress-testing the heuristics against searched-optimal configurations;
+* :mod:`repro.search` -- empirical autotuning over pad and tile x pad
+  spaces, stress-testing the heuristics against searched-optimal
+  configurations;
 * :mod:`repro.model` -- a static, closed-form multi-level miss predictor
   (no trace, no simulation) powering the two-tier predict-then-verify
   search strategy, exact (bit-for-bit vs. the simulator) at every level
@@ -76,14 +77,8 @@ from repro.ir import (
     var,
 )
 from repro.layout import CacheDiagram, DataLayout
-from repro.simulate import simulate_nest, simulate_program
-from repro.driver import (
-    OptimizationReport,
-    StrategyOutcome,
-    evaluate_strategies,
-    optimize,
-    optimize_searched,
-)
+from repro.simulate import simulate_program
+from repro.driver import OptimizationReport, optimize
 from repro.exec import BACKENDS, ResultStore, SimJob, SweepExecutor
 from repro.fuzz import (
     FuzzConfig,
@@ -121,11 +116,9 @@ from repro.search import (
     SearchReport,
     SearchSpace,
     assoc_pad_space,
-    fusion_space,
     model_objective,
     pad_space,
     pad_tile_space,
-    tile_space,
 )
 from repro.service import (
     ServiceConfig,
@@ -169,12 +162,8 @@ __all__ = [
     "DataLayout",
     "CacheDiagram",
     "simulate_program",
-    "simulate_nest",
     "optimize",
-    "optimize_searched",
-    "evaluate_strategies",
     "OptimizationReport",
-    "StrategyOutcome",
     # parallel execution & memoization
     "SimJob",
     "SweepExecutor",
@@ -184,9 +173,7 @@ __all__ = [
     "SearchSpace",
     "pad_space",
     "assoc_pad_space",
-    "tile_space",
     "pad_tile_space",
-    "fusion_space",
     "ExhaustiveSearch",
     "RandomSearch",
     "CoordinateDescent",

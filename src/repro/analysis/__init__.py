@@ -15,13 +15,6 @@ from repro.analysis.reuse import (
     classify_nest,
     innermost_locality_score,
 )
-from repro.analysis.dependence import (
-    Dependence,
-    distance_vector,
-    nest_dependences,
-    permutation_legal,
-    reversal_legal,
-)
 from repro.analysis.footprint import nest_footprint_bytes, columns_in_cache
 from repro.analysis.costmodel import MissCostModel
 from repro.analysis.fusionmodel import (
@@ -43,11 +36,6 @@ __all__ = [
     "innermost_locality_score",
     "nest_footprint_bytes",
     "columns_in_cache",
-    "Dependence",
-    "distance_vector",
-    "nest_dependences",
-    "permutation_legal",
-    "reversal_legal",
     "MissCostModel",
     "FusionAccounting",
     "account_nests",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from repro.analysis.costmodel import MissCostModel
 from repro.analysis.fusionmodel import fusion_delta, fusion_profitable
 from repro.cache.config import HierarchyConfig
-from repro.cache.stats import SimulationResult
 from repro.errors import ReproError
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
@@ -37,13 +36,7 @@ from repro.transforms.maxpad import l2maxpad
 from repro.transforms.pad import multilvl_pad, pad
 from repro.transforms.permute import memory_order
 
-__all__ = [
-    "optimize",
-    "optimize_searched",
-    "evaluate_strategies",
-    "OptimizationReport",
-    "StrategyOutcome",
-]
+__all__ = ["optimize", "OptimizationReport"]
 
 STRATEGIES = ("PAD", "L1", "L1&L2")
 
@@ -169,126 +162,3 @@ def optimize(
             report.log(f"L2MAXPAD: pads={layout.pads}")
 
     return program, layout, report
-
-
-def optimize_searched(
-    program: Program,
-    hierarchy: HierarchyConfig,
-    strategy: str = "L1&L2",
-    budget: int | None = 64,
-    seed: int = 0,
-    search_strategy: str = "coordinate",
-    max_lines: int = 8,
-    assoc_aware: bool = False,
-    workers: int | None = None,
-    store=None,
-    executor=None,
-):
-    """The heuristic pipeline plus an empirical pad-search refinement.
-
-    Runs :func:`optimize` as usual, then searches the inter-variable pad
-    space around the heuristic layout with the :mod:`repro.search`
-    autotuner, seeded *with* the heuristic pads -- so the returned layout
-    is never worse (under the miss-cost objective) than what the paper's
-    recipe produced, and the report records how much the search moved.
-
-    With ``assoc_aware=True`` the search runs in
-    :func:`~repro.search.space.assoc_pad_space`, whose coarse stride is
-    the L1's k-way set-mapping period instead of the full cache size --
-    use it when ``hierarchy`` has a set-associative L1 and you want the
-    search to explore placements the direct-mapped model cannot
-    distinguish (the ``ext_assoc`` experiment does this systematically).
-
-    ``search_strategy`` accepts any :data:`~repro.search.STRATEGIES`
-    name; ``"predict"`` selects the two-tier
-    :class:`~repro.search.PredictThenVerifyStrategy`, which ranks the
-    whole space with the closed-form predictor (:mod:`repro.model`) and
-    spends the simulation budget only on the top-ranked candidates.
-
-    Returns ``(program, layout, report, search_report)``.
-    """
-    from repro.search import Autotuner, assoc_pad_space, pad_space
-
-    program, layout, report = optimize(program, hierarchy, strategy=strategy)
-    searched_arrays = layout.order[1:]
-    heuristic_config = tuple(
-        layout.pads[layout.index_of(a)] for a in searched_arrays
-    )
-    make_space = assoc_pad_space if assoc_aware else pad_space
-    space = make_space(
-        program, layout, hierarchy,
-        max_lines=max_lines,
-        include=dict(zip(searched_arrays, heuristic_config)),
-        name=f"pad[{program.name}:{strategy}]",
-    )
-    tuner = Autotuner(executor=executor, workers=workers, store=store)
-    search_report = tuner.search(
-        space,
-        strategy=search_strategy,
-        budget=budget,
-        seed=seed,
-        baseline=heuristic_config,
-    )
-    best_layout = layout.with_pads(
-        dict(zip(searched_arrays, search_report.best_config))
-    )
-    report.log(
-        f"search({search_report.strategy}, budget={budget}): "
-        f"objective {search_report.baseline_objective:.6g} -> "
-        f"{search_report.best_objective:.6g} "
-        f"(gap {search_report.gap_pct:+.2f}%) in "
-        f"{search_report.evaluations} evaluations"
-    )
-    return program, best_layout, report, search_report
-
-
-@dataclass(frozen=True)
-class StrategyOutcome:
-    """One strategy's optimized program, layout, decisions, and misses."""
-
-    strategy: str
-    program: Program
-    layout: DataLayout
-    report: OptimizationReport
-    result: SimulationResult
-
-
-def evaluate_strategies(
-    program: Program,
-    hierarchy: HierarchyConfig,
-    strategies: tuple[str, ...] = STRATEGIES,
-    workers: int | None = None,
-    store=None,
-    executor=None,
-) -> dict[str, StrategyOutcome]:
-    """Optimize under each strategy and simulate the outcomes in one sweep.
-
-    The paper's headline comparison ("L1" vs "L1&L2" should land within a
-    whisker of each other) as a single call: the optimization pipeline
-    runs per strategy, then every resulting (program, layout) is simulated
-    through a :class:`~repro.exec.executor.SweepExecutor` -- parallel
-    across strategies and memoized like any other sweep.
-    """
-    from repro.exec.executor import SweepExecutor
-    from repro.exec.jobs import SimJob
-
-    optimized = {s: optimize(program, hierarchy, strategy=s) for s in strategies}
-    jobs = [
-        SimJob(program=p, layout=lay, hierarchy=hierarchy, tag=(s,))
-        for s, (p, lay, _) in optimized.items()
-    ]
-    owns_executor = executor is None
-    if executor is None:
-        executor = SweepExecutor(workers=workers if workers is not None else 1,
-                                 store=store)
-    try:
-        sims = executor.run(jobs)
-    finally:
-        if owns_executor:
-            executor.close()
-    return {
-        s: StrategyOutcome(
-            strategy=s, program=p, layout=lay, report=rep, result=sim
-        )
-        for (s, (p, lay, rep)), sim in zip(optimized.items(), sims)
-    }

@@ -529,7 +529,7 @@ def run_jobs(
 
 # -- default store plumbing (library entry points) --------------------------
 #
-# simulate_program / simulate_nest / simulate_kernel_layout memoize through
+# simulate_program / simulate_kernel_layout memoize through
 # a process-wide default store: off unless REPRO_CACHE_DIR is set or
 # set_default_store() is called.  The experiments CLI manages its own store.
 

@@ -34,8 +34,7 @@ class SimJob:
 
     ``kernel`` names a registry kernel whose *custom* trace hook must be
     used; leave it None for the generic vectorized trace.  ``nest_index``
-    restricts the trace to one nest (cold caches), as
-    :func:`repro.simulate.simulate_nest` does.  ``tag`` is opaque caller
+    restricts the trace to one nest (cold caches).  ``tag`` is opaque caller
     metadata (figure/version labels); it never reaches the cache key.
     ``timeline_window`` asks :meth:`run_timed` for windowed per-level
     telemetry (refs per window; None/0 disables); like ``tag`` it is

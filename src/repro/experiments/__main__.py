@@ -6,13 +6,12 @@ Usage::
     python -m repro.experiments fig9 [--quick]
     python -m repro.experiments fig11 --workers 4          # parallel sweep
     python -m repro.experiments ext_search --workers 4 --budget 64
-    python -m repro.experiments ext_assoc --quick --budget 16    # k-way search
+    python -m repro.experiments ext_assoc --quick --budget 16    # Section 1 claim
     python -m repro.experiments ext_model --quick          # predictor vs simulator
     python -m repro.experiments ext_fuzz --quick           # differential fuzzing
     python -m repro.experiments ext_fuzz --seed 9 --count 1      # one fuzz case
     python -m repro.experiments ext_symbolic --quick       # exact levels vs simulator
     python -m repro.experiments fig9 --backend sim         # force pure simulation
-    python -m repro.experiments assoc_claim --quick        # Section 1 claim check
     python -m repro.experiments all --quick --out results/
     python -m repro.experiments serve --port 8077          # tuning service
 
@@ -77,7 +76,6 @@ from repro.obs.timeline import set_timeline_window
 from repro.obs.tracer import get_tracer, start_tracing, stop_tracing
 from repro.experiments import (
     ext_assoc,
-    ext_associativity,
     ext_fuzz,
     ext_model,
     ext_search,
@@ -103,8 +101,6 @@ EXPERIMENTS = {
     "fig13": fig13_tiling,
     "timing": timing,
     # Extensions beyond the paper's figures (claims made in its prose).
-    "assoc_claim": ext_associativity,
-    "associativity": ext_associativity,  # deprecated alias of assoc_claim
     "threelevel": ext_three_level,
     "tlb": ext_tlb,
     "timetile": ext_timetile,
@@ -115,21 +111,10 @@ EXPERIMENTS = {
     "ext_symbolic": ext_symbolic,
 }
 
-# Old verb -> replacement.  Aliases still run (scripts keep working) but
-# warn, and "all" skips them so each experiment executes once.
-DEPRECATED_ALIASES = {"associativity": "assoc_claim"}
-
-
 def experiment_names(verb: str) -> list[str]:
-    """The experiments one CLI verb expands to.
-
-    ``"all"`` runs every registered experiment exactly once -- deprecated
-    aliases are skipped, their targets run under the canonical name.  Any
-    other verb (including an alias) runs just itself.
-    """
-    if verb == "all":
-        return sorted(k for k in EXPERIMENTS if k not in DEPRECATED_ALIASES)
-    return [verb]
+    """The experiments one CLI verb expands to: ``"all"`` runs every
+    registered experiment once, any other verb just itself."""
+    return sorted(EXPERIMENTS) if verb == "all" else [verb]
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -333,12 +318,6 @@ def main(argv: list[str] | None = None) -> int:
                              backend=args.backend, shard=shard)
 
     for name in experiment_names(args.experiment):
-        if name in DEPRECATED_ALIASES:
-            print(
-                f"warning: {name!r} is deprecated; "
-                f"use {DEPRECATED_ALIASES[name]!r}",
-                file=sys.stderr,
-            )
         module = EXPERIMENTS[name]
         if shard is not None:
             # Populate mode: compute this shard's partition of the

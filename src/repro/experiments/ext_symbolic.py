@@ -12,8 +12,9 @@ bit-for-bit -- any disagreement is a bug in the no-eviction proof,
 counted in ``exact_disagreements`` and gated to zero in CI.  Estimated
 rows show the relative error and the downgrade reason, which is the
 honest picture of where the closed form is authoritative and where it
-only ranks.  The wall-clock of the two passes gives the headline
-speedup (the target: >= 10x on this sweep).
+only ranks.  The wall-clock of the two passes gives the measured
+speedup; it depends on the simulator's speed as much as on the
+predictor's, so nothing gates on it.
 
 **Fuzz cross-validation** -- a fixed-seed sample of the fuzzed workload
 population (:func:`repro.fuzz.fuzzed_workloads`) predicted against small
@@ -39,10 +40,7 @@ from repro.fuzz.generator import fuzzed_workloads
 from repro.fuzz.harness import FUZZ_HIERARCHIES
 from repro.model import predict_job
 
-__all__ = ["run", "SymbolicResult", "CROSSVAL_HIERARCHIES", "SPEEDUP_TARGET"]
-
-#: The acceptance criterion for the pad-sweep wall-clock comparison.
-SPEEDUP_TARGET = 10.0
+__all__ = ["run", "SymbolicResult", "CROSSVAL_HIERARCHIES"]
 
 
 def _crossval_hierarchies() -> dict[str, HierarchyConfig]:
@@ -104,10 +102,6 @@ class SymbolicResult:
     def speedup(self) -> float:
         return self.sim_wall / self.sym_wall if self.sym_wall > 0 else float("inf")
 
-    @property
-    def speedup_ok(self) -> bool:
-        return self.speedup >= SPEEDUP_TARGET
-
     def smoke_line(self) -> str:
         return (
             f"[symbolic] smoke seed={self.seed} programs={self.programs} "
@@ -115,17 +109,14 @@ class SymbolicResult:
             f"checked={self.fuzz_checked} "
             f"exact_disagreements={self.exact_disagreements} "
             f"downgraded={self.fuzz_downgraded} "
-            f"speedup={self.speedup:.1f}x "
-            f"speedup_ok={'yes' if self.speedup_ok else 'no'}"
+            f"speedup={self.speedup:.1f}x"
         )
 
     def format(self) -> str:
         lines = [
             "Predictor exact levels vs. simulator -- Table 1 pad sweep",
             f"  predictor wall {self.sym_wall:.2f}s, simulator wall "
-            f"{self.sim_wall:.2f}s, speedup {self.speedup:.1f}x "
-            f"(target >= {SPEEDUP_TARGET:.0f}x: "
-            f"{'met' if self.speedup_ok else 'MISSED'})",
+            f"{self.sim_wall:.2f}s, speedup {self.speedup:.1f}x",
             "",
             f"  {'program':<10} {'version':<10} {'lvl':<4} "
             f"{'sim misses':>12} {'predicted':>14} {'exact':>5} "

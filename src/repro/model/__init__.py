@@ -14,7 +14,7 @@ which is what powers the two-tier predict-then-verify search
 Entry points:
 
 * :func:`predict_program` / :func:`predict_nest` -- analytic counterparts
-  of ``simulate_program`` / ``simulate_nest``;
+  of ``simulate_program`` and of a single-nest ``SimJob``;
 * :func:`predict_job` -- score a :class:`~repro.exec.jobs.SimJob` without
   running it (the executor's :meth:`~repro.exec.executor.SweepExecutor.predict`
   batch hook maps this over job lists);

@@ -273,7 +273,7 @@ def predict_nest(
 
     ``resident`` gives, per level, the arrays assumed cached on entry
     (:func:`predict_program` threads this across nests); by default every
-    level starts cold, matching :func:`repro.simulate.simulate_nest`.
+    level starts cold, matching a ``SimJob`` with ``nest_index`` set.
     """
     from repro.layout.diagram import CacheDiagram  # lazy: import-cycle guard
 
@@ -420,7 +420,7 @@ def predict_job(job) -> PredictedStats:
 
     The analytic counterpart of ``job.run()``: same program, layout, and
     hierarchy, with ``nest_index`` jobs predicted on that nest alone
-    (cold caches, as :func:`simulate_nest` measures).  Kernels with
+    (cold caches, as the simulator runs them).  Kernels with
     custom trace hooks (IRR's runtime gathers) are estimated from their
     affine IR, which ignores the data-dependent indirection -- no level
     of theirs is exact, so rank them with care, or not at all.

@@ -10,8 +10,8 @@ the parallel memoized :class:`~repro.exec.executor.SweepExecutor`.
 Pieces:
 
 * :mod:`repro.search.space` -- :class:`SearchSpace` and the three
-  concrete spaces (:func:`pad_space`, :func:`tile_space`,
-  :func:`fusion_space`);
+  concrete spaces (:func:`pad_space`, :func:`assoc_pad_space`,
+  :func:`pad_tile_space`);
 * :mod:`repro.search.objective` -- minimized figures of merit over
   simulated miss statistics, plus :func:`model_objective`, the analytic
   (simulation-free) scorer backed by :mod:`repro.model`;
@@ -52,10 +52,8 @@ from repro.search.space import (
     Dimension,
     SearchSpace,
     assoc_pad_space,
-    fusion_space,
     pad_space,
     pad_tile_space,
-    tile_space,
 )
 from repro.search.strategies import (
     STRATEGIES,
@@ -73,9 +71,7 @@ __all__ = [
     "SearchSpace",
     "pad_space",
     "assoc_pad_space",
-    "tile_space",
     "pad_tile_space",
-    "fusion_space",
     "Objective",
     "ModelObjective",
     "miss_cost_objective",

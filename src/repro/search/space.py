@@ -22,15 +22,12 @@ Three concrete spaces cover the paper's tuning decisions:
   direct-mapped model cannot distinguish.  Used by the ``ext_assoc``
   experiment to measure how much headroom the paper's "treat k-way as
   direct-mapped" claim (Section 1) leaves behind.
-* :func:`tile_space` -- W x H tile edges for the Figure 8 tiled matrix
-  multiply, up to L2-sized edges (Section 5).
-* :func:`pad_tile_space` -- the joint product of tile edges *and*
-  inter-variable pads for the tiled multiply.  The paper tunes the two
-  independently (tile for capacity, then pad for conflicts); the joint
-  space is usually too large to simulate exhaustively, which is exactly
-  what the analytic predict-then-verify strategy is for.
-* :func:`fusion_space` -- binary fuse/no-fuse decisions for each
-  adjacent compatible nest pair (Section 4).
+* :func:`pad_tile_space` -- the joint product of W x H tile edges for
+  the Figure 8 tiled matrix multiply (up to L2-sized edges, Section 5)
+  *and* inter-variable pads.  The paper tunes the two independently
+  (tile for capacity, then pad for conflicts); the joint space is
+  usually too large to simulate exhaustively, which is exactly what the
+  analytic predict-then-verify strategy is for.
 """
 
 from __future__ import annotations
@@ -51,9 +48,7 @@ __all__ = [
     "SearchSpace",
     "pad_space",
     "assoc_pad_space",
-    "tile_space",
     "pad_tile_space",
-    "fusion_space",
 ]
 
 Config = tuple[int, ...]
@@ -303,7 +298,7 @@ def assoc_pad_space(
     )
 
 
-# -- tile space --------------------------------------------------------------
+# -- tile x pad space --------------------------------------------------------
 
 def _edge_ladder(n: int, max_edge: int) -> tuple[int, ...]:
     """Geometric candidate tile edges ``4, 6, 9, 13, ...`` up to the bound."""
@@ -314,47 +309,6 @@ def _edge_ladder(n: int, max_edge: int) -> tuple[int, ...]:
         edges.add(e)
         e = max(e + 1, e * 3 // 2)
     return tuple(sorted(edges))
-
-
-def tile_space(
-    n: int,
-    hierarchy: HierarchyConfig,
-    element_size: int = 8,
-    widths: Sequence[int] | None = None,
-    heights: Sequence[int] | None = None,
-    name: str | None = None,
-) -> SearchSpace:
-    """W x H tile edges for the tiled matrix multiply of Figure 8.
-
-    Edges default to a geometric ladder bounded so a single tile edge
-    never exceeds what an L2-sized tile could use (Section 5 considers
-    tiles up to L2-sized); degenerate or over-capacity combinations are
-    legal points -- the objective simply rates them poorly.
-    """
-    from repro.kernels import matmul  # local: keeps module import light
-
-    l2 = hierarchy.l2.size if len(hierarchy) > 1 else hierarchy.l1.size
-    max_edge = max(4, l2 // (element_size * 4))
-    w_choices = tuple(widths) if widths is not None else _edge_ladder(n, max_edge)
-    h_choices = tuple(heights) if heights is not None else _edge_ladder(n, max_edge)
-    dims = (
-        Dimension(name="tile:w", choices=w_choices),
-        Dimension(name="tile:h", choices=h_choices),
-    )
-
-    def build(config: Config) -> SimJob:
-        w, h = config
-        program = matmul.build_tiled(n, w, h)
-        return SimJob(
-            program=program,
-            layout=DataLayout.sequential(program),
-            hierarchy=hierarchy,
-            tag=("search", config),
-        )
-
-    return SearchSpace(
-        name=name or f"tile[matmul-{n}]", dimensions=dims, job_builder=build
-    )
 
 
 def pad_tile_space(
@@ -370,8 +324,8 @@ def pad_tile_space(
 ) -> SearchSpace:
     """The joint tile x pad product for the tiled matrix multiply.
 
-    Four dimensions: ``tile:w`` and ``tile:h`` (same ladders as
-    :func:`tile_space`) crossed with one pad dimension per matmul array
+    Four dimensions: ``tile:w`` and ``tile:h`` (geometric edge ladders
+    bounded by what an L2-sized tile could use) crossed with one pad dimension per matmul array
     after the first (the B and C operands), stepping by ``Lmax`` exactly
     like :func:`pad_space`.  Tiling and padding interact -- a tile shape
     fixes which sub-columns are live at once, and the pads decide whether
@@ -429,82 +383,4 @@ def pad_tile_space(
         name=name or f"pad_tile[matmul-{n}]",
         dimensions=tuple(dims),
         job_builder=build,
-    )
-
-
-# -- fusion space ------------------------------------------------------------
-
-def fusion_space(
-    program: Program,
-    hierarchy: HierarchyConfig,
-    layout_for: Callable[[Program], DataLayout] | None = None,
-    check: str = "strict",
-    name: str | None = None,
-) -> SearchSpace:
-    """Fuse/no-fuse decisions over the program's adjacent compatible pairs.
-
-    One binary dimension per adjacent nest pair that :func:`can_fuse`
-    accepts in the *original* program.  Decisions apply left to right; a
-    decision whose pair has been absorbed into an earlier fusion (or that
-    fails the dependence check after earlier fusions) is skipped, so every
-    point of the hypercube is a valid program.  ``layout_for`` lays out
-    each candidate (default: GROUPPAD for L1, then L2MAXPAD when the
-    hierarchy has a second level, as the driver does).
-    """
-    from repro.transforms.fusion import can_fuse, fuse_nests, fusion_dependence_ok
-    from repro.transforms.grouppad import grouppad
-    from repro.transforms.maxpad import l2maxpad
-
-    pairs = [
-        i
-        for i in range(len(program.nests) - 1)
-        if can_fuse(program.nests[i], program.nests[i + 1])
-    ]
-    if not pairs:
-        raise ReproError(
-            f"program {program.name!r} has no adjacent fusable nest pairs"
-        )
-    dims = tuple(
-        Dimension(name=f"fuse:{program.nests[i].label}+{program.nests[i + 1].label}",
-                  choices=(0, 1))
-        for i in pairs
-    )
-
-    def default_layout(p: Program) -> DataLayout:
-        lay = grouppad(
-            p, DataLayout.sequential(p), hierarchy.l1.size, hierarchy.l1.line_size
-        )
-        if len(hierarchy) > 1:
-            lay = l2maxpad(p, lay, hierarchy)
-        return lay
-
-    make_layout = layout_for or default_layout
-
-    def build(config: Config) -> SimJob:
-        out = program
-        # current index of each original nest; fused nests share an index.
-        current = list(range(len(program.nests)))
-        for pair_index, decision in zip(pairs, config):
-            if not decision:
-                continue
-            a, b = current[pair_index], current[pair_index + 1]
-            if a == b:
-                continue  # already merged by an earlier decision
-            if not can_fuse(out.nests[a], out.nests[b]):
-                continue
-            if check == "strict" and not fusion_dependence_ok(
-                out, out.nests[a], out.nests[b]
-            ):
-                continue
-            out = fuse_nests(out, a, b, check="none")
-            current = [c if c <= a else c - 1 for c in current]
-        return SimJob(
-            program=out,
-            layout=make_layout(out),
-            hierarchy=hierarchy,
-            tag=("search", config),
-        )
-
-    return SearchSpace(
-        name=name or f"fusion[{program.name}]", dimensions=dims, job_builder=build
     )

@@ -6,9 +6,9 @@ This is the main entry point the experiments and examples use::
     result = simulate_program(program, layout, ultrasparc_i())
     print(result.miss_rate("L1"), result.miss_rate("L2"))
 
-Both helpers route through :mod:`repro.exec`: the simulation is expressed
-as a :class:`~repro.exec.jobs.SimJob` and memoized against the
-process-wide default :class:`~repro.exec.store.ResultStore` (off unless
+It routes through :mod:`repro.exec`: the simulation is expressed as a
+:class:`~repro.exec.jobs.SimJob` and memoized against the process-wide
+default :class:`~repro.exec.store.ResultStore` (off unless
 ``REPRO_CACHE_DIR`` is set or :func:`repro.exec.set_default_store` is
 called).  Sweeps over many configurations should build the jobs directly
 and hand them to a :class:`~repro.exec.executor.SweepExecutor`.
@@ -24,7 +24,7 @@ from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 from repro.trace.generator import DEFAULT_CHUNK_REFS
 
-__all__ = ["simulate_program", "simulate_nest"]
+__all__ = ["simulate_program"]
 
 
 def simulate_program(
@@ -46,26 +46,6 @@ def simulate_program(
         program=program,
         layout=layout,
         hierarchy=hierarchy,
-        max_chunk_refs=max_chunk_refs,
-    )
-    return execute_one(job, store=store, backend=backend)
-
-
-def simulate_nest(
-    program: Program,
-    layout: DataLayout,
-    nest_index: int,
-    hierarchy: HierarchyConfig,
-    max_chunk_refs: int = DEFAULT_CHUNK_REFS,
-    store=_UNSET,
-    backend: str = "sim",
-) -> SimulationResult:
-    """Simulate a single nest of the program (cold caches)."""
-    job = SimJob(
-        program=program,
-        layout=layout,
-        hierarchy=hierarchy,
-        nest_index=nest_index,
         max_chunk_refs=max_chunk_refs,
     )
     return execute_one(job, store=store, backend=backend)

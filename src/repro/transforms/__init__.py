@@ -18,8 +18,7 @@ Data-layout transformations (Section 3):
 
 Loop transformations (Sections 2, 4, 5):
 
-* :func:`permute_nest` / :func:`best_permutation` -- loop permutation;
-* :func:`reverse_loop`, :func:`interchange`, :func:`skew` -- unimodular;
+* :func:`permute_nest` / :func:`memory_order` -- loop permutation;
 * :func:`fuse_nests` / :func:`fuse_all` -- loop fusion;
 * :func:`strip_mine`, :func:`tile_nest` -- tiling;
 * :mod:`repro.transforms.tilesize` -- self-interference-free tile-size
@@ -31,12 +30,8 @@ from repro.transforms.grouppad import grouppad, grouppad_recursive
 from repro.transforms.maxpad import maxpad, l2maxpad
 from repro.transforms.intrapad import intra_pad
 from repro.transforms.transpose import transpose_array
-from repro.transforms.permute import best_permutation, memory_order, permute_nest
-from repro.transforms.unimodular import interchange, reverse_loop, skew
+from repro.transforms.permute import memory_order, permute_nest
 from repro.transforms.fusion import can_fuse, fuse_all, fuse_nests
-from repro.transforms.distribution import can_distribute, distribute_nest
-from repro.transforms.contraction import contract_array, contractible_arrays, scalar_replace
-from repro.transforms.unroll import unroll
 from repro.transforms.timetile import block_columns_for_cache, time_tile
 from repro.transforms.tiling import strip_mine, tile_nest
 from repro.transforms.tilesize import (
@@ -56,20 +51,10 @@ __all__ = [
     "intra_pad",
     "transpose_array",
     "permute_nest",
-    "best_permutation",
     "memory_order",
-    "reverse_loop",
-    "interchange",
-    "skew",
     "can_fuse",
     "fuse_nests",
     "fuse_all",
-    "can_distribute",
-    "distribute_nest",
-    "contract_array",
-    "contractible_arrays",
-    "scalar_replace",
-    "unroll",
     "time_tile",
     "block_columns_for_cache",
     "strip_mine",

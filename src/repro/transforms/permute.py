@@ -6,10 +6,10 @@ loops its bounds do not depend on.  (The paper's codes are fully
 permutable stencils; general dependence testing is out of scope and
 permutation of the modeled kernels never reverses a dependence.)
 
-:func:`best_permutation` implements the standard "memory order" heuristic
-cited as [18]: evaluate each loop's locality if placed innermost and put
-the best one there.  The score uses only the line size -- Section 2.1's
-argument for why permutation is insensitive to the number of cache levels.
+:func:`memory_order` implements the "memory order" heuristic cited as
+[18]: rank every loop by its locality if placed innermost.  The score uses
+only the line size -- Section 2.1's argument for why permutation is
+insensitive to the number of cache levels.
 """
 
 from __future__ import annotations
@@ -21,32 +21,17 @@ from repro.errors import TransformError
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 
-__all__ = ["permute_nest", "best_permutation", "memory_order"]
+__all__ = ["permute_nest", "memory_order"]
 
 
-def permute_nest(
-    nest: LoopNest, order: Sequence[str], check_dependences: bool = False
-) -> LoopNest:
+def permute_nest(nest: LoopNest, order: Sequence[str]) -> LoopNest:
     """Reorder the nest's loops to ``order`` (outermost first).
 
     Raises :class:`TransformError` when ``order`` is not a permutation of
     the nest's loop variables or when a bound would reference a variable
-    that is no longer enclosing.  With ``check_dependences=True`` the
-    direction-vector legality test also runs
-    (:func:`repro.analysis.dependence.permutation_legal`), rejecting
-    permutations that reverse a dependence; it is off by default because
-    tiling's strip-loops and the paper's fully-permutable stencils do not
-    need it.
+    that is no longer enclosing.
     """
     order = tuple(order)
-    if check_dependences:
-        from repro.analysis.dependence import permutation_legal
-
-        if not permutation_legal(nest, order):
-            raise TransformError(
-                f"permutation {order} reverses a dependence of nest "
-                f"{nest.label!r} (or the nest is unanalyzable)"
-            )
     if sorted(order) != sorted(nest.loop_vars):
         raise TransformError(
             f"{order} is not a permutation of loops {nest.loop_vars}"
@@ -66,44 +51,6 @@ def permute_nest(
     return LoopNest(new_loops, nest.body, nest.label)
 
 
-def best_permutation(
-    program: Program,
-    nest: LoopNest,
-    line_size: int,
-) -> LoopNest:
-    """Memory order: place the most locality-carrying legal loop innermost.
-
-    Scores every loop with :func:`innermost_locality_score`; loops that
-    other loops' bounds depend on cannot move innermost.  Remaining loops
-    keep their relative order.  Returns the nest unchanged when the
-    innermost loop is already optimal.
-    """
-    candidates = []
-    for lp in nest.loops:
-        if any(
-            other.var != lp.var
-            and any(b.depends_on(lp.var) for b in other.all_bounds)
-            for other in nest.loops
-        ):
-            continue  # some bound depends on lp; it must stay outside
-        candidates.append(lp.var)
-    if not candidates:
-        return nest
-    scored = sorted(
-        candidates,
-        key=lambda v: (
-            innermost_locality_score(program, nest, v, line_size),
-            v == nest.loops[-1].var,  # prefer current innermost on ties
-        ),
-        reverse=True,
-    )
-    best = scored[0]
-    if best == nest.loops[-1].var:
-        return nest
-    order = [v for v in nest.loop_vars if v != best] + [best]
-    return permute_nest(nest, order)
-
-
 def memory_order(
     program: Program,
     nest: LoopNest,
@@ -113,18 +60,14 @@ def memory_order(
 
     Sorts loops so the most locality-carrying one is innermost, the next
     one second-innermost, and so on -- McKinley/Carr/Tseng's "memory
-    order" [18] in full, where :func:`best_permutation` only places the
-    innermost.  When the ideal order is structurally illegal (a bound
+    order" [18].  When the ideal order is structurally illegal (a bound
     depends on a loop that would move inside it) the offending loop is
     hoisted just far enough out, preserving the rest of the ranking.
     """
-    ranked = sorted(
+    order = sorted(
         nest.loop_vars,
         key=lambda v: innermost_locality_score(program, nest, v, line_size),
     )  # worst (outermost) first
-    order: list[str] = []
-    for v in ranked:
-        order.append(v)
     # Repair legality: every loop whose bounds mention v must come after v.
     by_var = {lp.var: lp for lp in nest.loops}
     changed = True

@@ -43,6 +43,14 @@ class TestRun:
         assert "gap %" in text
         assert "[assoc] worst modeling gap:" in text
 
+    def test_claim_table_comes_first(self, result):
+        """The claim table covers its own kernels and precedes the
+        headroom table."""
+        assert list(result.claim.rates) == ext_assoc.CLAIM_PROGRAMS
+        text = result.format()
+        assert text.startswith(result.claim.format())
+        assert text.index("PAD 4-way%") < text.index("gap %")
+
     def test_objective_override(self):
         res = ext_assoc.run(
             quick=True,

@@ -84,21 +84,3 @@ class TestCli:
         assert "[model] smoke kernel=" in out
         assert (tmp_path / "ext_model.txt").exists()
 
-    def test_deprecated_associativity_alias_warns(self, capsys, tmp_path):
-        rc = main([
-            "associativity", "--quick", "--workers", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "assoc_claim" in captured.err
-
-    def test_assoc_claim_verb_runs_clean(self, capsys, tmp_path):
-        rc = main([
-            "assoc_claim", "--quick", "--workers", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "deprecated" not in captured.err

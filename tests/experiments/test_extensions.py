@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.experiments import ext_associativity, ext_three_level, ext_tlb
+from repro.experiments import ext_assoc, ext_three_level, ext_tlb
 
 
 class TestAssociativity:
+    """The claim table of ``ext_assoc``."""
+
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_associativity.run(quick=True, programs=["dot", "su2cor"])
+        return ext_assoc.measure_claim(quick=True, programs=["dot", "su2cor"])
 
     def test_padding_helps_associative_caches_too(self, result):
         """PAD chosen for direct-mapped still removes most misses on
@@ -29,7 +31,7 @@ class TestAssociativity:
         assert "2-way" in text and "dot" in text
 
     def test_assoc_hierarchy_geometry(self):
-        h = ext_associativity.assoc_hierarchy(2)
+        h = ext_assoc.assoc_hierarchy(2)
         assert h.l1.associativity == 2
         assert h.l1.size == 16 * 1024  # same capacity, different mapping
 

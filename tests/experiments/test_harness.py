@@ -80,38 +80,23 @@ class TestCLI:
     def test_experiment_registry(self):
         assert set(EXPERIMENTS) == {
             "table1", "fig9", "fig10", "fig11", "fig12", "fig13", "timing",
-            "assoc_claim", "associativity", "threelevel", "tlb", "timetile",
+            "threelevel", "tlb", "timetile",
             "ext_search", "ext_assoc", "ext_model", "ext_fuzz",
             "ext_symbolic",
         }
 
-    def test_assoc_claim_alias(self, capsys):
-        from repro.experiments.__main__ import DEPRECATED_ALIASES
+    def test_experiment_names_all_runs_each_once(self):
+        from repro.experiments.__main__ import experiment_names
 
-        assert DEPRECATED_ALIASES == {"associativity": "assoc_claim"}
-        assert EXPERIMENTS["associativity"] is EXPERIMENTS["assoc_claim"]
-
-    def test_experiment_names_all_skips_aliases(self):
-        from repro.experiments.__main__ import (
-            DEPRECATED_ALIASES,
-            experiment_names,
-        )
-
-        names = experiment_names("all")
-        # Every registered experiment exactly once, no deprecated verbs.
-        assert names == sorted(names)
-        assert len(names) == len(set(names))
-        assert set(names) == set(EXPERIMENTS) - set(DEPRECATED_ALIASES)
-        for alias, target in DEPRECATED_ALIASES.items():
-            assert alias not in names
-            assert target in names
+        assert experiment_names("all") == sorted(EXPERIMENTS)
+        # One module per verb: no experiment runs twice under "all".
+        modules = [EXPERIMENTS[name] for name in experiment_names("all")]
+        assert len(modules) == len(set(modules))
 
     def test_experiment_names_single_verb(self):
         from repro.experiments.__main__ import experiment_names
 
         assert experiment_names("fig9") == ["fig9"]
-        # An alias still runs itself (scripts keep working).
-        assert experiment_names("associativity") == ["associativity"]
 
     def test_main_table1(self, capsys, tmp_path):
         rc = main(["table1", "--out", str(tmp_path)])

@@ -1,8 +1,8 @@
 """Property tests: reordering transforms preserve the access multiset.
 
-Every pure reordering transform (tiling, unrolling, fusion+distribution
-roundtrips, time tiling) must leave the multiset of touched addresses
-unchanged -- only the order may differ.  Hypothesis drives the shapes.
+Every pure reordering transform (tiling, fusion, time tiling) must
+leave the multiset of touched addresses unchanged -- only the order may
+differ.  Hypothesis drives the shapes.
 """
 
 import numpy as np
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from repro import DataLayout, ProgramBuilder
 from repro.trace.generator import generate_trace
-from repro.transforms.distribution import distribute_nest
 from repro.transforms.fusion import fuse_nests
 from repro.transforms.tiling import tile_nest
 from repro.transforms.timetile import time_tile
-from repro.transforms.unroll import unroll
 
 
 def matmul_like(n):
@@ -31,17 +29,32 @@ def matmul_like(n):
     return b.build()
 
 
-def multi_statement(n, nstmts):
-    b = ProgramBuilder("ms")
-    handles = [b.array(f"A{s}", (n,)) for s in range(nstmts + 1)]
-    (i,) = b.vars("i")
-    b.nest(
-        [b.loop(i, 1, n)],
-        [
-            b.assign(handles[s][i], reads=[handles[s + 1][i]], flops=1)
-            for s in range(nstmts)
-        ],
-    )
+# One statement: (written array, offsets), [(read array, offsets), ...];
+# offsets in {-1, 0, 1} per dimension stay inside the padded arrays.
+_offset = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+_ref = st.tuples(st.sampled_from("ABC"), _offset)
+_statement = st.tuples(_ref, st.lists(_ref, min_size=0, max_size=2))
+_body = st.lists(_statement, min_size=1, max_size=3)
+
+
+def two_conformable_nests(n, body_a, body_b):
+    """Two nests over the same 2..n x 2..n space, the second with its own
+    loop variable names (fusion renames them onto the first's)."""
+    b = ProgramBuilder("pair")
+    arrays = {name: b.array(name, (n + 1, n + 1)) for name in "ABC"}
+    i, j, p, q = b.vars("i", "j", "p", "q")
+
+    def statements(body, row, col):
+        def ref(name, off):
+            return arrays[name][row + off[0], col + off[1]]
+
+        return [
+            b.assign(ref(*target), reads=[ref(*r) for r in reads], flops=1)
+            for target, reads in body
+        ]
+
+    b.nest([b.loop(j, 2, n), b.loop(i, 2, n)], statements(body_a, i, j))
+    b.nest([b.loop(q, 2, n), b.loop(p, 2, n)], statements(body_b, p, q))
     return b.build()
 
 
@@ -63,28 +76,13 @@ class TestMultisetPreservation:
         )
         np.testing.assert_array_equal(sorted_trace(prog), sorted_trace(tiled))
 
-    @given(n=st.sampled_from([6, 8, 12]), factor=st.sampled_from([1, 2, 3]))
-    @settings(max_examples=20, deadline=None)
-    def test_unroll(self, n, factor):
-        if n % factor:
-            return
-        prog = matmul_like(n)
-        unrolled = prog.with_nests([unroll(prog.nests[0], "k", factor)])
-        np.testing.assert_array_equal(
-            sorted_trace(prog), sorted_trace(unrolled)
-        )
-
-    @given(n=st.integers(3, 10), nstmts=st.integers(2, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_distribute_then_fuse_roundtrip(self, n, nstmts):
-        prog = multi_statement(n, nstmts)
-        split = distribute_nest(prog, 0)
-        assert len(split.nests) == nstmts
-        refused = split
-        while len(refused.nests) > 1:
-            refused = fuse_nests(refused, 0, 1, check="none")
-        np.testing.assert_array_equal(sorted_trace(prog), sorted_trace(refused))
-        assert refused.nests[0].body == prog.nests[0].body
+    @given(n=st.integers(2, 9), body_a=_body, body_b=_body)
+    @settings(max_examples=40, deadline=None)
+    def test_fusion(self, n, body_a, body_b):
+        prog = two_conformable_nests(n, body_a, body_b)
+        fused = fuse_nests(prog, 0, 1, check="none")
+        assert len(fused.nests) == 1
+        np.testing.assert_array_equal(sorted_trace(prog), sorted_trace(fused))
 
     @given(
         n=st.integers(6, 14),

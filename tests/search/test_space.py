@@ -9,9 +9,8 @@ from repro.search.space import (
     Dimension,
     SearchSpace,
     assoc_pad_space,
-    fusion_space,
     pad_space,
-    tile_space,
+    pad_tile_space,
 )
 from tests.conftest import build_fig2
 
@@ -210,43 +209,28 @@ class TestAssocPadSpace:
             assoc_pad_space(prog, lay, hier, include={"nope": 0})
 
 
-class TestTileSpace:
+class TestPadTileSpace:
     def test_dimensions_and_bounds(self):
         hier = ultrasparc_i()
-        space = tile_space(100, hier)
-        assert [d.name for d in space.dimensions] == ["tile:w", "tile:h"]
-        for d in space.dimensions:
+        space = pad_tile_space(100, hier)
+        names = [d.name for d in space.dimensions]
+        assert names[:2] == ["tile:w", "tile:h"]
+        assert all(name.startswith("pad:") for name in names[2:])
+        for d in space.dimensions[:2]:
             assert all(1 <= c <= 100 for c in d.choices)
 
     def test_explicit_edges(self):
         hier = ultrasparc_i()
-        space = tile_space(200, hier, widths=[8, 16], heights=[4, 32])
+        space = pad_tile_space(200, hier, widths=[8, 16], heights=[4, 32],
+                               max_lines=1)
         assert space.size == 4
-        job = space.job((16, 4))
+        job = space.job((16, 4, 0, 0))
         assert "matmul" in job.program.name
         # The tiled program gained the two tile-controlling loops.
         assert len(job.program.nests[0].loops) == 5
 
     def test_ladder_is_sorted_unique(self):
         hier = ultrasparc_i()
-        space = tile_space(400, hier)
+        space = pad_tile_space(400, hier)
         for d in space.dimensions:
             assert list(d.choices) == sorted(set(d.choices))
-
-
-class TestFusionSpace:
-    def test_one_dimension_per_fusable_pair(self, hier):
-        prog = build_fig2(64)
-        space = fusion_space(prog, hier, check="none")
-        assert len(space.dimensions) == 1
-        assert space.dimensions[0].choices == (0, 1)
-
-    def test_decisions_change_nest_count(self, hier):
-        prog = build_fig2(64)
-        space = fusion_space(prog, hier, check="none")
-        assert len(space.job((0,)).program.nests) == 2
-        assert len(space.job((1,)).program.nests) == 1
-
-    def test_no_fusable_pairs_raises(self, hier, pingpong):
-        with pytest.raises(ReproError):
-            fusion_space(pingpong, hier)

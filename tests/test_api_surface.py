@@ -75,9 +75,7 @@ class TestSearchExports:
         "SearchSpace",
         "pad_space",
         "assoc_pad_space",
-        "tile_space",
         "pad_tile_space",
-        "fusion_space",
         "ExhaustiveSearch",
         "RandomSearch",
         "CoordinateDescent",
@@ -85,7 +83,6 @@ class TestSearchExports:
         "model_objective",
         "Autotuner",
         "SearchReport",
-        "optimize_searched",
     ]
 
     def test_names_in_package_all(self):
@@ -100,8 +97,6 @@ class TestSearchExports:
         import repro.search
 
         for name in self.SEARCH_NAMES:
-            if name == "optimize_searched":
-                continue  # lives in repro.driver, not repro.search
             assert getattr(repro, name) is getattr(repro.search, name)
 
     def test_strategy_registry_names(self):

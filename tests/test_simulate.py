@@ -1,8 +1,9 @@
-"""Top-level simulate_program / simulate_nest API."""
+"""Top-level simulate_program API and single-nest jobs."""
 
 import pytest
 
-from repro import DataLayout, simulate_nest, simulate_program, ultrasparc_i
+from repro import DataLayout, SimJob, simulate_program, ultrasparc_i
+from repro.exec.executor import execute_one
 from tests.conftest import build_fig2
 
 
@@ -15,11 +16,15 @@ class TestSimulateProgram:
         assert whole.total_refs == prog.total_refs()
 
     def test_simulate_nest_cold(self):
+        """A job with ``nest_index`` simulates that nest alone, cold."""
         hier = ultrasparc_i()
         prog = build_fig2(128)
         lay = DataLayout.sequential(prog)
-        r0 = simulate_nest(prog, lay, 0, hier)
-        r1 = simulate_nest(prog, lay, 1, hier)
+        r0, r1 = (
+            execute_one(SimJob(program=prog, layout=lay, hierarchy=hier,
+                               nest_index=k), store=None)
+            for k in (0, 1)
+        )
         assert r0.total_refs == prog.nests[0].iterations() * 6
         assert r1.total_refs == prog.nests[1].iterations() * 4
 

@@ -53,11 +53,3 @@ class TestMemoryOrder:
         got = memory_order(prog, prog.nests[0], 32)
         # i's bound depends on k, so k must stay outside whatever the scores say.
         assert got.loop_vars.index("k") < got.loop_vars.index("i")
-
-    def test_matches_best_permutation_innermost(self):
-        from repro.transforms.permute import best_permutation
-
-        prog = triple_nest(("i", "j", "k"))
-        full = memory_order(prog, prog.nests[0], 32)
-        single = best_permutation(prog, prog.nests[0], 32)
-        assert full.loop_vars[-1] == single.loop_vars[-1]

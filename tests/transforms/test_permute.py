@@ -1,4 +1,4 @@
-"""Loop permutation and the memory-order heuristic."""
+"""Loop permutation and the memory-order heuristic on Figure 1."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro import DataLayout, ProgramBuilder, simulate_program, ultrasparc_i
 from repro.errors import TransformError
 from repro.trace.generator import generate_trace
-from repro.transforms.permute import best_permutation, permute_nest
+from repro.transforms.permute import memory_order, permute_nest
 
 
 def fig1_program(n=256, m=64):
@@ -54,18 +54,18 @@ class TestPermuteNest:
             permute_nest(prog.nests[0], ["i", "k"])
 
 
-class TestBestPermutation:
+class TestMemoryOrderOnFigure1:
     def test_fig1_moves_j_innermost(self):
         """The paper's Figure 1 permutation example."""
         prog = fig1_program()
-        got = best_permutation(prog, prog.nests[0], line_size=32)
+        got = memory_order(prog, prog.nests[0], line_size=32)
         assert got.loop_vars == ("i", "j")
 
     def test_already_optimal_unchanged(self):
         prog = fig1_program()
         permuted = permute_nest(prog.nests[0], ["i", "j"])
-        again = best_permutation(prog, permuted, line_size=32)
-        assert again.loop_vars == ("i", "j")
+        again = memory_order(prog, permuted, line_size=32)
+        assert again == permuted
 
     def test_improves_simulated_misses(self):
         """'For large enough values of N, M, all levels of cache will
@@ -83,63 +83,7 @@ class TestBestPermutation:
         prog = fig1_program(100, 512)
         lay = DataLayout.sequential(prog)
         before = simulate_program(prog, lay, hier)
-        best = prog.with_nests([best_permutation(prog, prog.nests[0], 32)])
+        best = prog.with_nests([memory_order(prog, prog.nests[0], 32)])
         after = simulate_program(best, lay, hier)
         assert after.miss_rate("L1") < before.miss_rate("L1")
         assert after.miss_rate("L2") < before.miss_rate("L2")
-
-    def test_triangular_nest_keeps_legal_order(self):
-        b = ProgramBuilder("tri")
-        A = b.array("A", (16, 16))
-        i, k = b.vars("i", "k")
-        b.nest([b.loop(k, 1, 15), b.loop(i, k + 1, 16)], [b.use(reads=[A[k, i]])])
-        prog = b.build()
-        got = best_permutation(prog, prog.nests[0], 32)
-        assert got.loop_vars[0] == "k"  # k cannot move inside i
-
-
-class TestDependenceCheckedPermutation:
-    def test_legal_permutation_accepted(self):
-        from repro import ProgramBuilder
-
-        b = ProgramBuilder("ok")
-        A = b.array("A", (18, 18))
-        i, j = b.vars("i", "j")
-        b.nest(
-            [b.loop(j, 2, 17), b.loop(i, 2, 17)],
-            [b.assign(A[i, j], reads=[A[i - 1, j - 1]], flops=1)],
-        )
-        prog = b.build()
-        got = permute_nest(prog.nests[0], ["i", "j"], check_dependences=True)
-        assert got.loop_vars == ("i", "j")
-
-    def test_illegal_permutation_rejected(self):
-        from repro import ProgramBuilder
-        from repro.errors import TransformError
-        import pytest as _pytest
-
-        b = ProgramBuilder("bad")
-        A = b.array("A", (18, 18))
-        i, j = b.vars("i", "j")
-        # distance (1, -1): interchange flips it negative.
-        b.nest(
-            [b.loop(j, 2, 17), b.loop(i, 2, 17)],
-            [b.assign(A[i, j], reads=[A[i + 1, j - 1]], flops=1)],
-        )
-        prog = b.build()
-        with _pytest.raises(TransformError):
-            permute_nest(prog.nests[0], ["i", "j"], check_dependences=True)
-
-    def test_unchecked_permutes_anyway(self):
-        from repro import ProgramBuilder
-
-        b = ProgramBuilder("bad")
-        A = b.array("A", (18, 18))
-        i, j = b.vars("i", "j")
-        b.nest(
-            [b.loop(j, 2, 17), b.loop(i, 2, 17)],
-            [b.assign(A[i, j], reads=[A[i + 1, j - 1]], flops=1)],
-        )
-        prog = b.build()
-        got = permute_nest(prog.nests[0], ["i", "j"])  # default: structural only
-        assert got.loop_vars == ("i", "j")
