@@ -56,167 +56,55 @@ Quickstart::
         print(name, r.summary())
 """
 
-from repro.cache import (
-    CacheConfig,
-    HierarchyConfig,
-    LevelStats,
-    SimulationResult,
-    alpha_21164,
-    ultrasparc_i,
-)
-from repro.ir import (
-    AffineExpr,
-    ArrayDecl,
-    ArrayRef,
-    Loop,
-    LoopNest,
-    Program,
-    ProgramBuilder,
-    Statement,
-    const,
-    var,
-)
-from repro.layout import CacheDiagram, DataLayout
-from repro.simulate import simulate_program
-from repro.driver import OptimizationReport, optimize
-from repro.exec import BACKENDS, ResultStore, SimJob, SweepExecutor
-from repro.fuzz import (
-    FuzzConfig,
-    fuzzed_workloads,
-    random_program,
-    run_campaign,
-    shrink_program,
-)
-from repro.model import (
-    PredictedStats,
-    predict_job,
-    predict_program,
-    spearman,
-)
-from repro.symbolic import classify_job
-from repro.obs import (
-    MetricsRegistry,
-    Timeline,
-    TraceDiff,
-    Tracer,
-    diff_traces,
-    format_prometheus,
-    get_metrics,
-    get_tracer,
-    set_timeline_window,
-    start_tracing,
-    stop_tracing,
-)
-from repro.search import (
-    Autotuner,
-    CoordinateDescent,
-    ExhaustiveSearch,
-    PredictThenVerifyStrategy,
-    RandomSearch,
-    SearchReport,
-    SearchSpace,
-    assoc_pad_space,
-    model_objective,
-    pad_space,
-    pad_tile_space,
-)
-from repro.service import (
-    ServiceConfig,
-    TuningClient,
-    TuningRequest,
-    TuningService,
-)
-from repro.errors import (
-    AnalysisError,
-    ConfigError,
-    IRError,
-    LayoutError,
-    ReproError,
-    SimulationError,
-    TransformError,
-)
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # cache
-    "CacheConfig",
-    "HierarchyConfig",
-    "LevelStats",
-    "SimulationResult",
-    "ultrasparc_i",
-    "alpha_21164",
-    # ir
-    "AffineExpr",
-    "ArrayDecl",
-    "ArrayRef",
-    "Loop",
-    "LoopNest",
-    "Statement",
-    "Program",
-    "ProgramBuilder",
-    "var",
-    "const",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache": (
+        "CacheConfig", "HierarchyConfig", "LevelStats", "SimulationResult",
+        "ultrasparc_i", "alpha_21164",
+    ),
+    "repro.ir": (
+        "AffineExpr", "ArrayDecl", "ArrayRef", "Loop", "LoopNest", "Statement",
+        "Program", "ProgramBuilder", "var", "const",
+    ),
     # layout & simulation
-    "DataLayout",
-    "CacheDiagram",
-    "simulate_program",
-    "optimize",
-    "OptimizationReport",
+    "repro.layout": ("DataLayout", "CacheDiagram"),
+    "repro.simulate": ("simulate_program",),
+    "repro.driver": ("optimize", "OptimizationReport"),
     # parallel execution & memoization
-    "SimJob",
-    "SweepExecutor",
-    "ResultStore",
-    "BACKENDS",
+    "repro.exec": ("SimJob", "SweepExecutor", "ResultStore", "BACKENDS"),
     # empirical autotuning
-    "SearchSpace",
-    "pad_space",
-    "assoc_pad_space",
-    "pad_tile_space",
-    "ExhaustiveSearch",
-    "RandomSearch",
-    "CoordinateDescent",
-    "PredictThenVerifyStrategy",
-    "Autotuner",
-    "SearchReport",
+    "repro.search": (
+        "SearchSpace", "pad_space", "assoc_pad_space", "pad_tile_space",
+        "ExhaustiveSearch", "RandomSearch", "CoordinateDescent",
+        "PredictThenVerifyStrategy", "Autotuner", "SearchReport",
+        "model_objective",
+    ),
     # differential fuzzing
-    "FuzzConfig",
-    "random_program",
-    "fuzzed_workloads",
-    "run_campaign",
-    "shrink_program",
-    # analytic miss prediction
-    "PredictedStats",
-    "predict_program",
-    "predict_job",
-    "model_objective",
-    "spearman",
+    "repro.fuzz": (
+        "FuzzConfig", "random_program", "fuzzed_workloads", "run_campaign",
+        "shrink_program",
+    ),
+    # analytic miss prediction, and the exactness proof behind it
+    "repro.model": (
+        "PredictedStats", "predict_program", "predict_job", "spearman",
+    ),
+    "repro.symbolic": ("classify_job",),
     # tuning service
-    "ServiceConfig",
-    "TuningClient",
-    "TuningRequest",
-    "TuningService",
-    # the predictor's exactness proof
-    "classify_job",
+    "repro.service": (
+        "ServiceConfig", "TuningClient", "TuningRequest", "TuningService",
+    ),
     # observability
-    "Tracer",
-    "MetricsRegistry",
-    "Timeline",
-    "TraceDiff",
-    "diff_traces",
-    "format_prometheus",
-    "get_tracer",
-    "get_metrics",
-    "set_timeline_window",
-    "start_tracing",
-    "stop_tracing",
-    # errors
-    "ReproError",
-    "ConfigError",
-    "IRError",
-    "LayoutError",
-    "TransformError",
-    "AnalysisError",
-    "SimulationError",
-]
+    "repro.obs": (
+        "Tracer", "MetricsRegistry", "Timeline", "TraceDiff", "diff_traces",
+        "format_prometheus", "get_tracer", "get_metrics",
+        "set_timeline_window", "start_tracing", "stop_tracing",
+    ),
+    "repro.errors": (
+        "ReproError", "ConfigError", "IRError", "LayoutError",
+        "TransformError", "AnalysisError", "SimulationError",
+    ),
+})
+__all__ = ["__version__", *__all__]

@@ -7,38 +7,20 @@ where compile-time reuse analysis predicts what the simulator then
 measures (Section 6.4 checks exactly that correspondence).
 """
 
-from repro.analysis.groups import ReuseArc, UniformClass, uniform_classes, reuse_arcs
-from repro.analysis.reuse import (
-    ReuseKind,
-    RefReuse,
-    classify_ref,
-    classify_nest,
-    innermost_locality_score,
-)
-from repro.analysis.footprint import nest_footprint_bytes, columns_in_cache
-from repro.analysis.costmodel import MissCostModel
-from repro.analysis.fusionmodel import (
-    FusionAccounting,
-    account_nests,
-    fusion_delta,
-    fusion_profitable,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ReuseArc",
-    "UniformClass",
-    "uniform_classes",
-    "reuse_arcs",
-    "ReuseKind",
-    "RefReuse",
-    "classify_ref",
-    "classify_nest",
-    "innermost_locality_score",
-    "nest_footprint_bytes",
-    "columns_in_cache",
-    "MissCostModel",
-    "FusionAccounting",
-    "account_nests",
-    "fusion_delta",
-    "fusion_profitable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.groups": (
+        "ReuseArc", "UniformClass", "uniform_classes", "reuse_arcs",
+    ),
+    "repro.analysis.reuse": (
+        "ReuseKind", "RefReuse", "classify_ref", "classify_nest",
+        "innermost_locality_score",
+    ),
+    "repro.analysis.footprint": ("nest_footprint_bytes", "columns_in_cache"),
+    "repro.analysis.costmodel": ("MissCostModel",),
+    "repro.analysis.fusionmodel": (
+        "FusionAccounting", "account_nests", "fusion_delta",
+        "fusion_profitable",
+    ),
+})

@@ -21,34 +21,17 @@ property-tested against.  See ``docs/simulators.md`` for the three
 families and when each is used.
 """
 
-from repro.cache.config import (
-    CacheConfig,
-    HierarchyConfig,
-    alpha_21164,
-    ultrasparc_i,
-)
-from repro.cache.assoc_vec import StreamingAssocCache, miss_mask_assoc_vec
-from repro.cache.stats import LevelStats, SimulationResult
-from repro.cache.stackdist import (
-    MissTaxonomy,
-    classify_misses,
-    fully_associative_miss_mask,
-    reuse_distances,
-)
-from repro.cache.streaming import StreamingHierarchy
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "HierarchyConfig",
-    "LevelStats",
-    "SimulationResult",
-    "miss_mask_assoc_vec",
-    "StreamingAssocCache",
-    "ultrasparc_i",
-    "alpha_21164",
-    "MissTaxonomy",
-    "classify_misses",
-    "fully_associative_miss_mask",
-    "reuse_distances",
-    "StreamingHierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache.config": (
+        "CacheConfig", "HierarchyConfig", "ultrasparc_i", "alpha_21164",
+    ),
+    "repro.cache.stats": ("LevelStats", "SimulationResult"),
+    "repro.cache.assoc_vec": ("miss_mask_assoc_vec", "StreamingAssocCache"),
+    "repro.cache.stackdist": (
+        "MissTaxonomy", "classify_misses", "fully_associative_miss_mask",
+        "reuse_distances",
+    ),
+    "repro.cache.streaming": ("StreamingHierarchy",),
+})

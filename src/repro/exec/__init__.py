@@ -39,52 +39,21 @@ See ``docs/parallel_execution.md`` for the design and the cache-key
 contract.
 """
 
-from repro.exec.backends import BACKENDS, run_oracle, validate_backend
-from repro.exec.cost import estimate_job_refs, job_cost
-from repro.exec.executor import (
-    ExecStats,
-    JobRecord,
-    SweepExecutor,
-    execute_one,
-    get_default_store,
-    run_jobs,
-    set_default_store,
-)
-from repro.exec.hashing import SCHEMA_VERSION, job_key, program_fingerprint
-from repro.exec.jobs import SimJob
-from repro.exec.scheduler import WorkerPool
-from repro.exec.shard import (
-    ShardSpec,
-    merge_stores,
-    merge_traces,
-    parse_shard,
-    shard_jobs,
-)
-from repro.exec.store import ResultStore, open_default_store
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "SCHEMA_VERSION",
-    "ExecStats",
-    "JobRecord",
-    "ResultStore",
-    "ShardSpec",
-    "SimJob",
-    "SweepExecutor",
-    "WorkerPool",
-    "estimate_job_refs",
-    "execute_one",
-    "get_default_store",
-    "job_cost",
-    "job_key",
-    "merge_stores",
-    "merge_traces",
-    "open_default_store",
-    "parse_shard",
-    "program_fingerprint",
-    "run_jobs",
-    "run_oracle",
-    "set_default_store",
-    "shard_jobs",
-    "validate_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exec.backends": ("BACKENDS", "run_oracle", "validate_backend"),
+    "repro.exec.hashing": ("SCHEMA_VERSION", "job_key", "program_fingerprint"),
+    "repro.exec.executor": (
+        "ExecStats", "JobRecord", "SweepExecutor", "execute_one",
+        "get_default_store", "run_jobs", "set_default_store",
+    ),
+    "repro.exec.store": ("ResultStore", "open_default_store"),
+    "repro.exec.shard": (
+        "ShardSpec", "merge_stores", "merge_traces", "parse_shard",
+        "shard_jobs",
+    ),
+    "repro.exec.jobs": ("SimJob",),
+    "repro.exec.scheduler": ("WorkerPool",),
+    "repro.exec.cost": ("estimate_job_refs", "job_cost"),
+})

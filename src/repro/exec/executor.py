@@ -44,18 +44,20 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.cache.stats import SimulationResult
 from repro.errors import ReproError
 from repro.exec.backends import _timed_run_oracle, validate_backend
-from repro.exec.cost import job_cost
 from repro.exec.jobs import SimJob
-from repro.exec.scheduler import WorkerPool, dispatch_jobs, pack_payloads
-from repro.exec.shard import ShardSpec, parse_shard
 from repro.exec.store import ResultStore, open_default_store
 from repro.obs.metrics import format_exec_line, get_metrics
 from repro.obs.timeline import emit_counter_tracks, get_timeline_window
 from repro.obs.tracer import get_tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported where used
+    from repro.exec.scheduler import WorkerPool
+    from repro.exec.shard import ShardSpec
 
 __all__ = [
     "JobRecord",
@@ -214,7 +216,12 @@ class SweepExecutor:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.store = store
         self.backend = validate_backend(backend)
-        self.shard = parse_shard(shard)
+        if shard is not None:
+            # Only a sharded sweep needs the partitioning (per executor).
+            from repro.exec.shard import parse_shard
+
+            shard = parse_shard(shard)
+        self.shard = shard
         self.stats = ExecStats(workers=self.workers)
         self.history: list[ExecStats] = []
         self.predictions = 0
@@ -225,6 +232,8 @@ class SweepExecutor:
     def pool(self) -> WorkerPool:
         """The executor's persistent worker pool (created lazily)."""
         if self._pool is None:
+            from repro.exec.scheduler import WorkerPool
+
             self._pool = WorkerPool(self.workers)
         return self._pool
 
@@ -265,6 +274,11 @@ class SweepExecutor:
         outs: dict[int, tuple] = {}
         pooled_ranks: set[int] = set()
         if self.workers > 1 and len(submit) > 1:
+            # The pool and its cost ordering, imported once per parallel
+            # sweep: a serial run never loads multiprocessing.
+            from repro.exec.cost import job_cost
+            from repro.exec.scheduler import dispatch_jobs, pack_payloads
+
             # Order only matters to the pool; serial results are keyed.
             submit = sorted(ordered, key=lambda e: job_cost(e[2]), reverse=True)
             disp = dispatch_jobs(

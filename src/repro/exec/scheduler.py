@@ -45,6 +45,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+
 __all__ = ["WorkerPool", "DispatchResult", "dispatch_jobs", "pack_payloads"]
 
 #: Exceptions that mean "the pool is unusable", not "the job failed" --
@@ -82,6 +84,10 @@ def run_shared(digest: str, blob: bytes, variant: tuple, runner) -> tuple:
     """Worker entry point: rebuild one job from its shared payload + slim
     variant, then run it through ``runner``.
 
+    Returns ``(runner's result, the job's metrics)``: the job records
+    into a fresh :class:`~repro.obs.metrics.MetricsRegistry`, which
+    :func:`dispatch_jobs` merges into the parent's.
+
     Must stay a module-level function so it pickles by reference.  The
     blob rides along with every submission (cheap: pickling ``bytes`` is
     a copy, not a graph traversal), but is unpickled at most once per
@@ -100,7 +106,12 @@ def run_shared(digest: str, blob: bytes, variant: tuple, runner) -> tuple:
         max_chunk_refs=max_chunk_refs,
         timeline_window=timeline_window,
     )
-    return runner(job)
+    metrics, previous = MetricsRegistry(), get_metrics()
+    set_metrics(metrics)
+    try:
+        return runner(job), metrics
+    finally:
+        set_metrics(previous)
 
 
 # -- parent side -------------------------------------------------------------
@@ -208,11 +219,13 @@ def _shutdown_quietly(pool: ProcessPoolExecutor, wait_workers: bool = True) -> N
 class DispatchResult:
     """What one parallel dispatch round did.
 
-    ``outs`` maps submission rank -> worker return value for every job
-    that completed in the pool; ranks absent from ``outs`` must be run
-    serially by the caller (pool failure mid-flight).  ``steals`` counts
-    completions that overtook an earlier-submitted job still in flight;
-    ``depth_samples`` holds the queue depth observed at each completion.
+    ``outs`` maps submission rank -> runner return value for every job
+    that completed in the pool (its worker-side metrics are already
+    merged into the parent's registry); ranks absent from ``outs`` must
+    be run serially by the caller (pool failure mid-flight).  ``steals``
+    counts completions that overtook an earlier-submitted job still in
+    flight; ``depth_samples`` holds the queue depth observed at each
+    completion.
     """
 
     outs: dict[int, tuple]
@@ -252,7 +265,7 @@ def dispatch_jobs(pool: WorkerPool, entries, runner) -> DispatchResult:
         for future in done:
             rank = future_rank[future]
             try:
-                outs[rank] = future.result()
+                outs[rank], metrics = future.result()
             except POOL_ERRORS:
                 failed = True
                 continue
@@ -263,6 +276,7 @@ def dispatch_jobs(pool: WorkerPool, entries, runner) -> DispatchResult:
                 for f in pending:
                     f.cancel()
                 raise
+            get_metrics().merge(metrics)
             if any(future_rank[f] < rank for f in pending):
                 steals += 1
             depth_samples.append(len(pending))

@@ -49,7 +49,8 @@ import threading
 
 from repro.cache.stats import LevelStats, SimulationResult
 
-__all__ = ["LogStore", "ResultStore", "open_default_store", "result_to_payload", "payload_to_result"]
+__all__ = ["LogStore", "ResultStore", "default_cache_dir", "open_default_store",
+           "result_to_payload", "payload_to_result"]
 
 _PAYLOAD_SCHEMA = 1
 
@@ -243,6 +244,15 @@ class ResultStore(LogStore):
 
     def decode(self, row: dict) -> SimulationResult:
         return payload_to_result(row)
+
+
+def default_cache_dir() -> pathlib.Path:
+    """The CLIs' store directory: ``$REPRO_CACHE_DIR`` when set, else
+    ``~/.cache/repro-sim``."""
+    env = os.environ.get(ENV_CACHE_DIR)
+    if env:
+        return pathlib.Path(env)
+    return pathlib.Path.home() / ".cache" / "repro-sim"
 
 
 def open_default_store() -> ResultStore | None:

@@ -19,16 +19,11 @@ benchmark suite) and returns a structured result whose ``format()`` string
 prints the same rows/series the paper's figure reports.
 """
 
-from repro.experiments.common import (
-    CYCLE_MODEL_NOTE,
-    VersionResult,
-    improvement_pct,
-    simulate_kernel_layout,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CYCLE_MODEL_NOTE",
-    "VersionResult",
-    "improvement_pct",
-    "simulate_kernel_layout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.common": (
+        "CYCLE_MODEL_NOTE", "VersionResult", "improvement_pct",
+        "simulate_kernel_layout",
+    ),
+})

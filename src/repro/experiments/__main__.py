@@ -58,71 +58,44 @@ never sharded.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
-import os
 import pathlib
 import sys
 import time
 
 from repro.errors import ReproError
 from repro.exec.backends import BACKEND_ALIASES, BACKENDS
-from repro.exec.executor import SweepExecutor
-from repro.exec.shard import merge_stores, merge_traces, parse_shard
-from repro.exec.store import ENV_CACHE_DIR, ResultStore
-from repro.obs.diff import FAIL_PCT, WARN_PCT, diff_traces
+from repro.exec.store import ENV_CACHE_DIR, ResultStore, default_cache_dir
+from repro.obs.diff import FAIL_PCT, WARN_PCT
 from repro.obs.metrics import diff_counters, format_exec_line, get_metrics
-from repro.obs.report import format_report, format_trace_tree
 from repro.obs.timeline import set_timeline_window
 from repro.obs.tracer import get_tracer, start_tracing, stop_tracing
-from repro.experiments import (
-    ext_assoc,
-    ext_fuzz,
-    ext_model,
-    ext_search,
-    ext_symbolic,
-    ext_three_level,
-    ext_timetile,
-    ext_tlb,
-    fig9_pad,
-    fig10_grouppad,
-    fig11_sweep,
-    fig12_fusion,
-    fig13_tiling,
-    table1_programs,
-    timing,
-)
 
+#: Each verb's module; a run imports only the experiments it runs.
 EXPERIMENTS = {
-    "table1": table1_programs,
-    "fig9": fig9_pad,
-    "fig10": fig10_grouppad,
-    "fig11": fig11_sweep,
-    "fig12": fig12_fusion,
-    "fig13": fig13_tiling,
-    "timing": timing,
+    "table1": "repro.experiments.table1_programs",
+    "fig9": "repro.experiments.fig9_pad",
+    "fig10": "repro.experiments.fig10_grouppad",
+    "fig11": "repro.experiments.fig11_sweep",
+    "fig12": "repro.experiments.fig12_fusion",
+    "fig13": "repro.experiments.fig13_tiling",
+    "timing": "repro.experiments.timing",
     # Extensions beyond the paper's figures (claims made in its prose).
-    "threelevel": ext_three_level,
-    "tlb": ext_tlb,
-    "timetile": ext_timetile,
-    "ext_search": ext_search,
-    "ext_assoc": ext_assoc,
-    "ext_model": ext_model,
-    "ext_fuzz": ext_fuzz,
-    "ext_symbolic": ext_symbolic,
+    "threelevel": "repro.experiments.ext_three_level",
+    "tlb": "repro.experiments.ext_tlb",
+    "timetile": "repro.experiments.ext_timetile",
+    "ext_search": "repro.experiments.ext_search",
+    "ext_assoc": "repro.experiments.ext_assoc",
+    "ext_model": "repro.experiments.ext_model",
+    "ext_fuzz": "repro.experiments.ext_fuzz",
+    "ext_symbolic": "repro.experiments.ext_symbolic",
 }
 
 def experiment_names(verb: str) -> list[str]:
     """The experiments one CLI verb expands to: ``"all"`` runs every
     registered experiment once, any other verb just itself."""
     return sorted(EXPERIMENTS) if verb == "all" else [verb]
-
-
-def default_cache_dir() -> pathlib.Path:
-    """``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro-sim``."""
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro-sim"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -250,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--count must be >= 1, got {args.count}")
     shard = None
     if args.shard is not None:
+        from repro.exec.shard import parse_shard
+
         try:
             shard = parse_shard(args.shard)
         except ReproError as exc:
@@ -272,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in (args.trace, args.baseline):
             if not path.exists():
                 parser.error(f"no trace file at {path}")
+        from repro.obs.diff import diff_traces
+
         result = diff_traces(args.baseline, args.trace,
                              warn_pct=args.warn_pct, fail_pct=args.fail_pct)
         print(result.format())
@@ -284,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("'merge' needs --cache-dir DIR as the destination store")
         if args.no_cache:
             parser.error("'merge' writes the destination store; drop --no-cache")
+        from repro.exec.shard import merge_stores, merge_traces
+
         stats = merge_stores(args.cache_dir, args.stores)
         print(f"[merge] {stats['merged']} entries merged "
               f"({stats['duplicates']} byte-equal duplicates) from "
@@ -301,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("'report' needs --trace PATH pointing at a recorded trace")
         if not args.trace.exists():
             parser.error(f"no trace file at {args.trace}")
+        from repro.obs.report import format_report, format_trace_tree
+
         if args.trace_id is not None:
             print(format_trace_tree(args.trace, trace_id=args.trace_id))
         else:
@@ -311,14 +292,24 @@ def main(argv: list[str] | None = None) -> int:
         set_timeline_window(args.timeline_window)
     tracer = start_tracing() if args.trace is not None else get_tracer()
 
-    store = None
-    if not args.no_cache:
-        store = ResultStore(args.cache_dir or default_cache_dir())
-    executor = SweepExecutor(workers=args.workers, store=store,
-                             backend=args.backend, shard=shard)
+    executor = None
+
+    def shared_executor():
+        """The run's one executor and store, made when an experiment
+        first simulates (table1 and timing never do)."""
+        nonlocal executor
+        if executor is None:
+            from repro.exec.executor import SweepExecutor
+
+            store = None
+            if not args.no_cache:
+                store = ResultStore(args.cache_dir or default_cache_dir())
+            executor = SweepExecutor(workers=args.workers, store=store,
+                                     backend=args.backend, shard=shard)
+        return executor
 
     for name in experiment_names(args.experiment):
-        module = EXPERIMENTS[name]
+        module = importlib.import_module(EXPERIMENTS[name])
         if shard is not None:
             # Populate mode: compute this shard's partition of the
             # sweep into the store; the table renders later, from the
@@ -334,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             with tracer.span(f"experiment.{name}", cat="experiment",
                              quick=args.quick, shard=str(shard)):
                 jobs = module.build_jobs(quick=args.quick)
-                executor.run(jobs)
+                shared_executor().run(jobs)
             stats = executor.stats
             print(f"==== {name} (shard {shard}, {time.time() - t0:.1f}s) ====")
             print(f"[exec] {stats.format()}")
@@ -347,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs = {"quick": args.quick}
         params = inspect.signature(module.run).parameters
         if "executor" in params:
-            kwargs["executor"] = executor
+            kwargs["executor"] = shared_executor()
         if "budget" in params and args.budget is not None:
             kwargs["budget"] = args.budget
         if "seed" in params and args.seed is not None:
@@ -381,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             (args.out / f"{name}.txt").write_text(report + "\n")
-    executor.close()
+    if executor is not None:
+        executor.close()
     if args.trace is not None:
         tracer.write(args.trace, format=args.trace_format,
                      metrics=get_metrics().snapshot())

@@ -35,10 +35,8 @@ from dataclasses import dataclass, field
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
-from repro.experiments.fig9_pad import build_jobs
 from repro.fuzz.generator import fuzzed_workloads
 from repro.fuzz.harness import FUZZ_HIERARCHIES
-from repro.model import predict_job
 
 __all__ = ["run", "SymbolicResult", "CROSSVAL_HIERARCHIES"]
 
@@ -153,6 +151,11 @@ def _pad_sweep_agreement(
     quick: bool, workers: int | None, result: SymbolicResult
 ) -> None:
     """Run the Figure 9 job list through both engines and tabulate."""
+    # Imported by the run, not the module: the fuzz workloads import
+    # this module for CROSSVAL_HIERARCHIES and need neither.
+    from repro.experiments.fig9_pad import build_jobs
+    from repro.model import predict_job
+
     jobs = build_jobs(quick)
 
     t0 = time.perf_counter()
@@ -189,6 +192,8 @@ def _fuzz_crossval(
     result: SymbolicResult,
 ) -> None:
     """Predict fuzzed workloads; simulate and bit-compare the exact ones."""
+    from repro.model import predict_job
+
     workloads = fuzzed_workloads(seed, count)
     result.seed = seed
     result.programs = len(workloads)

@@ -11,51 +11,20 @@ and commits the minimized cases as a replayable regression corpus
 the CLI.
 """
 
-from repro.fuzz.corpus import (
-    CorpusCase,
-    corpus_known_seeds,
-    default_corpus_dir,
-    load_corpus,
-    save_case,
-)
-from repro.fuzz.generator import (
-    FuzzConfig,
-    fuzzed_workloads,
-    program_stream,
-    random_program,
-)
-from repro.fuzz.harness import (
-    FUZZ_HIERARCHIES,
-    MODEL_BANDS,
-    CampaignReport,
-    CaseReport,
-    Divergence,
-    diff_case,
-    oracle_simulate,
-    repro_command,
-    run_campaign,
-)
-from repro.fuzz.shrink import shrink_program, tighten_arrays
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FuzzConfig",
-    "random_program",
-    "program_stream",
-    "fuzzed_workloads",
-    "MODEL_BANDS",
-    "FUZZ_HIERARCHIES",
-    "Divergence",
-    "CaseReport",
-    "CampaignReport",
-    "repro_command",
-    "diff_case",
-    "oracle_simulate",
-    "run_campaign",
-    "shrink_program",
-    "tighten_arrays",
-    "CorpusCase",
-    "save_case",
-    "load_corpus",
-    "corpus_known_seeds",
-    "default_corpus_dir",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fuzz.generator": (
+        "FuzzConfig", "random_program", "program_stream", "fuzzed_workloads",
+    ),
+    "repro.fuzz.harness": (
+        "MODEL_BANDS", "FUZZ_HIERARCHIES", "Divergence", "CaseReport",
+        "CampaignReport", "repro_command", "diff_case", "oracle_simulate",
+        "run_campaign",
+    ),
+    "repro.fuzz.shrink": ("shrink_program", "tighten_arrays"),
+    "repro.fuzz.corpus": (
+        "CorpusCase", "save_case", "load_corpus", "corpus_known_seeds",
+        "default_corpus_dir",
+    ),
+})

@@ -8,22 +8,13 @@ object that every transformation in :mod:`repro.transforms` rewrites, that
 address traces for the cache simulator.
 """
 
-from repro.ir.affine import AffineExpr, const, var
-from repro.ir.arrays import ArrayDecl
-from repro.ir.refs import ArrayRef
-from repro.ir.loops import Loop, LoopNest, Statement
-from repro.ir.program import Program
-from repro.ir.builder import ProgramBuilder
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AffineExpr",
-    "ArrayDecl",
-    "ArrayRef",
-    "Loop",
-    "LoopNest",
-    "Statement",
-    "Program",
-    "ProgramBuilder",
-    "var",
-    "const",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ir.affine": ("AffineExpr", "var", "const"),
+    "repro.ir.arrays": ("ArrayDecl",),
+    "repro.ir.refs": ("ArrayRef",),
+    "repro.ir.loops": ("Loop", "LoopNest", "Statement"),
+    "repro.ir.program": ("Program",),
+    "repro.ir.builder": ("ProgramBuilder",),
+})

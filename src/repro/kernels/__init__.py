@@ -12,6 +12,10 @@ structure* -- see DESIGN.md, Substitutions, for why that is the property
 the paper's experiments exercise.
 """
 
-from repro.kernels.registry import KERNELS, Kernel, get_kernel, kernel_names
+from repro.lazy import lazy_exports
 
-__all__ = ["KERNELS", "Kernel", "get_kernel", "kernel_names"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.registry": (
+        "KERNELS", "Kernel", "get_kernel", "kernel_names",
+    ),
+})

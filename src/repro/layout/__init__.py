@@ -9,24 +9,13 @@ controls base addresses by ordering fields and inserting pad variables.
 diagrams (Figures 3, 4, 5, 7) that drive PAD, GROUPPAD and the fusion model.
 """
 
-from repro.layout.layout import DataLayout
-from repro.layout.conflicts import (
-    ConflictReport,
-    delta_interval,
-    interval_conflicts_with_cache,
-    nest_severe_conflicts,
-    program_severe_conflicts,
-)
-from repro.layout.diagram import Arc, CacheDiagram, Dot
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DataLayout",
-    "ConflictReport",
-    "CacheDiagram",
-    "Dot",
-    "Arc",
-    "delta_interval",
-    "interval_conflicts_with_cache",
-    "nest_severe_conflicts",
-    "program_severe_conflicts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.layout.layout": ("DataLayout",),
+    "repro.layout.conflicts": (
+        "ConflictReport", "delta_interval", "interval_conflicts_with_cache",
+        "nest_severe_conflicts", "program_severe_conflicts",
+    ),
+    "repro.layout.diagram": ("CacheDiagram", "Dot", "Arc"),
+})

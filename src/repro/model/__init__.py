@@ -26,28 +26,15 @@ Entry points:
   property suite validate the predictor with.
 """
 
-from repro.model.conflicts import ThrashCluster, thrash_clusters, thrashing_refs
-from repro.model.predictor import (
-    LevelPrediction,
-    NestPrediction,
-    PredictedStats,
-    predict_job,
-    predict_nest,
-    predict_program,
-)
-from repro.model.validate import mean_abs_rel_error, rankdata, spearman
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LevelPrediction",
-    "NestPrediction",
-    "PredictedStats",
-    "predict_nest",
-    "predict_program",
-    "predict_job",
-    "ThrashCluster",
-    "thrash_clusters",
-    "thrashing_refs",
-    "rankdata",
-    "spearman",
-    "mean_abs_rel_error",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.model.predictor": (
+        "LevelPrediction", "NestPrediction", "PredictedStats", "predict_nest",
+        "predict_program", "predict_job",
+    ),
+    "repro.model.conflicts": (
+        "ThrashCluster", "thrash_clusters", "thrashing_refs",
+    ),
+    "repro.model.validate": ("rankdata", "spearman", "mean_abs_rel_error"),
+})

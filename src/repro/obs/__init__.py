@@ -37,83 +37,26 @@ Quick use::
 See ``docs/observability.md`` for the full tour.
 """
 
-from repro.obs.diff import TraceDiff, diff_traces
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    best_of,
-    diff_counters,
-    format_exec_line,
-    get_metrics,
-    reset_metrics,
-    set_metrics,
-)
-from repro.obs.prometheus import format_prometheus
-from repro.obs.report import (
-    TraceDoc,
-    aggregate_spans,
-    format_report,
-    format_trace_tree,
-    load_trace,
-    load_trace_doc,
-)
-from repro.obs.timeline import (
-    Timeline,
-    emit_counter_tracks,
-    get_timeline_window,
-    set_timeline_window,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    CounterSample,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    start_tracing,
-    stop_tracing,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    # tracer
-    "Span",
-    "CounterSample",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "start_tracing",
-    "stop_tracing",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "set_metrics",
-    "reset_metrics",
-    "diff_counters",
-    "best_of",
-    "format_exec_line",
-    # timeline
-    "Timeline",
-    "emit_counter_tracks",
-    "get_timeline_window",
-    "set_timeline_window",
-    # prometheus
-    "format_prometheus",
-    # report
-    "TraceDoc",
-    "load_trace",
-    "load_trace_doc",
-    "aggregate_spans",
-    "format_report",
-    "format_trace_tree",
-    # diff
-    "TraceDiff",
-    "diff_traces",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.tracer": (
+        "Span", "CounterSample", "Tracer", "NullTracer", "NULL_TRACER",
+        "get_tracer", "set_tracer", "start_tracing", "stop_tracing",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_metrics",
+        "set_metrics", "reset_metrics", "diff_counters", "best_of",
+        "format_exec_line",
+    ),
+    "repro.obs.timeline": (
+        "Timeline", "emit_counter_tracks", "get_timeline_window",
+        "set_timeline_window",
+    ),
+    "repro.obs.prometheus": ("format_prometheus",),
+    "repro.obs.report": (
+        "TraceDoc", "load_trace", "load_trace_doc", "aggregate_spans",
+        "format_report", "format_trace_tree",
+    ),
+    "repro.obs.diff": ("TraceDiff", "diff_traces"),
+})

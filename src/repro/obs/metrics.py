@@ -15,8 +15,10 @@ Instrument rates (per-reference, per-access) by incrementing once per
 *chunk* with the chunk's count, never inside a reference loop.
 
 Like every per-process singleton here, the registry does not see updates
-made inside pool worker processes; the executor aggregates worker results
-into the parent registry, so sweep metrics are complete either way.
+made inside pool worker processes.  A pool worker records each job into a
+fresh registry that travels back with the job's result, and the parent
+folds it in with :meth:`MetricsRegistry.merge`, so counters and histogram
+observations of a parallel sweep match a serial one.
 """
 
 from __future__ import annotations
@@ -95,6 +97,44 @@ class Histogram:
             self.vmin = v
         if v > self.vmax:
             self.vmax = v
+        self._keep(v)
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s observations in: count, total, min and max
+        exactly, and the reservoir as a uniform sample of both.
+
+        While ``other`` still holds every observation they are observed
+        here one by one.  Past its reservoir each of its samples stands
+        for ``other.count / RESERVOIR_SIZE`` observations, so the merged
+        reservoir draws from the two in proportion to their counts.
+        """
+        if other.count <= len(other._sample):
+            for v in other._sample:
+                self.count += 1
+                self._keep(v)
+        else:
+            self._sample = self._draw(other)
+            self.count += other.count
+        self.total += other.total
+        self.vmin = min(self.vmin, other.vmin)
+        self.vmax = max(self.vmax, other.vmax)
+
+    def _draw(self, other: "Histogram") -> list[float]:
+        """A uniform sample of the union of both histograms' observations:
+        each draw picks a side with probability proportional to the
+        observations it has left, then an unpicked sample of that side."""
+        pools = [list(self._sample), list(other._sample)]
+        for pool in pools:
+            self._rng.shuffle(pool)
+        left = [self.count, other.count]
+        merged = []
+        for _ in range(min(self.RESERVOIR_SIZE, sum(left))):
+            side = 0 if self._rng.randrange(left[0] + left[1]) < left[0] else 1
+            merged.append(pools[side].pop())
+            left[side] -= 1
+        return merged
+
+    def _keep(self, v: float) -> None:
         if len(self._sample) < self.RESERVOIR_SIZE:
             self._sample.append(v)
         else:
@@ -183,6 +223,26 @@ class MetricsRegistry:
                 k: h.summary() for k, h in sorted(self._histograms.items())
             }
         return out
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Add ``other``'s counters and histogram observations to this
+        registry (a pool job's worker-side metrics, into the parent's).
+        Gauges are last-write-wins values of one process; they stay."""
+        for name, counter in other._counters.items():
+            self.counter(name).inc(counter.value)
+        for name, hist in other._histograms.items():
+            self.histogram(name).merge(hist)
+
+    def __getstate__(self) -> dict:
+        # The lock does not pickle; a copy gets its own.
+        return {"counters": self._counters, "gauges": self._gauges,
+                "histograms": self._histograms}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self._counters = state["counters"]
+        self._gauges = state["gauges"]
+        self._histograms = state["histograms"]
 
     def reset(self) -> None:
         """Drop every metric (tests, or between unrelated runs)."""

@@ -39,52 +39,22 @@ Quickstart::
     print(report.format())
 """
 
-from repro.search.objective import (
-    ModelObjective,
-    Objective,
-    cycles_objective,
-    miss_cost_objective,
-    miss_rate_objective,
-    model_objective,
-)
-from repro.search.report import SearchReport
-from repro.search.space import (
-    Dimension,
-    SearchSpace,
-    assoc_pad_space,
-    pad_space,
-    pad_tile_space,
-)
-from repro.search.strategies import (
-    STRATEGIES,
-    CoordinateDescent,
-    ExhaustiveSearch,
-    PredictThenVerifyStrategy,
-    RandomSearch,
-    SearchStrategy,
-    get_strategy,
-)
-from repro.search.tuner import Autotuner
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Dimension",
-    "SearchSpace",
-    "pad_space",
-    "assoc_pad_space",
-    "pad_tile_space",
-    "Objective",
-    "ModelObjective",
-    "miss_cost_objective",
-    "miss_rate_objective",
-    "cycles_objective",
-    "model_objective",
-    "SearchStrategy",
-    "ExhaustiveSearch",
-    "RandomSearch",
-    "CoordinateDescent",
-    "PredictThenVerifyStrategy",
-    "STRATEGIES",
-    "get_strategy",
-    "Autotuner",
-    "SearchReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.search.space": (
+        "Dimension", "SearchSpace", "pad_space", "assoc_pad_space",
+        "pad_tile_space",
+    ),
+    "repro.search.objective": (
+        "Objective", "ModelObjective", "miss_cost_objective",
+        "miss_rate_objective", "cycles_objective", "model_objective",
+    ),
+    "repro.search.strategies": (
+        "SearchStrategy", "ExhaustiveSearch", "RandomSearch",
+        "CoordinateDescent", "PredictThenVerifyStrategy", "STRATEGIES",
+        "get_strategy",
+    ),
+    "repro.search.tuner": ("Autotuner",),
+    "repro.search.report": ("SearchReport",),
+})

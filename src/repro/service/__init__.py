@@ -28,41 +28,24 @@ Start a server with ``python -m repro.service`` (or the experiments
 CLI's ``serve`` verb); see ``docs/service.md``.
 """
 
-from repro.service.client import TuningClient
-from repro.service.pipeline import run_tuning
-from repro.service.planner import RequestPlanner, TuningStore
-from repro.service.protocol import (
-    SERVICE_SCHEMA,
-    ProtocolError,
-    TuningRequest,
-    hierarchy_from_json,
-    hierarchy_to_json,
-    parse_request,
-    program_from_json,
-    program_to_json,
-    request_key,
-)
-from repro.service.queue import ServiceDraining, ServiceSaturated, TuningQueue
-from repro.service.server import ServiceConfig, TuningService, serve
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SERVICE_SCHEMA",
-    "ProtocolError",
-    "TuningRequest",
-    "parse_request",
-    "request_key",
-    "program_to_json",
-    "program_from_json",
-    "hierarchy_to_json",
-    "hierarchy_from_json",
-    "run_tuning",
-    "TuningStore",
-    "RequestPlanner",
-    "TuningQueue",
-    "ServiceSaturated",
-    "ServiceDraining",
-    "ServiceConfig",
-    "TuningService",
-    "serve",
-    "TuningClient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.protocol": (
+        "SERVICE_SCHEMA", "ProtocolError", "TuningRequest", "parse_request",
+        "request_key", "program_to_json", "program_from_json",
+        "hierarchy_to_json", "hierarchy_from_json",
+    ),
+    "repro.service.pipeline": ("run_tuning",),
+    "repro.service.planner": ("TuningStore", "RequestPlanner"),
+    "repro.service.queue": (
+        "TuningQueue", "ServiceSaturated", "ServiceDraining",
+    ),
+    "repro.service.server": ("ServiceConfig", "TuningService", "serve"),
+    "repro.service.client": ("TuningClient",),
+})
+
+# The wire format loads with the package: the server and every script that
+# builds requests for the client speak it, and loading it on first use would
+# charge its imports to the first request of a timed request loop.
+import repro.service.protocol  # noqa: E402,F401

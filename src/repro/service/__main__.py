@@ -13,7 +13,7 @@ import asyncio
 import sys
 
 from repro.exec.backends import BACKEND_ALIASES, BACKENDS
-from repro.experiments.__main__ import default_cache_dir
+from repro.exec.store import default_cache_dir
 from repro.service.server import ServiceConfig, serve
 
 __all__ = ["main"]

@@ -33,6 +33,7 @@ from repro.ir.arrays import ArrayDecl
 from repro.ir.loops import Loop, LoopNest, Statement
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
+from repro.kernels.registry import get_kernel
 
 __all__ = [
     "SERVICE_SCHEMA",
@@ -363,8 +364,6 @@ def parse_request(payload) -> TuningRequest:
         )
     kernel_name = None
     if has_kernel:
-        from repro.kernels.registry import get_kernel
-
         try:
             kern = get_kernel(str(payload["kernel"]))
         except ReproError as exc:

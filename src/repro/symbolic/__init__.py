@@ -15,27 +15,17 @@ exactness rules.  This package never imports :mod:`repro.model` at
 import time: the dependency runs model -> symbolic.
 """
 
-from repro.symbolic.engine import LevelClassification, classify_job, classify_program
-from repro.symbolic.lines import (
-    MAX_OFFSETS,
-    MAX_ROWS,
-    distinct_lines,
-    distinct_offsets,
-    max_set_occupancy,
-    ref_distinct_offsets,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LevelClassification",
-    "classify_program",
-    "classify_job",
-    "MAX_OFFSETS",
-    "MAX_ROWS",
-    "ref_distinct_offsets",
-    "distinct_offsets",
-    "distinct_lines",
-    "max_set_occupancy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.symbolic.engine": (
+        "LevelClassification", "classify_program", "classify_job",
+    ),
+    "repro.symbolic.lines": (
+        "MAX_OFFSETS", "MAX_ROWS", "ref_distinct_offsets", "distinct_offsets",
+        "distinct_lines", "max_set_occupancy",
+    ),
+})
 
 
 def analyze_job(job):

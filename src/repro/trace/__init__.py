@@ -7,17 +7,11 @@ whole-program simulations never materialize gigabyte traces.  The naive interpre
 access at a time and serves as the generator's ground truth in tests.
 """
 
-from repro.trace.generator import (
-    generate_trace,
-    nest_trace_chunks,
-    program_trace_chunks,
-)
-from repro.trace.interpreter import interpret_nest, interpret_program
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "generate_trace",
-    "nest_trace_chunks",
-    "program_trace_chunks",
-    "interpret_nest",
-    "interpret_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.generator": (
+        "generate_trace", "nest_trace_chunks", "program_trace_chunks",
+    ),
+    "repro.trace.interpreter": ("interpret_nest", "interpret_program"),
+})

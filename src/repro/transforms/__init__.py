@@ -25,41 +25,26 @@ Loop transformations (Sections 2, 4, 5):
   selection (euc-style), L1/kxL1/L2 targeting.
 """
 
-from repro.transforms.pad import pad, multilvl_pad, pad_explicit_levels
-from repro.transforms.grouppad import grouppad, grouppad_recursive
-from repro.transforms.maxpad import maxpad, l2maxpad
-from repro.transforms.intrapad import intra_pad
-from repro.transforms.transpose import transpose_array
-from repro.transforms.permute import memory_order, permute_nest
-from repro.transforms.fusion import can_fuse, fuse_all, fuse_nests
-from repro.transforms.timetile import block_columns_for_cache, time_tile
-from repro.transforms.tiling import strip_mine, tile_nest
-from repro.transforms.tilesize import (
-    TileShape,
-    max_conflict_free_height,
-    select_tile,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "pad",
-    "multilvl_pad",
-    "pad_explicit_levels",
-    "grouppad",
-    "grouppad_recursive",
-    "maxpad",
-    "l2maxpad",
-    "intra_pad",
-    "transpose_array",
-    "permute_nest",
-    "memory_order",
-    "can_fuse",
-    "fuse_nests",
-    "fuse_all",
-    "time_tile",
-    "block_columns_for_cache",
-    "strip_mine",
-    "tile_nest",
-    "TileShape",
-    "max_conflict_free_height",
-    "select_tile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transforms.pad": ("pad", "multilvl_pad", "pad_explicit_levels"),
+    "repro.transforms.grouppad": ("grouppad", "grouppad_recursive"),
+    "repro.transforms.maxpad": ("maxpad", "l2maxpad"),
+    "repro.transforms.intrapad": ("intra_pad",),
+    "repro.transforms.transpose": ("transpose_array",),
+    "repro.transforms.permute": ("permute_nest", "memory_order"),
+    "repro.transforms.fusion": ("can_fuse", "fuse_nests", "fuse_all"),
+    "repro.transforms.timetile": ("time_tile", "block_columns_for_cache"),
+    "repro.transforms.tiling": ("strip_mine", "tile_nest"),
+    "repro.transforms.tilesize": (
+        "TileShape", "max_conflict_free_height", "select_tile",
+    ),
+})
+
+# Three exports share a name with their module.  Importing a submodule binds
+# it on the package, so these are bound eagerly, after their modules: the
+# name then stays the function however the module is imported later.
+from repro.transforms.pad import pad  # noqa: E402
+from repro.transforms.grouppad import grouppad  # noqa: E402
+from repro.transforms.maxpad import maxpad  # noqa: E402

@@ -145,22 +145,28 @@ class TestCostModel:
 class TestDispatchOrder:
     def test_serial_run_never_costs_jobs(self, monkeypatch):
         # Serial results are keyed by index, so ordering them is wasted
-        # work: a one-worker sweep must not estimate a single cost.
-        import repro.exec.executor as executor
+        # work: a one-worker sweep must not estimate a single cost.  The
+        # executor imports the cost model per parallel sweep, so the spy
+        # sits on its defining module.
+        import repro.exec.cost as cost
 
         calls = []
-        monkeypatch.setattr(executor, "job_cost",
+        monkeypatch.setattr(cost, "job_cost",
                             lambda job: calls.append(job) or job_cost(job))
         jobs = [job_for(n) for n in (64, 192, 128)]
         results = SweepExecutor(workers=1).run(jobs)
         assert calls == []
         assert results == [job.run() for job in jobs]
+        # The spy does see the pool's ordering.
+        with SweepExecutor(workers=2) as ex:
+            ex.run(jobs)
+        assert len(calls) >= len(jobs)
 
     def test_pool_gets_jobs_longest_first(self, monkeypatch):
-        import repro.exec.executor as executor
+        import repro.exec.scheduler as scheduler
 
         packed = []
-        monkeypatch.setattr(executor, "pack_payloads",
+        monkeypatch.setattr(scheduler, "pack_payloads",
                             lambda jobs: packed.append(jobs) or
                             pack_payloads(jobs))
         jobs = [job_for(n) for n in (64, 192, 128, 96)]

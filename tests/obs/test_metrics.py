@@ -78,6 +78,63 @@ class TestRegistry:
         assert fresh.snapshot() == {}
 
 
+class TestMerge:
+    """A pool worker's per-job registry folds into the parent's."""
+
+    def test_registry_merge_adds_counters_and_observations(self):
+        import pickle
+
+        parent, worker = MetricsRegistry(), MetricsRegistry()
+        parent.counter("cache.refs").inc(10)
+        parent.histogram("cache.chunk_seconds").observe(0.5)
+        worker.counter("cache.refs").inc(5)
+        worker.counter("cache.mru_elided").inc(2)
+        for v in (0.1, 0.9):
+            worker.histogram("cache.chunk_seconds").observe(v)
+        worker.gauge("exec.workers").set(7)
+        parent.merge(pickle.loads(pickle.dumps(worker)))
+        snap = parent.snapshot()
+        assert snap["counters"] == {"cache.mru_elided": 2, "cache.refs": 15}
+        assert "gauges" not in snap
+        hist = snap["histograms"]["cache.chunk_seconds"]
+        assert hist["count"] == 3
+        assert hist["total"] == pytest.approx(1.5)
+        assert (hist["min"], hist["max"]) == (0.1, 0.9)
+
+    def test_histogram_merge_beyond_the_reservoir_keeps_exact_totals(self):
+        big, into = Histogram(), Histogram()
+        n = Histogram.RESERVOIR_SIZE + 100
+        for v in range(n):
+            big.observe(float(v))
+        into.merge(big)
+        s = into.summary()
+        assert s["count"] == n
+        assert s["total"] == pytest.approx(sum(range(n)))
+        assert (s["min"], s["max"]) == (0.0, float(n - 1))
+        assert len(into._sample) == Histogram.RESERVOIR_SIZE
+
+    def test_merged_percentiles_weigh_each_side_by_its_count(self):
+        """A reservoir past its size stands for all its observations: 20k
+        values in [0, 1) merged with 60k in [1, 2) put the median at ~1.33,
+        as observing all 80k serially does."""
+        small = [i / 20_000 for i in range(20_000)]
+        large = [1 + i / 60_000 for i in range(60_000)]
+        serial, merged, other = Histogram(), Histogram(), Histogram()
+        for v in small + large:
+            serial.observe(v)
+        for v in small:
+            merged.observe(v)
+        for v in large:
+            other.observe(v)
+        merged.merge(other)
+        want, got = serial.summary(), merged.summary()
+        assert got["count"] == want["count"] == 80_000
+        assert len(merged._sample) == Histogram.RESERVOIR_SIZE
+        for pct in ("p50", "p95"):
+            assert got[pct] == pytest.approx(want[pct], abs=0.05), pct
+        assert got["p50"] == pytest.approx(4 / 3, abs=0.05)
+
+
 class TestDiffCounters:
     def test_deltas_only(self):
         m = MetricsRegistry()

@@ -10,7 +10,7 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore
 from repro.experiments.__main__ import main
-from repro.obs.metrics import format_exec_line, get_metrics
+from repro.obs.metrics import format_exec_line, get_metrics, reset_metrics
 from repro.obs.report import format_report, load_trace
 from repro.obs.tracer import start_tracing, stop_tracing
 from repro.search.space import pad_space
@@ -214,3 +214,36 @@ class TestPerLevelChunkTiming:
         assert hists["cache.L1.chunk_seconds"]["count"] == chunks
         assert hists["cache.L2.chunk_seconds"]["count"] == chunks
         assert get_metrics().counter("cache.mru_elided").value == 2 * elided
+
+    def test_pool_workers_report_the_serial_observation_counts(
+        self, tmp_path, capsys
+    ):
+        """A pooled job's worker-side metrics travel back with its result,
+        so a traced two-worker run reports every per-chunk histogram and
+        simulator counter with the counts of the one-worker run."""
+        def recorded(workers):
+            reset_metrics()
+            trace = tmp_path / f"w{workers}.jsonl"
+            assert main(["timetile", "--quick", "--no-cache", "--workers",
+                         str(workers), "--trace", str(trace)]) == 0
+            _, metrics = load_trace(trace)
+            counts = {name: h["count"]
+                      for name, h in metrics["histograms"].items()
+                      if name.startswith("cache.")}
+            counters = {name: v for name, v in metrics["counters"].items()
+                        if name.startswith("cache.")}
+            return trace, counts, counters, metrics["counters"]
+
+        _, serial, serial_counters, _ = recorded(1)
+        trace, pooled, pooled_counters, exec_counters = recorded(2)
+        assert exec_counters["exec.pool_jobs"] > 0
+        assert {"cache.chunk_seconds", "cache.L1.chunk_seconds",
+                "cache.L2.chunk_seconds"} <= set(serial)
+        assert pooled == serial
+        assert pooled_counters == serial_counters
+        capsys.readouterr()
+        assert main(["report", "--trace", str(trace)]) == 0
+        report = capsys.readouterr().out
+        for name in ("cache.chunk_seconds", "cache.L1.chunk_seconds",
+                     "cache.L2.chunk_seconds"):
+            assert f"[obs] {name}: n={serial[name]} " in report

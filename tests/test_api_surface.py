@@ -1,6 +1,14 @@
 """Odds and ends of the public API that deserve direct pinning."""
 
+import ast
+import importlib
+import inspect
+import pathlib
+import pkgutil
+
 import pytest
+
+import repro
 
 from repro import DataLayout, ProgramBuilder
 from repro.ir.affine import const, var
@@ -338,3 +346,46 @@ class TestKernelTraceDefaultPath:
         lay = DataLayout.sequential(p)
         via_hook = np.concatenate(list(k.trace_chunks(p, lay)))
         np.testing.assert_array_equal(via_hook, generate_trace(p, lay))
+
+
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
+
+
+def export_table(package: str) -> dict[str, str]:
+    """Name -> module, as the package's ``__init__`` declares it."""
+    path = pathlib.Path(importlib.import_module(package).__file__)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            table = ast.literal_eval(node.args[1])
+            return {name: module for module, names in table.items() for name in names}
+    raise AssertionError(f"{package} does not export through lazy_exports")
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+class TestEveryPackageExport:
+    """Each package's ``__all__`` resolves lazily to its module's objects."""
+
+    def test_all_is_the_export_table(self, package):
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) - {"__version__"} == set(export_table(package))
+        assert len(pkg.__all__) == len(set(pkg.__all__))
+
+    def test_every_name_resolves_to_its_modules_object(self, package):
+        pkg = importlib.import_module(package)
+        listed = dir(pkg)
+        for name, module in export_table(package).items():
+            value = getattr(pkg, name)
+            assert name in listed
+            assert value is getattr(importlib.import_module(module), name)
+            if package != "repro" and (inspect.isclass(value) or inspect.isfunction(value)):
+                # The table names the defining module, not a re-exporter.
+                assert value.__module__ == module, name
+
+    def test_unknown_names_raise_attribute_error(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError):
+            pkg.no_such_export
+        assert not hasattr(pkg, "no_such_export")
