@@ -78,7 +78,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # empirical autotuning
     "repro.search": (
         "SearchSpace", "pad_space", "assoc_pad_space", "pad_tile_space",
-        "ExhaustiveSearch", "RandomSearch", "CoordinateDescent",
+        "ExhaustiveSearch", "CoordinateDescent",
         "PredictThenVerifyStrategy", "Autotuner", "SearchReport",
         "model_objective",
     ),
@@ -89,7 +89,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     # analytic miss prediction, and the exactness proof behind it
     "repro.model": (
-        "PredictedStats", "predict_program", "predict_job", "spearman",
+        "PredictedStats", "predict_job", "spearman",
     ),
     "repro.symbolic": ("classify_job",),
     # tuning service

@@ -13,11 +13,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.analysis.groups": (
         "ReuseArc", "UniformClass", "uniform_classes", "reuse_arcs",
     ),
-    "repro.analysis.reuse": (
-        "ReuseKind", "RefReuse", "classify_ref", "classify_nest",
-        "innermost_locality_score",
-    ),
-    "repro.analysis.footprint": ("nest_footprint_bytes", "columns_in_cache"),
+    "repro.analysis.reuse": ("innermost_locality_score",),
+    "repro.analysis.footprint": ("nest_footprint_bytes",),
     "repro.analysis.costmodel": ("MissCostModel",),
     "repro.analysis.fusionmodel": (
         "FusionAccounting", "account_nests", "fusion_delta",

@@ -23,7 +23,6 @@ from repro.ir.program import Program
 
 __all__ = [
     "nest_footprint_bytes",
-    "columns_in_cache",
     "ref_span_bytes",
     "ref_lines_lower_bound",
     "ref_line_bounds",
@@ -116,12 +115,3 @@ def ref_line_bounds(low: LoweredNest, line_size: int) -> tuple[int, ...]:
         for column in low.coeff.T.tolist()
     ))
 
-
-def columns_in_cache(program: Program, array: str, cache_size: int) -> float:
-    """How many columns of ``array`` a cache of ``cache_size`` bytes holds.
-
-    The quantity the paper uses to explain Figure 11: the 16K L1 "can hold
-    only 3 to 8 columns, depending on problem size".
-    """
-    col = program.decl(array).column_size_bytes
-    return cache_size / col

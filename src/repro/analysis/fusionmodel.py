@@ -41,21 +41,6 @@ class FusionAccounting:
     l2_refs: int
     memory_refs: int
 
-    @property
-    def total(self) -> int:
-        return self.l1_refs + self.l2_refs + self.memory_refs
-
-    def cost(self, model: MissCostModel) -> float:
-        """Penalty cycles per iteration under a miss-cost model.
-
-        An L2 reference pays one L1 miss; a memory reference pays an L1
-        miss and an L2 miss.
-        """
-        return model.weighted(
-            l1_misses=self.l2_refs + self.memory_refs,
-            l2_misses=self.memory_refs,
-        )
-
     def __add__(self, other: "FusionAccounting") -> "FusionAccounting":
         return FusionAccounting(
             self.l1_refs + other.l1_refs,

@@ -53,11 +53,6 @@ class UniformClass:
         if self.offsets[0] != 0:
             raise AnalysisError("class offsets must be relative to the minimum")
 
-    @property
-    def span_bytes(self) -> int:
-        """Distance from the lowest to the highest reference of the class."""
-        return self.offsets[-1] - self.offsets[0]
-
 
 @dataclass(frozen=True)
 class ReuseArc:

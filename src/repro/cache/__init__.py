@@ -30,8 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.cache.stats": ("LevelStats", "SimulationResult"),
     "repro.cache.assoc_vec": ("miss_mask_assoc_vec", "StreamingAssocCache"),
     "repro.cache.stackdist": (
-        "MissTaxonomy", "classify_misses", "fully_associative_miss_mask",
-        "reuse_distances",
+        "MissTaxonomy", "classify_misses", "reuse_distances",
     ),
     "repro.cache.streaming": ("StreamingHierarchy",),
 })

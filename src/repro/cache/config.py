@@ -161,10 +161,6 @@ class CacheConfig:
     def is_direct_mapped(self) -> bool:
         return self.associativity == 1
 
-    def lines_for(self, nbytes: int) -> int:
-        """How many cache lines ``nbytes`` bytes occupy (upper bound)."""
-        return -(-nbytes // self.line_size)
-
 
 @dataclass(frozen=True)
 class HierarchyConfig:

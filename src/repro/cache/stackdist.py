@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.config import CacheConfig, check_geometry, check_trace
+from repro.cache.config import CacheConfig, check_trace
 from repro.cache.direct import miss_mask_direct
 from repro.errors import SimulationError
 
-__all__ = ["reuse_distances", "fully_associative_miss_mask", "MissTaxonomy",
-           "classify_misses"]
+__all__ = ["reuse_distances", "MissTaxonomy", "classify_misses"]
 
 
 def reuse_distances(addresses: np.ndarray, line_size: int) -> np.ndarray:
@@ -78,15 +77,6 @@ def reuse_distances(addresses: np.ndarray, line_size: int) -> np.ndarray:
     return out
 
 
-def fully_associative_miss_mask(
-    addresses: np.ndarray, size: int, line_size: int
-) -> np.ndarray:
-    """Miss mask of a fully-associative LRU cache of the same capacity."""
-    capacity = check_geometry(size, line_size)
-    d = reuse_distances(addresses, line_size)
-    return (d < 0) | (d >= capacity)
-
-
 @dataclass(frozen=True)
 class MissTaxonomy:
     """Cold / capacity / conflict decomposition of a direct-mapped run."""
@@ -95,10 +85,6 @@ class MissTaxonomy:
     cold: int
     capacity: int
     conflict: int
-
-    @property
-    def total_misses(self) -> int:
-        return self.cold + self.capacity + self.conflict
 
     def rate(self, kind: str) -> float:
         if self.total_refs == 0:

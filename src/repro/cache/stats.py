@@ -29,15 +29,6 @@ class LevelStats:
                 f"{self.name}: misses ({self.misses}) exceed accesses ({self.accesses})"
             )
 
-    @property
-    def hits(self) -> int:
-        return self.accesses - self.misses
-
-    @property
-    def local_miss_ratio(self) -> float:
-        """Misses over accesses *at this level* (undefined -> 0.0)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 @dataclass(frozen=True)
 class SimulationResult:

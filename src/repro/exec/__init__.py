@@ -43,15 +43,14 @@ from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.exec.backends": ("BACKENDS", "run_oracle", "validate_backend"),
-    "repro.exec.hashing": ("SCHEMA_VERSION", "job_key", "program_fingerprint"),
+    "repro.exec.hashing": ("SCHEMA_VERSION", "job_key"),
     "repro.exec.executor": (
         "ExecStats", "JobRecord", "SweepExecutor", "execute_one",
-        "get_default_store", "run_jobs", "set_default_store",
+        "get_default_store",
     ),
     "repro.exec.store": ("ResultStore", "open_default_store"),
     "repro.exec.shard": (
         "ShardSpec", "merge_stores", "merge_traces", "parse_shard",
-        "shard_jobs",
     ),
     "repro.exec.jobs": ("SimJob",),
     "repro.exec.scheduler": ("WorkerPool",),

@@ -9,7 +9,6 @@
     Obviously correct, slowest; the ground truth the vectorized
     simulator is property-tested against.
 
-``auto`` is still accepted as an alias of ``sim`` for existing callers.
 The two backends never alias in the :class:`~repro.exec.store.ResultStore`:
 the backend that produced a result is part of its content key
 (:func:`~repro.exec.hashing.job_key`).  The analytic predictor
@@ -31,7 +30,9 @@ __all__ = ["BACKENDS", "BACKEND_ALIASES", "validate_backend", "run_oracle"]
 #: Every selectable backend, default first.
 BACKENDS = ("sim", "oracle")
 
-#: Names kept for existing callers, and the backend each selects.
+#: ``"auto"`` selects ``sim``.  No CLI offers it; it stays only because
+#: the repository benchmark (``benchmarks/e2e``) passes ``backend="auto"``
+#: to :class:`~repro.exec.executor.SweepExecutor`.
 BACKEND_ALIASES = {"auto": "sim"}
 
 

@@ -64,9 +64,7 @@ __all__ = [
     "ExecStats",
     "SweepExecutor",
     "execute_one",
-    "run_jobs",
     "get_default_store",
-    "set_default_store",
 ]
 
 _UNSET = object()
@@ -107,10 +105,6 @@ class ExecStats:
     @property
     def cache_hits(self) -> int:
         return sum(1 for r in self.records if r.source == "cache")
-
-    @property
-    def cache_misses(self) -> int:
-        return self.jobs - self.cache_hits
 
     @property
     def hit_rate(self) -> float:
@@ -189,7 +183,7 @@ class SweepExecutor:
         A :class:`ResultStore` for memoization, or None to disable.
     backend:
         Default backend for :meth:`run` (see :mod:`repro.exec.backends`):
-        ``"sim"`` (the default; ``"auto"`` is an alias) or ``"oracle"``.
+        ``"sim"`` (the default) or ``"oracle"``.
     shard:
         ``"i/N"`` (or a :class:`~repro.exec.shard.ShardSpec`) restricts
         *computation* to the jobs this shard owns; non-owned jobs are
@@ -524,28 +518,11 @@ class SweepExecutor:
         return ExecStats.merged(self.history[since:])
 
 
-def run_jobs(
-    jobs,
-    workers: int | None = None,
-    store: ResultStore | None = None,
-    backend: str = "sim",
-) -> tuple[list[SimulationResult], ExecStats]:
-    """One-shot convenience wrapper around :class:`SweepExecutor`.
-
-    The executor (and its worker pool) is closed before returning --
-    use a long-lived :class:`SweepExecutor` to amortize pool spin-up
-    across calls.
-    """
-    with SweepExecutor(workers=workers, store=store, backend=backend) as ex:
-        results = ex.run(jobs)
-        return results, ex.stats
-
-
 # -- default store plumbing (library entry points) --------------------------
 #
 # simulate_program / simulate_kernel_layout memoize through
-# a process-wide default store: off unless REPRO_CACHE_DIR is set or
-# set_default_store() is called.  The experiments CLI manages its own store.
+# a process-wide default store: off unless REPRO_CACHE_DIR is set.  The
+# experiments CLI manages its own store.
 
 _default_store: ResultStore | None | object = _UNSET
 
@@ -556,15 +533,6 @@ def get_default_store() -> ResultStore | None:
     if _default_store is _UNSET:
         _default_store = open_default_store()
     return _default_store  # type: ignore[return-value]
-
-
-def set_default_store(store: ResultStore | str | os.PathLike | None) -> None:
-    """Install (or disable, with None) the process-wide default store."""
-    global _default_store
-    if store is None or isinstance(store, ResultStore):
-        _default_store = store
-    else:
-        _default_store = ResultStore(store)
 
 
 def execute_one(

@@ -64,7 +64,6 @@ __all__ = [
     "fragment",
     "digest_fragments",
     "job_key",
-    "program_fingerprint",
 ]
 
 # v2: a backend component joined the key -- an oracle result (or a
@@ -168,11 +167,6 @@ def fragment(obj) -> str:
 def digest_fragments(fragments) -> str:
     """:func:`digest` of the list whose items serialize to ``fragments``."""
     return _sha256("[" + ",".join(fragments) + "]")
-
-
-def program_fingerprint(program: Program) -> str:
-    """Content hash of a program's IR alone (arrays + nests)."""
-    return _sha256(fragment(program))
 
 
 _SCALARS = (str, int)

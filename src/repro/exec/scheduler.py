@@ -175,10 +175,6 @@ class WorkerPool:
             )
         return self._pool
 
-    @property
-    def alive(self) -> bool:
-        return self._pool is not None
-
     def discard(self) -> None:
         """Drop a broken pool without waiting on its workers."""
         pool, self._pool = self._pool, None
@@ -204,7 +200,7 @@ class WorkerPool:
         self.close()
 
     def __repr__(self) -> str:
-        state = "live" if self.alive else "cold"
+        state = "live" if self._pool is not None else "cold"
         return f"WorkerPool(max_workers={self.max_workers}, {state}, spinups={self.spinups})"
 
 

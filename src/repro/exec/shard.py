@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.exec.store import ResultStore
 
-__all__ = ["ShardSpec", "parse_shard", "shard_jobs", "merge_stores", "merge_traces"]
+__all__ = ["ShardSpec", "parse_shard", "merge_stores", "merge_traces"]
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,7 @@ def parse_shard(spec: "str | ShardSpec | None") -> ShardSpec | None:
         ) from None
 
 
-def shard_jobs(jobs, spec: "str | ShardSpec") -> list:
-    """The sub-list of ``jobs`` a shard owns (order preserved)."""
-    spec = parse_shard(spec)
-    return [job for job in jobs if spec.owns(job)]
-
-
-def merge_stores(
-    dest: "ResultStore | str", sources, clear_dest: bool = False
-) -> dict[str, int]:
+def merge_stores(dest: "ResultStore | str", sources) -> dict[str, int]:
     """Fuse shard stores into ``dest``; returns merge statistics.
 
     Every entry of every source is copied into ``dest`` (one appended
@@ -109,8 +101,6 @@ def merge_stores(
     """
     if not isinstance(dest, ResultStore):
         dest = ResultStore(dest)
-    if clear_dest:
-        dest.clear()
     merged = duplicates = 0
     nsources = 0
     for source in sources:

@@ -34,7 +34,7 @@ directory:
   another writer is still appending is read by a later lookup;
 * same-key racers append identical content; the first row that decodes
   wins and duplicates are harmless;
-* a log that shrank or was replaced (:meth:`LogStore.clear`) is re-read
+* a log that shrank or was replaced (deleted and rewritten) is re-read
   from its start.  Each handle keeps its read fd open, which pins the
   old file, so a replaced log can never be mistaken for the old one.
 """
@@ -213,21 +213,6 @@ class LogStore:
     def __len__(self) -> int:
         self._refresh()
         return len(self._hot)
-
-    def clear(self) -> int:
-        """Delete the log and the hot tier; returns how many entries there were."""
-        removed = len(self)
-        with self._lock:
-            self.log_path.unlink(missing_ok=True)
-            self._close()
-            self._hot.clear()
-        return removed
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of ``get`` calls served from memory or disk (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
         return (

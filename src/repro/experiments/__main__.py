@@ -65,7 +65,7 @@ import sys
 import time
 
 from repro.errors import ReproError
-from repro.exec.backends import BACKEND_ALIASES, BACKENDS
+from repro.exec.backends import BACKENDS
 from repro.exec.store import ENV_CACHE_DIR, ResultStore, default_cache_dir
 from repro.obs.diff import FAIL_PCT, WARN_PCT
 from repro.obs.metrics import diff_counters, format_exec_line, get_metrics
@@ -142,10 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the on-disk result store",
     )
     parser.add_argument(
-        "--backend", choices=[*BACKENDS, *BACKEND_ALIASES], default="sim",
+        "--backend", choices=BACKENDS, default="sim",
         help="how jobs are computed: 'sim' (default) is the vectorized "
-             "simulator, 'oracle' the sequential LRU replay; 'auto' is "
-             "an alias of 'sim'",
+             "simulator, 'oracle' the sequential LRU replay",
     )
     parser.add_argument(
         "--budget", type=int, default=None, metavar="B",

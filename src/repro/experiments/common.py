@@ -57,9 +57,6 @@ class VersionResult:
     def cycles(self, hierarchy: HierarchyConfig) -> float:
         return estimated_cycles(self.result, hierarchy, self.flops)
 
-    def mflops(self, hierarchy: HierarchyConfig) -> float:
-        return mflops(self.flops, self.cycles(hierarchy))
-
 
 def simulate_kernel_layout(
     kernel: Kernel,

@@ -10,7 +10,7 @@ The **claim table** checks the mechanism: it pads for the
 2-way and 4-way LRU hierarchies of identical capacity.  Padding chosen
 for a direct-mapped cache should still remove most misses on the
 associative caches, and the residual miss rate should already be close
-to the 4-way floor (:meth:`ClaimResult.headroom`).
+to the 4-way floor.
 
 The **headroom table** attacks the claim from the other side: for each
 Table 1 kernel under 2-way and 4-way LRU hierarchies,
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from repro.cache.config import CacheConfig, HierarchyConfig, ultrasparc_i
 from repro.exec.jobs import SimJob
 from repro.experiments.common import run_sweep
+from repro.experiments.ext_search import _pick_strategy
 from repro.experiments.fig9_pad import INTRA_PAD_FIRST, QUICK_SIZES
 from repro.kernels.registry import get_kernel
 from repro.layout.layout import DataLayout
@@ -123,13 +124,6 @@ class ClaimResult:
                 "targeted PAD on k-way caches"
             ),
         )
-
-    def headroom(self, program: str) -> float:
-        """How much a 4-way cache still improves on the padded
-        direct-mapped result -- the most an associativity-aware padding
-        algorithm could possibly recover (percentage points)."""
-        r = self.rates[program]
-        return 100 * (r[("padded", 1)] - r[("padded", 4)])
 
 
 def build_jobs(
@@ -218,12 +212,6 @@ class ExtAssocResult:
         """The largest modeling gap found -- the headline number."""
         return max((r.gap_pct for r in self.rows), default=0.0)
 
-    def row(self, program: str, associativity: int) -> AssocSearchRow:
-        for r in self.rows:
-            if r.program == program and r.associativity == associativity:
-                return r
-        raise KeyError(f"no row for ({program!r}, {associativity})")
-
     def format(self) -> str:
         table = format_table(
             ["program", "assoc", "dims", "space", "strategy", "evals",
@@ -296,21 +284,12 @@ def build_space(
     return kernel, space, heuristic_config
 
 
-def _pick_strategy(space: SearchSpace, budget: int | None, override: str | None) -> str:
-    if override is not None:
-        return override
-    if budget is None or space.size <= budget:
-        return "exhaustive"
-    return "coordinate"
-
-
 def run(
     quick: bool = False,
     programs: list[str] | None = None,
     associativities: tuple[int, ...] = DEFAULT_ASSOCS,
     budget: int | None = None,
     seed: int = 0,
-    strategy: str | None = None,
     objective: Objective | None = None,
     max_lines: int = 8,
     span_multiples: int = 2,
@@ -341,7 +320,7 @@ def run(
             )
             report = tuner.search(
                 space,
-                strategy=_pick_strategy(space, budget, strategy),
+                strategy=_pick_strategy(space, budget),
                 objective=objective,
                 budget=budget,
                 seed=seed,

@@ -339,7 +339,7 @@ def run(
         )
         pure = tuner.search(
             space,
-            strategy=_pick_strategy(space, budget, None),
+            strategy=_pick_strategy(space, budget),
             objective=objective,
             budget=budget,
             seed=seed,

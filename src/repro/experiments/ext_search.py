@@ -102,12 +102,6 @@ class ExtSearchResult:
         total = self.total_evaluations
         return self.total_store_hits / total if total else 0.0
 
-    def row(self, program: str) -> KernelSearchRow:
-        for r in self.rows:
-            if r.program == program:
-                return r
-        raise KeyError(f"no search row for {program!r}")
-
     def format(self) -> str:
         """The heuristic-vs-searched table plus the aggregate stats line."""
         table = format_table(
@@ -175,9 +169,7 @@ def build_space(
     return kernel, space, heuristic_config
 
 
-def _pick_strategy(space: SearchSpace, budget: int | None, override: str | None) -> str:
-    if override is not None:
-        return override
+def _pick_strategy(space: SearchSpace, budget: int | None) -> str:
     if budget is None or space.size <= budget:
         return "exhaustive"
     return "coordinate"
@@ -189,7 +181,6 @@ def run(
     hierarchy: HierarchyConfig | None = None,
     budget: int | None = None,
     seed: int = 0,
-    strategy: str | None = None,
     objective: Objective | None = None,
     max_lines: int = 8,
     workers: int | None = None,
@@ -199,9 +190,9 @@ def run(
     """Search each kernel's pad space; compare against MULTILVLPAD.
 
     ``budget`` caps simulated evaluations *per kernel* (defaults to
-    :data:`DEFAULT_BUDGET`, :data:`QUICK_BUDGET` under ``quick``);
-    ``strategy`` forces one strategy for every kernel instead of the
-    size-based exhaustive/coordinate choice.
+    :data:`DEFAULT_BUDGET`, :data:`QUICK_BUDGET` under ``quick``).  A
+    space within the budget is searched exhaustively, a larger one by
+    coordinate descent.
     """
     hierarchy = hierarchy or ultrasparc_i()
     programs = programs or DEFAULT_PROGRAMS
@@ -216,7 +207,7 @@ def run(
         )
         report = tuner.search(
             space,
-            strategy=_pick_strategy(space, budget, strategy),
+            strategy=_pick_strategy(space, budget),
             objective=objective,
             budget=budget,
             seed=seed,

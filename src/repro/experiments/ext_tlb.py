@@ -61,13 +61,6 @@ class TLBResult:
             title="TLB extension: miss rates of the Figure 13 tile choices",
         )
 
-    def rate(self, version: str, n: int) -> float:
-        """TLB miss rate of one version at one matrix size."""
-        for row in self.series[version]:
-            if row[0] == n:
-                return row[3]
-        raise KeyError(f"no size {n} in series {version!r}")
-
 
 def build_jobs(
     quick: bool = False,

@@ -42,7 +42,6 @@ __all__ = [
     "affine_from_data",
     "program_to_data",
     "program_from_data",
-    "hierarchy_to_data",
     "hierarchy_from_data",
     "save_case",
     "load_case",
@@ -160,22 +159,6 @@ def program_from_data(data: dict) -> Program:
     return Program(data["name"], arrays, nests)
 
 
-def hierarchy_to_data(hierarchy: HierarchyConfig) -> dict:
-    return {
-        "memory_cycles": hierarchy.memory_cycles,
-        "levels": [
-            {
-                "size": c.size,
-                "line_size": c.line_size,
-                "associativity": c.associativity,
-                "name": c.name,
-                "hit_cycles": c.hit_cycles,
-            }
-            for c in hierarchy.levels
-        ],
-    }
-
-
 def hierarchy_from_data(data: dict) -> HierarchyConfig:
     return HierarchyConfig(
         levels=tuple(
@@ -213,6 +196,8 @@ class CorpusCase:
         return f"{self.name}.json"
 
     def to_data(self) -> dict:
+        from repro.service.protocol import hierarchy_to_json  # lazy: replays never need it
+
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
@@ -224,7 +209,7 @@ class CorpusCase:
                 "magnitude": self.magnitude,
             },
             "note": self.note,
-            "hierarchy": hierarchy_to_data(self.hierarchy),
+            "hierarchy": hierarchy_to_json(self.hierarchy),
             "program": program_to_data(self.program),
         }
 

@@ -123,16 +123,6 @@ class AffineExpr:
             result = result + coeff * env[name]
         return result
 
-    def substitute(self, name: str, replacement: ExprLike) -> "AffineExpr":
-        """Replace variable ``name`` with another affine expression."""
-        c = self.coeff(name)
-        if c == 0:
-            return self
-        rest = AffineExpr(
-            {n: k for n, k in self._terms if n != name}, self._const
-        )
-        return rest + AffineExpr.wrap(replacement) * c
-
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
         """Rename variables, e.g. ``{"i": "ii"}``.  Renames must not collide."""
         terms: dict[str, int] = {}

@@ -148,17 +148,6 @@ class Loop:
             return max(0, (hi - lo) // self.step + 1) if hi >= lo else 0
         return max(0, (lo - hi) // (-self.step) + 1) if lo >= hi else 0
 
-    def reversed(self) -> "Loop":
-        """The same iteration set walked in the opposite order."""
-        if not self.is_rectangular:
-            raise IRError(f"cannot reverse loop {self.var} with symbolic bounds")
-        if self.extra_uppers or self.extra_lowers:
-            raise IRError(f"cannot reverse loop {self.var} with min/max bounds")
-        lo, st = self.lower.constant, self.step
-        count = self.trip_count()
-        last = lo + (count - 1) * st if count else lo
-        return Loop(self.var, AffineExpr.wrap(last), AffineExpr.wrap(lo), -st)
-
     def __repr__(self) -> str:
         s = f", {self.step}" if self.step != 1 else ""
         return f"do {self.var} = {self.lower!r}, {self.upper!r}{s}"
@@ -191,24 +180,6 @@ class Statement:
         writes = [r for r in self.refs if r.is_write]
         if len(writes) > 1:
             raise IRError("statement may have at most one store")
-
-    @property
-    def reads(self) -> tuple[ArrayRef, ...]:
-        return tuple(r for r in self.refs if not r.is_write)
-
-    @property
-    def write(self) -> ArrayRef | None:
-        for r in self.refs:
-            if r.is_write:
-                return r
-        return None
-
-    def substitute(self, name: str, replacement) -> "Statement":
-        return Statement(
-            tuple(r.substitute(name, replacement) for r in self.refs),
-            self.flops,
-            self.label,
-        )
 
     def rename(self, mapping) -> "Statement":
         return Statement(
@@ -372,9 +343,6 @@ class LoopNest:
 
     def arrays_used(self) -> tuple[str, ...]:
         return tuple(sorted({r.array for r in self.refs}))
-
-    def innermost(self) -> Loop:
-        return self.loops[-1]
 
     def with_loops(self, loops: tuple[Loop, ...]) -> "LoopNest":
         return LoopNest(loops, self.body, self.label)

@@ -14,7 +14,6 @@ from typing import Iterable
 from repro.errors import IRError
 from repro.ir.arrays import ArrayDecl
 from repro.ir.loops import LoopNest
-from repro.ir.refs import ArrayRef
 
 __all__ = ["Program"]
 
@@ -55,14 +54,6 @@ class Program:
             if a.name == name:
                 return a
         raise KeyError(f"program {self.name}: no array named {name!r}")
-
-    @property
-    def array_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrays)
-
-    def refs(self) -> Iterable[ArrayRef]:
-        for nest in self.nests:
-            yield from nest.refs
 
     def total_refs(self) -> int:
         """Total dynamic reference count (rectangular nests only)."""

@@ -69,14 +69,6 @@ class ArrayRef:
             off = off + (sub - 1) * stride
         return off
 
-    def substitute(self, name: str, replacement) -> "ArrayRef":
-        """Rewrite every subscript, replacing loop variable ``name``."""
-        return ArrayRef(
-            self.array,
-            tuple(s.substitute(name, replacement) for s in self.subscripts),
-            self.is_write,
-        )
-
     def rename(self, mapping) -> "ArrayRef":
         return ArrayRef(
             self.array,

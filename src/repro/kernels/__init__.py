@@ -16,6 +16,6 @@ from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.kernels.registry": (
-        "KERNELS", "Kernel", "get_kernel", "kernel_names",
+        "KERNELS", "Kernel", "get_kernel",
     ),
 })

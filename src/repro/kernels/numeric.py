@@ -11,7 +11,7 @@ overhead swamps most of the effect; the cycle model is the primary
 series).
 
 These implementations are also the semantic ground truth for
-transformation tests: tiled matmul must equal untiled matmul bit-for-bit,
+transformation tests: tiled matmul must equal NumPy's product,
 transposed-layout runs must equal originals, and so on.
 """
 
@@ -27,9 +27,7 @@ __all__ = [
     "allocate_pool",
     "run_dot",
     "run_jacobi",
-    "run_matmul",
     "run_matmul_tiled",
-    "run_stencil_sweep",
 ]
 
 
@@ -91,17 +89,6 @@ def run_jacobi(a: np.ndarray, b: np.ndarray, steps: int = 1) -> float:
     return resid
 
 
-def run_matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """Untiled i-j-k multiply accumulated into C (loop over K in Python,
-    vectorized over I -- the J/K/I order of the IR model)."""
-    n = a.shape[0]
-    for j in range(n):
-        cj = c[:, j]
-        bj = b[:, j]
-        for k in range(n):
-            cj += a[:, k] * bj[k]
-
-
 def run_matmul_tiled(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, tile_w: int, tile_h: int
 ) -> None:
@@ -117,11 +104,3 @@ def run_matmul_tiled(
                 bj = b[kk:k_hi, j]
                 cj += a_tile @ bj
 
-
-def run_stencil_sweep(
-    dst: np.ndarray, src: np.ndarray, steps: int = 1
-) -> None:
-    """Generic +-1-column stencil used by the timing harness for the
-    stand-in programs: dst(i,j) = mean of src's j-1/j/j+1 columns."""
-    for _ in range(steps):
-        dst[:, 1:-1] = (src[:, :-2] + src[:, 1:-1] + src[:, 2:]) / 3.0

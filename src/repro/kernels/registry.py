@@ -19,7 +19,7 @@ from repro.kernels import adi, dot, erle, expl, irr, jacobi, linpackd, matmul, s
 from repro.kernels import standins as st
 from repro.layout.layout import DataLayout
 
-__all__ = ["Kernel", "KERNELS", "get_kernel", "kernel_names"]
+__all__ = ["Kernel", "KERNELS", "get_kernel"]
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,3 @@ def get_kernel(name: str) -> Kernel:
         raise ReproError(
             f"unknown kernel {name!r}; available: {', '.join(sorted(KERNELS))}"
         ) from None
-
-
-def kernel_names(suite: str | None = None) -> list[str]:
-    """All registered names, optionally filtered by suite."""
-    return [k.name for k in KERNELS.values() if suite is None or k.suite == suite]

@@ -10,7 +10,7 @@ variables").  Layouts are immutable; transformations return new ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import LayoutError
 from repro.ir.program import Program
@@ -109,9 +109,6 @@ class DataLayout:
     def total_padding(self) -> int:
         return sum(self.pads)
 
-    def end(self, name: str) -> int:
-        return self.base(name) + self.sizes[self.index_of(name)]
-
     # -- rewriting ------------------------------------------------------------
     def with_pad(self, name: str, pad: int) -> "DataLayout":
         """Set the pad before ``name`` (replacing, not adding)."""
@@ -132,35 +129,3 @@ class DataLayout:
         for name, pad in pads.items():
             out = out.with_pad(name, pad)
         return out
-
-    def reordered(self, order: Iterable[str]) -> "DataLayout":
-        """Same arrays/pads in a new field order (pads travel with arrays)."""
-        order = tuple(order)
-        if sorted(order) != sorted(self.order):
-            raise LayoutError(
-                f"reorder {order} is not a permutation of {self.order}"
-            )
-        idx = [self.index_of(n) for n in order]
-        return DataLayout(
-            order,
-            tuple(self.pads[i] for i in idx),
-            tuple(self.sizes[i] for i in idx),
-            self.origin,
-        )
-
-    def with_resized(self, name: str, size_bytes: int) -> "DataLayout":
-        """Replace an array's extent (used by intra-variable padding)."""
-        if size_bytes <= 0:
-            raise LayoutError("size must be positive")
-        idx = self.index_of(name)
-        sizes = list(self.sizes)
-        sizes[idx] = size_bytes
-        return DataLayout(self.order, self.pads, tuple(sizes), self.origin)
-
-    def describe(self) -> str:
-        """Human-readable base-address map."""
-        lines = ["offset     pad  size      array"]
-        bases = self.bases()
-        for name, pad, size in zip(self.order, self.pads, self.sizes):
-            lines.append(f"{bases[name]:>9}  {pad:>4}  {size:>8}  {name}")
-        return "\n".join(lines)

@@ -13,11 +13,10 @@ which is what powers the two-tier predict-then-verify search
 
 Entry points:
 
-* :func:`predict_program` / :func:`predict_nest` -- analytic counterparts
-  of ``simulate_program`` and of a single-nest ``SimJob``;
 * :func:`predict_job` -- score a :class:`~repro.exec.jobs.SimJob` without
   running it (the executor's :meth:`~repro.exec.executor.SweepExecutor.predict`
   batch hook maps this over job lists);
+* :func:`predict_nest` -- the per-nest estimate it sums;
 * :class:`PredictedStats` -- the result type, mirroring
   :class:`~repro.cache.stats.SimulationResult` so predictions drop into
   existing reports, objectives, and cycle models, with a per-level
@@ -31,7 +30,7 @@ from repro.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.model.predictor": (
         "LevelPrediction", "NestPrediction", "PredictedStats", "predict_nest",
-        "predict_program", "predict_job",
+        "predict_job",
     ),
     "repro.model.conflicts": (
         "ThrashCluster", "thrash_clusters", "thrashing_refs",

@@ -58,14 +58,13 @@ from repro.ir.program import Program
 from repro.ir.lowering import LoweredNest, lower
 from repro.layout.layout import DataLayout
 from repro.model.conflicts import thrashing_refs
-from repro.symbolic import LevelClassification, classify_job, classify_program
+from repro.symbolic import classify_job
 
 __all__ = [
     "LevelPrediction",
     "NestPrediction",
     "PredictedStats",
     "predict_nest",
-    "predict_program",
     "predict_job",
 ]
 
@@ -167,35 +166,6 @@ class PredictedStats:
         """The prediction as a drop-in :class:`SimulationResult`."""
         return SimulationResult(total_refs=self.total_refs, levels=self.levels)
 
-    def level(self, name: str) -> LevelStats:
-        return self.result.level(name)
-
-    def miss_rate(self, name: str) -> float:
-        return self.result.miss_rate(name)
-
-    @property
-    def memory_refs(self) -> int:
-        return self.result.memory_refs
-
-    def cycles(self, hierarchy) -> float:
-        return self.result.cycles(hierarchy)
-
-    def summary(self) -> str:
-        return "predicted " + self.result.summary()
-
-    # -- model-specific detail ----------------------------------------------
-    def conflict_misses(self, name: str) -> float:
-        """The raw conflict component of one level's prediction."""
-        for p in self.predictions:
-            if p.name == name:
-                return p.conflict_misses
-        raise KeyError(f"no cache level named {name!r}")
-
-    @property
-    def is_conflict_free(self) -> bool:
-        """True when no level predicts any steady-state conflict misses."""
-        return all(p.conflict_misses == 0.0 for p in self.predictions)
-
 
 # -- per-reference model -----------------------------------------------------
 
@@ -272,7 +242,7 @@ def predict_nest(
     """Predict one nest's misses at every level of the hierarchy.
 
     ``resident`` gives, per level, the arrays assumed cached on entry
-    (:func:`predict_program` threads this across nests); by default every
+    (:func:`predict_job` threads this across nests); by default every
     level starts cold, matching a ``SimJob`` with ``nest_index`` set.
     """
     from repro.layout.diagram import CacheDiagram  # lazy: import-cycle guard
@@ -334,49 +304,33 @@ def _update_residency(
         resident[i] = touched if footprint <= cache.size else frozenset()
 
 
-def predict_program(
-    program: Program,
-    layout: DataLayout,
-    hierarchy: HierarchyConfig,
-    nests: tuple[LoopNest, ...] | None = None,
-) -> PredictedStats:
-    """Predict per-level misses for a whole program (or a nest subset).
+def predict_job(job) -> PredictedStats:
+    """Score one :class:`~repro.exec.jobs.SimJob` analytically.
 
-    The exactness proof (:func:`repro.symbolic.classify_program`) runs
+    The analytic counterpart of ``job.run()``: same program, layout, and
+    hierarchy, with ``nest_index`` jobs predicted on that nest alone
+    (cold caches, as the simulator runs them).  Kernels with
+    custom trace hooks (IRR's runtime gathers) are estimated from their
+    affine IR, which ignores the data-dependent indirection -- no level
+    of theirs is exact, so rank them with care, or not at all.
+
+    The exactness proof (:func:`repro.symbolic.classify_job`) runs
     first: every level in its exact prefix gets the proven distinct-line
     count.  The other levels sum the per-nest estimates, raised to the
-    proven cold misses where the proof knows them, with nests
-    processed in program order: arrays a nest leaves resident at a level
-    (its footprint fit) satisfy the next nest's cold misses there -- the
+    proven cold misses where the proof knows them, with nests processed
+    in program order: arrays a nest leaves resident at a level (its
+    footprint fit) satisfy the next nest's cold misses there -- the
     cross-nest temporal reuse that fusion profitability and the
     three-level experiments depend on.
     """
-    selected = _selected_nests(program, nests)
-    return _predict(
-        program,
-        layout,
-        hierarchy,
-        selected,
-        classify_program(program, layout, hierarchy, selected),
-    )
-
-
-def _selected_nests(
-    program: Program, nests: tuple[LoopNest, ...] | None
-) -> tuple[LoopNest, ...]:
-    selected = tuple(nests) if nests is not None else tuple(program.nests)
+    program, layout, hierarchy = job.program, job.layout, job.hierarchy
+    if job.nest_index is not None:
+        selected = (program.nests[job.nest_index],)
+    else:
+        selected = tuple(program.nests)
     if not selected:
         raise AnalysisError(f"program {program.name!r} has no nests to predict")
-    return selected
-
-
-def _predict(
-    program: Program,
-    layout: DataLayout,
-    hierarchy: HierarchyConfig,
-    selected: tuple[LoopNest, ...],
-    classification: tuple[LevelClassification, ...],
-) -> PredictedStats:
+    classification = classify_job(job)
     resident: list[frozenset[str]] = [frozenset() for _ in hierarchy.levels]
     totals = [0.0] * len(hierarchy.levels)
     conflicts = [0.0] * len(hierarchy.levels)
@@ -412,26 +366,4 @@ def _predict(
         total_refs=total_refs,
         predictions=tuple(predictions),
         nests=tuple(nest_preds),
-    )
-
-
-def predict_job(job) -> PredictedStats:
-    """Score one :class:`~repro.exec.jobs.SimJob` analytically.
-
-    The analytic counterpart of ``job.run()``: same program, layout, and
-    hierarchy, with ``nest_index`` jobs predicted on that nest alone
-    (cold caches, as the simulator runs them).  Kernels with
-    custom trace hooks (IRR's runtime gathers) are estimated from their
-    affine IR, which ignores the data-dependent indirection -- no level
-    of theirs is exact, so rank them with care, or not at all.
-    """
-    nests = None
-    if job.nest_index is not None:
-        nests = (job.program.nests[job.nest_index],)
-    return _predict(
-        job.program,
-        job.layout,
-        job.hierarchy,
-        _selected_nests(job.program, nests),
-        classify_job(job),
     )

@@ -46,7 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.obs.metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_metrics",
-        "set_metrics", "reset_metrics", "diff_counters", "best_of",
+        "set_metrics", "diff_counters", "best_of",
         "format_exec_line",
     ),
     "repro.obs.timeline": (
@@ -55,7 +55,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.obs.prometheus": ("format_prometheus",),
     "repro.obs.report": (
-        "TraceDoc", "load_trace", "load_trace_doc", "aggregate_spans",
+        "TraceDoc", "load_trace_doc", "aggregate_spans",
         "format_report", "format_trace_tree",
     ),
     "repro.obs.diff": ("TraceDiff", "diff_traces"),

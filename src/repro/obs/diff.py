@@ -78,10 +78,6 @@ class CounterDelta:
     kind: str  # work | timing
     status: str
 
-    @property
-    def delta(self) -> float:
-        return self.fresh - self.base
-
 
 @dataclass(frozen=True)
 class TraceDiff:

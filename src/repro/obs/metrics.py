@@ -35,7 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
-    "reset_metrics",
     "diff_counters",
     "best_of",
     "format_exec_line",
@@ -146,15 +145,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile over the reservoir (0.0 when empty)."""
-        if not self._sample:
-            return 0.0
-        ordered = sorted(self._sample)
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(pct / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
-
     def summary(self) -> dict:
         if not self.count:
             return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
@@ -244,14 +234,6 @@ class MetricsRegistry:
         self._gauges = state["gauges"]
         self._histograms = state["histograms"]
 
-    def reset(self) -> None:
-        """Drop every metric (tests, or between unrelated runs)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
-
 _metrics = MetricsRegistry()
 
 
@@ -264,13 +246,6 @@ def set_metrics(registry: MetricsRegistry) -> None:
     """Replace the process-wide registry (tests, isolated sessions)."""
     global _metrics
     _metrics = registry
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Install a fresh empty registry and return it."""
-    registry = MetricsRegistry()
-    set_metrics(registry)
-    return registry
 
 
 def diff_counters(before: dict, after: dict) -> dict:

@@ -38,7 +38,6 @@ from repro.util.tabulate import format_table
 __all__ = [
     "SpanAgg",
     "TraceDoc",
-    "load_trace",
     "load_trace_doc",
     "aggregate_spans",
     "format_report",
@@ -158,15 +157,6 @@ def load_trace_doc(path) -> TraceDoc:
     return TraceDoc(spans=spans, counters=counters, metrics=metrics)
 
 
-def load_trace(path) -> tuple[list[dict], dict]:
-    """(span records, metrics snapshot) -- the pre-PR-10 surface, kept
-    for callers that only need spans; completed spans only."""
-    doc = load_trace_doc(path)
-    spans = [s for s in doc.spans
-             if s.get("type") == "span" and s.get("dur_ns") is not None]
-    return spans, doc.metrics
-
-
 def aggregate_spans(spans: list[dict]) -> list[SpanAgg]:
     """Per-name rollups, sorted by self-time descending.
 
@@ -283,7 +273,7 @@ def format_report(path, top: int = 12) -> str:
     )
     lines = _derived_lines(doc.metrics)
     lines.extend(_counter_lines(doc.counters))
-    open_spans = [s for s in spans if s.get("dur_ns") is None]
+    open_spans = doc.open_spans()
     if open_spans:
         names = sorted({s.get("name", "?") for s in open_spans})
         shown = ", ".join(names[:6]) + (", ..." if len(names) > 6 else "")

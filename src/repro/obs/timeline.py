@@ -130,16 +130,6 @@ class Timeline:
         """The row list (copied; plain lists, picklable across processes)."""
         return [[r[0], r[1], r[2], [list(p) for p in r[3]]] for r in self._rows]
 
-    def totals(self) -> list[tuple[int, int]]:
-        """Per-level ``(accesses, misses)`` summed over every window --
-        bit-equal to the untimed run's totals by construction."""
-        sums = [[0, 0] for _ in self.levels]
-        for row in self._rows:
-            for i, (acc, miss) in enumerate(row[3]):
-                sums[i][0] += acc
-                sums[i][1] += miss
-        return [(a, m) for a, m in sums]
-
 
 def emit_counter_tracks(levels: tuple[str, ...], rows: list[list],
                         tracer=None, pid: int | None = None,

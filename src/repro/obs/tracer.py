@@ -81,11 +81,6 @@ class Span:
     parent_id: int | None
     args: dict = field(default_factory=dict)
 
-    @property
-    def seconds(self) -> float:
-        """Span duration in seconds (0.0 for instant events)."""
-        return (self.dur_ns or 0) / 1e9
-
     def to_json(self) -> dict:
         """The JSONL encoding (``type`` distinguishes spans from events)."""
         out = {
@@ -421,11 +416,6 @@ class Tracer:
         """
         return _TraceScope(self, parent_id, ctx)
 
-    def current_span_id(self) -> int | None:
-        """The innermost live span's id in this thread, or None."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     # -- reading & export --------------------------------------------------
     def spans(self) -> list[Span]:
         """Everything recorded so far (copy; spans and events)."""
@@ -573,9 +563,6 @@ class NullTracer:
 
     def scope(self, parent_id=None, **ctx) -> _NullScope:
         return _NULL_SCOPE
-
-    def current_span_id(self) -> None:
-        return None
 
     def spans(self) -> list[Span]:
         return []

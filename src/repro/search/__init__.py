@@ -15,10 +15,10 @@ Pieces:
 * :mod:`repro.search.objective` -- minimized figures of merit over
   simulated miss statistics, plus :func:`model_objective`, the analytic
   (simulation-free) scorer backed by :mod:`repro.model`;
-* :mod:`repro.search.strategies` -- exhaustive grid, seeded random
-  sampling, coordinate descent, and the two-tier
-  :class:`PredictThenVerifyStrategy` (score the whole space with the
-  closed-form predictor, simulate only the top-K);
+* :mod:`repro.search.strategies` -- exhaustive grid, coordinate
+  descent, and the two-tier :class:`PredictThenVerifyStrategy` (score
+  the whole space with the closed-form predictor, simulate only the
+  top-K);
 * :mod:`repro.search.tuner` -- :class:`Autotuner`, the batching /
   memoizing / budgeting harness;
 * :mod:`repro.search.report` -- the structured :class:`SearchReport`.
@@ -36,7 +36,7 @@ Quickstart::
                       kernel=kernel)
     report = Autotuner(workers=4).search(space, strategy="coordinate",
                                          budget=64)
-    print(report.format())
+    print(report.best_config, report.best_objective)
 """
 
 from repro.lazy import lazy_exports
@@ -47,12 +47,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "pad_tile_space",
     ),
     "repro.search.objective": (
-        "Objective", "ModelObjective", "miss_cost_objective",
-        "miss_rate_objective", "cycles_objective", "model_objective",
+        "Objective", "ModelObjective", "miss_cost_objective", "model_objective",
     ),
     "repro.search.strategies": (
-        "SearchStrategy", "ExhaustiveSearch", "RandomSearch",
-        "CoordinateDescent", "PredictThenVerifyStrategy", "STRATEGIES",
+        "SearchStrategy", "ExhaustiveSearch", "CoordinateDescent", "PredictThenVerifyStrategy", "STRATEGIES",
         "get_strategy",
     ),
     "repro.search.tuner": ("Autotuner",),

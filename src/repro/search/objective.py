@@ -7,15 +7,9 @@ strategies and the tuner do -- comparisons, trajectories, gaps -- relies
 only on that ordering, so any pure function of the miss statistics plugs
 in.
 
-Built-ins:
-
-* :func:`miss_cost_objective` -- miss counts weighted by the hierarchy's
-  per-level penalties (:class:`~repro.analysis.costmodel.MissCostModel`),
-  the same scaling the paper uses for fusion profitability (Section 4);
-* :func:`miss_rate_objective` -- one level's raw miss rate (paper
-  normalization: misses over *total* references);
-* :func:`cycles_objective` -- the full cycle model including hit costs
-  (what the figures' "execution time improvement" axes derive from).
+The built-in, :func:`miss_cost_objective`, weights miss counts by the hierarchy's
+per-level penalties (:class:`~repro.analysis.costmodel.MissCostModel`),
+the same scaling the paper uses for fusion profitability (Section 4).
 
 :func:`model_objective` is the *analytic* counterpart: it scores a
 :class:`~repro.exec.jobs.SimJob` directly -- no trace, no simulation --
@@ -39,8 +33,6 @@ __all__ = [
     "Objective",
     "ModelObjective",
     "miss_cost_objective",
-    "miss_rate_objective",
-    "cycles_objective",
     "model_objective",
 ]
 
@@ -110,20 +102,3 @@ def model_objective(base: Objective | None = None) -> ModelObjective:
     base = base if base is not None else miss_cost_objective()
     return ModelObjective(name=f"model[{base.name}]", base=base)
 
-
-def miss_rate_objective(level: str = "L1") -> Objective:
-    """One level's miss rate, normalized to total references (paper norm)."""
-
-    def fn(result: SimulationResult, hierarchy: HierarchyConfig) -> float:
-        return result.miss_rate(level)
-
-    return Objective(name=f"{level}-miss-rate", fn=fn)
-
-
-def cycles_objective() -> Objective:
-    """The full additive cycle model (hits + misses at every level)."""
-
-    def fn(result: SimulationResult, hierarchy: HierarchyConfig) -> float:
-        return result.cycles(hierarchy)
-
-    return Objective(name="cycles", fn=fn)

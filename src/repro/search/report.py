@@ -37,11 +37,6 @@ class SearchReport:
     baseline_objective: float | None = None
 
     @property
-    def store_hit_rate(self) -> float:
-        """Fraction of evaluations served from the result store."""
-        return self.store_hits / self.evaluations if self.evaluations else 0.0
-
-    @property
     def gap_pct(self) -> float | None:
         """How far the searched best moved past the baseline, in percent.
 
@@ -58,22 +53,3 @@ class SearchReport:
             * (self.baseline_objective - self.best_objective)
             / self.baseline_objective
         )
-
-    def format(self) -> str:
-        """A compact multi-line rendering for CLI output and logs."""
-        lines = [
-            f"search[{self.space}] strategy={self.strategy} "
-            f"objective={self.objective} ({self.stopped})",
-            f"  best: {self.best_objective:.6g} at {self.best_config}",
-        ]
-        if self.baseline_objective is not None:
-            lines.append(
-                f"  baseline: {self.baseline_objective:.6g} at "
-                f"{self.baseline_config} (gap {self.gap_pct:+.2f}%)"
-            )
-        lines.append(
-            f"  evaluations: {self.evaluations} "
-            f"({self.store_hits} from store, {self.memo_hits} memoized), "
-            f"sim {self.sim_seconds:.2f}s, wall {self.wall_seconds:.2f}s"
-        )
-        return "\n".join(lines)

@@ -68,10 +68,6 @@ class Dimension:
         if len(set(self.choices)) != len(self.choices):
             raise ReproError(f"dimension {self.name!r} has duplicate choices")
 
-    def nearest(self, value: int) -> int:
-        """The choice closest to ``value`` (ties go to the smaller choice)."""
-        return min(self.choices, key=lambda c: (abs(c - value), c))
-
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -117,10 +113,6 @@ class SearchSpace:
             raise ReproError(f"config {cfg} is not in search space {self.name!r}")
         return cfg
 
-    def default_config(self) -> Config:
-        """The first choice of every dimension (the un-transformed point)."""
-        return tuple(d.choices[0] for d in self.dimensions)
-
     def configs(self) -> Iterator[Config]:
         """All points, in deterministic lexicographic (choice-order) order."""
         return itertools.product(*(d.choices for d in self.dimensions))
@@ -139,25 +131,10 @@ class SearchSpace:
             out.append(tuple(candidate))
         return out
 
-    def nearest_config(self, values: Sequence[int]) -> Config:
-        """Snap arbitrary per-dimension values onto the grid."""
-        if len(values) != len(self.dimensions):
-            raise ReproError(
-                f"expected {len(self.dimensions)} values, got {len(values)}"
-            )
-        return tuple(d.nearest(int(v)) for v, d in zip(values, self.dimensions))
-
     # -- materialization -----------------------------------------------------
     def job(self, config: Sequence[int]) -> SimJob:
         """The simulation measuring one point of the space."""
         return self.job_builder(self.validate(config))
-
-    def describe(self, config: Sequence[int]) -> str:
-        """Human-readable ``dim=value`` rendering of a point."""
-        cfg = self.validate(config)
-        return ", ".join(
-            f"{d.name}={v}" for d, v in zip(self.dimensions, cfg)
-        )
 
 
 # -- pad space ---------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.search.space import Config, SearchSpace
 __all__ = [
     "SearchStrategy",
     "ExhaustiveSearch",
-    "RandomSearch",
     "CoordinateDescent",
     "PredictThenVerifyStrategy",
     "STRATEGIES",
@@ -84,52 +83,6 @@ class ExhaustiveSearch:
             evaluate(batch)
 
 
-class RandomSearch:
-    """Seeded uniform sampling without replacement.
-
-    Stops after ``samples`` draws (None = run until the tuner's budget, or
-    the whole space, is exhausted).  The draw sequence depends only on the
-    seed, so runs are reproducible.
-    """
-
-    name = "random"
-
-    def __init__(self, samples: int | None = None, batch_size: int = 16):
-        if samples is not None and samples < 1:
-            raise ReproError(f"samples must be >= 1, got {samples}")
-        if batch_size < 1:
-            raise ReproError(f"batch_size must be >= 1, got {batch_size}")
-        self.samples = samples
-        self.batch_size = batch_size
-
-    def run(self, space, evaluate, rng, start=None) -> None:
-        seen: set[Config] = set()
-        if start is not None:
-            seen.add(space.validate(start))
-        target = self.samples if self.samples is not None else space.size
-        drawn = 0
-        while drawn < target and len(seen) < space.size:
-            batch: list[Config] = []
-            # Rejection-sample unseen points; bounded so a nearly-covered
-            # space cannot stall the loop.
-            attempts = 0
-            limit = 50 * self.batch_size
-            while (
-                len(batch) < min(self.batch_size, target - drawn)
-                and attempts < limit
-                and len(seen) + len(batch) < space.size
-            ):
-                attempts += 1
-                cfg = space.random_config(rng)
-                if cfg not in seen and cfg not in batch:
-                    batch.append(cfg)
-            if not batch:
-                break
-            evaluate(batch)
-            seen.update(batch)
-            drawn += len(batch)
-
-
 class CoordinateDescent:
     """Axis-by-axis descent from a start point (hill-climbing on a grid).
 
@@ -147,7 +100,7 @@ class CoordinateDescent:
         self.max_passes = max_passes
 
     def run(self, space, evaluate, rng, start=None) -> None:
-        current = space.validate(start) if start is not None else space.default_config()
+        current = space.validate(start) if start is not None else next(space.configs())
         (current_value,) = evaluate([current])
         for _ in range(self.max_passes):
             moved = False
@@ -239,7 +192,6 @@ class PredictThenVerifyStrategy:
 
 STRATEGIES: dict[str, Callable[[], SearchStrategy]] = {
     "exhaustive": ExhaustiveSearch,
-    "random": RandomSearch,
     "coordinate": CoordinateDescent,
     "predict": PredictThenVerifyStrategy,
 }

@@ -46,7 +46,7 @@ class Autotuner:
     the tuner build a private serial one.  One executor serves *every*
     round of a search, so its persistent worker pool spins up once per
     search (or once per experiment, when shared), not once per round;
-    :meth:`close` releases a tuner-owned pool when the search is done.
+    ``tuner.executor.close()`` releases a tuner-built pool.
     """
 
     def __init__(
@@ -55,21 +55,9 @@ class Autotuner:
         workers: int | None = None,
         store: ResultStore | None = None,
     ):
-        self._owns_executor = executor is None
         self.executor = executor or SweepExecutor(
             workers=workers if workers is not None else 1, store=store
         )
-
-    def close(self) -> None:
-        """Release the executor's worker pool if this tuner created it."""
-        if self._owns_executor:
-            self.executor.close()
-
-    def __enter__(self) -> "Autotuner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def search(
         self,

@@ -12,7 +12,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.exec.backends import BACKEND_ALIASES, BACKENDS
+from repro.exec.backends import BACKENDS
 from repro.exec.store import default_cache_dir
 from repro.service.server import ServiceConfig, serve
 
@@ -45,10 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         "--sim-workers", type=int, default=1, metavar="N",
         help="simulation worker processes per tuning worker (default 1)",
     )
-    parser.add_argument("--backend", choices=[*BACKENDS, *BACKEND_ALIASES],
-                        default="sim",
-                        help="executor backend for evaluations (default sim; "
-                             "'auto' is an alias of 'sim')")
+    parser.add_argument("--backend", choices=BACKENDS, default="sim",
+                        help="executor backend for evaluations (default sim)")
     parser.add_argument(
         "--drain-timeout", type=float, default=60.0, metavar="S",
         help="seconds to wait for admitted work on shutdown (default 60)",

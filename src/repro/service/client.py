@@ -3,8 +3,7 @@
 For scripts, load tests, and CI: plain :mod:`http.client`, JSON in and
 out, no dependencies.  Every method returns ``(status, payload)`` so
 callers can assert on backpressure statuses (429/503) as easily as on
-success; :meth:`TuningClient.tune_ok` raises instead, for the common
-"just give me the answer" path.
+success.
 
 Also usable as a module CLI::
 
@@ -20,7 +19,6 @@ import argparse
 import http.client
 import json
 import sys
-import time
 
 from repro.errors import ReproError
 
@@ -78,16 +76,6 @@ class TuningClient:
         suffix = "" if wait else "?wait=0"
         return self._request("POST", f"/v1/tune{suffix}", body=request)
 
-    def tune_ok(self, request: dict) -> dict:
-        """Tune and return the response payload, raising on any non-200."""
-        status, payload = self.tune(request, wait=True)
-        if status != 200:
-            raise ServiceClientError(
-                f"tune failed with HTTP {status}: "
-                f"{payload.get('error', payload)}"
-            )
-        return payload
-
     def job(self, key: str) -> tuple[int, dict]:
         return self._request("GET", f"/v1/jobs/{key}")
 
@@ -102,19 +90,6 @@ class TuningClient:
 
     def healthz(self) -> tuple[int, dict]:
         return self._request("GET", "/healthz")
-
-    def wait_ready(self, timeout: float = 15.0) -> bool:
-        """Poll /healthz until the server answers (for CI and tests)."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            try:
-                status, _ = self.healthz()
-                if status == 200:
-                    return True
-            except ServiceClientError:
-                pass
-            time.sleep(0.1)
-        return False
 
 
 def main(argv: list[str] | None = None) -> int:

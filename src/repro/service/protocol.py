@@ -54,7 +54,7 @@ __all__ = [
 # so old stored responses are orphaned rather than mis-served.
 SERVICE_SCHEMA = 1
 
-SEARCH_STRATEGIES = ("none", "coordinate", "random", "exhaustive", "predict")
+SEARCH_STRATEGIES = ("none", "coordinate", "exhaustive", "predict")
 
 HIERARCHY_PRESETS = {
     "ultrasparc_i": ultrasparc_i,

@@ -157,10 +157,6 @@ class TuningService:
         assert self._server is not None, "service not started"
         return self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "service not started"
-        await self._server.serve_forever()
-
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish admitted work, close."""
         self._draining = True

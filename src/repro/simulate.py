@@ -9,8 +9,7 @@ This is the main entry point the experiments and examples use::
 It routes through :mod:`repro.exec`: the simulation is expressed as a
 :class:`~repro.exec.jobs.SimJob` and memoized against the process-wide
 default :class:`~repro.exec.store.ResultStore` (off unless
-``REPRO_CACHE_DIR`` is set or :func:`repro.exec.set_default_store` is
-called).  Sweeps over many configurations should build the jobs directly
+``REPRO_CACHE_DIR`` is set; ``store=`` overrides it per call).  Sweeps over many configurations should build the jobs directly
 and hand them to a :class:`~repro.exec.executor.SweepExecutor`.
 """
 

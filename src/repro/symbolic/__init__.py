@@ -7,7 +7,7 @@ reports -- computable from the IR alone, without an address trace.
 This package decides, per level, whether that proof holds
 (:func:`classify_program` / :func:`classify_job`) and enumerates the
 footprint it counts (:mod:`repro.symbolic.lines`).  The one analytic
-estimator, :func:`repro.model.predict_program`, runs the proof first and
+estimator, :func:`repro.model.predict_job`, runs the proof first and
 uses its counts at every exact level.
 
 See ``docs/model.md`` ("When the estimate becomes exact") for the
@@ -22,7 +22,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "LevelClassification", "classify_program", "classify_job",
     ),
     "repro.symbolic.lines": (
-        "MAX_OFFSETS", "MAX_ROWS", "ref_distinct_offsets", "distinct_offsets",
+        "MAX_OFFSETS", "MAX_ROWS", "distinct_offsets",
         "distinct_lines", "max_set_occupancy",
     ),
 })

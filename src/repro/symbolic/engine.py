@@ -3,7 +3,7 @@
 :func:`classify_program` / :func:`classify_job` decide, per cache level,
 whether the miss count is *provable* -- exact, bit-for-bit equal to the
 LRU simulator -- and why not when it is not.  The analytic predictor
-(:func:`repro.model.predict_program`) runs this proof first and reports
+(:func:`repro.model.predict_job`) runs this proof first and reports
 the proven distinct-line count at every exact level.  Classification is
 dominated by the footprint enumeration (:mod:`repro.symbolic.lines`),
 itself skipped whenever the capacity pre-filter

@@ -38,7 +38,6 @@ from repro.layout.layout import DataLayout
 __all__ = [
     "MAX_OFFSETS",
     "MAX_ROWS",
-    "ref_distinct_offsets",
     "distinct_offsets",
     "distinct_lines",
     "max_set_occupancy",
@@ -175,20 +174,6 @@ def _ref_union(pieces: list[np.ndarray]) -> np.ndarray:
     if out.size > MAX_OFFSETS:
         raise _OverBudget
     return out
-
-
-def ref_distinct_offsets(nest: LoopNest, const: int, column) -> np.ndarray | None:
-    """All distinct byte offsets one reference touches, at absolute
-    address ``const + column . v`` for the nest's loop values ``v``.
-
-    Returns a sorted ``int64`` array, or ``None`` when the enumeration
-    budget (:data:`MAX_OFFSETS` distinct values, :data:`MAX_ROWS` rows)
-    is exceeded.
-    """
-    try:
-        return _ref_union(list(_RowGroups(nest).pieces(const, column)))
-    except _OverBudget:
-        return None
 
 
 def distinct_offsets(

@@ -19,7 +19,7 @@ Data-layout transformations (Section 3):
 Loop transformations (Sections 2, 4, 5):
 
 * :func:`permute_nest` / :func:`memory_order` -- loop permutation;
-* :func:`fuse_nests` / :func:`fuse_all` -- loop fusion;
+* :func:`fuse_nests` -- loop fusion;
 * :func:`strip_mine`, :func:`tile_nest` -- tiling;
 * :mod:`repro.transforms.tilesize` -- self-interference-free tile-size
   selection (euc-style), L1/kxL1/L2 targeting.
@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.transforms.intrapad": ("intra_pad",),
     "repro.transforms.transpose": ("transpose_array",),
     "repro.transforms.permute": ("permute_nest", "memory_order"),
-    "repro.transforms.fusion": ("can_fuse", "fuse_nests", "fuse_all"),
+    "repro.transforms.fusion": ("can_fuse", "fuse_nests"),
     "repro.transforms.timetile": ("time_tile", "block_columns_for_cache"),
     "repro.transforms.tiling": ("strip_mine", "tile_nest"),
     "repro.transforms.tilesize": (

@@ -22,7 +22,7 @@ from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 
-__all__ = ["can_fuse", "fuse_nests", "fuse_all", "fusion_dependence_ok"]
+__all__ = ["can_fuse", "fuse_nests", "fusion_dependence_ok"]
 
 
 def _header_rename(nest_a: LoopNest, nest_b: LoopNest) -> dict[str, str] | None:
@@ -156,19 +156,3 @@ def fuse_nests(
     nests[index_a] = fused
     del nests[index_b]
     return program.with_nests(nests)
-
-
-def fuse_all(program: Program, check: str = "strict") -> Program:
-    """Greedily fuse adjacent compatible nests left to right."""
-    out = program
-    i = 0
-    while i + 1 < len(out.nests):
-        a, b = out.nests[i], out.nests[i + 1]
-        legal = can_fuse(a, b) and (
-            check == "none" or fusion_dependence_ok(out, a, b)
-        )
-        if legal:
-            out = fuse_nests(out, i, i + 1, check=check)
-        else:
-            i += 1
-    return out

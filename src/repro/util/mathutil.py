@@ -1,50 +1,14 @@
-"""Small integer/modular-arithmetic helpers used across the library.
+"""Modular arithmetic used across the library.
 
-The paper's multi-level padding arguments (Section 3.1.2) and the tiling
-lemma (Section 5) are statements about distances *modulo* cache sizes where
-every cache size divides the next larger one.  The helpers here implement
-those primitive notions once so transformations and analyses share them.
+The paper's multi-level padding arguments (Section 3.1.2) are statements
+about distances *modulo* cache sizes where every cache size divides the
+next larger one.  The helper here implements that primitive notion once
+so transformations and analyses share it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
-__all__ = [
-    "ceil_div",
-    "circular_distance",
-    "gcd_list",
-    "is_power_of_two",
-    "next_multiple",
-    "round_to_multiple",
-]
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Return ``ceil(a / b)`` for integers with ``b > 0``."""
-    if b <= 0:
-        raise ValueError(f"ceil_div requires b > 0, got {b}")
-    return -(-a // b)
-
-
-def is_power_of_two(n: int) -> bool:
-    """Return True if ``n`` is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def next_multiple(value: int, factor: int) -> int:
-    """Smallest multiple of ``factor`` that is >= ``value``."""
-    if factor <= 0:
-        raise ValueError(f"next_multiple requires factor > 0, got {factor}")
-    return ceil_div(value, factor) * factor
-
-
-def round_to_multiple(value: int, factor: int) -> int:
-    """Multiple of ``factor`` nearest to ``value`` (ties round up)."""
-    if factor <= 0:
-        raise ValueError(f"round_to_multiple requires factor > 0, got {factor}")
-    return ((value + factor // 2) // factor) * factor
+__all__ = ["circular_distance"]
 
 
 def circular_distance(a: int, b: int, modulus: int) -> int:
@@ -58,11 +22,3 @@ def circular_distance(a: int, b: int, modulus: int) -> int:
         raise ValueError(f"circular_distance requires modulus > 0, got {modulus}")
     d = (a - b) % modulus
     return min(d, modulus - d)
-
-
-def gcd_list(values: Iterable[int]) -> int:
-    """Greatest common divisor of an iterable of integers (gcd() of none is 0)."""
-    out = 0
-    for v in values:
-        out = math.gcd(out, v)
-    return out

@@ -1,12 +1,6 @@
 """Footprint / working-set estimates."""
 
-import pytest
-
-from repro.analysis.footprint import (
-    columns_in_cache,
-    nest_footprint_bytes,
-    ref_span_bytes,
-)
+from repro.analysis.footprint import nest_footprint_bytes, ref_span_bytes
 from tests.conftest import build_fig2
 
 
@@ -40,5 +34,5 @@ class TestColumns:
         3 to 8 columns'."""
         for n, lo, hi in [(250, 8, 8.5), (520, 3.5, 4.0)]:
             prog = build_fig2(n)
-            cols = columns_in_cache(prog, "A", 16 * 1024)
+            cols = 16 * 1024 / prog.decl("A").column_size_bytes
             assert lo <= cols <= hi

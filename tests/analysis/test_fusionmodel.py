@@ -71,7 +71,7 @@ class TestPaperNumbers:
         _, _, fused, fused_layout = setup
         acct = account_nest(fused, fused_layout, fused.nests[0], L1, LINE)
         # Unique refs after fusion: A x2, B x3, C x2 = 7.
-        assert acct.total == 7
+        assert acct.l1_refs + acct.l2_refs + acct.memory_refs == 7
 
 
 class TestProfitability:
@@ -100,9 +100,9 @@ class TestProfitability:
         assert fusion_profitable(delta, steep_costs)
 
     def test_accounting_cost_formula(self):
-        from repro.analysis.fusionmodel import FusionAccounting
+        from repro.analysis.fusionmodel import FusionDelta
 
-        acct = FusionAccounting(l1_refs=1, l2_refs=2, memory_refs=3)
+        delta = FusionDelta(l2_refs=2, memory_refs=3)
         model = MissCostModel(l1_miss_cost=10.0, l2_miss_cost=100.0)
         # L2 refs pay an L1 miss; memory refs pay both.
-        assert acct.cost(model) == (2 + 3) * 10.0 + 3 * 100.0
+        assert delta.cost_change(model) == (2 + 3) * 10.0 + 3 * 100.0

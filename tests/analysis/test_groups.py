@@ -16,7 +16,6 @@ class TestUniformClasses:
         for c in classes:
             assert len(c.refs) == 2  # (i,j) and (i,j+1)
             assert c.offsets == (0, 64 * 8)  # one column apart
-            assert c.span_bytes == 64 * 8
 
     def test_fig2_nest2_b_class_window(self):
         prog = build_fig2(64)

@@ -1,14 +1,7 @@
-"""Wolf & Lam reuse classification and the permutation cost model."""
-
-import pytest
+"""Wolf & Lam self reuse and the permutation cost model."""
 
 from repro import ProgramBuilder
-from repro.analysis.reuse import (
-    ReuseKind,
-    classify_nest,
-    classify_ref,
-    innermost_locality_score,
-)
+from repro.analysis.reuse import innermost_locality_score
 
 
 def fig1_program():
@@ -26,29 +19,12 @@ def fig1_program():
 
 class TestClassification:
     def test_fig1_reuse_kinds(self):
+        """A(j,i) is spatial in j (8 B of a 32 B line) and has no reuse in
+        i (800 B stride); B(j) is temporal in i and spatial in j."""
         prog = fig1_program()
         nest = prog.nests[0]
-        a_read = nest.refs[0]
-        b_write = nest.refs[1]
-        a_cls = classify_ref(prog, nest, a_read, line_size=32)
-        # A(j,i): spatial on j (8B stride), none on i (800B stride).
-        assert a_cls.kind("j") is ReuseKind.SPATIAL
-        assert a_cls.kind("i") is ReuseKind.NONE
-        b_cls = classify_ref(prog, nest, b_write, line_size=32)
-        # B(j): temporal on i, spatial on j.
-        assert b_cls.kind("i") is ReuseKind.TEMPORAL
-        assert b_cls.kind("j") is ReuseKind.SPATIAL
-
-    def test_classify_nest_covers_all_refs(self):
-        prog = fig1_program()
-        infos = classify_nest(prog, prog.nests[0], 32)
-        assert len(infos) == 2
-
-    def test_unknown_loop_raises(self):
-        prog = fig1_program()
-        info = classify_ref(prog, prog.nests[0], prog.nests[0].refs[0], 32)
-        with pytest.raises(KeyError):
-            info.kind("zz")
+        assert innermost_locality_score(prog, nest, "j", 32) == 0.75 + 0.75
+        assert innermost_locality_score(prog, nest, "i", 32) == 0.0 + 1.0
 
     def test_negative_stride_is_spatial_too(self):
         b = ProgramBuilder("rev")
@@ -56,8 +32,7 @@ class TestClassification:
         (i,) = b.vars("i")
         b.nest([b.loop(i, 64, 1, step=-1)], [b.use(reads=[A[i]])])
         prog = b.build()
-        cls = classify_ref(prog, prog.nests[0], prog.nests[0].refs[0], 32)
-        assert cls.kind("i") is ReuseKind.SPATIAL
+        assert innermost_locality_score(prog, prog.nests[0], "i", 32) == 0.75
 
 
 class TestPermutationModel:

@@ -19,12 +19,6 @@ class TestCacheConfig:
         assert c.num_lines == 512
         assert not c.is_direct_mapped
 
-    def test_lines_for_rounds_up(self):
-        c = CacheConfig(size=1024, line_size=32)
-        assert c.lines_for(1) == 1
-        assert c.lines_for(32) == 1
-        assert c.lines_for(33) == 2
-
     @pytest.mark.parametrize(
         "kwargs",
         [

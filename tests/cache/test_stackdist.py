@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.stackdist import (
-    classify_misses,
-    fully_associative_miss_mask,
-    reuse_distances,
-)
+from repro.cache.stackdist import classify_misses, reuse_distances
 from repro.errors import SimulationError
 
 
@@ -60,7 +56,8 @@ class TestFullyAssociative:
         rng = np.random.default_rng(8)
         trace = rng.integers(0, 8192, size=500)
         size, line = 1024, 32
-        fa = fully_associative_miss_mask(trace, size, line)
+        d = reuse_distances(trace, line)
+        fa = (d < 0) | (d >= size // line)
         lru = miss_mask_assoc(trace, size, line, size // line)
         np.testing.assert_array_equal(fa, lru)
 
@@ -93,7 +90,7 @@ class TestTaxonomy:
         rng = np.random.default_rng(11)
         trace = rng.integers(0, 4096, size=800)
         t = classify_misses(trace, self.CACHE)
-        assert t.total_misses == miss_mask_direct(trace, 1024, 32).sum()
+        assert t.cold + t.capacity + t.conflict == miss_mask_direct(trace, 1024, 32).sum()
 
     def test_padding_removes_only_conflicts(self):
         """The paper's premise: inter-variable padding attacks conflict

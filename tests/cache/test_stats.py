@@ -7,15 +7,6 @@ from repro.cache.config import ultrasparc_i
 
 
 class TestLevelStats:
-    def test_hits_and_local_ratio(self):
-        s = LevelStats(name="L1", accesses=100, misses=25)
-        assert s.hits == 75
-        assert s.local_miss_ratio == 0.25
-
-    def test_zero_accesses(self):
-        s = LevelStats(name="L1", accesses=0, misses=0)
-        assert s.local_miss_ratio == 0.0
-
     def test_misses_cannot_exceed_accesses(self):
         with pytest.raises(ValueError):
             LevelStats(name="L1", accesses=5, misses=6)

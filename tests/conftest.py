@@ -62,3 +62,21 @@ def fig2_small():
 @pytest.fixture
 def fig2_layout(fig2):
     return DataLayout.sequential(fig2)
+
+
+def timeline_totals(timeline) -> list[tuple[int, int]]:
+    """Per-level ``(accesses, misses)`` summed over a timeline's windows."""
+    sums = [[0, 0] for _ in timeline.levels]
+    for row in timeline.rows():
+        for i, (acc, miss) in enumerate(row[3]):
+            sums[i][0] += acc
+            sums[i][1] += miss
+    return [(a, m) for a, m in sums]
+
+
+def predict(program, layout, hierarchy):
+    """The analytic prediction of a whole program, cold caches."""
+    from repro.exec.jobs import SimJob
+    from repro.model import predict_job
+
+    return predict_job(SimJob(program=program, layout=layout, hierarchy=hierarchy))

@@ -8,12 +8,7 @@ from repro import DataLayout, ProgramBuilder, ultrasparc_i
 from repro.errors import ReproError
 from repro.exec import executor as executor_module
 from repro.exec import scheduler as scheduler_module
-from repro.exec.executor import (
-    SweepExecutor,
-    execute_one,
-    run_jobs,
-    set_default_store,
-)
+from repro.exec.executor import SweepExecutor, execute_one
 from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore
 from repro.experiments.__main__ import main
@@ -71,9 +66,10 @@ class TestMemoization:
         assert ex.stats.cache_hits == 2
 
     def test_no_store_still_runs(self):
-        results, stats = run_jobs([job_for(64)], workers=1, store=None)
+        with SweepExecutor(workers=1, store=None) as ex:
+            results = ex.run([job_for(64)])
         assert results[0].total_refs > 0
-        assert stats.cache_hits == 0
+        assert ex.stats.cache_hits == 0
 
 
 class TestFallbackAndValidation:
@@ -125,6 +121,14 @@ class TestFallbackAndValidation:
         assert len(ex.history) == 2
 
 
+@pytest.fixture
+def env_store(tmp_path, monkeypatch):
+    """A process-wide default store opened from ``REPRO_CACHE_DIR``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.setattr(executor_module, "_default_store", executor_module._UNSET)
+
+
 class TestExecuteOne:
     def test_explicit_store(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -134,26 +138,18 @@ class TestExecuteOne:
         assert first == second
         assert store.hits == 1 and store.puts == 1
 
-    def test_default_store_plumbing(self, tmp_path):
-        set_default_store(tmp_path)
-        try:
-            job = job_for(96)
-            execute_one(job)
-            execute_one(job)
-            store = executor_module.get_default_store()
-            assert store is not None and store.hits == 1
-        finally:
-            set_default_store(None)
+    def test_default_store_plumbing(self, env_store):
+        job = job_for(96)
+        execute_one(job)
+        execute_one(job)
+        store = executor_module.get_default_store()
+        assert store is not None and store.hits == 1
 
-    def test_store_none_forces_fresh(self, tmp_path):
-        set_default_store(tmp_path)
-        try:
-            job = job_for(64)
-            execute_one(job)
-            execute_one(job, store=None)
-            assert executor_module.get_default_store().hits == 0
-        finally:
-            set_default_store(None)
+    def test_store_none_forces_fresh(self, env_store):
+        job = job_for(64)
+        execute_one(job)
+        execute_one(job, store=None)
+        assert executor_module.get_default_store().hits == 0
 
 
 class TestCLI:

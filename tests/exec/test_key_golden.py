@@ -15,7 +15,7 @@ import pytest
 
 from repro import DataLayout, ProgramBuilder, ultrasparc_i
 from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.exec.hashing import SCHEMA_VERSION, program_fingerprint
+from repro.exec.hashing import SCHEMA_VERSION, canonical, digest
 from repro.exec.jobs import SimJob
 from repro.ir.affine import var
 from repro.ir.loops import Loop, LoopNest
@@ -140,7 +140,7 @@ def test_job_key_golden(name):
 
 
 def test_program_fingerprint_golden():
-    assert program_fingerprint(triangle_program()) == GOLDEN_FINGERPRINT
+    assert digest(canonical(triangle_program())) == GOLDEN_FINGERPRINT
 
 
 def test_request_key_golden():

@@ -31,7 +31,6 @@ from repro.exec.hashing import (
     canonical,
     digest,
     job_key,
-    program_fingerprint,
 )
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
@@ -66,7 +65,7 @@ class TestKeyStability:
         hier = ultrasparc_i()
         lay = DataLayout.sequential(p1)
         assert job_key(p1, lay, hier) == job_key(p2, lay, hier)
-        assert program_fingerprint(p1) == program_fingerprint(p2)
+        assert digest(canonical(p1)) == digest(canonical(p2))
 
     def test_key_is_hex_sha256(self):
         p = build_program()
@@ -114,13 +113,16 @@ class TestKeySensitivity:
         assert self.key(layout=moved) != self.key()
 
     def test_variable_order_changes_key(self):
-        reordered = self.layout.reordered(["B", "A"])
+        lay = self.layout
+        reordered = DataLayout(tuple(reversed(lay.order)), tuple(reversed(lay.pads)),
+                               tuple(reversed(lay.sizes)), lay.origin)
+        assert reordered.order == ("B", "A")
         assert self.key(layout=reordered) != self.key()
 
     def test_loop_bound_changes_key(self):
         assert (
-            program_fingerprint(build_program(n=64))
-            != program_fingerprint(build_program(n=65))
+            digest(canonical(build_program(n=64)))
+            != digest(canonical(build_program(n=65)))
         )
 
     @given(size=st.sampled_from([8192, 32768, 65536]))
@@ -237,21 +239,13 @@ class TestResultStore:
         with pytest.raises(ValueError):
             ResultStore(tmp_path).put("AB" * 32, self.make_result())
 
-    def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for i in range(3):
-            store.put(f"{i:02d}" + "3" * 62, self.make_result())
-        assert store.clear() == 3
-        assert len(store) == 0
-
     def test_hit_rate(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.hit_rate == 0.0
         key = "aa" + "4" * 62
         store.get(key)
         store.put(key, self.make_result())
         store.get(key)
-        assert store.hit_rate == 0.5
+        assert (store.hits, store.misses, store.puts) == (1, 1, 1)
 
 
 class TestHotTierAndManifest:
@@ -303,14 +297,6 @@ class TestHotTierAndManifest:
             f.write("{torn line\n")
         fresh = ResultStore(tmp_path)
         assert set(fresh.scan()) == {key}
-
-    def test_clear_removes_manifest_and_hot_tier(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "cd" + "b" * 62
-        store.put(key, self.make_result())
-        store.clear()
-        assert not store.log_path.exists()
-        assert store.get(key) is None
 
 
 GOOD_PAYLOAD = {

@@ -23,26 +23,26 @@ from tests.exec.test_executor import job_for
 class TestWorkerPool:
     def test_lazy_and_persistent(self):
         with WorkerPool(2) as pool:
-            assert not pool.alive and pool.spinups == 0
+            assert "cold" in repr(pool) and pool.spinups == 0
             inner = pool.ensure()
-            assert pool.alive and pool.spinups == 1
+            assert "live" in repr(pool) and pool.spinups == 1
             assert pool.ensure() is inner, "ensure() must reuse the pool"
             assert pool.spinups == 1
-        assert not pool.alive
+        assert "cold" in repr(pool)
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(1)
         pool.ensure()
         pool.close()
         pool.close()
-        assert not pool.alive
+        assert "cold" in repr(pool)
 
     def test_reopen_after_close(self):
         pool = WorkerPool(1)
         pool.ensure()
         pool.close()
         pool.ensure()
-        assert pool.alive and pool.spinups == 2
+        assert "live" in repr(pool) and pool.spinups == 2
         pool.close()
 
     def test_rejects_bad_worker_count(self):

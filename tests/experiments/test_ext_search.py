@@ -6,7 +6,7 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.store import ResultStore
 from repro.experiments import ext_search
 from repro.experiments.__main__ import main
-from repro.search.objective import miss_rate_objective
+from repro.search.objective import Objective
 
 
 @pytest.fixture(scope="module")
@@ -18,9 +18,6 @@ def result():
 class TestRun:
     def test_rows_cover_requested_programs(self, result):
         assert [r.program for r in result.rows] == ["dot", "jacobi"]
-        assert result.row("dot").program == "dot"
-        with pytest.raises(KeyError):
-            result.row("nope")
 
     def test_search_never_worse_than_heuristic(self, result):
         for row in result.rows:
@@ -47,7 +44,7 @@ class TestRun:
             quick=True,
             programs=["dot"],
             budget=4,
-            objective=miss_rate_objective("L1"),
+            objective=Objective("L1-miss-rate", lambda r, h: r.miss_rate("L1")),
         )
         assert res.objective == "L1-miss-rate"
         assert 0.0 <= res.rows[0].searched_objective <= 1.0
@@ -58,7 +55,7 @@ class TestRun:
         warm = ext_search.run(quick=True, programs=["dot"], budget=6, store=store)
         assert cold.total_store_hits == 0
         assert warm.store_hit_rate == 1.0
-        assert warm.row("dot").searched_objective == cold.row("dot").searched_objective
+        assert warm.rows[0].searched_objective == cold.rows[0].searched_objective
 
 
 class TestBuildSpace:
@@ -68,9 +65,8 @@ class TestBuildSpace:
 
     def test_strategy_choice_tracks_space_size(self):
         _, space, _ = ext_search.build_space("dot", quick=True)
-        assert ext_search._pick_strategy(space, space.size, None) == "exhaustive"
-        assert ext_search._pick_strategy(space, space.size - 1, None) == "coordinate"
-        assert ext_search._pick_strategy(space, 1, "random") == "random"
+        assert ext_search._pick_strategy(space, space.size) == "exhaustive"
+        assert ext_search._pick_strategy(space, space.size - 1) == "coordinate"
 
 
 class TestCli:

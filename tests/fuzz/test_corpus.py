@@ -20,7 +20,6 @@ from repro.fuzz.corpus import (
     corpus_known_seeds,
     default_corpus_dir,
     hierarchy_from_data,
-    hierarchy_to_data,
     load_corpus,
     program_from_data,
     program_to_data,
@@ -35,6 +34,7 @@ from repro.fuzz.harness import (
     repro_command,
 )
 from repro.ir.validate import check_program
+from repro.service.protocol import hierarchy_to_json
 
 
 class TestRoundTrip:
@@ -47,7 +47,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FUZZ_HIERARCHIES))
     def test_hierarchy_json_round_trip(self, name):
         hier = FUZZ_HIERARCHIES[name]
-        assert hierarchy_from_data(hierarchy_to_data(hier)) == hier
+        assert hierarchy_from_data(hierarchy_to_json(hier)) == hier
 
     def test_case_save_load(self, tmp_path):
         case = CorpusCase(

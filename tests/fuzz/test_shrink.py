@@ -51,7 +51,7 @@ class TestShrinkProgram:
         program = two_nest_program()
 
         def touches_a(p):
-            return any(r.array == "A" for r in p.refs())
+            return any(r.array == "A" for n in p.nests for r in n.refs)
 
         small = shrink_program(program, touches_a)
         assert touches_a(small)
@@ -71,7 +71,7 @@ class TestShrinkProgram:
 
     def test_result_is_deterministic(self):
         program = two_nest_program()
-        pred = lambda p: any(r.array == "B" for r in p.refs())
+        pred = lambda p: any(r.array == "B" for n in p.nests for r in n.refs)
         assert shrink_program(program, pred) == shrink_program(program, pred)
 
     def test_crashing_predicate_counts_as_no_shrink(self):

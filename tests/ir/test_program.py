@@ -78,7 +78,7 @@ class TestBuilder:
         (i,) = b.vars("i")
         st = b.assign(A[i], reads=[B[i]])
         assert [r.is_write for r in st.refs] == [False, True]
-        assert st.write.array == "A"
+        assert st.refs[1].array == "A"
 
     def test_loop_index_must_be_bare_variable(self):
         b = ProgramBuilder("p")

@@ -63,12 +63,6 @@ class TestUniformlyGenerated:
 
 
 class TestRewriting:
-    def test_substitute(self):
-        r = ArrayRef("A", (var("i"), var("j")))
-        got = r.substitute("i", var("ii") + 1)
-        assert got.subscripts[0] == var("ii") + 1
-        assert got.subscripts[1] == var("j")
-
     def test_rename_preserves_write_flag(self):
         r = ArrayRef("A", (var("i"),), is_write=True)
         assert r.rename({"i": "k"}).is_write

@@ -31,7 +31,7 @@ class TestExpl:
     def test_nine_arrays_like_liv18(self):
         prog = expl.build(64)
         assert len(prog.arrays) == 9
-        assert set(prog.array_names) == {
+        assert {a.name for a in prog.arrays} == {
             "ZA", "ZB", "ZM", "ZP", "ZQ", "ZR", "ZU", "ZV", "ZZ"
         }
 

@@ -11,9 +11,7 @@ from repro.kernels.numeric import (
     allocate_pool,
     run_dot,
     run_jacobi,
-    run_matmul,
     run_matmul_tiled,
-    run_stencil_sweep,
 )
 from repro.transforms.pad import pad
 
@@ -68,12 +66,9 @@ class TestKernels:
         n = 24
         a = np.asfortranarray(rng.random((n, n)))
         b = np.asfortranarray(rng.random((n, n)))
-        c1 = np.zeros((n, n), order="F")
-        c2 = np.zeros((n, n), order="F")
-        run_matmul(a, b, c1)
-        run_matmul_tiled(a, b, c2, tile_w=7, tile_h=5)
-        np.testing.assert_allclose(c1, c2, rtol=1e-12)
-        np.testing.assert_allclose(c1, a @ b, rtol=1e-12)
+        c = np.zeros((n, n), order="F")
+        run_matmul_tiled(a, b, c, tile_w=7, tile_h=5)
+        np.testing.assert_allclose(c, a @ b, rtol=1e-12)
 
     def test_tiled_matmul_on_padded_pool(self):
         """End to end: the tiled kernel on pool views under a PAD layout
@@ -89,8 +84,3 @@ class TestKernels:
             arrays["C"], arrays["A"] @ arrays["B"], rtol=1e-12
         )
 
-    def test_stencil_sweep_mean(self):
-        src = np.ones((8, 8), order="F")
-        dst = np.zeros((8, 8), order="F")
-        run_stencil_sweep(dst, src)
-        np.testing.assert_allclose(dst[:, 1:-1], 1.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.kernels import KERNELS, get_kernel, kernel_names
+from repro.kernels import KERNELS, get_kernel
 
 TABLE1_KERNELS = {
     "adi32", "dot", "erle64", "expl", "irr500k", "jacobi", "linpackd", "shal",
@@ -22,9 +22,12 @@ class TestCompleteness:
         assert TABLE1_SPEC <= names
 
     def test_suite_filters(self):
-        assert set(kernel_names("kernels")) == TABLE1_KERNELS
-        assert set(kernel_names("nas")) == TABLE1_NAS
-        assert set(kernel_names("spec95")) == TABLE1_SPEC
+        def suite(name):
+            return {k.name for k in KERNELS.values() if k.suite == name}
+
+        assert suite("kernels") == TABLE1_KERNELS
+        assert suite("nas") == TABLE1_NAS
+        assert suite("spec95") == TABLE1_SPEC
 
     def test_line_counts_match_table1(self):
         assert get_kernel("adi32").table1_lines == 63

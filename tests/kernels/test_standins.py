@@ -77,7 +77,7 @@ class TestGroupReuseDesign:
 
     def test_tomcatv_has_mesh_arrays(self):
         prog = st.build_tomcatv()
-        assert {"X", "Y", "RX", "RY", "AA", "DD"} <= set(prog.array_names)
+        assert {"X", "Y", "RX", "RY", "AA", "DD"} <= {a.name for a in prog.arrays}
 
 
 class TestStructural:

@@ -69,30 +69,6 @@ class TestPads:
             lay.base("ZZZ")
 
 
-class TestReorderResize:
-    def test_reorder_preserves_sizes(self):
-        lay = DataLayout.sequential(simple_program())
-        got = lay.reordered(["C", "A", "B"])
-        assert got.base("C") == 0
-        assert got.base("A") == 800
-        assert got.base("B") == 1600
-
-    def test_reorder_must_be_permutation(self):
-        lay = DataLayout.sequential(simple_program())
-        with pytest.raises(LayoutError):
-            lay.reordered(["A", "B"])
-
-    def test_resize(self):
-        lay = DataLayout.sequential(simple_program())
-        got = lay.with_resized("A", 1600)
-        assert got.base("B") == 1600
-
-    def test_describe_contains_rows(self):
-        text = DataLayout.sequential(simple_program()).describe()
-        for name in ("A", "B", "C"):
-            assert name in text
-
-
 class TestValidation:
     def test_field_lengths_checked(self):
         with pytest.raises(LayoutError):

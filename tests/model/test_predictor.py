@@ -13,7 +13,6 @@ from repro.model import (
     mean_abs_rel_error,
     predict_job,
     predict_nest,
-    predict_program,
     rankdata,
     spearman,
     thrash_clusters,
@@ -22,7 +21,7 @@ from repro.model import (
 from repro.transforms.grouppad import grouppad
 from repro.transforms.pad import pad
 
-from tests.conftest import build_fig2
+from tests.conftest import build_fig2, predict
 from tests.search.conftest import build_pingpong, build_tiny_hier
 from tests.symbolic.test_engine import build_big, build_small, roomy_hier
 
@@ -42,25 +41,25 @@ class TestResonantExactness:
 
     def test_pingpong_matches_simulator(self, pingpong, hier):
         layout = DataLayout.sequential(pingpong)
-        pred = predict_program(pingpong, layout, hier)
+        pred = predict(pingpong, layout, hier)
         sim = simulate_program(pingpong, layout, hier)
         assert pred.total_refs == sim.total_refs
         for p, s in zip(pred.levels, sim.levels):
             assert (p.name, p.accesses, p.misses) == (s.name, s.accesses, s.misses)
-        assert not pred.is_conflict_free
+        assert not all(p.conflict_misses == 0 for p in pred.predictions)
 
     def test_padding_away_the_conflict(self, pingpong, hier):
         layout = DataLayout.sequential(pingpong).add_pad(
             "B", hier.l1.line_size
         )
-        pred = predict_program(pingpong, layout, hier)
+        pred = predict(pingpong, layout, hier)
         sim = simulate_program(pingpong, layout, hier)
-        assert pred.is_conflict_free
-        assert pred.level("L1").misses == sim.level("L1").misses
+        assert all(p.conflict_misses == 0 for p in pred.predictions)
+        assert pred.result.level("L1").misses == sim.level("L1").misses
         # ranking holds: the padded layout is predicted (and simulated)
         # strictly better than the resonant one
-        resonant = predict_program(pingpong, DataLayout.sequential(pingpong), hier)
-        assert pred.level("L1").misses < resonant.level("L1").misses
+        resonant = predict(pingpong, DataLayout.sequential(pingpong), hier)
+        assert pred.result.level("L1").misses < resonant.result.level("L1").misses
 
 
 class TestSection64Claims:
@@ -77,8 +76,8 @@ class TestSection64Claims:
         prog = build_fig2(2048)  # resonant: everything collides
         seq = DataLayout.sequential(prog)
         padded = pad(prog, seq, hier.l1.size, hier.l1.line_size)
-        pred_bad = predict_program(prog, seq, hier).miss_rate("L1")
-        pred_good = predict_program(prog, padded, hier).miss_rate("L1")
+        pred_bad = predict(prog, seq, hier).result.miss_rate("L1")
+        pred_good = predict(prog, padded, hier).result.miss_rate("L1")
         assert pred_good < pred_bad
         sim_bad = simulate_program(prog, seq, hier).miss_rate("L1")
         sim_good = simulate_program(prog, padded, hier).miss_rate("L1")
@@ -92,7 +91,7 @@ class TestSection64Claims:
         layout = grouppad(
             prog, DataLayout.sequential(prog), hier.l1.size, hier.l1.line_size
         )
-        predicted = predict_program(prog, layout, hier).miss_rate("L1")
+        predicted = predict(prog, layout, hier).result.miss_rate("L1")
         simulated = simulate_program(prog, layout, hier).miss_rate("L1")
         assert abs(predicted - simulated) < 0.05
 
@@ -111,7 +110,7 @@ class TestSection64Claims:
         )
         prog = b.build()
         layout = DataLayout.sequential(prog)
-        predicted = predict_program(prog, layout, hier).level("L1").misses
+        predicted = predict(prog, layout, hier).result.level("L1").misses
         simulated = simulate_program(prog, layout, hier).level("L1").misses
         assert predicted == simulated == 32
 
@@ -155,11 +154,11 @@ class TestSweepAndResidency:
         p = b.build()
         # pad by the largest line so the arrays separate at every level
         layout = DataLayout.sequential(p).add_pad("B", hier.l2.line_size)
-        pred = predict_program(p, layout, hier)
+        pred = predict(p, layout, hier)
         # unit-stride doubles on 32 B lines: one miss per 4 iterations
-        assert pred.level("L1").misses == 2 * n // 4
+        assert pred.result.level("L1").misses == 2 * n // 4
         # L2 lines are 64 B: one miss per 8
-        assert pred.level("L2").misses == 2 * n // 8
+        assert pred.result.level("L2").misses == 2 * n // 8
 
     def test_cross_nest_residency_waives_cold_sweep(self, hier):
         b = ProgramBuilder("revisit")
@@ -175,14 +174,14 @@ class TestSweepAndResidency:
         layout = (
             DataLayout.sequential(p).add_pad("B", 64).add_pad("C", 128)
         )
-        pred = predict_program(p, layout, hier)
+        pred = predict(p, layout, hier)
         first, second = pred.nests
         # the second nest re-reads A, left resident by the first
         assert second.levels[0].misses < first.levels[0].misses
 
     def test_triangular_loops_predict_without_error(self, hier):
         p = get_kernel("linpackd").program(40)
-        pred = predict_program(p, DataLayout.sequential(p), hier)
+        pred = predict(p, DataLayout.sequential(p), hier)
         assert pred.total_refs > 0
         assert all(lv.misses >= 0 for lv in pred.levels)
 
@@ -199,8 +198,7 @@ class TestPredictedStatsMirror:
         l1, l2 = stats.levels
         assert (l1.accesses, l1.misses) == (100, 100)
         assert (l2.accesses, l2.misses) == (100, 30)
-        assert stats.memory_refs == 30
-        assert stats.summary().startswith("predicted ")
+        assert stats.result.memory_refs == 30
         assert stats.result.total_refs == 100
 
     def test_validation(self):
@@ -241,7 +239,7 @@ class TestExactLevels:
     def test_inexact_levels_use_predictor_terms(self):
         program = build_big()
         layout = DataLayout.sequential(program)
-        stats = predict_program(program, layout, build_tiny_hier())
+        stats = predict(program, layout, build_tiny_hier())
         assert not stats.exact
         lv = stats.predictions[0]
         assert not lv.exact
@@ -255,7 +253,7 @@ class TestExactLevels:
         program = build_small()
         layout = DataLayout.sequential(program)
         hier = roomy_hier()
-        stats = predict_program(program, layout, hier)
+        stats = predict(program, layout, hier)
         assert stats.exact
         (nest,) = program.nests
         assert stats.nests == (predict_nest(program, layout, nest, hier),)
@@ -275,7 +273,7 @@ class TestExactLevels:
         hier = HierarchyConfig(
             levels=(CacheConfig(size=2048, line_size=32, name="L1"),)
         )
-        stats = predict_program(program, layout, hier)
+        stats = predict(program, layout, hier)
         (l1,) = stats.predictions
         assert not l1.exact and l1.note.startswith("capacity")
         assert stats.nests[0].levels[0].misses == 64.5
@@ -283,7 +281,7 @@ class TestExactLevels:
         bigger = HierarchyConfig(
             levels=(CacheConfig(size=4096, line_size=32, name="L1"),)
         )
-        assert predict_program(program, layout, bigger).predictions[0].exact
+        assert predict(program, layout, bigger).predictions[0].exact
 
     def test_custom_trace_is_never_exact(self):
         program = build_small()
@@ -343,11 +341,6 @@ class TestExactLevels:
 
 
 class TestPredictJob:
-    def test_matches_predict_program(self, pingpong, hier):
-        layout = DataLayout.sequential(pingpong)
-        job = SimJob(program=pingpong, layout=layout, hierarchy=hier)
-        assert predict_job(job) == predict_program(pingpong, layout, hier)
-
     def test_nest_index_selects_one_nest(self, hier):
         b = ProgramBuilder("two")
         A = b.array("A", (64,))

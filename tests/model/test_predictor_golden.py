@@ -1,7 +1,7 @@
 """Golden analytic predictions for every registry kernel and fuzzed program.
 
 ``predictor_golden.json`` records, per (program, layout, hierarchy):
-each level's :func:`~repro.model.predict_program` miss count (as the
+each level's :func:`~repro.model.predict_job` miss count (as the
 float's ``repr``), its ``exact`` flag and ``note``; the scheduler's
 :func:`~repro.exec.cost.job_cost`; the same level records of
 :func:`~repro.model.predict_job` on a multi-nest program's last nest
@@ -39,7 +39,7 @@ from repro.experiments.fig9_pad import QUICK_SIZES
 from repro.fuzz import fuzzed_workloads
 from repro.kernels.registry import KERNELS
 from repro.layout.conflicts import program_severe_conflicts
-from repro.model import predict_job, predict_program
+from repro.model import predict_job
 
 FIXTURE = Path(__file__).with_name("predictor_golden.json")
 FUZZ_SEED, FUZZ_COUNT = 0, 30
@@ -102,7 +102,7 @@ def analytic_record(case: str) -> dict:
     out = {"footprint": [nest_footprint_bytes(prog, nest) for nest in prog.nests]}
     for lname, layout in layouts.items():
         for hname, hier in hierarchies.items():
-            pred = predict_program(prog, layout, hier)
+            pred = predict_job(SimJob(prog, layout, hier))
             job = SimJob(prog, layout, hier, kernel=kernel)
             out[f"{lname}/{hname}"] = record = {
                 "levels": _levels(pred),

@@ -13,7 +13,7 @@ from repro.obs.metrics import (
     diff_counters,
     format_exec_line,
     get_metrics,
-    reset_metrics,
+    set_metrics,
 )
 
 
@@ -65,15 +65,10 @@ class TestRegistry:
     def test_untouched_registry_snapshots_empty(self):
         assert MetricsRegistry().snapshot() == {}
 
-    def test_reset_drops_everything(self):
-        m = MetricsRegistry()
-        m.counter("a").inc()
-        m.reset()
-        assert m.snapshot() == {}
-
     def test_reset_metrics_installs_fresh_global(self):
         get_metrics().counter("x").inc()
-        fresh = reset_metrics()
+        fresh = MetricsRegistry()
+        set_metrics(fresh)
         assert get_metrics() is fresh
         assert fresh.snapshot() == {}
 

@@ -10,8 +10,9 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
 from repro.exec.store import ResultStore
 from repro.experiments.__main__ import main
-from repro.obs.metrics import format_exec_line, get_metrics, reset_metrics
-from repro.obs.report import format_report, load_trace
+from repro.obs.metrics import MetricsRegistry, format_exec_line, get_metrics, set_metrics
+from repro.obs.report import format_report
+from tests.obs.conftest import load_trace
 from repro.obs.tracer import start_tracing, stop_tracing
 from repro.search.space import pad_space
 from repro.search.tuner import Autotuner
@@ -222,7 +223,7 @@ class TestPerLevelChunkTiming:
         so a traced two-worker run reports every per-chunk histogram and
         simulator counter with the counts of the one-worker run."""
         def recorded(workers):
-            reset_metrics()
+            set_metrics(MetricsRegistry())
             trace = tmp_path / f"w{workers}.jsonl"
             assert main(["timetile", "--quick", "--no-cache", "--workers",
                          str(workers), "--trace", str(trace)]) == 0

@@ -14,6 +14,7 @@ from repro.obs.timeline import (
     set_timeline_window,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
+from tests.conftest import timeline_totals
 
 
 def tl(levels=("L1", "L2"), window=4, capacity=4):
@@ -46,14 +47,14 @@ class TestRecording:
         t = tl(window=4)
         t.record(0, 4, [(4, 1), (1, 0)], end_ns=1)
         t.record(4, 8, [(4, 2), (2, 1)], end_ns=2)
-        assert t.totals() == [(8, 3), (3, 1)]
+        assert timeline_totals(t) == [(8, 3), (3, 1)]
 
     def test_rows_are_copies_and_picklable(self):
         t = tl()
         t.record(0, 2, [(2, 1), (1, 0)], end_ns=1)
         rows = t.rows()
         rows[0][3][0][0] = 999
-        assert t.totals() == [(2, 1), (1, 0)]
+        assert timeline_totals(t) == [(2, 1), (1, 0)]
         assert pickle.loads(pickle.dumps(t.rows())) == t.rows()
 
     def test_rejects_bad_construction(self):
@@ -75,7 +76,7 @@ class TestCoalescing:
         t = tl(levels=("L1", "L2"), window=2, capacity=4)
         for i in range(32):
             t.record(i * 2, (i + 1) * 2, [(2, 1), (1, i % 2)], end_ns=i)
-        assert t.totals() == [(64, 32), (32, 16)]
+        assert timeline_totals(t) == [(64, 32), (32, 16)]
 
     def test_coalesced_rows_stay_contiguous(self):
         t = tl(levels=("L1",), window=2, capacity=4)

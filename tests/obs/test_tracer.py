@@ -7,7 +7,8 @@ import threading
 
 import pytest
 
-from repro.obs.report import aggregate_spans, load_trace
+from repro.obs.report import aggregate_spans
+from tests.obs.conftest import load_trace
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -73,13 +74,6 @@ class TestNesting:
         assert job.parent_id == sweep.span_id
         assert (job.start_ns, job.dur_ns, job.tid) == (123, 456, 999)
         assert job.args == {"key": "k"}
-
-    def test_current_span_id_tracks_stack(self):
-        tracer = Tracer()
-        assert tracer.current_span_id() is None
-        with tracer.span("s") as sp:
-            assert tracer.current_span_id() == sp.span_id
-        assert tracer.current_span_id() is None
 
 
 class TestThreads:
@@ -257,7 +251,6 @@ class TestScopes:
         # Outside the scope nothing leaks.
         tracer.event("after")
         assert tracer.spans()[-1].args == {}
-        assert tracer.current_span_id() is None
 
     def test_scope_runs_in_another_thread(self):
         tracer = Tracer()
@@ -324,7 +317,6 @@ class TestNullTracer:
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.counters() == []
         assert NULL_TRACER.open_spans() == []
-        assert NULL_TRACER.current_span_id() is None
 
     def test_start_stop_tracing_swaps_global(self):
         tracer = start_tracing()

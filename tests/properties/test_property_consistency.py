@@ -217,8 +217,8 @@ class TestDiagramScorerAgreement:
             if a.exploited and a.reuse.distance_bytes >= line
         )
         objective = exploited_count(
-            DiagramGeometry.of(prog), layout.bases(), prog.array_names,
-            cache, line,
+            DiagramGeometry.of(prog), layout.bases(),
+            tuple(a.name for a in prog.arrays), cache, line,
         )
         assert objective == diagram_count
 
@@ -232,11 +232,11 @@ class TestDiagramScorerAgreement:
         report = program_severe_conflicts(prog, layout, cache, line)
         geom = DiagramGeometry.of(prog)
         bases = layout.bases()
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             reported = any(
                 name in (p.ref_a.array, p.ref_b.array) for p in report.fixable
             )
-            others = set(prog.array_names) - {name}
+            others = {a.name for a in prog.arrays} - {name}
             assert severe_conflict(
                 geom, bases, name, others, (cache,), line
             ) == reported

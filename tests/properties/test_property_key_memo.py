@@ -28,9 +28,9 @@ from repro.exec.hashing import (
     SCHEMA_VERSION,
     canonical,
     digest,
+    encode,
     fragment,
     job_key,
-    program_fingerprint,
 )
 from repro.fuzz import FuzzConfig, random_program
 
@@ -74,7 +74,7 @@ def build(params: dict) -> tuple:
     """Fresh (program, layout, hierarchy, trace, backend) objects."""
     program = random_program(params["seed"], CONFIG)
     layout = DataLayout.sequential(program)
-    for name, pad in zip(program.array_names, params["pads"]):
+    for name, pad in zip((a.name for a in program.arrays), params["pads"]):
         layout = layout.with_pad(name, pad * 8)
     hierarchy = HierarchyConfig(
         levels=tuple(CacheConfig(*level) for level in params["levels"])
@@ -93,7 +93,7 @@ def test_memoized_key_equals_full_digest(draws):
         want = reference_key(*spec)
         assert job_key(*spec) == want
         assert job_key(*spec) == want, "a memo hit must match the first sight"
-        assert program_fingerprint(spec[0]) == digest(canonical(spec[0]))
+        assert fragment(spec[0]) == encode(canonical(spec[0]))
         keys.append(want)
         del spec
     # Rebuild in reverse: equal content from new objects, in ids the
@@ -128,7 +128,7 @@ def test_keying_leaves_pickled_bytes_alone():
     hier = ultrasparc_i()
     before = [pickle.dumps(obj) for obj in (program, layout, hier)]
     job_key(program, layout, hier)
-    program_fingerprint(program)
+    fragment(program)
     assert [pickle.dumps(obj) for obj in (program, layout, hier)] == before
 
 

@@ -30,7 +30,7 @@ def _offsets(prog, low):
 @settings(max_examples=60, deadline=None)
 def test_tables_equal_offset_expr(prog):
     lowered = lower(prog)
-    assert lowered.names == prog.array_names
+    assert lowered.names == tuple(a.name for a in prog.arrays)
     for nest, low in zip(prog.nests, lowered.nests):
         assert low.nest is nest and lowered.nest(nest) is low
         for r, ref in enumerate(nest.refs):
@@ -86,7 +86,7 @@ def test_span_rule_is_the_affine_interval(prog):
         ranges = loop_var_ranges(nest)
         intervals = [affine_interval(off, ranges) for off in _offsets(prog, low)]
         assert list(zip(low.lo.tolist(), low.hi.tolist())) == intervals
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             mine = [iv for r, iv in zip(low.unique, intervals) if r.array == name]
             want = 0
             if mine:

@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 from repro import DataLayout, ProgramBuilder, simulate_program
 from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.model import predict_program, spearman
+from repro.model import spearman
 from repro.search.objective import miss_cost_objective
 
+from tests.conftest import predict
 from tests.search.conftest import build_pingpong, build_tiny_hier
 
 OBJECTIVE = miss_cost_objective()
@@ -59,7 +60,7 @@ class TestDeterminism:
         layout = DataLayout.sequential(p)
         for name, k in zip(layout.order[1:], pads):
             layout = layout.add_pad(name, 32 * k)
-        assert predict_program(p, layout, hier) == predict_program(p, layout, hier)
+        assert predict(p, layout, hier) == predict(p, layout, hier)
 
 
 class TestMonotoneInCacheSize:
@@ -78,14 +79,14 @@ class TestMonotoneInCacheSize:
         layout = DataLayout.sequential(p)
         for name, k in zip(layout.order[1:], pads):
             layout = layout.add_pad(name, 32 * k)
-        small = predict_program(p, layout, single_level(size, 32))
-        big = predict_program(
+        small = predict(p, layout, single_level(size, 32))
+        big = predict(
             p, layout, single_level(size << doublings, 32)
         )
         # conflict structure can legitimately differ between the two
         # mapping periods; monotonicity is claimed for conflict-free
         # layouts (where only capacity/spatial terms remain).
-        assume(small.is_conflict_free and big.is_conflict_free)
+        assume(all(p.conflict_misses == 0 for p in small.predictions) and all(p.conflict_misses == 0 for p in big.predictions))
         assert big.predictions[0].misses <= small.predictions[0].misses
 
 
@@ -104,9 +105,9 @@ class TestResonantExactness:
         layout = DataLayout.sequential(p).add_pad(
             "B", hier.l1.size * extra_periods
         )
-        pred = predict_program(p, layout, hier)
+        pred = predict(p, layout, hier)
         sim = simulate_program(p, layout, hier)
-        assert not pred.is_conflict_free
+        assert not all(p.conflict_misses == 0 for p in pred.predictions)
         for pl, sl in zip(pred.levels, sim.levels):
             assert (pl.accesses, pl.misses) == (sl.accesses, sl.misses)
 
@@ -124,7 +125,7 @@ class TestRankAgreement:
         for k in range(8):
             layout = base.add_pad("B", k * hier.l2.line_size)
             predicted.append(
-                OBJECTIVE(predict_program(p, layout, hier).result, hier)
+                OBJECTIVE(predict(p, layout, hier).result, hier)
             )
             simulated.append(
                 OBJECTIVE(simulate_program(p, layout, hier), hier)

@@ -87,5 +87,5 @@ class TestGroupPadPostconditions:
     def test_l2maxpad_preserves_l1_residues(self, prog):
         gp = grouppad(prog, DataLayout.sequential(prog), L1, LINE)
         out = l2maxpad(prog, gp, HIER)
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             assert (out.base(name) - gp.base(name)) % L1 == 0

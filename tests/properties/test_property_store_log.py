@@ -133,8 +133,8 @@ def test_second_handle_sees_puts_after_another_handle_clears(tmp_path):
     a, b = ResultStore(tmp_path), ResultStore(tmp_path)
     a.put(key_for(1), result_for(1))
     assert set(b.scan()) == {key_for(1)}
-    a.clear()
-    # Same row length as the cleared log: only a fresh read can find it.
+    a.log_path.unlink()
+    # Same row length as the deleted log: only a fresh read can find it.
     a.put(key_for(2), result_for(2))
     assert b.get(key_for(2)) == result_for(2)
 

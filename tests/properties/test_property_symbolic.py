@@ -2,7 +2,7 @@
 corpus).
 
 The one load-bearing promise of an exact level: **an exact claim is
-never wrong**.  Whenever :func:`repro.model.predict_program` flags a
+never wrong**.  Whenever :func:`repro.model.predict_job` flags a
 level exact, its count must equal the vectorized LRU simulator
 bit-for-bit -- over random fuzzed programs, over the committed
 regression corpus (cases distilled precisely because *some* backend
@@ -26,8 +26,8 @@ from repro.fuzz import (
     load_corpus,
     oracle_simulate,
 )
-from repro.model import predict_program
 from repro.trace import generate_trace
+from tests.conftest import predict
 
 #: Every downgrade reason the exactness proof documents; "" means exact.
 KNOWN_REASONS = {
@@ -56,7 +56,7 @@ def check_exact_levels(program, layout, hierarchy) -> int:
     Returns the number of exact levels checked (0 is legal -- a fully
     downgraded program makes no claims to verify).
     """
-    stats = predict_program(program, layout, hierarchy)
+    stats = predict(program, layout, hierarchy)
     if not any(p.exact for p in stats.predictions):
         return 0
     sim = simulate_program(program, layout, hierarchy)
@@ -86,7 +86,7 @@ class TestFuzzedExactness:
     def test_classification_is_deterministic(self, seed):
         [(_, program, layout)] = fuzzed_workloads(seed, count=1)
         hier = FUZZ_HIERARCHIES["2way"]
-        assert predict_program(program, layout, hier) == predict_program(
+        assert predict(program, layout, hier) == predict(
             program, layout, hier
         )
 
@@ -95,7 +95,7 @@ class TestFuzzedExactness:
     def test_downgrade_reasons_are_documented(self, seed):
         [(_, program, layout)] = fuzzed_workloads(seed, count=1)
         for hier in FUZZ_HIERARCHIES.values():
-            for p in predict_program(program, layout, hier).predictions:
+            for p in predict(program, layout, hier).predictions:
                 assert reason(p) in KNOWN_REASONS
                 assert p.exact == (p.note == "")
                 assert not p.exact or p.conflict_misses == 0
@@ -114,7 +114,7 @@ class TestCorpus:
     @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
     def test_exact_claims_match_sequential_oracle(self, case):
         layout = DataLayout.sequential(case.program)
-        stats = predict_program(case.program, layout, case.hierarchy)
+        stats = predict(case.program, layout, case.hierarchy)
         if not any(p.exact for p in stats.predictions):
             return
         oracle = oracle_simulate(
@@ -130,7 +130,7 @@ class TestCorpus:
     @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
     def test_downgrades_carry_documented_reasons(self, case):
         layout = DataLayout.sequential(case.program)
-        stats = predict_program(case.program, layout, case.hierarchy)
+        stats = predict(case.program, layout, case.hierarchy)
         for p in stats.predictions:
             assert reason(p) in KNOWN_REASONS
 
@@ -141,6 +141,6 @@ class TestCorpus:
         assert conflicted, "expected the model-95 conflict pair in the corpus"
         for case in conflicted:
             layout = DataLayout.sequential(case.program)
-            stats = predict_program(case.program, layout, case.hierarchy)
+            stats = predict(case.program, layout, case.hierarchy)
             assert not any(p.exact for p in stats.predictions)
             assert reason(stats.predictions[0]) == "interference"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.streaming import StreamingHierarchy
 from repro.obs.timeline import Timeline
+from tests.conftest import timeline_totals
 
 
 def small_hierarchy() -> HierarchyConfig:
@@ -55,7 +56,7 @@ class TestWindowSums:
         timed = StreamingHierarchy(config, timeline=timeline).feed_all(chunks)
         plain = StreamingHierarchy(config).feed_all(chunks)
         assert timed.result() == plain.result()
-        assert timeline.totals() == [
+        assert timeline_totals(timeline) == [
             (lv.accesses, lv.misses) for lv in plain.result().levels
         ]
 
@@ -68,7 +69,7 @@ class TestWindowSums:
             levels=[c.name for c in config], window_refs=window, capacity=4
         )
         timed = StreamingHierarchy(config, timeline=timeline).feed_all(chunks)
-        assert timeline.totals() == [
+        assert timeline_totals(timeline) == [
             (lv.accesses, lv.misses) for lv in timed.result().levels
         ]
         assert len(timeline.rows()) <= 4

@@ -48,18 +48,12 @@ class TestSearchSpaceStructure:
         assert list(s.configs()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_default_config_is_first_choices(self):
-        assert make_space([3, 9], [7, 1]).default_config() == (3, 7)
+        assert next(make_space([3, 9], [7, 1]).configs()) == (3, 7)
 
     def test_axis_configs_vary_one_dimension(self):
         s = make_space([0, 1, 2], [5, 7])
         assert s.axis_configs((1, 7), 0) == [(0, 7), (1, 7), (2, 7)]
         assert s.axis_configs((1, 7), 1) == [(1, 5), (1, 7)]
-
-    def test_nearest_config_snaps_to_grid(self):
-        s = make_space([0, 32, 64], [0, 128])
-        assert s.nearest_config((30, 1000)) == (32, 128)
-        with pytest.raises(ReproError):
-            s.nearest_config((30,))
 
     def test_duplicate_dimension_names_rejected(self):
         with pytest.raises(ReproError):

@@ -20,7 +20,6 @@ from repro.search.strategies import (
     CoordinateDescent,
     ExhaustiveSearch,
     PredictThenVerifyStrategy,
-    RandomSearch,
     get_strategy,
 )
 
@@ -81,7 +80,7 @@ class TestContractAcrossStrategies:
     @settings(max_examples=25, deadline=None)
     @given(space=spaces, name=st.sampled_from(ALL_STRATEGIES), seed=st.integers(0, 99))
     def test_start_config_not_required(self, space, name, seed):
-        start = space.default_config()
+        start = next(space.configs())
         proposed = drive(get_strategy(name), space, seed=seed, start=start)
         assert all(space.contains(c) for c in proposed)
 
@@ -99,40 +98,11 @@ class TestExhaustive:
             ExhaustiveSearch(batch_size=0)
 
 
-class TestRandom:
-    @settings(max_examples=25, deadline=None)
-    @given(space=spaces, seed=st.integers(0, 99))
-    def test_no_replacement(self, space, seed):
-        proposed = drive(RandomSearch(batch_size=3), space, seed=seed)
-        assert len(set(proposed)) == len(proposed)
-
-    @settings(max_examples=25, deadline=None)
-    @given(space=spaces, seed=st.integers(0, 99), k=st.integers(1, 6))
-    def test_sample_cap_respected(self, space, seed, k):
-        proposed = drive(RandomSearch(samples=k), space, seed=seed)
-        assert len(proposed) <= k
-
-    def test_start_is_excluded_from_draws(self):
-        space = SearchSpace(
-            name="two",
-            dimensions=(Dimension("d0", (0, 1)),),
-            job_builder=_nojob,
-        )
-        proposed = drive(RandomSearch(), space, seed=5, start=(0,))
-        assert (0,) not in proposed and (1,) in proposed
-
-    def test_params_validated(self):
-        with pytest.raises(ReproError):
-            RandomSearch(samples=0)
-        with pytest.raises(ReproError):
-            RandomSearch(batch_size=0)
-
-
 class TestCoordinateDescent:
     @settings(max_examples=25, deadline=None)
     @given(space=spaces, seed=st.integers(0, 99))
     def test_never_ends_worse_than_start(self, space, seed):
-        start = space.default_config()
+        start = next(space.configs())
         proposed = drive(CoordinateDescent(), space, seed=seed, start=start)
         assert proposed[0] == start
         assert min(map(synth_objective, proposed)) <= synth_objective(start)
@@ -213,7 +183,7 @@ class TestPredictThenVerify:
 
 class TestGetStrategy:
     def test_by_name_and_passthrough(self):
-        assert get_strategy("random").name == "random"
+        assert get_strategy("coordinate").name == "coordinate"
         inst = ExhaustiveSearch()
         assert get_strategy(inst) is inst
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import reset_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 
 
 @pytest.fixture(autouse=True)
 def fresh_metrics():
-    reset_metrics()
+    set_metrics(MetricsRegistry())
     yield
-    reset_metrics()
+    set_metrics(MetricsRegistry())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ProgramBuilder, ultrasparc_i
-from repro.exec.hashing import program_fingerprint
+from repro.exec.hashing import canonical, digest
 from repro.service.protocol import (
     ProtocolError,
     hierarchy_from_json,
@@ -33,7 +33,7 @@ class TestProgramCodec:
     def test_round_trip_preserves_fingerprint(self):
         p = tiny_program()
         again = program_from_json(program_to_json(p))
-        assert program_fingerprint(again) == program_fingerprint(p)
+        assert digest(canonical(again)) == digest(canonical(p))
         assert again.name == p.name
 
     def test_kernel_programs_round_trip(self):
@@ -42,7 +42,7 @@ class TestProgramCodec:
         for name in ("jacobi", "adi32", "matmul"):
             p = get_kernel(name).program(16)
             again = program_from_json(program_to_json(p))
-            assert program_fingerprint(again) == program_fingerprint(p)
+            assert digest(canonical(again)) == digest(canonical(p))
 
     def test_affine_wire_forms_are_equivalent(self):
         base = program_to_json(tiny_program())
@@ -59,7 +59,7 @@ class TestProgramCodec:
                     ]
         a = program_from_json(base)
         b = program_from_json(verbose)
-        assert program_fingerprint(a) == program_fingerprint(b)
+        assert digest(canonical(a)) == digest(canonical(b))
 
     @pytest.mark.parametrize("mutate,fragment", [
         (lambda d: d.pop("arrays"), "missing required field"),
@@ -125,6 +125,9 @@ class TestParseRequest:
         ({"kernel": "jacobi", "n": 32,
           "hierarchy": {"levels": [{"size": 16384, "line_size": 32}]},
           "strategy": "L1&L2"}, "needs a hierarchy with an L2"),
+        ({"kernel": "jacobi", "n": 32, "search": "random"},
+         "unknown search strategy 'random'; "
+         "choose from none, coordinate, exhaustive, predict"),
     ])
     def test_rejections(self, payload, fragment):
         with pytest.raises(ProtocolError, match=fragment):

@@ -21,7 +21,6 @@ from repro.symbolic.lines import (
     distinct_lines,
     distinct_offsets,
     max_set_occupancy,
-    ref_distinct_offsets,
 )
 from repro.ir.lowering import lower
 from repro.trace import generate_trace
@@ -133,11 +132,6 @@ class TestBudgets:
         monkeypatch.setattr(lines, "MAX_OFFSETS", 8)
         program = build_2d(32)
         layout = DataLayout.sequential(program)
-        nest = program.nests[0]
-        low = lower(program).nest(nest)
-        base = layout.base(low.unique[0].array)
-        const = base + int(low.const[0])
-        assert ref_distinct_offsets(nest, const, low.coeff[:, 0].tolist()) is None
         assert distinct_offsets(program, layout) is None
 
     def test_step_budget_returns_none(self, monkeypatch):

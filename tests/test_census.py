@@ -2,7 +2,7 @@
 
 import sys
 
-from benchmarks.census import take_census
+from benchmarks.census import KEPT, REASONS, package_functions, take_census
 
 EXPERIMENTS = [sys.executable, "-m", "repro.experiments"]
 
@@ -24,3 +24,11 @@ def test_pool_workers_are_counted():
 
     census = take_census(timetile)
     assert census.is_reached("repro.exec.scheduler", "run_shared")
+
+
+def test_every_kept_entry_names_a_function_and_a_reason():
+    """A deleted or renamed function cannot leave a stale ``KEPT`` entry."""
+    names = {fn.name for fn in package_functions()}
+    assert sorted(set(KEPT) - names) == []
+    assert {reason for reason, _ in KEPT.values()} <= set(REASONS)
+    assert all(note for _, note in KEPT.values())

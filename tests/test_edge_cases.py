@@ -68,7 +68,7 @@ class TestThreeLevelGroupPad:
         from repro.transforms.grouppad import grouppad
 
         l1_only = grouppad(prog, seq, hier.l1.size, hier.l1.line_size)
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             assert (out.base(name) - l1_only.base(name)) % hier.l1.size == 0
 
 

@@ -2,55 +2,17 @@
 
 import pytest
 
-from repro.util.mathutil import (
-    ceil_div,
-    circular_distance,
-    gcd_list,
-    is_power_of_two,
-    next_multiple,
-    round_to_multiple,
-)
+from repro.util.mathutil import circular_distance
 from repro.util.tabulate import format_table
 
 
 class TestMathUtil:
-    def test_ceil_div(self):
-        assert ceil_div(10, 3) == 4
-        assert ceil_div(9, 3) == 3
-        assert ceil_div(0, 5) == 0
-        assert ceil_div(-1, 5) == 0
-        with pytest.raises(ValueError):
-            ceil_div(1, 0)
-
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(16384)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(24)
-        assert not is_power_of_two(-4)
-
-    def test_next_multiple(self):
-        assert next_multiple(100, 32) == 128
-        assert next_multiple(128, 32) == 128
-        with pytest.raises(ValueError):
-            next_multiple(10, 0)
-
-    def test_round_to_multiple(self):
-        assert round_to_multiple(100, 32) == 96
-        assert round_to_multiple(112, 32) == 128  # ties round up
-        assert round_to_multiple(120, 32) == 128
-
     def test_circular_distance(self):
         assert circular_distance(0, 0, 1024) == 0
         assert circular_distance(10, 1020, 1024) == 14
         assert circular_distance(512, 0, 1024) == 512
         with pytest.raises(ValueError):
             circular_distance(1, 2, 0)
-
-    def test_gcd_list(self):
-        assert gcd_list([12, 18, 24]) == 6
-        assert gcd_list([]) == 0
-        assert gcd_list([7]) == 7
 
 
 class TestTabulate:

@@ -8,7 +8,6 @@ from repro.errors import TransformError
 from repro.trace.generator import generate_trace
 from repro.transforms.fusion import (
     can_fuse,
-    fuse_all,
     fuse_nests,
     fusion_dependence_ok,
 )
@@ -131,11 +130,6 @@ class TestRewriting:
         assert len(fused.nests) == 1
         assert fused.nests[0].refs_per_iteration == 4
 
-    def test_fuse_all_greedy(self):
-        prog = independent_pair()
-        fused = fuse_all(prog)
-        assert len(fused.nests) == 1
-
     def test_fuse_all_stops_at_illegal(self):
         b = ProgramBuilder("mix")
         A = b.array("A", (8,))
@@ -143,7 +137,9 @@ class TestRewriting:
         b.nest([b.loop(i, 1, 8)], [b.assign(A[i], reads=[A[i]], flops=1)])
         b.nest([b.loop(i, 1, 4)], [b.use(reads=[A[i]])])  # header mismatch
         prog = b.build()
-        assert len(fuse_all(prog).nests) == 2
+        assert not can_fuse(*prog.nests)
+        with pytest.raises(TransformError):
+            fuse_nests(prog, 0, 1)
 
     def test_non_adjacent_rejected(self):
         prog = independent_pair()

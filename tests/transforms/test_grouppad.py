@@ -95,7 +95,7 @@ class TestGroupPadRecursive:
         prog, seq = fig3_scale
         l1_only = grouppad(prog, seq, hier.l1.size, hier.l1.line_size)
         multi = grouppad_recursive(prog, seq, hier)
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             assert (multi.base(name) - l1_only.base(name)) % hier.l1.size == 0
 
     def test_l2_exploitation_not_worse(self, fig3_scale, hier):

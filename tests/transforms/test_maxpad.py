@@ -30,7 +30,7 @@ class TestMaxPad:
         prog = build_fig2(896)
         seq = DataLayout.sequential(prog)
         out = maxpad(prog, seq, cache_size=hier.l2.size, pad_multiple=4096)
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             assert (out.base(name) - seq.base(name)) % 4096 == 0
 
     def test_invalid_pad_multiple(self, hier):
@@ -48,7 +48,7 @@ class TestL2MaxPad:
         gp = grouppad(prog, DataLayout.sequential(prog),
                       hier.l1.size, hier.l1.line_size)
         out = l2maxpad(prog, gp, hier)
-        for name in prog.array_names:
+        for name in (a.name for a in prog.arrays):
             assert (out.base(name) - gp.base(name)) % hier.l1.size == 0
 
     def test_l1_miss_rate_unchanged(self, hier):
