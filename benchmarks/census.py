@@ -129,8 +129,7 @@ KEPT = {
                     "_drop_reads", "_halve_trips", "_flatten_triangular",
                     "_simplify_subscripts", "_simpler_subscripts", "shrink_program")},
     **{f"repro.fuzz.corpus.{name}": ("event", "a new fuzz divergence to commit")
-       for name in ("affine_to_data", "program_to_data", "CorpusCase.file_name",
-                    "CorpusCase.to_data", "save_case")},
+       for name in ("CorpusCase.file_name", "CorpusCase.to_data", "save_case")},
     "repro.service.protocol.hierarchy_to_json": (
         "event", "a new fuzz divergence to commit (the corpus hierarchy encoding)"),
     "repro.exec.scheduler.WorkerPool.discard": ("event", "a worker pool that breaks"),

@@ -18,7 +18,7 @@ def test_bench_search(benchmark):
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
     assert [r.program for r in result.rows] == ["dot", "jacobi"]
     for row in result.rows:
-        assert row.searched_objective <= row.heuristic_objective
+        assert row.report.best_objective <= row.report.baseline_objective
 
 
 def test_recorder_appends_sessions(tmp_path):

@@ -77,7 +77,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.exec": ("SimJob", "SweepExecutor", "ResultStore", "BACKENDS"),
     # empirical autotuning
     "repro.search": (
-        "SearchSpace", "pad_space", "assoc_pad_space", "pad_tile_space",
+        "SearchSpace", "pad_space", "pad_tile_space",
         "ExhaustiveSearch", "CoordinateDescent",
         "PredictThenVerifyStrategy", "Autotuner", "SearchReport",
         "model_objective",

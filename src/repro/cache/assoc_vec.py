@@ -42,14 +42,11 @@ chunkings (``tests/properties/test_property_assoc_vec.py``).
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.cache.config import check_geometry, check_trace
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 
 __all__ = ["StreamingAssocCache", "miss_mask_assoc_vec", "LineStream"]
 
@@ -288,19 +285,10 @@ class StreamingAssocCache:
         """Classify one chunk; returns its miss mask and updates the stack.
 
         ``addresses`` is a byte-address array or a :class:`LineStream`.
-        Per-chunk timing lands in the ``cache.assoc.chunk_seconds``
-        histogram while a tracer is active.
         """
-        tracer = get_tracer()
-        t0 = time.perf_counter() if tracer.enabled else 0.0
         lines, hits, mask = chunk_lines(addresses, self.line_size)
         self.accesses += hits
-        miss = self._classify(lines, mask)
-        if tracer.enabled:
-            get_metrics().histogram("cache.assoc.chunk_seconds").observe(
-                time.perf_counter() - t0
-            )
-        return miss
+        return self._classify(lines, mask)
 
     def _classify(self, lines: np.ndarray, mask: bool) -> np.ndarray | None:
         """``feed`` on a chunk's line numbers: the miss mask (if ``mask``),

@@ -17,10 +17,11 @@ fuse back into one artifact.  The answers here:
   that any key present in several shards carries identical payloads
   (content-addressing makes honest collisions byte-equal; a divergence
   is corruption and raises).
-* **One trace per run.**  :func:`merge_traces` fuses per-shard JSONL
-  traces into a single file: span ids are re-based per shard so they
-  cannot collide, and metrics lines are summed counter-wise, so a
-  multi-shard run renders as one timeline with one totals block.
+* **One trace per run.**  :func:`merge_traces` fuses per-shard traces
+  (JSONL or Chrome) into a single JSONL file: span ids are re-based per
+  shard so they cannot collide, and the metrics snapshots are merged by
+  :func:`repro.obs.metrics.merge_snapshots`, so a multi-shard run
+  renders as one timeline with one totals block.
 
 The executor consumes :class:`ShardSpec` directly
 (``SweepExecutor(shard="2/4")``): non-owned jobs are still served from
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.exec.store import ResultStore
+from repro.obs.metrics import merge_snapshots
 
 __all__ = ["ShardSpec", "parse_shard", "merge_stores", "merge_traces"]
 
@@ -122,75 +124,47 @@ def merge_stores(dest: "ResultStore | str", sources) -> dict[str, int]:
     return {"merged": merged, "duplicates": duplicates, "sources": nsources}
 
 
-def _rebase(value, offset: int):
-    return value + offset if isinstance(value, int) else value
-
-
 def merge_traces(dest: "str | pathlib.Path", sources) -> dict[str, int]:
-    """Fuse per-shard JSONL traces into one file at ``dest``.
+    """Fuse per-shard traces (JSONL or Chrome) into one JSONL file at ``dest``.
 
-    Span/event records pass through with their ids (and parent ids)
-    re-based by a per-shard offset so ids from different shard processes
-    cannot collide; every shard's ``metrics`` line is folded into one
-    final line whose counters are summed (gauges last-write-wins,
-    histograms re-aggregated).  Returns ``{"spans": ..., "events": ...,
-    "sources": ...}``.
+    Each source is read with :func:`repro.obs.report.load_trace_doc`.  Its
+    span and event ids (and parent ids) are re-based by a per-shard offset
+    so ids from different shard processes cannot collide; its counter
+    samples pass through; every shard's metrics snapshot is folded by
+    :func:`repro.obs.metrics.merge_snapshots` into one final line.
+    Returns ``{"spans": ..., "events": ..., "sources": ...}``; a source
+    that cannot be read raises :class:`ReproError` naming it.
     """
+    from repro.obs.report import load_trace_doc  # lazy: only merging reads traces
+
     dest = pathlib.Path(dest)
     spans = events = 0
-    merged_metrics: dict = {}
+    metrics: dict = {}
     offset = 0
     nsources = 0
+    dumps = json.dumps
     with open(dest, "w") as out:
         for source in sources:
             nsources += 1
-            max_id = 0
-            for line in pathlib.Path(source).read_text().splitlines():
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                kind = row.get("type")
-                if kind == "metrics":
-                    _fold_metrics(merged_metrics, row.get("metrics") or {})
-                    continue
-                if kind == "span":
-                    spans += 1
-                elif kind == "event":
+            try:
+                doc = load_trace_doc(source)
+                metrics = merge_snapshots([metrics, doc.metrics])
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ReproError(f"cannot merge trace {source}: {exc}") from None
+            ids = [row["id"] for row in doc.spans if isinstance(row.get("id"), int)]
+            for row in doc.spans:
+                if row.get("type") == "event":
                     events += 1
-                row_id = row.get("id")
-                if isinstance(row_id, int):
-                    max_id = max(max_id, row_id)
-                    row["id"] = row_id + offset
-                row["parent"] = _rebase(row.get("parent"), offset)
-                if row.get("parent") is None:
-                    row["parent"] = None
-                out.write(json.dumps(row, separators=(",", ":")) + "\n")
-            offset += max_id
-        if merged_metrics:
-            out.write(
-                json.dumps({"type": "metrics", "metrics": merged_metrics},
-                           separators=(",", ":")) + "\n"
-            )
+                else:
+                    spans += 1
+                for link in ("id", "parent"):
+                    if isinstance(row.get(link), int):
+                        row[link] += offset
+                out.write(dumps(row, separators=(",", ":")) + "\n")
+            for row in doc.counters:
+                out.write(dumps(row, separators=(",", ":")) + "\n")
+            offset += max(ids, default=0)
+        if metrics:
+            out.write(dumps({"type": "metrics", "metrics": metrics},
+                            separators=(",", ":")) + "\n")
     return {"spans": spans, "events": events, "sources": nsources}
-
-
-def _fold_metrics(into: dict, metrics: dict) -> None:
-    counters = into.setdefault("counters", {})
-    for name, value in (metrics.get("counters") or {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = into.setdefault("gauges", {})
-    gauges.update(metrics.get("gauges") or {})
-    hists = into.setdefault("histograms", {})
-    for name, summ in (metrics.get("histograms") or {}).items():
-        agg = hists.get(name)
-        if agg is None:
-            hists[name] = dict(summ)
-            continue
-        agg["count"] += summ.get("count", 0)
-        agg["total"] += summ.get("total", 0.0)
-        agg["min"] = min(agg.get("min", float("inf")), summ.get("min", float("inf")))
-        agg["max"] = max(agg.get("max", float("-inf")), summ.get("max", float("-inf")))
-        agg["mean"] = agg["total"] / agg["count"] if agg["count"] else 0.0
-    for section in ("counters", "gauges", "histograms"):
-        if not into.get(section):
-            into.pop(section, None)

@@ -20,10 +20,10 @@ Table 1 kernel under 2-way and 4-way LRU hierarchies,
   would emit), evaluated on the k-way hierarchy;
 * the **searched** point is the best configuration an
   :class:`~repro.search.tuner.Autotuner` finds in
-  :func:`~repro.search.space.assoc_pad_space` -- the pad grid whose
-  coarse stride is the k-way set-mapping period ``S1/k``, i.e. the
-  placements a direct-mapped model cannot tell apart -- with the k-way
-  hierarchy itself as the oracle.
+  :func:`~repro.search.space.pad_space` over the k-way hierarchy, whose
+  coarse stride is then the k-way set-mapping period ``S1/k``, i.e. it
+  holds placements a direct-mapped model cannot tell apart -- with the
+  k-way hierarchy itself as the oracle.
 
 The heuristic pads are merged into the grid and seed the search, so the
 searched objective can never be worse; the per-kernel ``gap %`` column
@@ -47,9 +47,9 @@ from repro.experiments.ext_search import _pick_strategy
 from repro.experiments.fig9_pad import INTRA_PAD_FIRST, QUICK_SIZES
 from repro.kernels.registry import get_kernel
 from repro.layout.layout import DataLayout
-from repro.search.objective import Objective, miss_cost_objective
+from repro.search.objective import miss_cost_objective
 from repro.search.report import SearchReport
-from repro.search.space import SearchSpace, assoc_pad_space
+from repro.search.space import SearchSpace, pad_space
 from repro.search.tuner import Autotuner
 from repro.transforms.intrapad import intra_pad
 from repro.transforms.pad import multilvl_pad, pad
@@ -178,21 +178,7 @@ class AssocSearchRow:
     associativity: int
     dimensions: int
     space_size: int
-    heuristic_objective: float
-    searched_objective: float
-    report: SearchReport
-
-    @property
-    def gap_pct(self) -> float:
-        """Relative improvement of k-way-aware search over the
-        direct-mapped heuristic (>= 0); the modeling gap."""
-        if self.heuristic_objective <= 0:
-            return 0.0
-        return (
-            100.0
-            * (self.heuristic_objective - self.searched_objective)
-            / self.heuristic_objective
-        )
+    report: SearchReport  # baseline = the direct-mapped heuristic's pads
 
 
 @dataclass(frozen=True)
@@ -210,7 +196,7 @@ class ExtAssocResult:
     @property
     def worst_gap_pct(self) -> float:
         """The largest modeling gap found -- the headline number."""
-        return max((r.gap_pct for r in self.rows), default=0.0)
+        return max((r.report.gap_pct for r in self.rows), default=0.0)
 
     def format(self) -> str:
         table = format_table(
@@ -224,9 +210,9 @@ class ExtAssocResult:
                     r.space_size,
                     r.report.strategy,
                     r.report.evaluations,
-                    r.heuristic_objective,
-                    r.searched_objective,
-                    r.gap_pct,
+                    r.report.baseline_objective,
+                    r.report.best_objective,
+                    r.report.gap_pct,
                 ]
                 for r in self.rows
             ],
@@ -249,7 +235,7 @@ def build_space(
     associativity: int,
     quick: bool = False,
     max_lines: int = 8,
-    span_multiples: int = 2,
+    l2_multiples: int = 2,
 ) -> tuple[object, SearchSpace, tuple[int, ...]]:
     """(kernel, space, heuristic config) for one (kernel, k-way) search.
 
@@ -273,11 +259,11 @@ def build_space(
     heuristic_config = tuple(
         heuristic.pads[heuristic.index_of(a)] for a in searched
     )
-    space = assoc_pad_space(
+    space = pad_space(
         program, base, hierarchy,
         kernel=kernel,
         max_lines=max_lines,
-        span_multiples=span_multiples,
+        l2_multiples=l2_multiples,
         include=dict(zip(searched, heuristic_config)),
         name=f"assoc_pad[{name},{associativity}w]",
     )
@@ -290,9 +276,8 @@ def run(
     associativities: tuple[int, ...] = DEFAULT_ASSOCS,
     budget: int | None = None,
     seed: int = 0,
-    objective: Objective | None = None,
     max_lines: int = 8,
-    span_multiples: int = 2,
+    l2_multiples: int = 2,
     workers: int | None = None,
     store=None,
     executor=None,
@@ -308,7 +293,7 @@ def run(
     programs = programs or DEFAULT_PROGRAMS
     if budget is None:
         budget = QUICK_BUDGET if quick else DEFAULT_BUDGET
-    objective = objective if objective is not None else miss_cost_objective()
+    objective = miss_cost_objective()
     claim = measure_claim(quick, workers=workers, store=store, executor=executor)
     tuner = Autotuner(executor=executor, workers=workers, store=store)
     rows = []
@@ -316,7 +301,7 @@ def run(
         for assoc in associativities:
             _, space, heuristic_config = build_space(
                 name, assoc, quick=quick,
-                max_lines=max_lines, span_multiples=span_multiples,
+                max_lines=max_lines, l2_multiples=l2_multiples,
             )
             report = tuner.search(
                 space,
@@ -332,8 +317,6 @@ def run(
                     associativity=assoc,
                     dimensions=len(space.dimensions),
                     space_size=space.size,
-                    heuristic_objective=report.baseline_objective,
-                    searched_objective=report.best_objective,
                     report=report,
                 )
             )

@@ -32,7 +32,7 @@ from repro.cache.config import HierarchyConfig, ultrasparc_i
 from repro.experiments.fig9_pad import INTRA_PAD_FIRST, QUICK_SIZES
 from repro.kernels.registry import get_kernel
 from repro.layout.layout import DataLayout
-from repro.search.objective import Objective, miss_cost_objective
+from repro.search.objective import miss_cost_objective
 from repro.search.report import SearchReport
 from repro.search.space import SearchSpace, pad_space
 from repro.search.tuner import Autotuner
@@ -65,20 +65,7 @@ class KernelSearchRow:
     program: str
     dimensions: int
     space_size: int
-    heuristic_objective: float
-    searched_objective: float
-    report: SearchReport
-
-    @property
-    def gap_pct(self) -> float:
-        """Relative improvement of search over the heuristic (>= 0)."""
-        if self.heuristic_objective <= 0:
-            return 0.0
-        return (
-            100.0
-            * (self.heuristic_objective - self.searched_objective)
-            / self.heuristic_objective
-        )
+    report: SearchReport  # baseline = the heuristic's pads
 
 
 @dataclass(frozen=True)
@@ -114,9 +101,9 @@ class ExtSearchResult:
                     r.space_size,
                     r.report.strategy,
                     r.report.evaluations,
-                    r.heuristic_objective,
-                    r.searched_objective,
-                    r.gap_pct,
+                    r.report.baseline_objective,
+                    r.report.best_objective,
+                    r.report.gap_pct,
                 ]
                 for r in self.rows
             ],
@@ -181,7 +168,6 @@ def run(
     hierarchy: HierarchyConfig | None = None,
     budget: int | None = None,
     seed: int = 0,
-    objective: Objective | None = None,
     max_lines: int = 8,
     workers: int | None = None,
     store=None,
@@ -198,7 +184,7 @@ def run(
     programs = programs or DEFAULT_PROGRAMS
     if budget is None:
         budget = QUICK_BUDGET if quick else DEFAULT_BUDGET
-    objective = objective if objective is not None else miss_cost_objective()
+    objective = miss_cost_objective()
     tuner = Autotuner(executor=executor, workers=workers, store=store)
     rows = []
     for name in programs:
@@ -218,8 +204,6 @@ def run(
                 program=name,
                 dimensions=len(space.dimensions),
                 space_size=space.size,
-                heuristic_objective=report.baseline_objective,
-                searched_objective=report.best_objective,
                 report=report,
             )
         )

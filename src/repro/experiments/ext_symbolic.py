@@ -231,7 +231,6 @@ def run(
     quick: bool = False,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    store=None,
     seed: int = 0,
     count: int | None = None,
 ) -> SymbolicResult:

@@ -6,11 +6,13 @@ serialized with its provenance and classification, and committed under
 ``tests/fuzz/corpus/``.  ``tests/fuzz/test_corpus.py`` replays every file
 on every test run, so a blind spot found once can never silently return.
 
-The JSON schema is complete and self-describing -- arrays, loops with
-affine bounds, statements, hierarchy geometry, the recorded divergence --
-so a corpus case replays identically even if the generator that produced
-it has long since changed.  Affine expressions serialize as
-``{"const": c, "terms": {"i": k, ...}}``.
+The JSON schema is complete and self-describing -- the program and the
+hierarchy in the service wire format (:mod:`repro.service.protocol`),
+plus provenance and the recorded divergence -- so a corpus case replays
+identically even if the generator that produced it has long since
+changed.  Older cases spell every affine expression out as
+``{"const": c, "terms": {"i": k, ...}}``; the wire decoder reads both
+that and the compact forms new cases are written in.
 
 Replay semantics per kind:
 
@@ -27,22 +29,13 @@ import json
 import pathlib
 from dataclasses import dataclass
 
-from repro.cache.config import CacheConfig, HierarchyConfig
+from repro.cache.config import HierarchyConfig
 from repro.errors import ReproError
-from repro.ir.affine import AffineExpr
-from repro.ir.arrays import ArrayDecl
-from repro.ir.loops import Loop, LoopNest, Statement
 from repro.ir.program import Program
-from repro.ir.refs import ArrayRef
 
 __all__ = [
     "SCHEMA_VERSION",
     "CorpusCase",
-    "affine_to_data",
-    "affine_from_data",
-    "program_to_data",
-    "program_from_data",
-    "hierarchy_from_data",
     "save_case",
     "load_case",
     "load_corpus",
@@ -57,121 +50,6 @@ def default_corpus_dir() -> pathlib.Path:
     """``tests/fuzz/corpus`` of the source checkout (may not exist)."""
     return (
         pathlib.Path(__file__).resolve().parents[3] / "tests" / "fuzz" / "corpus"
-    )
-
-
-# -- affine / IR serialization ----------------------------------------------
-
-def affine_to_data(expr: AffineExpr) -> dict:
-    return {"const": expr.constant, "terms": expr.terms}
-
-
-def affine_from_data(data: dict) -> AffineExpr:
-    return AffineExpr(dict(data.get("terms", {})), int(data.get("const", 0)))
-
-
-def program_to_data(program: Program) -> dict:
-    """A complete, order-preserving JSON structure for one program."""
-    return {
-        "name": program.name,
-        "arrays": [
-            {
-                "name": a.name,
-                "shape": list(a.shape),
-                "element_size": a.element_size,
-            }
-            for a in program.arrays
-        ],
-        "nests": [
-            {
-                "label": nest.label,
-                "loops": [
-                    {
-                        "var": lp.var,
-                        "lower": affine_to_data(lp.lower),
-                        "upper": affine_to_data(lp.upper),
-                        "step": lp.step,
-                        "extra_uppers": [affine_to_data(e) for e in lp.extra_uppers],
-                        "extra_lowers": [affine_to_data(e) for e in lp.extra_lowers],
-                    }
-                    for lp in nest.loops
-                ],
-                "body": [
-                    {
-                        "flops": st.flops,
-                        "label": st.label,
-                        "refs": [
-                            {
-                                "array": r.array,
-                                "subscripts": [
-                                    affine_to_data(s) for s in r.subscripts
-                                ],
-                                "write": r.is_write,
-                            }
-                            for r in st.refs
-                        ],
-                    }
-                    for st in nest.body
-                ],
-            }
-            for nest in program.nests
-        ],
-    }
-
-
-def program_from_data(data: dict) -> Program:
-    arrays = tuple(
-        ArrayDecl(a["name"], tuple(a["shape"]), a.get("element_size", 8))
-        for a in data["arrays"]
-    )
-    nests = tuple(
-        LoopNest(
-            loops=tuple(
-                Loop(
-                    lp["var"],
-                    affine_from_data(lp["lower"]),
-                    affine_from_data(lp["upper"]),
-                    lp.get("step", 1),
-                    tuple(affine_from_data(e) for e in lp.get("extra_uppers", [])),
-                    tuple(affine_from_data(e) for e in lp.get("extra_lowers", [])),
-                )
-                for lp in nest["loops"]
-            ),
-            body=tuple(
-                Statement(
-                    refs=tuple(
-                        ArrayRef(
-                            r["array"],
-                            tuple(affine_from_data(s) for s in r["subscripts"]),
-                            is_write=r.get("write", False),
-                        )
-                        for r in st["refs"]
-                    ),
-                    flops=st.get("flops", 0),
-                    label=st.get("label", ""),
-                )
-                for st in nest["body"]
-            ),
-            label=nest.get("label", ""),
-        )
-        for nest in data["nests"]
-    )
-    return Program(data["name"], arrays, nests)
-
-
-def hierarchy_from_data(data: dict) -> HierarchyConfig:
-    return HierarchyConfig(
-        levels=tuple(
-            CacheConfig(
-                size=c["size"],
-                line_size=c["line_size"],
-                associativity=c.get("associativity", 1),
-                name=c.get("name", f"L{i + 1}"),
-                hit_cycles=c.get("hit_cycles", 1.0),
-            )
-            for i, c in enumerate(data["levels"])
-        ),
-        memory_cycles=data.get("memory_cycles", 50.0),
     )
 
 
@@ -196,7 +74,9 @@ class CorpusCase:
         return f"{self.name}.json"
 
     def to_data(self) -> dict:
-        from repro.service.protocol import hierarchy_to_json  # lazy: replays never need it
+        # lazy here and in from_data: the wire codec loads the kernel
+        # registry and repro.driver
+        from repro.service.protocol import hierarchy_to_json, program_to_json
 
         return {
             "schema": SCHEMA_VERSION,
@@ -210,30 +90,40 @@ class CorpusCase:
             },
             "note": self.note,
             "hierarchy": hierarchy_to_json(self.hierarchy),
-            "program": program_to_data(self.program),
+            "program": program_to_json(self.program),
         }
 
     @classmethod
     def from_data(cls, data: dict) -> "CorpusCase":
+        """Decode one case; any malformed field raises :class:`ReproError`."""
+        from repro.service.protocol import hierarchy_from_json, program_from_json
+
+        if not isinstance(data, dict):
+            raise ReproError("corpus case: expected a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise ReproError(
                 f"corpus case {data.get('name')!r}: unsupported schema "
                 f"{data.get('schema')!r} (expected {SCHEMA_VERSION})"
             )
-        div = data["divergence"]
-        prov = data["provenance"]
-        return cls(
-            name=data["name"],
-            program=program_from_data(data["program"]),
-            hierarchy=hierarchy_from_data(data["hierarchy"]),
-            hierarchy_name=prov["hierarchy"],
-            kind=div["kind"],
-            level=div.get("level", "-"),
-            band=div.get("band", "mismatch"),
-            magnitude=float(div.get("magnitude", 0.0)),
-            seed=int(prov["seed"]),
-            note=data.get("note", ""),
-        )
+        try:
+            div = data["divergence"]
+            prov = data["provenance"]
+            return cls(
+                name=data["name"],
+                program=program_from_json(data["program"]),
+                hierarchy=hierarchy_from_json(data["hierarchy"]),
+                hierarchy_name=prov["hierarchy"],
+                kind=div["kind"],
+                level=div.get("level", "-"),
+                band=div.get("band", "mismatch"),
+                magnitude=float(div.get("magnitude", 0.0)),
+                seed=int(prov["seed"]),
+                note=data.get("note", ""),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ReproError(
+                f"corpus case {data.get('name')!r}: malformed field ({exc!r})"
+            ) from None
 
 
 def save_case(directory: str | pathlib.Path, case: CorpusCase) -> pathlib.Path:
@@ -248,7 +138,13 @@ def save_case(directory: str | pathlib.Path, case: CorpusCase) -> pathlib.Path:
 
 
 def load_case(path: str | pathlib.Path) -> CorpusCase:
-    return CorpusCase.from_data(json.loads(pathlib.Path(path).read_text()))
+    """Read one case file; a malformed one raises a :class:`ReproError`
+    that names the file."""
+    path = pathlib.Path(path)
+    try:
+        return CorpusCase.from_data(json.loads(path.read_text()))
+    except (json.JSONDecodeError, ReproError) as exc:
+        raise ReproError(f"corpus file {path}: {exc}") from None
 
 
 def load_corpus(directory: str | pathlib.Path | None = None) -> list[CorpusCase]:

@@ -4,7 +4,7 @@ The paper's severe-conflict analysis (Section 3.1.1) is pairwise and
 direct-mapped: two references whose address delta modulo the cache size
 falls within one line ping-pong on the same cache line and miss every
 iteration.  The predictor generalizes that test to k-way caches the same
-way :func:`repro.search.space.assoc_pad_space` generalizes the pad grid:
+way :func:`repro.search.space.pad_space` generalizes the pad grid:
 
 * positions are taken modulo the **set-mapping period** ``size / k``
   (the k-way cache's set index is ``(addr / line) % (size / (line * k))``,

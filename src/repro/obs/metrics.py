@@ -35,6 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
+    "merge_snapshots",
     "diff_counters",
     "best_of",
     "format_exec_line",
@@ -246,6 +247,46 @@ def set_metrics(registry: MetricsRegistry) -> None:
     """Replace the process-wide registry (tests, isolated sessions)."""
     global _metrics
     _metrics = registry
+
+
+def merge_snapshots(snapshots) -> dict[str, Any]:
+    """Fold :meth:`MetricsRegistry.snapshot` dicts of separate processes
+    (the shards of one sweep) into one snapshot.
+
+    Counters add up and a gauge keeps its last value.  A histogram gets
+    its exact count, total, min, max and mean; a summary cannot be
+    re-ranked, so one that more than one snapshot holds loses its
+    percentiles rather than keeping a single source's.
+    """
+    counters: dict[str, Any] = {}
+    gauges: dict[str, Any] = {}
+    hists: dict[str, dict] = {}
+    for snap in snapshots:
+        for name, value in (snap.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0) + value
+        gauges.update(snap.get("gauges") or {})
+        for name, summ in (snap.get("histograms") or {}).items():
+            agg = hists.get(name)
+            if agg is None or not agg["count"]:
+                hists[name] = dict(summ)
+                continue
+            if not summ["count"]:
+                continue
+            count = agg["count"] + summ["count"]
+            total = agg["total"] + summ["total"]
+            hists[name] = {
+                "count": count,
+                "total": total,
+                "min": min(agg["min"], summ["min"]),
+                "max": max(agg["max"], summ["max"]),
+                "mean": total / count,
+            }
+    out: dict[str, Any] = {}
+    for section, table in (("counters", counters), ("gauges", gauges),
+                           ("histograms", hists)):
+        if table:
+            out[section] = dict(sorted(table.items()))
+    return out
 
 
 def diff_counters(before: dict, after: dict) -> dict:

@@ -23,8 +23,8 @@ duration and the report appends one warning line naming them, instead of
 the pre-PR-10 behaviour of silently skewing self-time or raising.
 
 :func:`format_trace_tree` renders one request's causal tree: every span
-and event carrying the requested ``trace_id`` (or every root when no id
-is given), indented by parentage, across process and thread boundaries.
+and event carrying the requested ``trace_id``, indented by parentage,
+across process and thread boundaries.
 """
 
 from __future__ import annotations
@@ -302,46 +302,40 @@ def _span_line(span: dict) -> str:
         f" {arg_s}" if arg_s else "")
 
 
-def format_trace_tree(path, trace_id: str | None = None) -> str:
-    """Render the causal tree of one request (or the whole trace).
+def format_trace_tree(path, trace_id: str) -> str:
+    """Render the causal tree of one request.
 
-    With ``trace_id``, only spans/events whose args carry that id are
-    shown (plus any ancestors needed to root them); this is how one
-    ``serve`` request is followed across the event loop, the queue, the
-    pipeline thread, and the simulator -- the tree ignores pid/tid
-    boundaries and follows ``parent`` links only.
+    Only spans/events whose args carry ``trace_id`` are shown (plus any
+    ancestors needed to root them); this is how one ``serve`` request is
+    followed across the event loop, the queue, the pipeline thread, and
+    the simulator -- the tree ignores pid/tid boundaries and follows
+    ``parent`` links only.
     """
     doc = load_trace_doc(path)
     spans = [s for s in doc.spans if s.get("id") is not None]
-    if trace_id is not None:
-        keep = {s["id"] for s in spans
-                if (s.get("args") or {}).get("trace_id") == trace_id}
-        if not keep:
-            return f"{path}: no spans carry trace_id={trace_id}"
-        by_id = {s["id"]: s for s in spans}
-        # pull in ancestors so the matched spans still root properly
-        frontier = list(keep)
-        while frontier:
-            parent = by_id.get(frontier.pop(), {}).get("parent")
-            if parent is not None and parent in by_id and parent not in keep:
-                keep.add(parent)
-                frontier.append(parent)
-        spans = [s for s in spans if s["id"] in keep]
-    if not spans:
-        return f"{path}: trace contains no spans"
-    ids = {s["id"] for s in spans}
+    keep = {s["id"] for s in spans
+            if (s.get("args") or {}).get("trace_id") == trace_id}
+    if not keep:
+        return f"{path}: no spans carry trace_id={trace_id}"
+    by_id = {s["id"]: s for s in spans}
+    # pull in ancestors so the matched spans still root properly
+    frontier = list(keep)
+    while frontier:
+        parent = by_id.get(frontier.pop(), {}).get("parent")
+        if parent is not None and parent in by_id and parent not in keep:
+            keep.add(parent)
+            frontier.append(parent)
+    spans = [s for s in spans if s["id"] in keep]
     children: dict = {}
     roots = []
     for s in spans:
         parent = s.get("parent")
-        if parent in ids:
+        if parent in keep:
             children.setdefault(parent, []).append(s)
         else:
             roots.append(s)
     order = (lambda s: (s.get("start_ns") or 0, s.get("id") or 0))
-    lines = []
-    if trace_id is not None:
-        lines.append(f"trace {trace_id} ({len(spans)} spans in {path})")
+    lines = [f"trace {trace_id} ({len(spans)} spans in {path})"]
 
     def walk(span: dict, depth: int) -> None:
         lines.append("  " * depth + _span_line(span))
@@ -349,5 +343,5 @@ def format_trace_tree(path, trace_id: str | None = None) -> str:
             walk(child, depth + 1)
 
     for root in sorted(roots, key=order):
-        walk(root, 0 if trace_id is None else 1)
+        walk(root, 1)
     return "\n".join(lines)

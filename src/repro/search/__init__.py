@@ -9,9 +9,8 @@ the parallel memoized :class:`~repro.exec.executor.SweepExecutor`.
 
 Pieces:
 
-* :mod:`repro.search.space` -- :class:`SearchSpace` and the three
-  concrete spaces (:func:`pad_space`, :func:`assoc_pad_space`,
-  :func:`pad_tile_space`);
+* :mod:`repro.search.space` -- :class:`SearchSpace` and the two
+  concrete spaces (:func:`pad_space`, :func:`pad_tile_space`);
 * :mod:`repro.search.objective` -- minimized figures of merit over
   simulated miss statistics, plus :func:`model_objective`, the analytic
   (simulation-free) scorer backed by :mod:`repro.model`;
@@ -43,8 +42,7 @@ from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.search.space": (
-        "Dimension", "SearchSpace", "pad_space", "assoc_pad_space",
-        "pad_tile_space",
+        "Dimension", "SearchSpace", "pad_space", "pad_tile_space",
     ),
     "repro.search.objective": (
         "Objective", "ModelObjective", "miss_cost_objective", "model_objective",

@@ -7,21 +7,19 @@ the product structure (dimension names, choice lists, membership tests);
 the job builder is what ties a point back to a concrete (program, layout,
 hierarchy) simulation.
 
-Three concrete spaces cover the paper's tuning decisions:
+Two concrete spaces cover the paper's tuning decisions:
 
 * :func:`pad_space` -- inter-variable pad vectors, one dimension per
   array after the first (a uniform shift of the whole block cannot change
   any inter-variable conflict).  Choices step by ``Lmax`` (the MULTILVLPAD
   granularity, valid at every level because each cache size divides the
-  next) and optionally extend by multiples of ``S1``, which move an array
-  in the L2 while leaving its L1 mapping fixed -- exactly L2MAXPAD's trick.
-* :func:`assoc_pad_space` -- the associativity-aware variant of
-  :func:`pad_space`: its coarse stride is the k-way L1's *set-mapping
-  period* ``S1 / k`` rather than the full cache size, so candidates move
-  arrays between the k images of each set -- the placements a
-  direct-mapped model cannot distinguish.  Used by the ``ext_assoc``
-  experiment to measure how much headroom the paper's "treat k-way as
-  direct-mapped" claim (Section 1) leaves behind.
+  next) and optionally extend by multiples of the L1 set-mapping period
+  ``S1 / k``, which move an array in the L2 while leaving its L1 set
+  fixed -- exactly L2MAXPAD's trick.  For a k-way L1 those multiples
+  also move arrays between the k images of each set, the placements a
+  direct-mapped model cannot distinguish; the ``ext_assoc`` experiment
+  searches them to measure how much headroom the paper's "treat k-way
+  as direct-mapped" claim (Section 1) leaves behind.
 * :func:`pad_tile_space` -- the joint product of W x H tile edges for
   the Figure 8 tiled matrix multiply (up to L2-sized edges, Section 5)
   *and* inter-variable pads.  The paper tunes the two independently
@@ -47,7 +45,6 @@ __all__ = [
     "Dimension",
     "SearchSpace",
     "pad_space",
-    "assoc_pad_space",
     "pad_tile_space",
 ]
 
@@ -159,12 +156,15 @@ def pad_space(
     Each dimension's choices are ``k * Lmax`` for ``k in [0, max_lines)``
     (``Lmax`` = the hierarchy's largest line size, the granularity at
     which MULTILVLPAD is guaranteed safe for every level), optionally
-    crossed with ``m * S1`` for ``m in [0, l2_multiples)`` -- S1-sized
-    pads leave the L1 mapping of everything downstream intact while
-    moving it in larger caches (the L2MAXPAD mechanism).  ``include``
-    merges extra per-array pad values into the grid, so a heuristic
-    layout's exact pads can be made representable and used to seed a
-    search.
+    crossed with ``m * S1 / k`` for ``m in [0, l2_multiples)``.  A k-way
+    L1 of size ``S1`` maps an address to set ``(addr / line) % (S1 /
+    (line * k))``, so its set mapping repeats every ``S1 / k`` bytes:
+    pads of that period leave the L1 set of everything downstream intact
+    while moving it in larger caches (the L2MAXPAD mechanism) and, when
+    ``k > 1``, between the k images of each set.  A direct-mapped L1
+    gives the period ``S1``.  ``include`` merges extra per-array pad
+    values into the grid, so a heuristic layout's exact pads can be made
+    representable and used to seed a search.
     """
     if max_lines < 1:
         raise ReproError(f"max_lines must be >= 1, got {max_lines}")
@@ -175,11 +175,12 @@ def pad_space(
     if unknown:
         raise ReproError(f"include names unknown arrays: {sorted(unknown)}")
     step = hierarchy.max_line_size
-    s1 = hierarchy.l1.size
+    l1 = hierarchy.l1
+    period = l1.size // l1.associativity
     dims = []
     for arr in layout.order[1:]:
         choices = {
-            k * step + m * s1
+            k * step + m * period
             for k in range(max_lines)
             for m in range(l2_multiples)
         }
@@ -201,75 +202,6 @@ def pad_space(
 
     return SearchSpace(
         name=name or f"pad[{program.name}]",
-        dimensions=tuple(dims),
-        job_builder=build,
-    )
-
-
-def assoc_pad_space(
-    program: Program,
-    layout: DataLayout,
-    hierarchy: HierarchyConfig,
-    kernel=None,
-    max_lines: int = 8,
-    span_multiples: int = 2,
-    include: Mapping[str, int] | None = None,
-    name: str | None = None,
-) -> SearchSpace:
-    """Inter-variable pads whose strides target k-way L1 set mappings.
-
-    A k-way L1 of size ``S1`` maps an address to set ``(addr / line) %
-    (S1 / (line * k))``: its set mapping repeats every ``S1 / k`` bytes,
-    not every ``S1``.  :func:`pad_space` steps its coarse stride by the
-    full ``S1`` (the direct-mapped period), so under a k-way L1 it only
-    ever samples one of the ``k`` equivalent images of each set.  This
-    space replaces that stride with the true period ``S1 / k``: the
-    ``m * (S1/k)`` component moves an array between set images (changing
-    which lines compete for the same k ways) while the fine ``Lmax``
-    component walks sets, together covering placements a direct-mapped
-    model treats as identical.
-
-    With ``associativity == 1`` the span equals ``S1`` and the space
-    degenerates to :func:`pad_space`'s grid -- the k-way-aware search is
-    a strict generalization, which is what lets ``ext_assoc`` attribute
-    any improvement it finds to associativity awareness alone.
-    """
-    if max_lines < 1:
-        raise ReproError(f"max_lines must be >= 1, got {max_lines}")
-    if span_multiples < 1:
-        raise ReproError(f"span_multiples must be >= 1, got {span_multiples}")
-    include = dict(include or {})
-    unknown = set(include) - set(layout.order)
-    if unknown:
-        raise ReproError(f"include names unknown arrays: {sorted(unknown)}")
-    step = hierarchy.max_line_size
-    l1 = hierarchy.l1
-    span = l1.size // l1.associativity  # set-mapping period of the k-way L1
-    dims = []
-    for arr in layout.order[1:]:
-        choices = {
-            k * step + m * span
-            for k in range(max_lines)
-            for m in range(span_multiples)
-        }
-        if arr in include:
-            choices.add(int(include[arr]))
-        dims.append(Dimension(name=f"pad:{arr}", choices=tuple(sorted(choices))))
-    searched = tuple(layout.order[1:])
-
-    def build(config: Config) -> SimJob:
-        padded = layout.with_pads(dict(zip(searched, config)))
-        if kernel is not None:
-            return SimJob.for_kernel(
-                kernel, program, padded, hierarchy, tag=("search", config)
-            )
-        return SimJob(
-            program=program, layout=padded, hierarchy=hierarchy,
-            tag=("search", config),
-        )
-
-    return SearchSpace(
-        name=name or f"assoc_pad[{program.name}]",
         dimensions=tuple(dims),
         job_builder=build,
     )

@@ -255,6 +255,7 @@ def program_to_json(program: Program) -> dict:
                             for r in st.refs
                         ],
                         **({"flops": st.flops} if st.flops else {}),
+                        **({"label": st.label} if st.label else {}),
                     }
                     for st in n.body
                 ],

@@ -22,6 +22,9 @@ from repro.exec.shard import (
 )
 from repro.exec.store import ResultStore
 from repro.experiments.__main__ import main
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import format_report, load_trace_doc
+from repro.obs.tracer import Tracer
 from tests.exec.test_executor import job_for
 
 
@@ -190,6 +193,55 @@ class TestMergeTraces:
         assert {c["parent"] for c in children} <= set(span_ids)
         (metrics,) = [r for r in rows if r["type"] == "metrics"]
         assert metrics["metrics"]["counters"]["exec.jobs"] == 7
+
+    def test_shared_histogram_loses_its_percentiles(self, tmp_path):
+        """A percentile of one shard is not one of the merged run: the
+        merged summary keeps exact count/total/min/max/mean only."""
+        paths = []
+        for seconds in (1.0, 100.0):
+            registry = MetricsRegistry()
+            for _ in range(10):
+                registry.histogram("exec.job_seconds").observe(seconds)
+            tracer = Tracer()
+            with tracer.span("exec.job"):
+                pass
+            paths.append(tmp_path / f"{seconds}.jsonl")
+            tracer.write_jsonl(paths[-1], metrics=registry.snapshot())
+        out = tmp_path / "merged.jsonl"
+        merge_traces(out, paths)
+        hist = load_trace_doc(out).metrics["histograms"]["exec.job_seconds"]
+        assert hist == {"count": 20, "total": 1010.0, "min": 1.0,
+                        "max": 100.0, "mean": 50.5}
+        assert "exec.job_seconds: n=" not in format_report(out)
+
+    def test_chrome_and_jsonl_sources_merge_every_span(self, tmp_path):
+        counts = []
+        for name, fmt in (("a.jsonl", "jsonl"), ("b.json", "chrome")):
+            tracer = Tracer()
+            with tracer.span("experiment"):
+                for _ in range(3):
+                    with tracer.span("exec.job"):
+                        pass
+                tracer.event("store.hit")
+            tracer.counter("timeline.L1", ts_ns=1, misses=2)
+            tracer.write(tmp_path / name, format=fmt)
+            counts.append(len(tracer.spans()))
+        out = tmp_path / "merged.jsonl"
+        stats = merge_traces(out, [tmp_path / "a.jsonl", tmp_path / "b.json"])
+        assert stats == {"spans": 8, "events": 2, "sources": 2}
+        doc = load_trace_doc(out)
+        assert len(doc.spans) == sum(counts)
+        ids = [row["id"] for row in doc.spans]
+        assert len(ids) == len(set(ids)), "ids must not collide"
+        for row in doc.spans:
+            assert row["parent"] is None or row["parent"] in ids
+        assert len(doc.counters) == 2
+
+    def test_unreadable_source_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"type": "span", "id": 1}\nnot json\n')
+        with pytest.raises(ReproError, match="bad.jsonl"):
+            merge_traces(tmp_path / "merged.jsonl", [bad])
 
 
 class TestCLI:

@@ -5,7 +5,6 @@ import pytest
 from repro.exec.executor import SweepExecutor
 from repro.experiments import ext_assoc
 from repro.experiments.__main__ import main
-from repro.search.objective import Objective
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +24,8 @@ class TestRun:
 
     def test_search_never_worse_than_heuristic(self, result):
         for row in result.rows:
-            assert row.searched_objective <= row.heuristic_objective
-            assert row.gap_pct >= 0.0
+            assert row.report.best_objective <= row.report.baseline_objective
+            assert row.report.gap_pct >= 0.0
         assert result.worst_gap_pct >= 0.0
 
     def test_budget_respected_per_cell(self, result):
@@ -47,17 +46,6 @@ class TestRun:
         text = result.format()
         assert text.startswith(result.claim.format())
         assert text.index("PAD 4-way%") < text.index("gap %")
-
-    def test_objective_override(self):
-        res = ext_assoc.run(
-            quick=True,
-            programs=["dot"],
-            associativities=(2,),
-            budget=4,
-            objective=Objective("L1-miss-rate", lambda r, h: r.miss_rate("L1")),
-        )
-        assert res.objective == "L1-miss-rate"
-        assert 0.0 <= res.rows[0].searched_objective <= 1.0
 
     def test_both_default_associativities(self):
         res = ext_assoc.run(quick=True, programs=["dot"], budget=4)

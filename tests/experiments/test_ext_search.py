@@ -6,7 +6,6 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.store import ResultStore
 from repro.experiments import ext_search
 from repro.experiments.__main__ import main
-from repro.search.objective import Objective
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +20,8 @@ class TestRun:
 
     def test_search_never_worse_than_heuristic(self, result):
         for row in result.rows:
-            assert row.searched_objective <= row.heuristic_objective
-            assert row.gap_pct >= 0.0
+            assert row.report.best_objective <= row.report.baseline_objective
+            assert row.report.gap_pct >= 0.0
 
     def test_budget_respected_per_kernel(self, result):
         for row in result.rows:
@@ -39,23 +38,13 @@ class TestRun:
         assert "gap %" in text
         assert "[search] evaluations:" in text
 
-    def test_objective_override(self):
-        res = ext_search.run(
-            quick=True,
-            programs=["dot"],
-            budget=4,
-            objective=Objective("L1-miss-rate", lambda r, h: r.miss_rate("L1")),
-        )
-        assert res.objective == "L1-miss-rate"
-        assert 0.0 <= res.rows[0].searched_objective <= 1.0
-
     def test_warm_store_serves_repeat_run(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         cold = ext_search.run(quick=True, programs=["dot"], budget=6, store=store)
         warm = ext_search.run(quick=True, programs=["dot"], budget=6, store=store)
         assert cold.total_store_hits == 0
         assert warm.store_hit_rate == 1.0
-        assert warm.rows[0].searched_objective == cold.rows[0].searched_objective
+        assert warm.rows[0].report.best_objective == cold.rows[0].report.best_objective
 
 
 class TestBuildSpace:

@@ -12,6 +12,8 @@ predictor's error band at the recorded level to *no worse than* the
 recorded band.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ReproError
@@ -19,10 +21,8 @@ from repro.fuzz.corpus import (
     CorpusCase,
     corpus_known_seeds,
     default_corpus_dir,
-    hierarchy_from_data,
+    load_case,
     load_corpus,
-    program_from_data,
-    program_to_data,
     save_case,
 )
 from repro.fuzz.generator import random_program
@@ -34,20 +34,46 @@ from repro.fuzz.harness import (
     repro_command,
 )
 from repro.ir.validate import check_program
-from repro.service.protocol import hierarchy_to_json
+from repro.service.protocol import (
+    hierarchy_from_json,
+    hierarchy_to_json,
+    program_from_json,
+    program_to_json,
+)
+
+
+def _committed_case_data() -> dict:
+    """One committed case file's JSON, in the verbose affine spelling."""
+    return json.loads((default_corpus_dir() / "model-9-dm.json").read_text())
+
+
+def _drop_program(d):
+    del d["program"]
+
+
+def _bool_subscript(d):
+    d["program"]["nests"][0]["body"][0]["refs"][0]["subscripts"][0] = True
+
+
+def _unknown_field(d):
+    d["program"]["nests"][0]["bogus"] = 1
+
+
+def _string_cache_size(d):
+    d["hierarchy"]["levels"][0]["size"] = "big"
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 3, 9, 17, 44])
     def test_program_json_round_trip(self, seed):
         program = random_program(seed)
-        again = program_from_data(program_to_data(program))
+        again = program_from_json(program_to_json(program))
         assert again == program
 
     @pytest.mark.parametrize("name", sorted(FUZZ_HIERARCHIES))
     def test_hierarchy_json_round_trip(self, name):
         hier = FUZZ_HIERARCHIES[name]
-        assert hierarchy_from_data(hierarchy_to_json(hier)) == hier
+        assert hierarchy_from_json(hierarchy_to_json(hier)) == hier
 
     def test_case_save_load(self, tmp_path):
         case = CorpusCase(
@@ -78,6 +104,22 @@ class TestRoundTrip:
         data["schema"] = 99
         with pytest.raises(ReproError):
             CorpusCase.from_data(data)
+
+    @pytest.mark.parametrize("corrupt", [
+        None, _drop_program, _bool_subscript, _unknown_field, _string_cache_size,
+    ], ids=["truncated-json", "missing-program", "bool-subscript",
+            "unknown-field", "string-cache-size"])
+    def test_malformed_file_raises_naming_it(self, tmp_path, corrupt):
+        path = tmp_path / "bad.json"
+        if corrupt is None:
+            text = json.dumps(_committed_case_data())
+            path.write_text(text[: len(text) // 2])
+        else:
+            data = _committed_case_data()
+            corrupt(data)
+            path.write_text(json.dumps(data))
+        with pytest.raises(ReproError, match="bad.json"):
+            load_case(path)
 
     def test_missing_corpus_dir_is_empty(self, tmp_path):
         assert load_corpus(tmp_path / "nope") == []

@@ -121,7 +121,7 @@ class TestTraceTree:
 
     def test_open_span_renders_as_open(self, tmp_path):
         tracer = Tracer()
-        tracer.span("stuck").__enter__()
+        tracer.span("stuck", trace_id="req1").__enter__()
         path = tmp_path / "t.jsonl"
         tracer.write_jsonl(path)
-        assert "[OPEN]" in format_trace_tree(path)
+        assert "[OPEN]" in format_trace_tree(path, trace_id="req1")

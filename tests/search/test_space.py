@@ -1,4 +1,4 @@
-"""SearchSpace structure and the three concrete space builders."""
+"""SearchSpace structure and the two concrete space builders."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.exec.jobs import SimJob
 from repro.search.space import (
     Dimension,
     SearchSpace,
-    assoc_pad_space,
     pad_space,
     pad_tile_space,
 )
@@ -136,6 +135,8 @@ class TestPadSpace:
 
 
 class TestAssocPadSpace:
+    """pad_space over a k-way L1: the coarse stride follows the sets."""
+
     def _kway(self, hier, k):
         from repro.cache.config import CacheConfig, HierarchyConfig
 
@@ -154,28 +155,34 @@ class TestAssocPadSpace:
         """Under a 2-way L1 the second-level stride is S1/2, not S1."""
         kway = self._kway(hier, 2)
         prog = build_fig2(64)
-        space = assoc_pad_space(
+        space = pad_space(
             prog, DataLayout.sequential(prog), kway,
-            max_lines=2, span_multiples=2,
+            max_lines=2, l2_multiples=2,
         )
         span, lmax = kway.l1.size // 2, kway.max_line_size
         assert space.dimensions[0].choices == (0, lmax, span, span + lmax)
 
     def test_degenerates_to_pad_space_grid_when_direct_mapped(self, hier):
-        """k=1: the span equals S1, so the grid matches pad_space with
-        l2_multiples -- associativity-aware search strictly generalizes."""
+        """k=1: the stride is S1, the direct-mapped grid; with k+1
+        multiples a k-way grid contains that grid -- associativity-aware
+        search strictly generalizes."""
         prog = build_fig2(64)
         lay = DataLayout.sequential(prog)
-        a = assoc_pad_space(prog, lay, hier, max_lines=3, span_multiples=2)
-        p = pad_space(prog, lay, hier, max_lines=3, l2_multiples=2)
-        assert [d.choices for d in a.dimensions] == [
-            d.choices for d in p.dimensions
-        ]
+        dm = pad_space(prog, lay, hier, max_lines=3, l2_multiples=2)
+        s1, lmax = hier.l1.size, hier.max_line_size
+        assert dm.dimensions[0].choices == tuple(sorted(
+            k * lmax + m * s1 for k in range(3) for m in range(2)
+        ))
+        for k in (2, 4):
+            kw = pad_space(prog, lay, self._kway(hier, k), max_lines=3,
+                           l2_multiples=k + 1)
+            for d, e in zip(dm.dimensions, kw.dimensions):
+                assert set(d.choices) <= set(e.choices)
 
     def test_include_merges_heuristic_pads(self, hier):
         kway = self._kway(hier, 4)
         prog = build_fig2(64)
-        space = assoc_pad_space(
+        space = pad_space(
             prog, DataLayout.sequential(prog), kway, max_lines=2,
             include={"C": 54321},
         )
@@ -185,7 +192,7 @@ class TestAssocPadSpace:
         kway = self._kway(hier, 2)
         prog = build_fig2(64)
         lay = DataLayout.sequential(prog)
-        space = assoc_pad_space(prog, lay, kway, max_lines=2)
+        space = pad_space(prog, lay, kway, max_lines=2, l2_multiples=2)
         span = kway.l1.size // 2
         job = space.job((span, 0))
         assert isinstance(job, SimJob)
@@ -193,14 +200,15 @@ class TestAssocPadSpace:
         assert job.hierarchy == kway
 
     def test_invalid_parameters_rejected(self, hier):
+        kway = self._kway(hier, 2)
         prog = build_fig2(64)
         lay = DataLayout.sequential(prog)
         with pytest.raises(ReproError):
-            assoc_pad_space(prog, lay, hier, max_lines=0)
+            pad_space(prog, lay, kway, max_lines=0)
         with pytest.raises(ReproError):
-            assoc_pad_space(prog, lay, hier, span_multiples=0)
+            pad_space(prog, lay, kway, l2_multiples=0)
         with pytest.raises(ReproError):
-            assoc_pad_space(prog, lay, hier, include={"nope": 0})
+            pad_space(prog, lay, kway, include={"nope": 0})
 
 
 class TestPadTileSpace:

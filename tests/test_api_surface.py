@@ -79,7 +79,6 @@ class TestSearchExports:
     SEARCH_NAMES = [
         "SearchSpace",
         "pad_space",
-        "assoc_pad_space",
         "pad_tile_space",
         "ExhaustiveSearch",
         "CoordinateDescent",
