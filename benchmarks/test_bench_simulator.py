@@ -18,7 +18,11 @@ from repro.fuzz import FuzzConfig, fuzzed_workloads
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.tracer import start_tracing, stop_tracing
 from repro.kernels import expl, jacobi, linpackd
-from repro.trace.generator import generate_trace, program_trace_chunks
+from repro.trace.generator import (
+    generate_trace,
+    program_line_chunks,
+    program_trace_chunks,
+)
 
 pytestmark = pytest.mark.benchmark(group="sim")
 
@@ -88,12 +92,14 @@ def test_bench_trace_generation_triangular(benchmark):
 
 
 def test_bench_end_to_end_expl192(benchmark):
+    """Trace generation and the hierarchy, as a job runs them: line
+    chunks cut for the hierarchy."""
     prog = expl.build(192)
     lay = DataLayout.sequential(prog)
 
     def run():
         sim = StreamingHierarchy(HIER)
-        sim.feed_all(program_trace_chunks(prog, lay))
+        sim.feed_all(program_line_chunks(prog, lay, HIER))
         return sim.result()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -101,15 +107,36 @@ def test_bench_end_to_end_expl192(benchmark):
     _refs_per_sec(benchmark, result.total_refs)
 
 
-def test_bench_hierarchy_levels_fig9_expl_l1opt(benchmark):
-    """The full-size Figure 9 expl "L1 Opt" job (12M refs in chunks
-    tagged with their segment shape): the hierarchy on pre-generated
-    chunks, with L1 and L2 throughput from the per-level chunk timings
-    of the best of three traced passes and the share of L1 accesses
-    dropped as conflict-free MRU hits before L1 classifies the rest."""
+def _fig9_expl_l1opt():
+    """The full-size Figure 9 expl "L1 Opt" job (12M refs)."""
     from repro.experiments.fig9_pad import build_jobs
 
     (job,) = [j for j in build_jobs(programs=["expl"]) if j.tag[1] == "L1 Opt"]
+    return job
+
+
+def test_bench_line_chunks_fig9_expl_l1opt(benchmark):
+    """The trace layer alone on the full-size Figure 9 expl "L1 Opt"
+    job: its line chunks, cut for the job's hierarchy without the L1
+    hits the generator drops (refs per second of references the chunks
+    stand for)."""
+    job = _fig9_expl_l1opt()
+
+    def run():
+        return sum(len(chunk) for chunk in job.chunks())
+
+    refs = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert refs == job.program.total_refs()
+    _refs_per_sec(benchmark, refs)
+
+
+def test_bench_hierarchy_levels_fig9_expl_l1opt(benchmark):
+    """The full-size Figure 9 expl "L1 Opt" job: the hierarchy on
+    pre-generated line chunks, cut for the job's hierarchy, with L1 and
+    L2 throughput from the per-level chunk timings of the best of three
+    traced passes and the share of L1 accesses the generator dropped as
+    conflict-free MRU hits (never built, still counted as L1 hits)."""
+    job = _fig9_expl_l1opt()
     chunks = list(job.chunks())
 
     def run():

@@ -15,6 +15,10 @@ stack-distance classification), so full-program traces of tens of
 millions of references simulate in seconds either way.
 :class:`StreamingHierarchy` chains them into the one hierarchy; a
 one-shot run is ``StreamingHierarchy(config).feed_all([trace]).result()``.
+A simulation job feeds it line chunks
+(:class:`~repro.cache.config.LineChunk`) instead: line numbers the
+trace generator cut for the hierarchy, without the L1 hits that cannot
+change cache state.
 A sequential one-access-at-a-time LRU model (:mod:`repro.cache.assoc`)
 is kept as the ground-truth oracle the vectorized paths are
 property-tested against.  See ``docs/simulators.md`` for the three

@@ -12,13 +12,15 @@ on it.
 :func:`check_geometry` and :func:`check_trace` are the one input check
 every simulator core shares -- direct-mapped, vectorized k-way and the
 sequential oracle -- so all of them reject a bad geometry or trace with
-the same :class:`~repro.errors.SimulationError`.  A trace chunk may be a
-:class:`SegmentedTrace`, whose segment shape lets the hierarchy drop L1
-hits that cannot change cache state (see ``docs/simulators.md``).
+the same :class:`~repro.errors.SimulationError`.  A trace chunk is an
+address array or a :class:`LineChunk`: the line numbers the trace
+generator cut for one hierarchy, without the L1 hits that cannot change
+cache state (see ``docs/simulators.md``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,8 +35,8 @@ __all__ = [
     "alpha_21164",
     "check_geometry",
     "check_trace",
-    "SegmentedTrace",
-    "segment_shape",
+    "LineChunk",
+    "line_geometry",
 ]
 
 
@@ -67,42 +69,75 @@ def check_trace(addresses) -> np.ndarray:
     return addresses
 
 
-class SegmentedTrace(np.ndarray):
-    """A trace chunk made of whole, equal-length affine segments.
+class LineChunk:
+    """A trace chunk as the accesses a hierarchy's L1 must classify.
 
-    ``segment == (n, refs)``: the chunk is a run of segments, each ``n``
-    consecutive iterations of one innermost loop with ``refs`` references
-    per iteration, in which every reference's address is affine in the
-    iteration.  The trace generator tags the chunks it builds that way
-    with :meth:`tag`.  Every array derived from a tagged one -- a slice,
-    a ufunc result, a concatenation -- has ``segment`` None, since
-    derived data need not keep the segment structure.
+    The trace generator cuts it for one hierarchy
+    (:func:`repro.trace.generator.program_line_chunks`): the chunk
+    stands for ``refs`` consecutive references, and ``lines`` holds, in
+    program order, the line number in units of ``geometry[0]`` bytes of
+    each one L1 must see.  The other ``dropped`` references are L1 hits
+    on their set's most-recently-used line, so they change no cache
+    state at any associativity.  ``geometry`` is
+    :func:`line_geometry` of the hierarchy it was cut for; ``len()`` is
+    ``refs``.  :meth:`positions` gives each kept access's index among
+    the chunk's references, which a hierarchy splitting the chunk at
+    timeline windows reads; ``locate`` computes them on demand (None:
+    nothing was dropped).
     """
 
-    segment: tuple[int, int] | None = None
+    __slots__ = ("lines", "refs", "geometry", "_locate")
 
-    def __array_finalize__(self, obj) -> None:
-        self.segment = None
+    def __init__(self, lines: np.ndarray, refs: int, geometry: tuple, locate=None):
+        self.lines = lines
+        self.refs = refs
+        self.geometry = geometry
+        self._locate = locate
+
+    def __len__(self) -> int:
+        return self.refs
+
+    @property
+    def dropped(self) -> int:
+        return self.refs - self.lines.size
+
+    def positions(self) -> np.ndarray:
+        """Index of each kept access among the chunk's ``refs``."""
+        if self._locate is None:
+            return np.arange(self.refs, dtype=np.int64)
+        return self._locate()
 
     @classmethod
-    def tag(cls, chunk: np.ndarray, n: int, refs: int) -> "SegmentedTrace":
-        """``chunk`` viewed as segments of ``n`` iterations x ``refs`` refs."""
-        out = chunk.view(cls)
-        out.segment = (n, refs)
-        return out
+    def join(cls, chunks: list["LineChunk"]) -> "LineChunk":
+        """Consecutive chunks of one hierarchy as one chunk."""
+        if len(chunks) == 1:
+            return chunks[0]
+        starts = np.cumsum([0] + [c.refs for c in chunks[:-1]])
 
+        def locate() -> np.ndarray:
+            return np.concatenate(
+                [c.positions() + s for c, s in zip(chunks, starts.tolist())]
+            )
 
-def segment_shape(addresses) -> tuple[int, int] | None:
-    """The ``(n, refs)`` segment shape a trace chunk is tagged with, if any."""
-    if not isinstance(addresses, SegmentedTrace) or addresses.segment is None:
-        return None
-    n, refs = segment = addresses.segment
-    if n <= 0 or refs <= 0 or addresses.size % (n * refs):
-        raise SimulationError(
-            f"a trace of {addresses.size} references is not made of "
-            f"segments of {n} x {refs}"
+        dropped = any(c._locate is not None for c in chunks)
+        return cls(
+            np.concatenate([c.lines for c in chunks]),
+            int(starts[-1]) + chunks[-1].refs,
+            chunks[0].geometry,
+            locate if dropped else None,
         )
-    return segment
+
+
+def line_geometry(config: "HierarchyConfig") -> tuple[int, int, int]:
+    """``(unit, line, sets)`` of a hierarchy: the gcd of its line sizes,
+    in which it numbers lines, and its L1's line size and set count,
+    which decide the accesses a :class:`LineChunk` may drop."""
+    l1 = config.levels[0]
+    return (
+        math.gcd(*(cfg.line_size for cfg in config)),
+        l1.line_size,
+        l1.size // (l1.line_size * l1.associativity),
+    )
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,17 @@ stacks are replayed as virtual leading accesses so chunked simulation
 stays byte-identical to one-shot replay.
 
 :class:`StreamingHierarchy` is the one hierarchy: a one-shot run is
-``StreamingHierarchy(config).feed_all([trace]).result()``.  It checks
-each chunk once, hands its levels line numbers rather than addresses,
-and drops L1's conflict-free MRU hits from chunks the trace generator
-tagged with their segment shape before L1 sorts the rest.  The
+``StreamingHierarchy(config).feed_all([trace]).result()``.  It hands
+its levels line numbers rather than addresses: a
+:class:`~repro.cache.config.LineChunk` the trace generator cut for it
+goes to L1 as it is, without the conflict-free MRU hits the generator
+never built, and an address chunk is checked and converted once.  The
 sequential oracle (:mod:`repro.cache.assoc`) chains its own levels and
 is deliberately not importable from here.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -38,7 +38,6 @@ from repro.cache.assoc_vec import (
     LineStream,
     StreamingAssocCache,
     chunk_lines,
-    line_numbers,
     narrow_lines,
     packed_group_sort,
     set_index,
@@ -46,11 +45,13 @@ from repro.cache.assoc_vec import (
 from repro.cache.config import (
     CacheConfig,
     HierarchyConfig,
+    LineChunk,
     check_geometry,
     check_trace,
-    segment_shape,
+    line_geometry,
 )
 from repro.cache.stats import LevelStats, SimulationResult
+from repro.errors import SimulationError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
@@ -131,107 +132,19 @@ def _make_level(cfg: CacheConfig):
     return StreamingAssocCache(cfg.size, cfg.line_size, cfg.associativity)
 
 
-class _MruFilter:
-    """Drops a first level's conflict-free MRU hits from segmented chunks.
-
-    Access ``(i, r)`` of a segment (see
-    :class:`~repro.cache.config.SegmentedTrace`), ``i >= 1``, is dropped
-    when its line equals that of ``(i-1, r)`` and no other column ``c``
-    can map to the same set with another line in between: the byte delta
-    ``A[c] - A[r]`` is affine over the segment, so its endpoints bound
-    it, and its interval in lines, ``[floor(lo/L), ceil(hi/L)]``, must
-    leave out every nonzero multiple of ``num_sets``.  A dropped access
-    is then an MRU hit at any associativity and changes no LRU state, so
-    every other outcome stays the same.
-    """
-
-    def __init__(self, line_size: int, num_sets: int):
-        self.line_size = line_size
-        self.span = num_sets * line_size  # bytes between same-set lines
-        # The last chunk's segment endpoints (relative to each segment's
-        # first address) and their safe columns: consecutive chunks of a
-        # rectangular nest repeat them (85% of the tested chunks of the
-        # full-size Figure 9 traces; see docs/simulators.md).
-        self._memo: tuple | None = None
-
-    def _safe(self, x: np.ndarray) -> np.ndarray:
-        """``[segment, r]``: no other column of ``x = [segment, i, r]``
-        can conflict with column ``r``."""
-        ends = x[:, :: x.shape[1] - 1]  # iterations 0 and n-1
-        rel = ends - ends[:, :1, :1]
-        memo = self._memo
-        if memo is not None and memo[0].shape == rel.shape and (memo[0] == rel).all():
-            return memo[1]
-        # Pair deltas at both ends, [segment, c, r]; lo and hi bound the
-        # delta over the segment since it is affine in the iteration.
-        # Three buffers of segments x refs^2, reused in place.
-        first, last = rel[:, 0], rel[:, 1]
-        d0 = first[:, :, None] - first[:, None, :]
-        hi = last[:, :, None] - last[:, None, :]
-        lo = np.minimum(d0, hi)
-        np.maximum(d0, hi, out=hi)
-        # A nonzero multiple k * num_sets in [floor(lo/L), ceil(hi/L)] is
-        # a multiple k*C of the span C = num_sets * L with lo - L < k*C <
-        # hi + L, i.e. -ka <= k <= kb for these ka and kb.
-        ka = np.subtract(self.line_size - 1, lo, out=lo)
-        ka //= self.span
-        kb = np.add(hi, self.line_size - 1, out=hi)
-        kb //= self.span
-        nonzero = np.bitwise_or(ka, kb, out=d0) != 0
-        conflict = (np.add(ka, kb, out=ka) >= 0) & nonzero
-        safe = ~conflict.any(axis=1)
-        self._memo = (rel, safe)
-        return safe
-
-    def keep(
-        self,
-        addresses: np.ndarray,
-        lines: np.ndarray,
-        segment: tuple[int, int] | None,
-    ) -> tuple[np.ndarray | None, int]:
-        """The accesses the level must classify (None: all of them), and
-        how many are dropped.
-
-        ``lines`` are the chunk's line numbers at this level.  A chunk
-        without a segment shape keeps everything.
-        """
-        if segment is None or not lines.size:
-            return None, 0
-        n, refs = segment
-        # The pair test costs segments x refs^2, at most half a chunk's
-        # worth for segments at least twice as long as they are wide.
-        if 2 * refs > n:
-            return None, 0
-        safe = self._safe(addresses.reshape(-1, n, refs))
-        if not safe.any():
-            return None, 0
-        # One row per segment; iteration i of a row is its refs-wide slice.
-        rows = lines.reshape(-1, n * refs)
-        keep = np.empty(rows.shape, dtype=bool)
-        keep[:, :refs] = True
-        tail = keep[:, refs:]
-        np.not_equal(rows[:, refs:], rows[:, :-refs], out=tail)
-        segments, columns = np.nonzero(~safe)
-        keep.reshape(-1, n, refs)[segments, 1:, columns] = True
-        dropped = tail.size - int(np.count_nonzero(tail))
-        if not dropped:
-            return None, 0
-        return keep.reshape(-1), dropped
-
-
 class StreamingHierarchy:
     """Multi-level streaming simulation: feed chunks, then read the result.
 
     The one hierarchy chain: L1 sees every reference and each lower level
-    exactly the miss stream of the level above.  Each chunk is checked
-    once and converted once to line numbers in units of the gcd of the
-    levels' line sizes (int32 whenever they fit); each level hands the
-    next its misses in those units as a
-    :class:`~repro.cache.assoc_vec.LineStream`.  In a chunk tagged with
-    a segment shape (:class:`~repro.cache.config.SegmentedTrace`), L1's
-    conflict-free MRU hits are dropped before L1 classifies the rest
-    (:class:`_MruFilter`); they still count as L1 accesses that hit, and
-    the ``cache.mru_elided`` counter totals them.
+    exactly the miss stream of the level above.  Every chunk becomes line
+    numbers in units of the gcd of the levels' line sizes (int32
+    whenever they fit) once; each level hands the next its misses in
+    those units as a :class:`~repro.cache.assoc_vec.LineStream`.  A
+    :class:`~repro.cache.config.LineChunk` cut for this hierarchy
+    already is such lines, without L1's conflict-free MRU hits; they
+    still count as L1 accesses that hit, and the ``cache.mru_elided``
+    counter totals them.  An address array is checked and converted,
+    and L1 classifies every access of it.
 
     Example
     -------
@@ -256,8 +169,8 @@ class StreamingHierarchy:
     def __init__(self, config: HierarchyConfig, timeline=None):
         self.config = config
         self._levels = [_make_level(cfg) for cfg in config]
-        self._unit = math.gcd(*(cfg.line_size for cfg in config))
-        self._mru = _MruFilter(config.levels[0].line_size, self._levels[0].num_sets)
+        self._geometry = line_geometry(config)
+        self._unit = self._geometry[0]
         self._level_seconds = [f"cache.{cfg.name}.chunk_seconds" for cfg in config]
         self.total_refs = 0
         self.timeline = timeline
@@ -291,8 +204,10 @@ class StreamingHierarchy:
                     time.perf_counter() - t0
                 )
 
-    def feed(self, addresses: np.ndarray) -> None:
-        """Push one trace chunk through every level.
+    def feed(self, chunk) -> None:
+        """Push one trace chunk -- an address array or a
+        :class:`~repro.cache.config.LineChunk` cut for this hierarchy --
+        through every level.
 
         Instrumentation stays at chunk granularity: two counter adds per
         chunk always, histogram observations per chunk and level only
@@ -301,34 +216,38 @@ class StreamingHierarchy:
         (``benchmarks/test_bench_obs.py`` guards this stays under 2% of
         simulator throughput).
         """
-        segment = segment_shape(addresses)
-        addresses = check_trace(addresses)
         timed = get_tracer().enabled
         t0 = time.perf_counter() if timed else 0.0
-        n = int(addresses.size)
-        lines = narrow_lines(addresses, self._unit)
-        factor = self._levels[0].line_size // self._unit
-        keep, dropped = self._mru.keep(
-            addresses,
-            lines if factor == 1 else line_numbers(lines, factor),
-            segment,
-        )
+        if isinstance(chunk, LineChunk):
+            if chunk.geometry != self._geometry:
+                raise SimulationError(
+                    f"line chunk cut for (unit, L1 line, L1 sets) "
+                    f"{chunk.geometry}, hierarchy has {self._geometry}"
+                )
+            lines, n, dropped = chunk.lines, chunk.refs, chunk.dropped
+        else:
+            lines = narrow_lines(check_trace(chunk), self._unit)
+            n, dropped = int(lines.size), 0
         self._elided_counter.inc(dropped)
         if self.timeline is None:
             self.total_refs += n
-            handoff = [lines if keep is None else lines[keep]]
-            del lines, keep
+            handoff = [lines]
+            del lines
             self._feed_levels(handoff, dropped, timed)
         else:
-            pos = 0
+            # Kept accesses by position: a dropped hit counts in the
+            # window it falls in.
+            where = chunk.positions() if dropped else None
+            pos = kept = 0
             while pos < n:
                 window = self.timeline.window_refs
                 take = min(window - self.total_refs % window, n - pos)
+                end = pos + take if where is None else int(
+                    np.searchsorted(where, pos + take)
+                )
                 start_ref = self.total_refs
                 before = [(lv.accesses, lv.misses) for lv in self._levels]
-                part = lines[pos:pos + take]
-                if keep is not None:
-                    part = part[keep[pos:pos + take]]
+                part = lines[kept:end]
                 self._feed_levels([part], take - part.size, timed)
                 self.timeline.record(
                     start_ref,
@@ -338,6 +257,7 @@ class StreamingHierarchy:
                 )
                 self.total_refs += take
                 pos += take
+                kept = end
         self._refs_counter.inc(n)
         if timed:
             get_metrics().histogram("cache.chunk_seconds").observe(

@@ -49,11 +49,11 @@ def validate_backend(name: str) -> str:
 def run_oracle(job) -> SimulationResult:
     """Simulate one job on the sequential reference hierarchy.
 
-    Streams the job's trace chunks through
+    Streams the job's address-trace chunks through
     :func:`~repro.cache.assoc.replay_hierarchy` -- the executor's
     slowest, most trustworthy backend.
     """
-    return replay_hierarchy(job.hierarchy, job.chunks())
+    return replay_hierarchy(job.hierarchy, job.trace_chunks())
 
 
 def _timed_run_oracle(job) -> tuple[SimulationResult, float, int, int, None]:

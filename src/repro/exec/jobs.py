@@ -111,7 +111,24 @@ class SimJob:
         )
 
     def chunks(self) -> Iterator:
-        """The job's address-trace chunks."""
+        """The chunks the job's hierarchy simulates: the generated
+        trace cut as L1's kept line stream
+        (:func:`~repro.trace.generator.program_line_chunks`), or a custom
+        kernel hook's address chunks."""
+        if self.kernel is not None:
+            return self.trace_chunks()
+        from repro.trace.generator import program_line_chunks
+
+        nests = None
+        if self.nest_index is not None:
+            nests = (self.program.nests[self.nest_index],)
+        return program_line_chunks(
+            self.program, self.layout, self.hierarchy, self.max_chunk_refs, nests
+        )
+
+    def trace_chunks(self) -> Iterator:
+        """The job's address-trace chunks, what the sequential oracle
+        replays."""
         # Imported lazily: the kernel registry imports transforms/layout
         # modules that in turn may import repro.exec.
         if self.kernel is not None:

@@ -83,6 +83,11 @@ DEFAULT_ASSOCS = (2, 4)
 DEFAULT_BUDGET = 48  # simulated evaluations per (kernel, associativity)
 QUICK_BUDGET = 16
 
+#: How many multiples of the L1 set-mapping period (from 0) the k-way
+#: pad grid crosses each array's reach with (see
+#: :func:`~repro.search.space.pad_space`).
+L2_MULTIPLES = 2
+
 
 def assoc_hierarchy(associativity: int) -> HierarchyConfig:
     """The Section 6.1 hierarchy with k-way LRU at both levels."""
@@ -234,8 +239,6 @@ def build_space(
     name: str,
     associativity: int,
     quick: bool = False,
-    max_lines: int = 8,
-    l2_multiples: int = 2,
 ) -> tuple[object, SearchSpace, tuple[int, ...]]:
     """(kernel, space, heuristic config) for one (kernel, k-way) search.
 
@@ -262,8 +265,7 @@ def build_space(
     space = pad_space(
         program, base, hierarchy,
         kernel=kernel,
-        max_lines=max_lines,
-        l2_multiples=l2_multiples,
+        l2_multiples=L2_MULTIPLES,
         include=dict(zip(searched, heuristic_config)),
         name=f"assoc_pad[{name},{associativity}w]",
     )
@@ -276,8 +278,6 @@ def run(
     associativities: tuple[int, ...] = DEFAULT_ASSOCS,
     budget: int | None = None,
     seed: int = 0,
-    max_lines: int = 8,
-    l2_multiples: int = 2,
     workers: int | None = None,
     store=None,
     executor=None,
@@ -299,10 +299,7 @@ def run(
     rows = []
     for name in programs:
         for assoc in associativities:
-            _, space, heuristic_config = build_space(
-                name, assoc, quick=quick,
-                max_lines=max_lines, l2_multiples=l2_multiples,
-            )
+            _, space, heuristic_config = build_space(name, assoc, quick=quick)
             report = tuner.search(
                 space,
                 strategy=_pick_strategy(space, budget),

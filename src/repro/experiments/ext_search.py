@@ -124,7 +124,6 @@ def build_space(
     name: str,
     quick: bool = False,
     hierarchy: HierarchyConfig | None = None,
-    max_lines: int = 8,
 ):
     """(kernel, space, heuristic config) for one program's pad search.
 
@@ -149,7 +148,6 @@ def build_space(
     space = pad_space(
         program, base, hierarchy,
         kernel=kernel,
-        max_lines=max_lines,
         include=dict(zip(searched, heuristic_config)),
         name=f"pad[{name}]",
     )
@@ -168,7 +166,6 @@ def run(
     hierarchy: HierarchyConfig | None = None,
     budget: int | None = None,
     seed: int = 0,
-    max_lines: int = 8,
     workers: int | None = None,
     store=None,
     executor=None,
@@ -189,7 +186,7 @@ def run(
     rows = []
     for name in programs:
         _, space, heuristic_config = build_space(
-            name, quick=quick, hierarchy=hierarchy, max_lines=max_lines
+            name, quick=quick, hierarchy=hierarchy
         )
         report = tuner.search(
             space,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cache import CacheConfig, HierarchyConfig
 from repro.cache.assoc_vec import LineStream
-from repro.cache.config import SegmentedTrace, segment_shape
+from repro.cache.config import LineChunk, line_geometry
 from repro.cache.streaming import (
     StreamingAssocCache,
     StreamingDirectCache,
@@ -14,7 +14,10 @@ from repro.cache.streaming import (
 from repro.cache.direct import miss_mask_direct
 from repro.cache.assoc import miss_mask_assoc, replay_hierarchy
 from repro.errors import SimulationError
+from repro.ir.loops import Loop
 from repro.obs.metrics import get_metrics
+from repro.trace.generator import program_line_chunks, program_trace_chunks
+from repro import DataLayout, ProgramBuilder
 
 
 def chunked(trace, sizes):
@@ -94,10 +97,6 @@ class TestStreamingHierarchy:
         assert stream.result() == mono
 
 
-def _segmented(trace, n, refs):
-    return SegmentedTrace.tag(np.asarray(trace, dtype=np.int64), n, refs)
-
-
 def _two_level(l1_line=32, l2_line=64):
     return HierarchyConfig(
         levels=(
@@ -107,60 +106,67 @@ def _two_level(l1_line=32, l2_line=64):
     )
 
 
-class TestSegmentedTrace:
-    def test_derived_arrays_drop_the_tag(self):
-        t = _segmented(np.arange(12), 3, 2)
-        assert segment_shape(t) == (3, 2)
-        for derived in (t[2:], t + 1, t[t > 3], np.concatenate([t, t]), t.copy()):
-            assert segment_shape(derived) is None
-        assert segment_shape(np.arange(12)) is None
-
-    def test_inconsistent_shape_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamingHierarchy(_two_level()).feed(_segmented(np.arange(10), 3, 2))
+def _streams(gap: int, arrays: int = 2, outer: int = 4, inner: int = 64):
+    """``outer`` runs of an ``inner``-iteration unit-stride loop over
+    ``arrays`` arrays of ``gap`` bytes of doubles, back to back."""
+    b = ProgramBuilder("streams")
+    handles = [b.array(f"S{a}", (gap // 8,)) for a in range(arrays)]
+    (i,) = b.vars("i")
+    b.nest([Loop("j", 1, outer), Loop("i", 1, inner)],
+           [b.use(reads=[h[i] for h in handles])])
+    prog = b.build()
+    layout = DataLayout.sequential(prog)
+    bases = [layout.base(f"S{a}") for a in range(arrays)]
+    assert all(y - x == gap for x, y in zip(bases, bases[1:]))
+    return prog, layout
 
 
 class TestMruElision:
-    def _elided(self, config, chunks):
+    def _elided(self, config, prog, layout):
         counter = get_metrics().counter("cache.mru_elided")
         before = counter.value
+        # A budget of one run: every piece is big enough to cut.
+        chunks = program_line_chunks(prog, layout, config, 64)
         result = StreamingHierarchy(config).feed_all(chunks).result()
-        return result, counter.value - before
+        assert result == replay_hierarchy(config, program_trace_chunks(prog, layout))
+        return counter.value - before
 
     def test_unit_stride_stream_drops_same_line_repeats(self):
         """8-byte elements on 32-byte lines: 3 of every 4 accesses after
-        a segment's first repeat the previous iteration's line."""
-        trace = np.arange(0, 64 * 8 * 4, 8)  # 4 segments of 64 iterations
-        config = _two_level()
-        result, elided = self._elided(config, [_segmented(trace, 64, 1)])
-        assert elided == 4 * 48
-        assert result == replay_hierarchy(config, [trace])
+        a run's first repeat the previous iteration's line."""
+        prog, layout = _streams(64 * 8, arrays=1)
+        assert self._elided(_two_level(), prog, layout) == 4 * 48
 
     def test_columns_a_cache_size_apart_are_kept(self):
         """Two streams exactly one L1 apart evict each other every
         access: no repeat is a safe MRU hit."""
-        a = np.arange(0, 64 * 8, 8)
-        trace = np.stack([a, a + 1024], axis=1).ravel()
-        config = _two_level()
-        result, elided = self._elided(config, [_segmented(trace, 64, 2)])
-        assert elided == 0
-        assert result == replay_hierarchy(config, [trace])
+        prog, layout = _streams(1024)
+        assert self._elided(_two_level(), prog, layout) == 0
 
     def test_padded_columns_drop_again(self):
-        a = np.arange(0, 64 * 8, 8)
-        trace = np.stack([a, a + 1024 + 32], axis=1).ravel()
+        prog, layout = _streams(1024 + 32)
+        assert self._elided(_two_level(), prog, layout) == 2 * 4 * 48
+
+    def test_short_inner_loops_drop_by_their_row(self):
+        """Runs of 3 iterations are shorter than twice the references;
+        the nest's one row still proves the two streams apart."""
+        prog, layout = _streams(64 * 8, outer=40, inner=3)
+        assert self._elided(_two_level(), prog, layout) > 0
+
+    def test_address_chunks_elide_nothing(self):
+        trace = np.arange(0, 64 * 8 * 4, 8)
+        counter = get_metrics().counter("cache.mru_elided")
+        before = counter.value
         config = _two_level()
-        result, elided = self._elided(config, [_segmented(trace, 64, 2)])
-        assert elided == 2 * 48
+        result = StreamingHierarchy(config).feed_all([trace]).result()
+        assert counter.value == before
         assert result == replay_hierarchy(config, [trace])
 
-    def test_untagged_and_short_segments_elide_nothing(self):
-        a = np.arange(0, 64 * 8, 8)
-        config = _two_level()
-        for chunk in (a, _segmented(np.repeat(a[:4], 8), 4, 8)):
-            result, elided = self._elided(config, [chunk])
-            assert elided == 0
-            assert result == replay_hierarchy(config, [chunk])
+    def test_chunk_cut_for_another_geometry_is_rejected(self):
+        chunk = LineChunk(np.zeros(4, dtype=np.int32), 4,
+                          line_geometry(_two_level(l1_line=16)))
+        with pytest.raises(SimulationError):
+            StreamingHierarchy(_two_level()).feed(chunk)
 
 
 class TestLineStream:

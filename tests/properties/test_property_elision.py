@@ -1,15 +1,18 @@
-"""Property tests: the line-stream hierarchy with L1 MRU elision vs the oracle.
+"""Property tests: L1's kept line stream, cut at the trace source, vs the oracle.
 
-:class:`~repro.cache.streaming.StreamingHierarchy` drops L1's
-conflict-free MRU hits from segment-tagged chunks and hands each level
-its predecessor's misses as line numbers in units of the gcd of the line
+:func:`~repro.trace.generator.program_line_chunks` never builds the
+accesses it proves are conflict-free L1 MRU hits, and
+:class:`~repro.cache.streaming.StreamingHierarchy` hands each level its
+predecessor's misses as line numbers in units of the gcd of the line
 sizes.  Neither may change a single count: per-level totals and windowed
-timeline rows must equal the sequential LRU oracle's
-(:func:`repro.cache.assoc.replay_hierarchy`, and the same sequential
-caches fed window by window) on random affine programs -- triangular,
-tiled and negative-step nests, padded layouts -- for direct-mapped and
-k-way L1s, L2 line sizes equal to, a multiple of and not a multiple of
-L1's, and any chunk budget.
+timeline rows must equal the sequential LRU oracle's on the address
+trace (:func:`repro.cache.assoc.replay_hierarchy`, and the same
+sequential caches fed window by window) on random affine programs --
+triangular, tiled and negative-step nests, padded layouts -- for
+direct-mapped and k-way L1s, L2 line sizes equal to, a multiple of and
+not a multiple of L1's, and any chunk budget.  And the dropped accesses
+themselves must be what they claim: each an L1 hit on its set's
+most-recently-used line, the kept lines exactly the rest of the trace.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from hypothesis import strategies as st
 
 from repro import DataLayout, ProgramBuilder
 from repro.cache.assoc import SequentialAssocCache, replay_hierarchy
-from repro.cache.config import CacheConfig, HierarchyConfig, segment_shape
+from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.streaming import StreamingHierarchy
 from repro.ir.affine import var
 from repro.ir.loops import Loop
 from repro.obs.metrics import get_metrics
 from repro.obs.timeline import Timeline
-from repro.trace.generator import program_trace_chunks
+from repro.trace.generator import program_line_chunks, program_trace_chunks
 from tests.properties.test_property_trace import random_nest_loops, random_program
 
 
@@ -104,6 +107,15 @@ def _oracle_rows(config: HierarchyConfig, trace: np.ndarray, window: int) -> lis
     return rows
 
 
+def _chunks(prog, config, budget, origin, pad):
+    """The program's line chunks for ``config`` and its address chunks."""
+    layout = _layout(prog, origin, pad)
+    return (
+        list(program_line_chunks(prog, layout, config, budget)),
+        list(program_trace_chunks(prog, layout, budget)),
+    )
+
+
 class TestElidedHierarchyEqualsOracle:
     @given(
         prog=programs,
@@ -114,13 +126,13 @@ class TestElidedHierarchyEqualsOracle:
     )
     @settings(max_examples=120, deadline=None)
     def test_counts_equal_oracle(self, prog, config, budget, origin, pad):
-        layout = _layout(prog, origin, pad)
-        chunks = list(program_trace_chunks(prog, layout, budget))
+        lined, plain = _chunks(prog, config, budget, origin, pad)
         elided = get_metrics().counter("cache.mru_elided")
         before = elided.value
-        result = StreamingHierarchy(config).feed_all(chunks).result()
-        assert result == replay_hierarchy(config, chunks)
+        result = StreamingHierarchy(config).feed_all(lined).result()
+        assert result == replay_hierarchy(config, plain)
         l1 = result.levels[0]
+        assert elided.value - before == sum(c.dropped for c in lined)
         assert 0 <= elided.value - before <= l1.accesses - l1.misses
 
     @given(
@@ -134,30 +146,53 @@ class TestElidedHierarchyEqualsOracle:
     @settings(max_examples=80, deadline=None)
     def test_timeline_rows_equal_oracle(self, prog, config, budget, origin, pad,
                                         window):
-        layout = _layout(prog, origin, pad)
-        chunks = list(program_trace_chunks(prog, layout, budget))
-        trace = (np.concatenate(chunks) if chunks
+        lined, plain = _chunks(prog, config, budget, origin, pad)
+        trace = (np.concatenate(plain) if plain
                  else np.empty(0, dtype=np.int64))
         timeline = Timeline(
             levels=[c.name for c in config], window_refs=window, capacity=1 << 30
         )
-        result = StreamingHierarchy(config, timeline=timeline).feed_all(chunks).result()
-        assert result == replay_hierarchy(config, chunks)
+        result = StreamingHierarchy(config, timeline=timeline).feed_all(lined).result()
+        assert result == replay_hierarchy(config, plain)
         assert [[r[0], r[1], r[3]] for r in timeline.rows()] == _oracle_rows(
             config, trace, window
         )
 
 
-class TestSegmentTags:
-    @given(prog=programs, budget=st.integers(1, 400), origin=origins)
+class TestDroppedAccesses:
+    @given(
+        prog=programs,
+        config=hierarchies(),
+        budget=st.integers(1, 400),
+        origin=origins,
+        pad=st.integers(0, 96),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_tagged_segments_are_affine(self, prog, budget, origin):
-        """Every column of every tagged segment moves by a constant
-        stride -- the premise of the endpoint interval test."""
-        layout = DataLayout.sequential(prog, origin=origin)
-        for chunk in program_trace_chunks(prog, layout, budget):
-            shape = segment_shape(chunk)
-            if shape is not None:
-                n, refs = shape
-                x = np.asarray(chunk).reshape(-1, n, refs)
-                assert not np.diff(x, 2, axis=1).any()
+    def test_dropped_accesses_are_mru_hits_and_kept_lines_the_rest(
+        self, prog, config, budget, origin, pad
+    ):
+        """Replayed one access at a time on the sequential L1, every
+        access a chunk dropped hits, on the line its set used last; and
+        each chunk's lines are the full unit-line trace at its kept
+        positions, which are strictly increasing."""
+        lined, plain = _chunks(prog, config, budget, origin, pad)
+        l1 = config.levels[0]
+        cache = SequentialAssocCache(l1.size, l1.line_size, l1.associativity)
+        unit = lined[0].geometry[0] if lined else l1.line_size
+        mru: dict[int, int] = {}
+        for chunk, addresses in zip(lined, plain, strict=True):
+            assert len(chunk) == addresses.size
+            kept = chunk.positions()
+            assert (np.diff(kept) > 0).all() and kept.size == chunk.lines.size
+            assert kept.size == 0 or 0 <= kept[0] <= kept[-1] < addresses.size
+            np.testing.assert_array_equal(chunk.lines, addresses[kept] // unit)
+            dropped = np.ones(addresses.size, dtype=bool)
+            dropped[kept] = False
+            miss = cache.feed(addresses)
+            assert not miss[dropped].any()
+            lines = (addresses // l1.line_size).tolist()
+            for line, drop in zip(lines, dropped.tolist()):
+                s = line % cache.num_sets
+                if drop:
+                    assert mru[s] == line
+                mru[s] = line

@@ -1,13 +1,24 @@
 """Vectorized trace generator vs the naive interpreter (ground truth)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import DataLayout, ProgramBuilder
-from repro.cache.config import segment_shape
+from repro.cache.assoc import replay_hierarchy
+from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
+from repro.cache.streaming import StreamingHierarchy
 from repro.errors import IRError
 from repro.ir.affine import var
-from repro.trace.generator import generate_trace, nest_trace_chunks
+from repro.ir.loops import Loop
+from repro.trace import generator
+from repro.trace.generator import (
+    generate_trace,
+    nest_trace_chunks,
+    program_line_chunks,
+    program_trace_chunks,
+)
 from repro.trace.interpreter import interpret_program
 
 
@@ -148,17 +159,62 @@ class TestMinBounds:
         assert trace.size == 10  # 4 + 4 + 2 iterations, one ref each
 
 
-class TestSegmentTags:
-    def test_rectangular_chunks_carry_their_inner_loop_shape(self):
-        prog = rectangular_program()
-        layout = DataLayout.sequential(prog)
-        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0]))
-        # 7 iterations of the inner loop x 4 references per iteration.
-        assert [segment_shape(c) for c in chunks] == [(7, 4)]
-        assert all(c.dtype == np.int64 and c.ndim == 1 for c in chunks)
+SMALL = HierarchyConfig((
+    CacheConfig(size=4096, line_size=32, name="L1"),
+    CacheConfig(size=16384, line_size=64, name="L2"),
+))
 
-    def test_ragged_batches_carry_none(self):
-        prog = triangular_program()
+
+class TestLineChunks:
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("budget", [5, 64, 10_000])
+    def test_kept_lines_are_the_address_chunks_at_their_positions(self, name, budget):
+        """Line chunks end where address chunks end, and each one's
+        lines are its address chunk's unit lines at its kept positions."""
+        prog = PROGRAMS[name]()
+        layout = DataLayout.sequential(prog, origin=1 << 12)
+        lined = list(program_line_chunks(prog, layout, SMALL, budget))
+        plain = list(program_trace_chunks(prog, layout, budget))
+        assert [len(c) for c in lined] == [c.size for c in plain]
+        for chunk, addresses in zip(lined, plain):
+            assert isinstance(chunk, LineChunk) and chunk.lines.dtype == np.int32
+            np.testing.assert_array_equal(
+                chunk.lines, addresses[chunk.positions()] // 32
+            )
+
+    @pytest.mark.parametrize("name", ["rectangular", "triangular"])
+    def test_rectangular_and_ragged_nests_drop_hits(self, name):
+        """8-byte elements on 32-byte lines: unit-stride references
+        repeat their line, in the triangular nest's ragged rows too."""
+        prog = PROGRAMS[name]()
+        layout = DataLayout.sequential(prog, origin=1 << 12)
+        chunks = list(program_line_chunks(prog, layout, SMALL, 64))
+        assert sum(c.dropped for c in chunks) > 0
+
+    @pytest.mark.parametrize("rows", [32, 34], ids=["exceptions", "alternating"])
+    def test_pieces_of_several_phase_patterns(self, rows):
+        """``A(i, j)`` against ``B(i, 2j)`` on a 1 KB L1: the delta
+        between them meets a multiple of the cache every few columns,
+        so a few segments may not drop ``A`` or ``B``; with 34-row
+        columns the phase of ``A`` also alternates by column."""
+        config = HierarchyConfig((
+            CacheConfig(size=1024, line_size=32, name="L1"),
+            CacheConfig(size=8192, line_size=64, name="L2"),
+        ))
+        b = ProgramBuilder("phases")
+        A, B = b.array("A", (rows, 40)), b.array("B", (32, 82))
+        i, j = b.vars("i", "j")
+        b.nest([Loop("j", 1, 40), Loop("i", 1, 32)], [b.use(reads=[A[i, j], B[i, 2 * j]])])
+        prog = b.build()
         layout = DataLayout.sequential(prog)
-        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0]))
-        assert chunks and all(segment_shape(c) is None for c in chunks)
+        with mock.patch.object(
+            generator, "_one_pattern", wraps=generator._one_pattern
+        ) as gathers:
+            lined = list(program_line_chunks(prog, layout, config, 256))
+        assert gathers.call_count > len(lined)  # several patterns a piece
+        plain = list(program_trace_chunks(prog, layout, 256))
+        for chunk, addresses in zip(lined, plain, strict=True):
+            np.testing.assert_array_equal(chunk.lines, addresses[chunk.positions()] // 32)
+        assert sum(c.dropped for c in lined) > 0
+        result = StreamingHierarchy(config).feed_all(lined).result()
+        assert result == replay_hierarchy(config, plain)
