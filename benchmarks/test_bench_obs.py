@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import ultrasparc_i
+from repro.cache.config import LineChunk
 from repro.cache.streaming import StreamingHierarchy
 from repro.obs.metrics import best_of, get_metrics
 from repro.obs.tracer import get_tracer, start_tracing, stop_tracing
@@ -33,7 +34,7 @@ def random_trace():
 def _simulate(trace):
     sim = StreamingHierarchy(HIER)
     for i in range(0, trace.size, CHUNK):
-        sim.feed(trace[i : i + CHUNK])
+        sim.feed(LineChunk.from_addresses(trace[i : i + CHUNK], HIER))
     return sim.result()
 
 
@@ -72,7 +73,9 @@ def test_disabled_obs_calls_are_under_2pct_of_simulation():
     chunk = rng.integers(0, 1 << 22, size=CHUNK).astype(np.int64)
 
     sim = StreamingHierarchy(HIER)
-    sim_seconds = best_of(lambda: sim.feed(chunk), repeats=3)
+    sim_seconds = best_of(
+        lambda: sim.feed(LineChunk.from_addresses(chunk, HIER)), repeats=3
+    )
 
     counter = get_metrics().counter("bench.obs.probe")
     elided = get_metrics().counter("bench.obs.probe_elided")

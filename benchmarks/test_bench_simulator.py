@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import DataLayout, ultrasparc_i
+from repro.cache.config import LineChunk
 from repro.cache.direct import miss_mask_direct
 from repro.cache.streaming import StreamingHierarchy
 from repro.fuzz import FuzzConfig, fuzzed_workloads
@@ -51,7 +52,7 @@ def test_bench_hierarchy_streaming(benchmark, random_trace):
     def run():
         sim = StreamingHierarchy(HIER)
         for i in range(0, random_trace.size, 500_000):
-            sim.feed(random_trace[i : i + 500_000])
+            sim.feed(LineChunk.from_addresses(random_trace[i : i + 500_000], HIER))
         return sim.result()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -12,20 +12,17 @@ Run:  python examples/tiling_matmul.py
 
 import numpy as np
 
-from repro import DataLayout, ultrasparc_i
-from repro.cache.streaming import StreamingHierarchy
+from repro import DataLayout, simulate_program, ultrasparc_i
 from repro.experiments.common import estimated_cycles, mflops
 from repro.experiments.fig13_tiling import tile_for_version
 from repro.kernels import matmul
 from repro.kernels.numeric import run_matmul_tiled
-from repro.trace.generator import program_trace_chunks
 
 
 def modeled_mflops(program, hier):
-    sim = StreamingHierarchy(hier)
-    sim.feed_all(program_trace_chunks(program, DataLayout.sequential(program)))
+    result = simulate_program(program, DataLayout.sequential(program), hier, store=None)
     flops = program.total_flops()
-    return mflops(flops, estimated_cycles(sim.result(), hier, flops))
+    return mflops(flops, estimated_cycles(result, hier, flops))
 
 
 def main() -> None:

@@ -13,12 +13,11 @@ trace chunks: :class:`~repro.cache.streaming.StreamingDirectCache`
 :class:`~repro.cache.assoc_vec.StreamingAssocCache` (a set-grouped
 stack-distance classification), so full-program traces of tens of
 millions of references simulate in seconds either way.
-:class:`StreamingHierarchy` chains them into the one hierarchy; a
-one-shot run is ``StreamingHierarchy(config).feed_all([trace]).result()``.
-A simulation job feeds it line chunks
-(:class:`~repro.cache.config.LineChunk`) instead: line numbers the
-trace generator cut for the hierarchy, without the L1 hits that cannot
-change cache state.
+:class:`StreamingHierarchy` chains them into the one hierarchy, fed
+only line chunks (:class:`~repro.cache.config.LineChunk`): line numbers
+the trace generator cut for the hierarchy, without the L1 hits that
+cannot change cache state, or an address trace converted by
+``LineChunk.from_addresses(trace, config)`` with every access kept.
 A sequential one-access-at-a-time LRU model (:mod:`repro.cache.assoc`)
 is kept as the ground-truth oracle the vectorized paths are
 property-tested against.  See ``docs/simulators.md`` for the three

@@ -12,10 +12,11 @@ on it.
 :func:`check_geometry` and :func:`check_trace` are the one input check
 every simulator core shares -- direct-mapped, vectorized k-way and the
 sequential oracle -- so all of them reject a bad geometry or trace with
-the same :class:`~repro.errors.SimulationError`.  A trace chunk is an
-address array or a :class:`LineChunk`: the line numbers the trace
-generator cut for one hierarchy, without the L1 hits that cannot change
-cache state (see ``docs/simulators.md``).
+the same :class:`~repro.errors.SimulationError`.  A hierarchy is fed
+line chunks (:class:`LineChunk`): the line numbers the trace generator
+cut for it, without the L1 hits that cannot change cache state, or an
+address chunk converted by :meth:`LineChunk.from_addresses` with every
+access kept (see ``docs/simulators.md``).
 """
 
 from __future__ import annotations
@@ -59,10 +60,16 @@ def check_geometry(size: int, line_size: int, associativity: int = 1) -> int:
 
 
 def check_trace(addresses) -> np.ndarray:
-    """``addresses`` as a 1-D int64 trace of non-negative byte addresses."""
+    """``addresses`` as a 1-D int64 trace of non-negative byte addresses.
+
+    A non-empty trace must hold integers: a float, bool or string array
+    is rejected rather than cast.
+    """
     addresses = np.asarray(addresses)
     if addresses.ndim != 1:
         raise SimulationError(f"trace must be 1-D, got shape {addresses.shape}")
+    if addresses.size and addresses.dtype.kind not in "iu":
+        raise SimulationError(f"trace must hold integers, got dtype {addresses.dtype}")
     addresses = addresses.astype(np.int64, copy=False)
     if addresses.size and addresses.min() < 0:
         raise SimulationError("trace contains negative addresses")
@@ -106,6 +113,17 @@ class LineChunk:
         if self._locate is None:
             return np.arange(self.refs, dtype=np.int64)
         return self._locate()
+
+    @classmethod
+    def from_addresses(cls, addresses, hierarchy: "HierarchyConfig") -> "LineChunk":
+        """An address chunk as ``hierarchy``'s line chunk, every access
+        kept: the one way addresses enter a hierarchy."""
+        # Imported here: repro.cache.assoc_vec imports this module.
+        from repro.cache.assoc_vec import narrow_lines
+
+        geometry = line_geometry(hierarchy)
+        lines = narrow_lines(check_trace(addresses), geometry[0])
+        return cls(lines, int(lines.size), geometry)
 
     @classmethod
     def join(cls, chunks: list["LineChunk"]) -> "LineChunk":

@@ -18,14 +18,13 @@ k-way core): chunk classification is fully vectorized, and the carried
 stacks are replayed as virtual leading accesses so chunked simulation
 stays byte-identical to one-shot replay.
 
-:class:`StreamingHierarchy` is the one hierarchy: a one-shot run is
-``StreamingHierarchy(config).feed_all([trace]).result()``.  It hands
-its levels line numbers rather than addresses: a
-:class:`~repro.cache.config.LineChunk` the trace generator cut for it
-goes to L1 as it is, without the conflict-free MRU hits the generator
-never built, and an address chunk is checked and converted once.  The
-sequential oracle (:mod:`repro.cache.assoc`) chains its own levels and
-is deliberately not importable from here.
+:class:`StreamingHierarchy` is the one hierarchy.  It is fed line
+numbers, never addresses: a :class:`~repro.cache.config.LineChunk` the
+trace generator cut for it goes to L1 as it is, without the
+conflict-free MRU hits the generator never built, and an address trace
+enters as ``LineChunk.from_addresses(trace, config)``, every access
+kept.  The sequential oracle (:mod:`repro.cache.assoc`) chains its own
+levels and is deliberately not importable from here.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.cache.assoc_vec import (
     LineStream,
     StreamingAssocCache,
     chunk_lines,
-    narrow_lines,
     packed_group_sort,
     set_index,
 )
@@ -47,7 +45,6 @@ from repro.cache.config import (
     HierarchyConfig,
     LineChunk,
     check_geometry,
-    check_trace,
     line_geometry,
 )
 from repro.cache.stats import LevelStats, SimulationResult
@@ -136,22 +133,25 @@ class StreamingHierarchy:
     """Multi-level streaming simulation: feed chunks, then read the result.
 
     The one hierarchy chain: L1 sees every reference and each lower level
-    exactly the miss stream of the level above.  Every chunk becomes line
+    exactly the miss stream of the level above.  It is fed line chunks
+    (:class:`~repro.cache.config.LineChunk`) cut for its geometry: line
     numbers in units of the gcd of the levels' line sizes (int32
-    whenever they fit) once; each level hands the next its misses in
-    those units as a :class:`~repro.cache.assoc_vec.LineStream`.  A
-    :class:`~repro.cache.config.LineChunk` cut for this hierarchy
-    already is such lines, without L1's conflict-free MRU hits; they
-    still count as L1 accesses that hit, and the ``cache.mru_elided``
-    counter totals them.  An address array is checked and converted,
-    and L1 classifies every access of it.
+    whenever they fit), without L1's conflict-free MRU hits; those still
+    count as L1 accesses that hit, and the ``cache.mru_elided`` counter
+    totals them.  Each level hands the next its misses in the same
+    units as a :class:`~repro.cache.assoc_vec.LineStream`.  An address
+    trace enters through
+    :meth:`~repro.cache.config.LineChunk.from_addresses`, which keeps
+    every access.
 
     Example
     -------
     >>> from repro.cache import StreamingHierarchy, ultrasparc_i
+    >>> from repro.cache.config import LineChunk
     >>> import numpy as np
-    >>> sim = StreamingHierarchy(ultrasparc_i()).feed_all([np.arange(0, 1 << 16, 4)])
-    >>> round(sim.result().miss_rate("L1"), 3)
+    >>> hier = ultrasparc_i()
+    >>> chunk = LineChunk.from_addresses(np.arange(0, 1 << 16, 4), hier)
+    >>> round(StreamingHierarchy(hier).feed_all([chunk]).result().miss_rate("L1"), 3)
     0.125
 
     Pass a :class:`repro.obs.timeline.Timeline` to also accumulate
@@ -180,17 +180,9 @@ class StreamingHierarchy:
         self._refs_counter = metrics.counter("cache.refs")
         self._elided_counter = metrics.counter("cache.mru_elided")
 
-    def _feed_levels(self, handoff: list, hits: int, timed: bool) -> None:
-        """Push the unit line numbers L1 must classify, the one item of
-        ``handoff``, through every level; ``hits`` more L1 accesses were
-        dropped as MRU hits.
-
-        When the caller keeps no other reference to the stream, as
-        ``feed`` without a timeline does, each level's input and miss
-        mask are freed as soon as the next level's stream is cut from
-        them: one level's working set is live at a time.
-        """
-        stream = handoff.pop()
+    def _feed_levels(self, stream: np.ndarray, hits: int, timed: bool) -> None:
+        """Push the unit line numbers L1 must classify through every
+        level; ``hits`` more L1 accesses were dropped as MRU hits."""
         last = len(self._levels) - 1
         for i, level in enumerate(self._levels):
             t0 = time.perf_counter() if timed else 0.0
@@ -204,10 +196,9 @@ class StreamingHierarchy:
                     time.perf_counter() - t0
                 )
 
-    def feed(self, chunk) -> None:
-        """Push one trace chunk -- an address array or a
-        :class:`~repro.cache.config.LineChunk` cut for this hierarchy --
-        through every level.
+    def feed(self, chunk: LineChunk) -> None:
+        """Push one :class:`~repro.cache.config.LineChunk` cut for this
+        hierarchy through every level.
 
         Instrumentation stays at chunk granularity: two counter adds per
         chunk always, histogram observations per chunk and level only
@@ -218,22 +209,21 @@ class StreamingHierarchy:
         """
         timed = get_tracer().enabled
         t0 = time.perf_counter() if timed else 0.0
-        if isinstance(chunk, LineChunk):
-            if chunk.geometry != self._geometry:
-                raise SimulationError(
-                    f"line chunk cut for (unit, L1 line, L1 sets) "
-                    f"{chunk.geometry}, hierarchy has {self._geometry}"
-                )
-            lines, n, dropped = chunk.lines, chunk.refs, chunk.dropped
-        else:
-            lines = narrow_lines(check_trace(chunk), self._unit)
-            n, dropped = int(lines.size), 0
+        if not isinstance(chunk, LineChunk):
+            raise SimulationError(
+                f"a hierarchy is fed LineChunks, got {type(chunk).__name__}; "
+                "wrap addresses with LineChunk.from_addresses"
+            )
+        if chunk.geometry != self._geometry:
+            raise SimulationError(
+                f"line chunk cut for (unit, L1 line, L1 sets) "
+                f"{chunk.geometry}, hierarchy has {self._geometry}"
+            )
+        lines, n, dropped = chunk.lines, chunk.refs, chunk.dropped
         self._elided_counter.inc(dropped)
         if self.timeline is None:
             self.total_refs += n
-            handoff = [lines]
-            del lines
-            self._feed_levels(handoff, dropped, timed)
+            self._feed_levels(lines, dropped, timed)
         else:
             # Kept accesses by position: a dropped hit counts in the
             # window it falls in.
@@ -248,7 +238,7 @@ class StreamingHierarchy:
                 start_ref = self.total_refs
                 before = [(lv.accesses, lv.misses) for lv in self._levels]
                 part = lines[kept:end]
-                self._feed_levels([part], take - part.size, timed)
+                self._feed_levels(part, take - part.size, timed)
                 self.timeline.record(
                     start_ref,
                     start_ref + take,

@@ -28,13 +28,6 @@ from repro.ir.lowering import lower
 __all__ = ["estimate_job_refs", "estimate_job_lines", "job_cost"]
 
 
-def _job_nests(job):
-    """The nests one job actually traces (all, or the selected one)."""
-    if job.nest_index is not None:
-        return (job.program.nests[job.nest_index],)
-    return tuple(job.program.nests)
-
-
 def estimate_job_refs(job) -> int:
     """Exact dynamic reference count of a job's generic trace.
 
@@ -43,7 +36,7 @@ def estimate_job_refs(job) -> int:
     right estimate either way.
     """
     return sum(
-        nest.iterations() * nest.refs_per_iteration for nest in _job_nests(job)
+        nest.iterations() * nest.refs_per_iteration for nest in job.program.nests
     )
 
 
@@ -60,7 +53,7 @@ def estimate_job_lines(job, line_size: int | None = None) -> int:
         line_size = min(c.line_size for c in job.hierarchy)
     lowered = lower(job.program)
     total = 0
-    for nest in _job_nests(job):
+    for nest in job.program.nests:
         low = lowered.nest(nest)
         bounds = ref_line_bounds(low, line_size)
         total += sum(bounds[u] for u in low.index.tolist())

@@ -189,9 +189,8 @@ def job_key(
     """The result-store key of one simulation job.
 
     ``trace`` names how the address trace is produced: ``("program",)``
-    for the default whole-program generator, ``("nest", i)`` for a single
-    cold-cache nest, or ``("kernel", name)`` for a registry kernel with a
-    custom trace hook.  ``backend`` names what produced the counters
+    for the default whole-program generator, or ``("kernel", name)`` for
+    a registry kernel with a custom trace hook.  ``backend`` names what produced the counters
     (``"sim"`` or ``"oracle"``; older stores also hold ``"symbolic"``
     entries); it partitions the store so backends never serve each
     other's results.

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.cache.config import HierarchyConfig
+from repro.cache.config import HierarchyConfig, LineChunk
 from repro.cache.stats import SimulationResult
 from repro.cache.streaming import StreamingHierarchy
-from repro.errors import ReproError
 from repro.exec.hashing import job_key
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
-from repro.trace.generator import DEFAULT_CHUNK_REFS
+from repro.trace.generator import program_line_chunks, program_trace_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.kernels.registry import Kernel
@@ -30,12 +29,14 @@ __all__ = ["SimJob"]
 
 @dataclass(frozen=True)
 class SimJob:
-    """One independent simulation of a sweep.
+    """One independent simulation of a sweep: the whole program, cold
+    caches, at the trace generator's default chunk budget.
 
     ``kernel`` names a registry kernel whose *custom* trace hook must be
-    used; leave it None for the generic vectorized trace.  ``nest_index``
-    restricts the trace to one nest (cold caches).  ``tag`` is opaque caller
-    metadata (figure/version labels); it never reaches the cache key.
+    used; leave it None for the generic vectorized trace.  To simulate
+    some nests alone, build the job on ``program.with_nests(...)``.
+    ``tag`` is opaque caller metadata (figure/version labels); it never
+    reaches the cache key.
     ``timeline_window`` asks :meth:`run_timed` for windowed per-level
     telemetry (refs per window; None/0 disables); like ``tag`` it is
     pure observability and never reaches the cache key -- the simulated
@@ -46,23 +47,10 @@ class SimJob:
     layout: DataLayout
     hierarchy: HierarchyConfig
     kernel: str | None = None
-    nest_index: int | None = None
-    max_chunk_refs: int = DEFAULT_CHUNK_REFS
     tag: tuple = field(default=(), compare=False)
     timeline_window: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kernel is not None and self.nest_index is not None:
-            raise ReproError("a job traces either a kernel or one nest, not both")
-        if self.nest_index is not None and not (
-            0 <= self.nest_index < len(self.program.nests)
-        ):
-            raise ReproError(
-                f"nest_index {self.nest_index} out of range for program "
-                f"with {len(self.program.nests)} nests"
-            )
-        if self.max_chunk_refs <= 0:
-            raise ReproError("max_chunk_refs must be positive")
         object.__setattr__(self, "tag", tuple(self.tag))
 
     @classmethod
@@ -72,7 +60,6 @@ class SimJob:
         program: Program,
         layout: DataLayout,
         hierarchy: HierarchyConfig,
-        max_chunk_refs: int = DEFAULT_CHUNK_REFS,
         tag: tuple = (),
     ) -> "SimJob":
         """Job for a registry kernel, honoring its custom trace hook.
@@ -87,7 +74,6 @@ class SimJob:
             layout=layout,
             hierarchy=hierarchy,
             kernel=name,
-            max_chunk_refs=max_chunk_refs,
             tag=tag,
         )
 
@@ -95,8 +81,6 @@ class SimJob:
         """The trace-mode component of the cache key."""
         if self.kernel is not None:
             return ("kernel", self.kernel)
-        if self.nest_index is not None:
-            return ("nest", self.nest_index)
         return ("program",)
 
     def key(self, backend: str = "sim") -> str:
@@ -110,21 +94,17 @@ class SimJob:
             self.program, self.layout, self.hierarchy, self.trace_spec(), backend
         )
 
-    def chunks(self) -> Iterator:
-        """The chunks the job's hierarchy simulates: the generated
+    def chunks(self) -> Iterator[LineChunk]:
+        """The line chunks the job's hierarchy simulates: the generated
         trace cut as L1's kept line stream
         (:func:`~repro.trace.generator.program_line_chunks`), or a custom
-        kernel hook's address chunks."""
+        kernel hook's address chunks with every access kept."""
         if self.kernel is not None:
-            return self.trace_chunks()
-        from repro.trace.generator import program_line_chunks
-
-        nests = None
-        if self.nest_index is not None:
-            nests = (self.program.nests[self.nest_index],)
-        return program_line_chunks(
-            self.program, self.layout, self.hierarchy, self.max_chunk_refs, nests
-        )
+            return (
+                LineChunk.from_addresses(chunk, self.hierarchy)
+                for chunk in self.trace_chunks()
+            )
+        return program_line_chunks(self.program, self.layout, self.hierarchy)
 
     def trace_chunks(self) -> Iterator:
         """The job's address-trace chunks, what the sequential oracle
@@ -135,14 +115,7 @@ class SimJob:
             from repro.kernels.registry import get_kernel
 
             return get_kernel(self.kernel).trace_chunks(self.program, self.layout)
-        from repro.trace.generator import nest_trace_chunks, program_trace_chunks
-
-        if self.nest_index is not None:
-            nest = self.program.nests[self.nest_index]
-            return nest_trace_chunks(
-                self.program, self.layout, nest, self.max_chunk_refs
-            )
-        return program_trace_chunks(self.program, self.layout, self.max_chunk_refs)
+        return program_trace_chunks(self.program, self.layout)
 
     def run(self) -> SimulationResult:
         """Simulate this job (pure computation, no memoization)."""

@@ -96,14 +96,12 @@ def run_shared(digest: str, blob: bytes, variant: tuple, runner) -> tuple:
     from repro.exec.jobs import SimJob  # lazy: avoid import cycle at fork
 
     program, hierarchy = _shared_payload(digest, blob)
-    layout, kernel, nest_index, max_chunk_refs, timeline_window = variant
+    layout, kernel, timeline_window = variant
     job = SimJob(
         program=program,
         layout=layout,
         hierarchy=hierarchy,
         kernel=kernel,
-        nest_index=nest_index,
-        max_chunk_refs=max_chunk_refs,
         timeline_window=timeline_window,
     )
     metrics, previous = MetricsRegistry(), get_metrics()
@@ -137,8 +135,7 @@ def pack_payloads(jobs) -> list[tuple[str, bytes, tuple]]:
             cached = (hashlib.sha256(blob).hexdigest(), blob)
             blob_of[ident] = cached
         digest, blob = cached
-        variant = (job.layout, job.kernel, job.nest_index, job.max_chunk_refs,
-                   job.timeline_window)
+        variant = (job.layout, job.kernel, job.timeline_window)
         out.append((digest, blob, variant))
     return out
 

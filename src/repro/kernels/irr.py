@@ -83,6 +83,6 @@ def trace_chunks(
         out[:, 3] = bases["Y"] + 8 * edges[:, 1]
         out[:, 4] = bases["X"] + 8 * edges[:, 0]
         yield out.reshape(-1)
-    from repro.trace.generator import nest_trace_chunks
+    from repro.trace.generator import program_trace_chunks
 
-    yield from nest_trace_chunks(program, layout, program.nests[0])
+    yield from program_trace_chunks(program, layout)

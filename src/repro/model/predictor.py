@@ -243,7 +243,7 @@ def predict_nest(
 
     ``resident`` gives, per level, the arrays assumed cached on entry
     (:func:`predict_job` threads this across nests); by default every
-    level starts cold, matching a ``SimJob`` with ``nest_index`` set.
+    level starts cold, matching a ``SimJob`` of a program of that nest alone.
     """
     from repro.layout.diagram import CacheDiagram  # lazy: import-cycle guard
 
@@ -307,12 +307,12 @@ def _update_residency(
 def predict_job(job) -> PredictedStats:
     """Score one :class:`~repro.exec.jobs.SimJob` analytically.
 
-    The analytic counterpart of ``job.run()``: same program, layout, and
-    hierarchy, with ``nest_index`` jobs predicted on that nest alone
-    (cold caches, as the simulator runs them).  Kernels with
-    custom trace hooks (IRR's runtime gathers) are estimated from their
-    affine IR, which ignores the data-dependent indirection -- no level
-    of theirs is exact, so rank them with care, or not at all.
+    The analytic counterpart of ``job.run()``: same whole program,
+    layout, and hierarchy, from cold caches as the simulator runs them.
+    Kernels with custom trace hooks (IRR's runtime gathers) are
+    estimated from their affine IR, which ignores the data-dependent
+    indirection -- no level of theirs is exact, so rank them with care,
+    or not at all.
 
     The exactness proof (:func:`repro.symbolic.classify_job`) runs
     first: every level in its exact prefix gets the proven distinct-line
@@ -324,11 +324,7 @@ def predict_job(job) -> PredictedStats:
     three-level experiments depend on.
     """
     program, layout, hierarchy = job.program, job.layout, job.hierarchy
-    if job.nest_index is not None:
-        selected = (program.nests[job.nest_index],)
-    else:
-        selected = tuple(program.nests)
-    if not selected:
+    if not program.nests:
         raise AnalysisError(f"program {program.name!r} has no nests to predict")
     classification = classify_job(job)
     resident: list[frozenset[str]] = [frozenset() for _ in hierarchy.levels]
@@ -336,7 +332,7 @@ def predict_job(job) -> PredictedStats:
     conflicts = [0.0] * len(hierarchy.levels)
     nest_preds = []
     total_refs = 0
-    for nest in selected:
+    for nest in program.nests:
         pred = predict_nest(
             program, layout, nest, hierarchy, resident=tuple(resident)
         )

@@ -21,7 +21,6 @@ from repro.exec.executor import _UNSET, execute_one
 from repro.exec.jobs import SimJob
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
-from repro.trace.generator import DEFAULT_CHUNK_REFS
 
 __all__ = ["simulate_program"]
 
@@ -30,7 +29,6 @@ def simulate_program(
     program: Program,
     layout: DataLayout,
     hierarchy: HierarchyConfig,
-    max_chunk_refs: int = DEFAULT_CHUNK_REFS,
     store=_UNSET,
     backend: str = "sim",
 ) -> SimulationResult:
@@ -41,10 +39,5 @@ def simulate_program(
     (``"sim"`` or ``"oracle"``), routed through exactly the same key
     logic a :class:`~repro.exec.executor.SweepExecutor` sweep uses.
     """
-    job = SimJob(
-        program=program,
-        layout=layout,
-        hierarchy=hierarchy,
-        max_chunk_refs=max_chunk_refs,
-    )
+    job = SimJob(program=program, layout=layout, hierarchy=hierarchy)
     return execute_one(job, store=store, backend=backend)

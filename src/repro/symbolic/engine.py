@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 from repro.analysis.footprint import ref_line_bounds
 from repro.cache.config import HierarchyConfig
-from repro.ir.loops import LoopNest
 from repro.ir.lowering import LoweredNest, lower
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
@@ -125,9 +124,8 @@ def classify_program(
     program: Program,
     layout: DataLayout,
     hierarchy: HierarchyConfig,
-    nests: tuple[LoopNest, ...] | None = None,
 ) -> tuple[LevelClassification, ...]:
-    """Per-level exactness verdicts for a program (or nest subset).
+    """Per-level exactness verdicts for a whole program.
 
     Cheap by construction.  A program of at most
     :data:`~repro.symbolic.lines.MAX_OFFSETS` references is enumerated in
@@ -137,13 +135,12 @@ def classify_program(
     not rule out the first level, stops as soon as the first level is
     seen to overflow, and is itself budgeted.
     """
-    selected = tuple(nests) if nests is not None else tuple(program.nests)
     levels = hierarchy.levels
     with get_tracer().span(
         "symbolic.classify", cat="symbolic", program=program.name
     ) as span:
         lowered = lower(program)
-        lows = tuple(lowered.nest(nest) for nest in selected)
+        lows = tuple(lowered.nest(nest) for nest in program.nests)
         short = is_short(lows)
         verdict = _capacity_verdict(
             lows,
@@ -153,7 +150,7 @@ def classify_program(
         offsets = None
         if short or ruled_out > 0:
             offsets = distinct_offsets(
-                program, layout, selected, stop=None if short else levels[0]
+                program, layout, stop=None if short else levels[0]
             )
         # A stopped enumeration returns a partial set that overflows the
         # first level; any other set is the whole footprint.
@@ -234,7 +231,4 @@ def classify_job(job) -> tuple[LevelClassification, ...]:
             )
             for cache in job.hierarchy.levels
         )
-    nests = None
-    if job.nest_index is not None:
-        nests = (job.program.nests[job.nest_index],)
-    return classify_program(job.program, job.layout, job.hierarchy, nests)
+    return classify_program(job.program, job.layout, job.hierarchy)

@@ -179,11 +179,10 @@ def _ref_union(pieces: list[np.ndarray]) -> np.ndarray:
 def distinct_offsets(
     program: Program,
     layout: DataLayout,
-    nests: tuple[LoopNest, ...] | None = None,
     stop: CacheConfig | None = None,
 ) -> np.ndarray | None:
-    """Distinct absolute byte offsets a whole program (or nest subset)
-    touches, or ``None`` when any reference exceeds the budget.
+    """Distinct absolute byte offsets a whole program touches, or
+    ``None`` when any reference exceeds the budget.
 
     This is the program's exact byte footprint; per-level line sets
     follow by floor division (:func:`distinct_lines`), which commutes
@@ -198,7 +197,7 @@ def distinct_offsets(
     pieces: list[np.ndarray] = []
     lines = np.empty(0, dtype=np.int64)
     try:
-        for nest in nests if nests is not None else program.nests:
+        for nest in program.nests:
             low = lowered.nest(nest)
             # Built once per nest: the grouping does not depend on the layout.
             groups = low.cached(_RowGroups, lambda: _RowGroups(low.nest))

@@ -14,8 +14,7 @@ from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.trace.generator": (
-        "generate_trace", "nest_trace_chunks", "program_trace_chunks",
-        "program_line_chunks",
+        "generate_trace", "program_trace_chunks", "program_line_chunks",
     ),
     "repro.trace.interpreter": ("interpret_nest", "interpret_program"),
 })

@@ -50,13 +50,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.cache.assoc_vec import line_numbers, narrow_lines
-from repro.cache.config import (
-    HierarchyConfig,
-    LineChunk,
-    check_trace,
-    line_geometry,
-)
+from repro.cache.assoc_vec import line_numbers
+from repro.cache.config import HierarchyConfig, LineChunk, line_geometry
 from repro.errors import IRError, SimulationError
 from repro.ir.loops import LoopNest, ragged_range
 from repro.ir.lowering import lower
@@ -64,7 +59,6 @@ from repro.ir.program import Program
 from repro.layout.layout import DataLayout
 
 __all__ = [
-    "nest_trace_chunks",
     "program_trace_chunks",
     "program_line_chunks",
     "generate_trace",
@@ -345,6 +339,7 @@ class _LineCutter:
     """
 
     def __init__(self, hierarchy: HierarchyConfig, max_chunk_refs: int):
+        self.hierarchy = hierarchy
         self.geometry = unit, line, sets = line_geometry(hierarchy)
         self.unit, self.line, self.span = unit, line, sets * line
         self.min_refs = max_chunk_refs // CUT_DIVISOR
@@ -435,7 +430,7 @@ class _LineCutter:
         starts, n, stride = seg.starts, seg.n, nest.stride
         refs = seg.refs()
         if refs < self.min_refs or (isinstance(n, int) and n < 2):
-            return self._plain(seg, stride, refs)
+            return self._plain(seg, stride)
         if not isinstance(n, int) and (n == 0).any():
             run = n > 0
             rows = seg.rows if isinstance(seg.rows, int) else seg.rows[run]
@@ -444,7 +439,7 @@ class _LineCutter:
         m, nrefs = starts.shape
         droppable = self._droppable(nest, seg)
         if not droppable.any():
-            return self._plain(seg, stride, refs)
+            return self._plain(seg, stride)
         last = n - 1 if isinstance(n, int) else (n - 1)[:, None]
         ends = starts + stride * last
         low = min(int(starts.min()), int(ends.min()))
@@ -479,10 +474,9 @@ class _LineCutter:
             ),
         )
 
-    def _plain(self, seg: _Segments, stride: np.ndarray, refs: int) -> LineChunk:
+    def _plain(self, seg: _Segments, stride: np.ndarray) -> LineChunk:
         """Every access kept."""
-        lines = narrow_lines(check_trace(_addresses(seg, stride)), self.unit)
-        return LineChunk(lines, refs, self.geometry)
+        return LineChunk.from_addresses(_addresses(seg, stride), self.hierarchy)
 
 
 def _patterns(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -588,43 +582,29 @@ def _coalesce(pieces: Iterator, max_chunk_refs: int) -> Iterator:
         yield _join(pending)
 
 
-def _address_pieces(program, layout, nests, max_chunk_refs) -> Iterator[np.ndarray]:
-    for loop_nest in nests:
-        nest = _Nest(program, layout, loop_nest)
-        for seg in _nest_pieces(nest, max_chunk_refs):
-            yield _addresses(seg, nest.stride)
-
-
-def nest_trace_chunks(
-    program: Program,
-    layout: DataLayout,
-    nest: LoopNest,
-    max_chunk_refs: int = DEFAULT_CHUNK_REFS,
-) -> Iterator[np.ndarray]:
-    """Yield the nest's address trace as a sequence of int64 chunks.
-
-    ``max_chunk_refs`` bounds the number of references per emitted chunk
-    whenever one iteration fits it.  The nest's rows (see the module
-    docstring) are enumerated with NumPy; a big row is emitted alone, in
-    blocks of its outermost loops' values when it exceeds the budget,
-    and runs of small rows are packed into batches of at most the
-    budget.  Small pieces are then concatenated up to the budget.
-    """
-    return _coalesce(
-        _address_pieces(program, layout, [nest], max_chunk_refs), max_chunk_refs
-    )
-
-
 def program_trace_chunks(
     program: Program,
     layout: DataLayout,
     max_chunk_refs: int = DEFAULT_CHUNK_REFS,
 ) -> Iterator[np.ndarray]:
-    """Concatenated chunked trace of all nests in program order."""
-    return _coalesce(
-        _address_pieces(program, layout, program.nests, max_chunk_refs),
-        max_chunk_refs,
-    )
+    """Yield the program's address trace, nest after nest in program
+    order, as a sequence of int64 chunks.
+
+    ``max_chunk_refs`` bounds the number of references per emitted chunk
+    whenever one iteration fits it.  Each nest's rows (see the module
+    docstring) are enumerated with NumPy; a big row is emitted alone, in
+    blocks of its outermost loops' values when it exceeds the budget,
+    and runs of small rows are packed into batches of at most the
+    budget.  Small pieces are then concatenated up to the budget.
+    """
+
+    def pieces() -> Iterator[np.ndarray]:
+        for loop_nest in program.nests:
+            nest = _Nest(program, layout, loop_nest)
+            for seg in _nest_pieces(nest, max_chunk_refs):
+                yield _addresses(seg, nest.stride)
+
+    return _coalesce(pieces(), max_chunk_refs)
 
 
 def program_line_chunks(
@@ -632,16 +612,15 @@ def program_line_chunks(
     layout: DataLayout,
     hierarchy: HierarchyConfig,
     max_chunk_refs: int = DEFAULT_CHUNK_REFS,
-    nests: tuple[LoopNest, ...] | None = None,
 ) -> Iterator[LineChunk]:
-    """The trace of ``nests`` (all of the program's by default) as the
-    line chunks ``hierarchy`` simulates: the same chunk boundaries as
-    :func:`program_trace_chunks`, each chunk holding the line numbers of
-    the accesses its L1 must classify (see the module docstring)."""
+    """The program's trace as the line chunks ``hierarchy`` simulates:
+    the same chunk boundaries as :func:`program_trace_chunks`, each
+    chunk holding the line numbers of the accesses its L1 must classify
+    (see the module docstring)."""
     cutter = _LineCutter(hierarchy, max_chunk_refs)
 
     def pieces() -> Iterator[LineChunk]:
-        for loop_nest in program.nests if nests is None else nests:
+        for loop_nest in program.nests:
             nest = _Nest(program, layout, loop_nest)
             for seg in _nest_pieces(nest, max_chunk_refs):
                 yield cutter.cut(nest, seg)

@@ -73,6 +73,21 @@ class TestValidation:
         with pytest.raises(SimulationError, match="1-D"):
             CORES[core]().feed(np.zeros((2, 2), dtype=dtype))
 
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("trace", [
+        np.array([1.7, 2.2]), np.array([True, False]), np.array(["12"]),
+    ], ids=["float", "bool", "str"])
+    def test_non_integer_trace_rejected(self, core, trace):
+        with pytest.raises(SimulationError, match="integers"):
+            CORES[core]().feed(trace)
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("dtype", [np.float64, bool, str])
+    def test_empty_trace_of_any_dtype_passes(self, core, dtype):
+        cache = CORES[core]()
+        cache.feed(np.array([], dtype=dtype))
+        assert cache.accesses == 0
+
 
 class TestPaperClaim:
     def test_padding_for_direct_mapped_helps_2way_too(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cache import StreamingAssocCache, StreamingHierarchy, miss_mask_assoc_vec
 from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
-from repro.cache.config import CacheConfig, HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
 from repro.errors import SimulationError
 
 
@@ -116,7 +116,8 @@ class TestIntegration:
         )
         rng = np.random.default_rng(7)
         addrs = rng.integers(0, 1 << 14, size=8000).astype(np.int64)
-        result = StreamingHierarchy(cfg).feed_all([addrs]).result()
+        chunk = LineChunk.from_addresses(addrs, cfg)
+        result = StreamingHierarchy(cfg).feed_all([chunk]).result()
         l1_ref = miss_mask_assoc(addrs, 1024, 32, 2)
         assert result.levels[0].misses == int(l1_ref.sum())
         l2_ref = miss_mask_assoc(addrs[l1_ref], 8192, 64, 4)

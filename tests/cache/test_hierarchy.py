@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, HierarchyConfig, StreamingHierarchy, ultrasparc_i
+from repro.cache.config import LineChunk
 
 
 def simulate(config, trace):
     """A one-shot run: the whole trace as a single chunk."""
-    return StreamingHierarchy(config).feed_all([trace]).result()
+    chunk = LineChunk.from_addresses(trace, config)
+    return StreamingHierarchy(config).feed_all([chunk]).result()
 
 
 @pytest.fixture

@@ -30,6 +30,11 @@ def chunked(trace, sizes):
     return out
 
 
+def lined(config, chunks):
+    """Address chunks as ``config``'s line chunks, every access kept."""
+    return [LineChunk.from_addresses(c, config) for c in chunks]
+
+
 class TestStreamingDirect:
     @pytest.mark.parametrize("chunks", [[1], [7, 13], [100], [1] * 50, [0, 5, 0, 9]])
     def test_any_chunking_matches_monolithic(self, chunks):
@@ -77,9 +82,9 @@ class TestStreamingHierarchy:
         )
         rng = np.random.default_rng(23)
         trace = rng.integers(0, 32768, size=5000)
-        mono = StreamingHierarchy(config).feed_all([trace]).result()
+        mono = StreamingHierarchy(config).feed_all(lined(config, [trace])).result()
         stream = StreamingHierarchy(config)
-        stream.feed_all(chunked(trace, [123] * 40))
+        stream.feed_all(lined(config, chunked(trace, [123] * 40)))
         assert stream.result() == mono
         # ...and both equal the sequential oracle's level chain.
         assert replay_hierarchy(config, [trace]) == mono
@@ -93,7 +98,9 @@ class TestStreamingHierarchy:
         )
         trace = np.arange(0, 8192, 16)
         mono = replay_hierarchy(config, [trace])
-        stream = StreamingHierarchy(config).feed_all(chunked(trace, [64] * 8))
+        stream = StreamingHierarchy(config).feed_all(
+            lined(config, chunked(trace, [64] * 8))
+        )
         assert stream.result() == mono
 
 
@@ -158,9 +165,13 @@ class TestMruElision:
         counter = get_metrics().counter("cache.mru_elided")
         before = counter.value
         config = _two_level()
-        result = StreamingHierarchy(config).feed_all([trace]).result()
+        result = StreamingHierarchy(config).feed_all(lined(config, [trace])).result()
         assert counter.value == before
         assert result == replay_hierarchy(config, [trace])
+
+    def test_address_array_is_rejected(self):
+        with pytest.raises(SimulationError):
+            StreamingHierarchy(_two_level()).feed(np.arange(0, 256, 8))
 
     def test_chunk_cut_for_another_geometry_is_rejected(self):
         chunk = LineChunk(np.zeros(4, dtype=np.int32), 4,
@@ -194,5 +205,7 @@ class TestLineStream:
         )
         rng = np.random.default_rng(9)
         trace = rng.integers(0, 1 << 16, size=3000)
-        stream = StreamingHierarchy(config).feed_all(chunked(trace, [250] * 12))
+        stream = StreamingHierarchy(config).feed_all(
+            lined(config, chunked(trace, [250] * 12))
+        )
         assert stream.result() == replay_hierarchy(config, [trace])

@@ -4,9 +4,10 @@
 executor); this must not change a single miss counter.  Randomized small
 programs are replayed iteration-by-iteration through
 :func:`repro.trace.interpreter.interpret_program` (which also
-bounds-checks every subscript) and fed directly into a fresh
+bounds-checks every subscript) and fed, every access kept, into a fresh
 :class:`~repro.cache.streaming.StreamingHierarchy`; the per-level counts
-must equal the executor path exactly.
+must equal the executor path and the generator's line chunks at a small
+budget exactly.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from repro import (
     ProgramBuilder,
     simulate_program,
 )
+from repro.cache.assoc import replay_hierarchy
+from repro.cache.config import LineChunk
 from repro.cache.streaming import StreamingHierarchy
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import SimJob
 from repro.experiments.ext_symbolic import CROSSVAL_HIERARCHIES
 from repro.kernels.registry import get_kernel
+from repro.trace.generator import program_line_chunks, program_trace_chunks
 from repro.trace.interpreter import interpret_program
 
 SMALL_HIER = HierarchyConfig(
@@ -72,7 +76,7 @@ def random_program(seed: int):
 def interpreter_counts(program, layout, hierarchy):
     trace = interpret_program(program, layout, check_bounds=True)
     sim = StreamingHierarchy(hierarchy)
-    sim.feed(trace)
+    sim.feed(LineChunk.from_addresses(trace, hierarchy))
     return sim.result()
 
 
@@ -81,17 +85,20 @@ def test_simulate_program_matches_interpreter(seed):
     program = random_program(seed)
     layout = DataLayout.sequential(program)
     expected = interpreter_counts(program, layout, SMALL_HIER)
-    # Chunked generic path, memoization explicitly off.
-    got = simulate_program(
-        program, layout, SMALL_HIER, max_chunk_refs=256, store=None
-    )
-    assert got.total_refs == expected.total_refs
-    for lv_got, lv_exp in zip(got.levels, expected.levels):
-        assert (lv_got.name, lv_got.accesses, lv_got.misses) == (
-            lv_exp.name,
-            lv_exp.accesses,
-            lv_exp.misses,
-        )
+    # The executor path, memoization explicitly off, and the generic
+    # line chunks at a small budget.
+    got = simulate_program(program, layout, SMALL_HIER, store=None)
+    chunked = StreamingHierarchy(SMALL_HIER).feed_all(
+        program_line_chunks(program, layout, SMALL_HIER, 256)
+    ).result()
+    for result in (got, chunked):
+        assert result.total_refs == expected.total_refs
+        for lv_got, lv_exp in zip(result.levels, expected.levels):
+            assert (lv_got.name, lv_got.accesses, lv_got.misses) == (
+                lv_exp.name,
+                lv_exp.accesses,
+                lv_exp.misses,
+            )
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -113,17 +120,21 @@ def test_pool_execution_matches_interpreter(seed):
 @pytest.mark.parametrize("hierarchy", ["dm", "2way"])
 def test_oracle_backend_matches_sim(hierarchy):
     """The ``oracle`` tier (sequential LRU replay of every level) equals
-    the vectorized simulator end to end, with every job split over
-    several trace chunks so state carries across chunk boundaries."""
+    the vectorized simulator end to end, and so do both over a trace
+    split into several chunks, so state carries across chunk
+    boundaries."""
+    config = CROSSVAL_HIERARCHIES[hierarchy]
     jobs = []
     for name in ("jacobi", "expl", "linpackd"):
         kernel = get_kernel(name)
         program = kernel.program(16)
-        jobs.append(SimJob.for_kernel(
-            kernel, program, DataLayout.sequential(program),
-            CROSSVAL_HIERARCHIES[hierarchy], max_chunk_refs=256,
-        ))
-    assert all(sum(1 for _ in job.chunks()) >= 5 for job in jobs)
+        layout = DataLayout.sequential(program)
+        jobs.append(SimJob.for_kernel(kernel, program, layout, config))
+        lined = list(program_line_chunks(program, layout, config, 256))
+        assert len(lined) >= 5
+        assert StreamingHierarchy(config).feed_all(lined).result() == (
+            replay_hierarchy(config, program_trace_chunks(program, layout, 256))
+        )
     sim = SweepExecutor(workers=1, backend="sim").run(jobs)
     oracle = SweepExecutor(workers=1, backend="oracle").run(jobs)
     assert oracle == sim

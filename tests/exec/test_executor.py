@@ -94,17 +94,6 @@ class TestFallbackAndValidation:
         with pytest.raises(ReproError):
             SweepExecutor(workers=1).run(["not a job"])
 
-    def test_job_validation(self):
-        p = small_program(64)
-        lay = DataLayout.sequential(p)
-        hier = ultrasparc_i()
-        with pytest.raises(ReproError):
-            SimJob(program=p, layout=lay, hierarchy=hier, kernel="dot", nest_index=0)
-        with pytest.raises(ReproError):
-            SimJob(program=p, layout=lay, hierarchy=hier, nest_index=5)
-        with pytest.raises(ReproError):
-            SimJob(program=p, layout=lay, hierarchy=hier, max_chunk_refs=0)
-
     def test_stats_format_line(self, tmp_path):
         store = ResultStore(tmp_path)
         ex = SweepExecutor(workers=1, store=store)

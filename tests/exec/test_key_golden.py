@@ -61,10 +61,6 @@ def golden_jobs() -> dict[str, tuple[SimJob, str]]:
     return {
         "tri-program-sim": (SimJob(tri, padded, two_way()), "sim"),
         "tri-program-oracle": (SimJob(tri, padded, two_way()), "oracle"),
-        "tri-nest1-sim": (
-            SimJob(tri, DataLayout.sequential(tri), ultrasparc_i(), nest_index=1),
-            "sim",
-        ),
         "jacobi-program-sim": (
             SimJob(jacobi, DataLayout.sequential(jacobi), ultrasparc_i()),
             "sim",
@@ -90,10 +86,6 @@ GOLDEN_KEYS = {
     "tri-program-oracle": (
         "4ba23e4bde1614335e8942f86cfd90a3"
         "bd1141dc634904f90d4d9fa8c93c36ea"
-    ),
-    "tri-nest1-sim": (
-        "bf5c3438591249c702c0e5f579c0eadf"
-        "3aa219c626280d09f921aad1991b4a5e"
     ),
     "jacobi-program-sim": (
         "d1acc6dd97d8eab2e73ba4aa070a46fb"
@@ -127,7 +119,7 @@ def test_schema_version_unchanged():
 
 def test_trace_modes_covered():
     modes = {job.trace_spec()[0] for job, _ in golden_jobs().values()}
-    assert modes == {"program", "nest", "kernel"}
+    assert modes == {"program", "kernel"}
     assert golden_jobs()["irr-kernel-sim"][0].trace_spec() == ("kernel", "irr500k")
 
 

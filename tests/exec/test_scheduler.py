@@ -69,8 +69,7 @@ class TestPayloadBroadcast:
     def test_variant_carries_job_specifics(self):
         job = job_for(64)
         (_, _, variant), = pack_payloads([job])
-        assert variant == (job.layout, job.kernel, job.nest_index,
-                           job.max_chunk_refs, job.timeline_window)
+        assert variant == (job.layout, job.kernel, job.timeline_window)
 
 
 class TestDispatch:

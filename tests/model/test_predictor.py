@@ -228,7 +228,8 @@ class TestExactLevels:
     def test_exact_nest_restricted_matches_simulator(self):
         program = build_pingpong(32)
         job = SimJob(
-            program, DataLayout.sequential(program), roomy_hier(), nest_index=0
+            program.with_nests([program.nests[0]]), DataLayout.sequential(program),
+            roomy_hier(),
         )
         stats = predict_job(job)
         assert stats.exact
@@ -341,7 +342,7 @@ class TestExactLevels:
 
 
 class TestPredictJob:
-    def test_nest_index_selects_one_nest(self, hier):
+    def test_one_nest_program_predicts_that_nest(self, hier):
         b = ProgramBuilder("two")
         A = b.array("A", (64,))
         Bm = b.array("B", (64,))
@@ -350,7 +351,7 @@ class TestPredictJob:
         b.nest([b.loop(i, 1, 64)], [b.assign(A[i], reads=[Bm[i]], flops=1)])
         p = b.build()
         layout = DataLayout.sequential(p)
-        job = SimJob(program=p, layout=layout, hierarchy=hier, nest_index=1)
+        job = SimJob(program=p.with_nests([p.nests[1]]), layout=layout, hierarchy=hier)
         pred = predict_job(job)
         assert len(pred.nests) == 1
         assert pred.total_refs == 128

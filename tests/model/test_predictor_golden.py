@@ -115,7 +115,7 @@ def analytic_record(case: str) -> dict:
                 ],
             }
             if len(prog.nests) > 1:
-                last = SimJob(prog, layout, hier, nest_index=len(prog.nests) - 1)
+                last = SimJob(prog.with_nests(prog.nests[-1:]), layout, hier)
                 record["last_nest"] = _levels(predict_job(last))
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.config import CacheConfig, HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
 from repro.cache.streaming import StreamingHierarchy
 from repro.obs.timeline import Timeline
 from tests.conftest import timeline_totals
@@ -26,6 +26,11 @@ def small_hierarchy() -> HierarchyConfig:
             CacheConfig(size=256, line_size=16, associativity=2, name="L2"),
         )
     )
+
+
+def lined(config, chunks):
+    """Address chunks as ``config``'s line chunks, every access kept."""
+    return [LineChunk.from_addresses(c, config) for c in chunks]
 
 
 @st.composite
@@ -53,8 +58,8 @@ class TestWindowSums:
         timeline = Timeline(
             levels=[c.name for c in config], window_refs=window
         )
-        timed = StreamingHierarchy(config, timeline=timeline).feed_all(chunks)
-        plain = StreamingHierarchy(config).feed_all(chunks)
+        timed = StreamingHierarchy(config, timeline=timeline).feed_all(lined(config, chunks))
+        plain = StreamingHierarchy(config).feed_all(lined(config, chunks))
         assert timed.result() == plain.result()
         assert timeline_totals(timeline) == [
             (lv.accesses, lv.misses) for lv in plain.result().levels
@@ -68,7 +73,7 @@ class TestWindowSums:
         timeline = Timeline(
             levels=[c.name for c in config], window_refs=window, capacity=4
         )
-        timed = StreamingHierarchy(config, timeline=timeline).feed_all(chunks)
+        timed = StreamingHierarchy(config, timeline=timeline).feed_all(lined(config, chunks))
         assert timeline_totals(timeline) == [
             (lv.accesses, lv.misses) for lv in timed.result().levels
         ]
@@ -81,7 +86,7 @@ class TestWindowSums:
         timeline = Timeline(
             levels=[c.name for c in config], window_refs=window
         )
-        timed = StreamingHierarchy(config, timeline=timeline).feed_all(chunks)
+        timed = StreamingHierarchy(config, timeline=timeline).feed_all(lined(config, chunks))
         rows = timeline.rows()
         total = timed.result().total_refs
         if total == 0:
@@ -111,7 +116,7 @@ class TestWindowSums:
 
         def run(split):
             t = Timeline(levels=[c.name for c in config], window_refs=window)
-            StreamingHierarchy(config, timeline=t).feed_all(split)
+            StreamingHierarchy(config, timeline=t).feed_all(lined(config, split))
             return [(row[0], row[1], row[3]) for row in t.rows()]
 
         assert run(chunks) == run(rechunked)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro import DataLayout, ProgramBuilder
 from repro.ir.affine import AffineExpr, const, var
 from repro.ir.loops import Loop
-from repro.trace.generator import generate_trace, nest_trace_chunks
+from repro.trace.generator import generate_trace, program_trace_chunks
 from repro.trace.interpreter import interpret_nest, interpret_program
 
 VARS = ("k", "j", "i")  # outermost first; a depth-d nest uses the last d
@@ -135,7 +135,8 @@ class TestGeneratorEquivalence:
         references included."""
         layout = DataLayout.sequential(prog)
         for nest in prog.nests:
-            chunks = list(nest_trace_chunks(prog, layout, nest, max_chunk_refs=chunk))
+            one = prog.with_nests([nest])
+            chunks = list(program_trace_chunks(one, layout, max_chunk_refs=chunk))
             full = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
             np.testing.assert_array_equal(
                 full, interpret_nest(prog, layout, nest, check_bounds=False)

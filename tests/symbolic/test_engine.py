@@ -143,7 +143,7 @@ class TestClassifyJob:
         assert reasons(cls) == ["custom-trace", "custom-trace"]
         assert all(not c.exact for c in cls)
 
-    def test_nest_index_restricts_footprint(self):
+    def test_one_nest_program_restricts_footprint(self):
         b = ProgramBuilder("two_nests")
         A = b.array("A", (16,))
         B = b.array("B", (1024,))
@@ -153,7 +153,7 @@ class TestClassifyJob:
         program = b.build()
         layout = DataLayout.sequential(program)
         whole = SimJob(program, layout, build_tiny_hier())
-        first = SimJob(program, layout, build_tiny_hier(), nest_index=0)
+        first = SimJob(program.with_nests([program.nests[0]]), layout, build_tiny_hier())
         assert not all(c.exact for c in classify_job(whole))
         assert all(c.exact for c in classify_job(first))
 

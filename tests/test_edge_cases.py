@@ -118,7 +118,10 @@ class TestFormattingEdges:
 
     def test_summary_on_empty_simulation(self):
         from repro.cache import StreamingHierarchy
+        from repro.cache.config import LineChunk
 
-        sim = StreamingHierarchy(ultrasparc_i())
-        result = sim.feed_all([np.array([], dtype=np.int64)]).result()
+        hier = ultrasparc_i()
+        sim = StreamingHierarchy(hier)
+        empty = LineChunk.from_addresses(np.array([], dtype=np.int64), hier)
+        result = sim.feed_all([empty]).result()
         assert "refs=0" in result.summary()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import DataLayout, SimJob, simulate_program, ultrasparc_i
+from repro.cache.streaming import StreamingHierarchy
 from repro.exec.executor import execute_one
+from repro.trace.generator import program_line_chunks
 from tests.conftest import build_fig2
 
 
@@ -16,13 +18,13 @@ class TestSimulateProgram:
         assert whole.total_refs == prog.total_refs()
 
     def test_simulate_nest_cold(self):
-        """A job with ``nest_index`` simulates that nest alone, cold."""
+        """A job on a program of one nest simulates that nest alone, cold."""
         hier = ultrasparc_i()
         prog = build_fig2(128)
         lay = DataLayout.sequential(prog)
         r0, r1 = (
-            execute_one(SimJob(program=prog, layout=lay, hierarchy=hier,
-                               nest_index=k), store=None)
+            execute_one(SimJob(program=prog.with_nests([prog.nests[k]]), layout=lay,
+                               hierarchy=hier), store=None)
             for k in (0, 1)
         )
         assert r0.total_refs == prog.nests[0].iterations() * 6
@@ -32,8 +34,10 @@ class TestSimulateProgram:
         hier = ultrasparc_i()
         prog = build_fig2(96)
         lay = DataLayout.sequential(prog)
-        a = simulate_program(prog, lay, hier, max_chunk_refs=100)
-        b = simulate_program(prog, lay, hier)
+        a = StreamingHierarchy(hier).feed_all(
+            program_line_chunks(prog, lay, hier, 100)
+        ).result()
+        b = simulate_program(prog, lay, hier, store=None)
         assert a == b
 
     def test_version_exported(self):

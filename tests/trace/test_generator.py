@@ -15,7 +15,6 @@ from repro.ir.loops import Loop
 from repro.trace import generator
 from repro.trace.generator import (
     generate_trace,
-    nest_trace_chunks,
     program_line_chunks,
     program_trace_chunks,
 )
@@ -96,7 +95,7 @@ class TestChunkStructure:
         prog = rectangular_program()
         layout = DataLayout.sequential(prog)
         nest = prog.nests[0]
-        for chunk in nest_trace_chunks(prog, layout, nest, max_chunk_refs=10):
+        for chunk in program_trace_chunks(prog, layout, max_chunk_refs=10):
             # Budget can only be exceeded by a single iteration's refs.
             assert chunk.size <= max(10, nest.refs_per_iteration)
 
@@ -110,7 +109,7 @@ class TestChunkStructure:
         b.nest([b.loop(j, 1, 200), b.loop(i, j, j)], [b.use(reads=[A[i], A[j]])])
         prog = b.build()
         layout = DataLayout.sequential(prog)
-        chunks = list(nest_trace_chunks(prog, layout, prog.nests[0], max_chunk_refs=64))
+        chunks = list(program_trace_chunks(prog, layout, max_chunk_refs=64))
         assert [c.size for c in chunks] == [64] * 6 + [16]
         np.testing.assert_array_equal(
             np.concatenate(chunks), interpret_program(prog, layout)
@@ -120,7 +119,7 @@ class TestChunkStructure:
         prog = rectangular_program()
         layout = DataLayout.sequential(prog)
         with pytest.raises(IRError):
-            list(nest_trace_chunks(prog, layout, prog.nests[0], max_chunk_refs=0))
+            list(program_trace_chunks(prog, layout, max_chunk_refs=0))
 
     def test_interleaving_is_statement_order(self):
         b = ProgramBuilder("order")
