@@ -8,6 +8,8 @@ throughput as ``refs_per_sec`` in ``extra_info`` -- the metric
 ``benchmarks/trend.py`` gates against the committed baseline.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,32 @@ def test_bench_hierarchy_levels_fig9_expl_l1opt(benchmark):
     benchmark.extra_info["l2_refs_per_sec"] = round(l2.accesses / seconds["L2"])
     benchmark.extra_info["elided_fraction"] = round(dropped / l1.accesses, 4)
     assert 0 < dropped <= l1.accesses - l1.misses
+
+
+def test_bench_tracemalloc_peak_fig9_expl(benchmark):
+    """The live memory beside the repository benchmark's RSS gate: the
+    largest ``tracemalloc`` peak of the full-size Figure 9 expl jobs
+    (the fig9 workload's three expl rows, 42M refs) while their line
+    chunks stream through their hierarchies, counted from each job's
+    start.  It is what the chunk budget holds live -- chunks, the cut's
+    pieces and the level feeds' intermediates -- without the allocator
+    layout that the process RSS adds."""
+    from repro.experiments.fig9_pad import build_jobs
+
+    jobs = build_jobs(programs=["expl"])
+
+    def run():
+        peak = 0
+        for job in jobs:
+            tracemalloc.start()
+            try:
+                StreamingHierarchy(job.hierarchy).feed_all(job.chunks()).result()
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peak
+
+    peak = benchmark.pedantic(run, rounds=3, iterations=1)
+    _refs_per_sec(benchmark, sum(job.program.total_refs() for job in jobs))
+    benchmark.extra_info["tracemalloc_peak_mb"] = round(peak / 2**20, 3)
+    assert peak > 0

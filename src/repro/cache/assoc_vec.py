@@ -46,13 +46,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.cache.config import check_geometry, check_trace
+from repro.cache.config import DEFAULT_CHUNK_REFS, check_geometry, check_trace
 
 __all__ = ["StreamingAssocCache", "miss_mask_assoc_vec", "LineStream"]
 
 # Line numbers below this run the simulators' pipelines in int32: half
 # the memory traffic, and a chunk's intermediates stay cache-resident.
 _INT32_MAX = np.iinfo(np.int32).max
+
+# One read-only index vector per dtype, of the chunk budget's length:
+# no line chunk the trace generator cuts feeds a level more lines.
+_INDEX: dict = {}
+
+
+def _index(m: int, dtype) -> np.ndarray:
+    """``np.arange(m, dtype=dtype)``, a slice of a cached vector when
+    ``m`` is within :data:`~repro.cache.config.DEFAULT_CHUNK_REFS`."""
+    if m > DEFAULT_CHUNK_REFS:
+        return np.arange(m, dtype=dtype)
+    index = _INDEX.get(dtype)
+    if index is None:
+        index = _INDEX[dtype] = np.arange(DEFAULT_CHUNK_REFS, dtype=dtype)
+        index.flags.writeable = False
+    return index[:m]
 
 
 class LineStream(NamedTuple):
@@ -94,7 +110,7 @@ def packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray, 
         order = np.argsort(values, kind="stable")
         return values[order], order
     key = np.left_shift(values, idx_bits, dtype=dtype)
-    key |= np.arange(m, dtype=dtype)
+    key |= _index(m, dtype)
     key.sort()
     # Index-typed positions: numpy would otherwise convert them on every
     # gather and scatter that uses them.

@@ -38,7 +38,19 @@ __all__ = [
     "check_trace",
     "LineChunk",
     "line_geometry",
+    "DEFAULT_CHUNK_REFS",
 ]
+
+#: The chunk budget: references per address chunk, kept lines per line
+#: chunk (:mod:`repro.trace.generator`).  Small enough that a chunk and
+#: the simulator's per-chunk intermediates stay resident in the host's
+#: L2 cache, large enough to amortize the per-chunk Python overhead; an
+#: A/B of 32k-256k budgets on the full-size Figure 9 programs and the
+#: fuzzed sweeps put the optimum here.  On the 12 jobs of the repository
+#: benchmark's fig9 workload (x86_64, 2 CPUs), the level feeds took
+#: 0.49 s of CPU time with line chunks of 32Ki or 64Ki kept lines and
+#: 0.51-0.52 s with 128Ki or 256Ki.
+DEFAULT_CHUNK_REFS = 65_536
 
 
 def check_geometry(size: int, line_size: int, associativity: int = 1) -> int:
@@ -85,12 +97,14 @@ class LineChunk:
     program order, the line number in units of ``geometry[0]`` bytes of
     each one L1 must see.  The other ``dropped`` references are L1 hits
     on their set's most-recently-used line, so they change no cache
-    state at any associativity.  ``geometry`` is
-    :func:`line_geometry` of the hierarchy it was cut for; ``len()`` is
-    ``refs``.  :meth:`positions` gives each kept access's index among
-    the chunk's references, which a hierarchy splitting the chunk at
-    timeline windows reads; ``locate`` computes them on demand (None:
-    nothing was dropped).
+    state at any associativity.  The generator's chunk budget bounds
+    ``lines``, not ``refs``: a chunk with many drops stands for several
+    budgets' worth of references, while a level feed stays within it.
+    ``geometry`` is :func:`line_geometry` of the hierarchy it was cut
+    for; ``len()`` is ``refs``.  :meth:`positions` gives each kept
+    access's index among the chunk's references, which a hierarchy
+    splitting the chunk at timeline windows reads; ``locate`` computes
+    them on demand (None: nothing was dropped).
     """
 
     __slots__ = ("lines", "refs", "geometry", "_locate")
@@ -131,11 +145,15 @@ class LineChunk:
         if len(chunks) == 1:
             return chunks[0]
         starts = np.cumsum([0] + [c.refs for c in chunks[:-1]])
+        # The parts' positions only: the joined chunk must not keep
+        # their lines alive.
+        parts = [(c.refs, c._locate) for c in chunks]
 
         def locate() -> np.ndarray:
-            return np.concatenate(
-                [c.positions() + s for c, s in zip(chunks, starts.tolist())]
-            )
+            return np.concatenate([
+                (np.arange(refs, dtype=np.int64) if part is None else part()) + s
+                for (refs, part), s in zip(parts, starts.tolist())
+            ])
 
         dropped = any(c._locate is not None for c in chunks)
         return cls(

@@ -9,8 +9,10 @@ For a direct-mapped level the carried state is the line each set holds.
 :class:`StreamingDirectCache` is the one direct-mapped core (the one-shot
 :mod:`repro.cache.direct` helpers feed it a single chunk): a packed-key
 sort groups a chunk by set, and only each set's *first* access in the
-chunk needs the carried line.  Chunks of the default trace budget keep
-its int32 intermediates cache-resident.
+chunk needs the carried line.  A line chunk the trace generator cuts
+holds at most its chunk budget of kept lines (it may stand for several
+times as many references), so a level feed's int32 intermediates stay
+cache-resident.
 
 For a k-way level the carried state is a ``(num_sets, k)`` LRU line
 matrix (:class:`~repro.cache.assoc_vec.StreamingAssocCache`, the one

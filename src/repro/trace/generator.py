@@ -12,24 +12,35 @@ A nest is traced row by row (:meth:`~repro.ir.loops.LoopNest.rows`): a
 row is one combination of values of the loops whose bounds others depend
 on -- the outer loop of a triangular nest, the tile loops of a tiled one
 -- and within a row the remaining loops are rectangular.  NumPy
-enumerates every row and its reference count at once.  A row of at
-least ``max_chunk_refs // 16`` references is emitted on its own, in
-blocks of at most :data:`DEFAULT_CHUNK_REFS` references when it is
-larger: a fixed, cache-resident budget, so the simulator's per-chunk
-intermediates never spill out of the host's caches.  Consecutive smaller
-rows are packed into batches within the budget, each one ragged
-expansion over the loops whose bounds vary by row.  A rectangular nest
-is a single row.
+enumerates every row and its reference count at once.  The trace is
+built in *pieces* within a budget of references: a row of at least a
+sixteenth of the budget is emitted on its own, in blocks of equal size
+within the budget when it is larger (so that no block is too small to
+cut), and consecutive smaller rows are packed into batches within the
+budget, each one ragged expansion over the loops whose bounds vary by
+row.  A rectangular nest is a single row.
 
 Every piece is a run of *segments*: consecutive iterations of the
 innermost loop inside one row, over which reference ``r`` moves by a
 constant stride, ``start[r] + stride[r] * i``.  A piece is built as its
 segment starts only (one address per reference and segment), and then
-either expanded into int64 addresses (:func:`program_trace_chunks`, what
-the sequential oracle and :func:`generate_trace` read) or cut for one
-hierarchy (:func:`program_line_chunks`): the
-:class:`~repro.cache.config.LineChunk` of the accesses its L1 must
-classify, as line numbers, without ever building an address L1 drops.
+either expanded into int64 addresses or cut for one hierarchy:
+
+- :func:`program_trace_chunks`, what the sequential oracle and
+  :func:`generate_trace` read, builds pieces within the chunk budget
+  (:data:`~repro.cache.config.DEFAULT_CHUNK_REFS` references) and
+  emits address chunks within it: a fixed, cache-resident size, so a
+  consumer's per-chunk intermediates stay in the host's caches.
+- :func:`program_line_chunks` builds pieces of :data:`PIECE_CHUNKS`
+  times the budget, so a cut's fixed work is paid once per larger
+  piece.  It emits :class:`~repro.cache.config.LineChunk` s of at
+  most the budget's count of *kept lines*: the accesses its L1 must
+  classify, as line numbers, without ever building an address L1
+  drops.  A chunk is a run of whole segments, a segment of more than
+  the budget's references being cut into runs first.  A line chunk
+  therefore stands for more references than an address chunk, and the
+  two streams' chunk boundaries differ; the levels' per-chunk arrays,
+  which hold kept lines, stay within the budget.
 
 L1 drops access ``(i, r)``, ``i >= 1``, of a segment when it touches the
 line ``(i-1, r)`` touched and no other reference can map to the same L1
@@ -51,7 +62,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from repro.cache.assoc_vec import line_numbers
-from repro.cache.config import HierarchyConfig, LineChunk, line_geometry
+from repro.cache.config import DEFAULT_CHUNK_REFS, HierarchyConfig, LineChunk, line_geometry
 from repro.errors import IRError, SimulationError
 from repro.ir.loops import LoopNest, ragged_range
 from repro.ir.lowering import lower
@@ -64,15 +75,15 @@ __all__ = [
     "generate_trace",
 ]
 
-#: References per trace chunk.  Small enough that a chunk and the
-#: simulator's per-chunk intermediates stay resident in the host's L2
-#: cache, large enough to amortize the per-chunk Python overhead; an
-#: A/B of 32k-256k budgets on the full-size Figure 9 programs and the
-#: fuzzed sweeps put the optimum here.
-DEFAULT_CHUNK_REFS = 65_536
+#: Line chunks are cut from pieces of ``PIECE_CHUNKS`` times the chunk
+#: budget in references.  A cut pays a fixed ~0.1-1 ms of NumPy calls
+#: per piece; on the same 12 jobs and host (best of 4), generating and
+#: cutting the line chunks took 0.179 s of CPU time in 64Ki-reference
+#: pieces and 0.113 s in 256Ki ones, and the level feeds 0.44 s in both.
+PIECE_CHUNKS = 4
 
-#: A row of at least ``max_chunk_refs // BIG_ROW_DIVISOR`` references is
-#: emitted on its own; smaller rows are packed into batches.
+#: A row of at least a piece budget's ``1 / BIG_ROW_DIVISOR`` references
+#: is emitted on its own; smaller rows are packed into batches.
 BIG_ROW_DIVISOR = 16
 
 #: A piece of fewer than ``max_chunk_refs // CUT_DIVISOR`` references
@@ -80,7 +91,8 @@ BIG_ROW_DIVISOR = 16
 #: of NumPy calls, more than the levels save on a small piece.  On the
 #: repository benchmark's fuzzed population at the default budget,
 #: cutting pieces from 4k references on cost more time than the dropped
-#: accesses saved; from 16k on it saved more.
+#: accesses saved; from 16k on it saved more.  The floor follows the
+#: chunk budget, not the larger piece size.
 CUT_DIVISOR = 4
 
 #: Segments of at least this many iterations per reference test their
@@ -108,6 +120,33 @@ class _Segments(NamedTuple):
         m, nrefs = self.starts.shape
         n = self.n
         return (m * n if isinstance(n, int) else int(n.sum())) * nrefs
+
+    def take(self, which) -> "_Segments":
+        """The segments ``which`` selects (a slice or a mask)."""
+        n, rows = self.n, self.rows
+        return _Segments(
+            self.starts[which],
+            n if isinstance(n, int) else n[which],
+            rows if isinstance(rows, int) else rows[which],
+        )
+
+    def capped(self, cap: int, stride: np.ndarray) -> tuple["_Segments", np.ndarray]:
+        """The segments as runs of at most ``cap`` iterations, and the
+        segment each run lies in."""
+        n = np.broadcast_to(self.n, self.starts.shape[:1])
+        parent, skip = ragged_range(np.zeros(n.size, dtype=np.int64), -(-n // cap), cap)
+        rows = self.rows if isinstance(self.rows, int) else self.rows[parent]
+        starts = self.starts[parent] + skip[:, None] * stride
+        return _Segments(starts, np.minimum(n[parent] - skip, cap), rows), parent
+
+    def offsets(self) -> np.ndarray:
+        """Each segment's first reference's index among the piece's,
+        and the piece's reference count last."""
+        m, nrefs = self.starts.shape
+        n = self.n
+        if isinstance(n, int):
+            return np.arange(m + 1, dtype=np.int64) * (n * nrefs)
+        return np.concatenate(([0], np.cumsum(n))) * nrefs
 
 
 class _Nest:
@@ -184,8 +223,8 @@ def _row_blocks(
     max_chunk_refs: int,
     row: int,
 ) -> Iterator[_Segments]:
-    """One row's trace in blocks within the budget whenever one iteration
-    fits it.
+    """One row's trace in blocks of equal size within the budget
+    whenever one iteration fits it, so that no block is too small to cut.
 
     ``base`` is the row's per-reference address before its loops; the
     loops run ``firsts[k] + steps[k]*j`` for ``j < counts[k]``.  The
@@ -206,6 +245,7 @@ def _row_blocks(
     ]
     flat = int(np.prod(counts[:split]))
     block = max(1, max_chunk_refs // per_index)
+    block = -(-flat // -(-flat // block))
     run = counts[-1]
     for start in range(0, flat, block):
         stop = min(flat, start + block)
@@ -314,6 +354,13 @@ def _addresses(seg: _Segments, stride: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _run_addresses(start: np.ndarray, stride: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """References ``lo..hi-1`` of the segment that starts at ``start``,
+    as int64 addresses."""
+    i, r = np.divmod(np.arange(lo, hi, dtype=np.int64), start.size)
+    return start[r] + stride[r] * i
+
+
 def _conflicts(lo: np.ndarray, hi: np.ndarray, line: int, span: int) -> np.ndarray:
     """Whether reference ``c``, whose delta ``A[c] - A[r]`` lies in
     ``[lo, hi]``, can map to reference ``r``'s L1 set with another line.
@@ -342,6 +389,7 @@ class _LineCutter:
         self.hierarchy = hierarchy
         self.geometry = unit, line, sets = line_geometry(hierarchy)
         self.unit, self.line, self.span = unit, line, sets * line
+        self.budget = max_chunk_refs
         self.min_refs = max_chunk_refs // CUT_DIVISOR
         self._templates: dict[tuple, tuple] = {}
 
@@ -426,20 +474,28 @@ class _LineCutter:
         self._templates[tkey] = (n, template)
         return template
 
-    def cut(self, nest: _Nest, seg: _Segments) -> LineChunk:
-        starts, n, stride = seg.starts, seg.n, nest.stride
-        refs = seg.refs()
-        if refs < self.min_refs or (isinstance(n, int) and n < 2):
+    def cut(self, nest: _Nest, seg: _Segments) -> Iterator[LineChunk]:
+        """The piece's line chunks, each of at most the budget's kept
+        lines.  A piece too small to pay for its cut, or whose segments
+        could not drop an access within the budget, keeps every access."""
+        n, stride = seg.n, nest.stride
+        nrefs = stride.size
+        if (seg.refs() < self.min_refs or (isinstance(n, int) and n < 2)
+                or 2 * nrefs > self.budget):
             return self._plain(seg, stride)
         if not isinstance(n, int) and (n == 0).any():
-            run = n > 0
-            rows = seg.rows if isinstance(seg.rows, int) else seg.rows[run]
-            seg = _Segments(starts[run], n[run], rows)
-            starts, n = seg.starts, seg.n
-        m, nrefs = starts.shape
+            seg = seg.take(n > 0)
         droppable = self._droppable(nest, seg)
         if not droppable.any():
             return self._plain(seg, stride)
+        cap = self.budget // nrefs
+        if (seg.n if isinstance(seg.n, int) else int(seg.n.max())) > cap:
+            # Runs of at most the budget's references: each keeps at most
+            # the budget's lines, and no template spans more.  The drop
+            # test over the whole segment holds for each of its runs.
+            seg, parent = seg.capped(cap, stride)
+            droppable = droppable[parent]
+        starts, n = seg.starts, seg.n
         last = n - 1 if isinstance(n, int) else (n - 1)[:, None]
         ends = starts + stride * last
         low = min(int(starts.min()), int(ends.min()))
@@ -462,21 +518,51 @@ class _LineCutter:
             base = base.astype(np.int32)
         longest = n if isinstance(n, int) else int(n.max())
         templates = [self._template(key[s], stride, longest) for s in patterns.tolist()]
+        return self._chunks(templates, which, n, base, seg.offsets())
+
+    def _chunks(self, templates: list, which: np.ndarray, n, base: np.ndarray,
+                first: np.ndarray) -> Iterator[LineChunk]:
+        """Line chunks of runs of whole segments, each keeping at most
+        the budget's lines; ``first`` holds each segment's first
+        reference's index and the piece's reference count."""
+        kept = _kept(templates, which, n)
+        for a, b in _runs(kept, self.budget):
+            yield self._chunk(templates, which[a:b], n if isinstance(n, int) else n[a:b],
+                              base[a:b], first[a:b + 1] - first[a])
+
+    def _chunk(self, templates: list, which: np.ndarray, n, base: np.ndarray,
+               first: np.ndarray) -> LineChunk:
+        """The line chunk of whole segments whose first references are
+        ``first[:-1]`` of ``first[-1]``."""
         lines = _gather(templates, which, n, base, _OFFSET)
+        refs = int(first[-1])
         if refs == lines.size:
             return LineChunk(lines, refs, self.geometry)
-        seg_start = _segment_starts(n, m) * nrefs
+        starts = np.broadcast_to(first[:-1, None], base.shape)
         return LineChunk(
             lines, refs, self.geometry,
-            lambda: _gather(
-                templates, which, n, np.broadcast_to(seg_start[:, None], (m, nrefs)),
-                _FLAT,
-            ),
+            lambda: _gather(templates, which, n, starts, _FLAT),
         )
 
-    def _plain(self, seg: _Segments, stride: np.ndarray) -> LineChunk:
-        """Every access kept."""
-        return LineChunk.from_addresses(_addresses(seg, stride), self.hierarchy)
+    def _plain(self, seg: _Segments, stride: np.ndarray) -> Iterator[LineChunk]:
+        """Every access kept, in chunks within the budget: runs of whole
+        segments, and a longer segment sliced."""
+        if seg.refs() <= self.budget:
+            yield LineChunk.from_addresses(_addresses(seg, stride), self.hierarchy)
+            return
+        sizes = np.diff(seg.offsets())
+        for a, b in _runs(sizes, self.budget):
+            size = int(sizes[a])
+            if size <= self.budget:
+                yield LineChunk.from_addresses(
+                    _addresses(seg.take(slice(a, b)), stride), self.hierarchy
+                )
+                continue
+            for lo in range(0, size, self.budget):
+                yield LineChunk.from_addresses(
+                    _run_addresses(seg.starts[a], stride, lo, min(lo + self.budget, size)),
+                    self.hierarchy,
+                )
 
 
 def _patterns(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,11 +589,32 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
     return x & (m - 1) if m & (m - 1) == 0 else x % m
 
 
-def _segment_starts(n: int | np.ndarray, m: int) -> np.ndarray:
-    """Index of each segment's first iteration among the piece's."""
+def _runs(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Greedy runs ``[a, b)`` of consecutive segments whose ``sizes``
+    sum to at most ``budget``; a segment larger than the budget is a run
+    alone."""
+    total = np.cumsum(sizes)
+    a = 0
+    while a < sizes.size:
+        b = max(a + 1, int(np.searchsorted(total, total[a] - sizes[a] + budget, "right")))
+        yield a, b
+        a = b
+
+
+def _kept(templates: list, which: np.ndarray, n) -> np.ndarray:
+    """How many pairs each segment keeps: its pattern's template pairs
+    with ``i < n[s]``."""
     if isinstance(n, int):
-        return np.arange(m, dtype=np.int64) * n
-    return np.cumsum(n) - n
+        return np.array([np.searchsorted(t[0], n) for t in templates])[which]
+    if len(templates) == 1:
+        return np.searchsorted(templates[0][0], n)
+    kept = np.empty(n.size, dtype=np.intp)
+    order = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[order], np.arange(len(templates) + 1)).tolist()
+    for t, a, b in zip(templates, bounds, bounds[1:]):
+        segs = order[a:b]
+        kept[segs] = np.searchsorted(t[0], n[segs])
+    return kept
 
 
 # Template fields _gather adds to a segment's base: the flat index of a
@@ -565,19 +672,22 @@ def _join(pieces: list) -> np.ndarray | LineChunk:
 
 def _coalesce(pieces: Iterator, max_chunk_refs: int) -> Iterator:
     """Concatenate consecutive small pieces into chunks of at most
-    ``max_chunk_refs`` references (a larger piece passes through alone),
-    so tiny nests and the pieces around a big row do not pay per-chunk
-    overhead each."""
+    ``max_chunk_refs`` references, or kept lines of line chunks (a
+    larger piece passes through alone), so tiny nests and the pieces
+    around a big row do not pay per-chunk overhead each."""
     pending: list = []
     size = 0
     for piece in pieces:
         refs = len(piece)
-        if size + refs > max_chunk_refs and pending:
-            yield _join(pending)
-            pending, size = [], 0
+        lines = piece.lines.size if isinstance(piece, LineChunk) else refs
+        if size + lines > max_chunk_refs and pending:
+            # Dropped before the yield, so the joined chunk's parts are
+            # not held while the consumer works on it.
+            chunk, pending, size = _join(pending), [], 0
+            yield chunk
         if refs:
             pending.append(piece)
-            size += refs
+            size += lines
     if pending:
         yield _join(pending)
 
@@ -613,17 +723,17 @@ def program_line_chunks(
     hierarchy: HierarchyConfig,
     max_chunk_refs: int = DEFAULT_CHUNK_REFS,
 ) -> Iterator[LineChunk]:
-    """The program's trace as the line chunks ``hierarchy`` simulates:
-    the same chunk boundaries as :func:`program_trace_chunks`, each
-    chunk holding the line numbers of the accesses its L1 must classify
-    (see the module docstring)."""
+    """The program's trace as the line chunks ``hierarchy`` simulates,
+    each holding the line numbers of at most ``max_chunk_refs`` accesses
+    its L1 must classify, cut from pieces of :data:`PIECE_CHUNKS` times
+    as many references (see the module docstring)."""
     cutter = _LineCutter(hierarchy, max_chunk_refs)
 
     def pieces() -> Iterator[LineChunk]:
         for loop_nest in program.nests:
             nest = _Nest(program, layout, loop_nest)
-            for seg in _nest_pieces(nest, max_chunk_refs):
-                yield cutter.cut(nest, seg)
+            for seg in _nest_pieces(nest, PIECE_CHUNKS * max_chunk_refs):
+                yield from cutter.cut(nest, seg)
 
     return _coalesce(pieces(), max_chunk_refs)
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache import StreamingAssocCache, StreamingHierarchy, miss_mask_assoc_vec
+from repro.cache import StreamingAssocCache, StreamingHierarchy, assoc_vec, miss_mask_assoc_vec
 from repro.cache.assoc import SequentialAssocCache, miss_mask_assoc
-from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
+from repro.cache.config import DEFAULT_CHUNK_REFS, CacheConfig, HierarchyConfig, LineChunk
 from repro.errors import SimulationError
 
 
@@ -137,3 +137,19 @@ class TestIntegration:
             StreamingAssocCache(100, 32, 2)
         with pytest.raises(SimulationError):
             SequentialAssocCache(100, 32, 2)
+
+
+class TestPackedGroupSort:
+    @pytest.mark.parametrize("m", [1, 1000, DEFAULT_CHUNK_REFS, DEFAULT_CHUNK_REFS + 1])
+    @pytest.mark.parametrize("value_bits", [4, 20])
+    def test_equals_a_stable_argsort(self, m, value_bits):
+        """Within the cached vector's length (int32 keys at 4 value
+        bits, int64 at 20) and past it, the grouping is a stable sort,
+        and the cached vector stays intact."""
+        values = np.random.default_rng(m).integers(0, 1 << value_bits, size=m)
+        grouped, positions = assoc_vec.packed_group_sort(values, value_bits)
+        order = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(positions, order)
+        np.testing.assert_array_equal(grouped, values[order])
+        for index in assoc_vec._INDEX.values():
+            np.testing.assert_array_equal(index, np.arange(index.size))

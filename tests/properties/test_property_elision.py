@@ -17,6 +17,8 @@ most-recently-used line, the kept lines exactly the rest of the trace.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +31,10 @@ from repro.ir.affine import var
 from repro.ir.loops import Loop
 from repro.obs.metrics import get_metrics
 from repro.obs.timeline import Timeline
-from repro.trace.generator import program_line_chunks, program_trace_chunks
+from repro.trace import generator
+from repro.trace.generator import generate_trace, program_line_chunks, program_trace_chunks
 from tests.properties.test_property_trace import random_nest_loops, random_program
+from tests.trace.test_generator import trace_slices
 
 
 @st.composite
@@ -173,14 +177,16 @@ class TestDroppedAccesses:
     ):
         """Replayed one access at a time on the sequential L1, every
         access a chunk dropped hits, on the line its set used last; and
-        each chunk's lines are the full unit-line trace at its kept
-        positions, which are strictly increasing."""
-        lined, plain = _chunks(prog, config, budget, origin, pad)
+        each chunk's lines are the unit lines of the trace slice it
+        stands for at its kept positions, which are strictly
+        increasing."""
+        layout = _layout(prog, origin, pad)
+        lined = list(program_line_chunks(prog, layout, config, budget))
         l1 = config.levels[0]
         cache = SequentialAssocCache(l1.size, l1.line_size, l1.associativity)
         unit = lined[0].geometry[0] if lined else l1.line_size
         mru: dict[int, int] = {}
-        for chunk, addresses in zip(lined, plain, strict=True):
+        for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
             assert len(chunk) == addresses.size
             kept = chunk.positions()
             assert (np.diff(kept) > 0).all() and kept.size == chunk.lines.size
@@ -196,3 +202,35 @@ class TestDroppedAccesses:
                 if drop:
                     assert mru[s] == line
                 mru[s] = line
+
+
+class TestChunkBudget:
+    def test_no_line_chunk_holds_more_than_the_budget(self):
+        """Over drawn programs and budgets, no line chunk holds more
+        lines than the budget, and the chunks tile the trace; over the
+        draws, some piece is cut into several chunks."""
+        several = []
+        cut = generator._LineCutter.cut
+
+        def counted(self, nest, seg):
+            chunks = list(cut(self, nest, seg))
+            several.append(len(chunks) > 1)
+            return iter(chunks)
+
+        @given(
+            prog=programs,
+            config=hierarchies(),
+            budget=st.integers(1, 400),
+            origin=origins,
+            pad=st.integers(0, 96),
+        )
+        @settings(max_examples=60, deadline=None)
+        def check(prog, config, budget, origin, pad):
+            layout = _layout(prog, origin, pad)
+            with mock.patch.object(generator._LineCutter, "cut", counted):
+                lined = list(program_line_chunks(prog, layout, config, budget))
+            assert all(chunk.lines.size <= budget for chunk in lined)
+            trace_slices(lined, generate_trace(prog, layout))
+
+        check()
+        assert any(several)

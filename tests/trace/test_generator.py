@@ -164,19 +164,28 @@ SMALL = HierarchyConfig((
 ))
 
 
+def trace_slices(chunks: list, trace: np.ndarray) -> list:
+    """Each line chunk beside the slice of the address trace it stands
+    for, at the cumulative ``len(chunk)`` offsets; the chunks must tile
+    the trace."""
+    ends = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+    assert ends[-1] == trace.size
+    return [(c, trace[a:b]) for c, a, b in zip(chunks, ends, ends[1:])]
+
+
 class TestLineChunks:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @pytest.mark.parametrize("budget", [5, 64, 10_000])
     def test_kept_lines_are_the_address_chunks_at_their_positions(self, name, budget):
-        """Line chunks end where address chunks end, and each one's
-        lines are its address chunk's unit lines at its kept positions."""
+        """Line chunks tile the address trace, and each one's lines are
+        the unit lines of the trace slice it stands for at its kept
+        positions, at most the budget of them."""
         prog = PROGRAMS[name]()
         layout = DataLayout.sequential(prog, origin=1 << 12)
         lined = list(program_line_chunks(prog, layout, SMALL, budget))
-        plain = list(program_trace_chunks(prog, layout, budget))
-        assert [len(c) for c in lined] == [c.size for c in plain]
-        for chunk, addresses in zip(lined, plain):
+        for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
             assert isinstance(chunk, LineChunk) and chunk.lines.dtype == np.int32
+            assert chunk.lines.size <= budget
             np.testing.assert_array_equal(
                 chunk.lines, addresses[chunk.positions()] // 32
             )
@@ -211,9 +220,35 @@ class TestLineChunks:
         ) as gathers:
             lined = list(program_line_chunks(prog, layout, config, 256))
         assert gathers.call_count > len(lined)  # several patterns a piece
-        plain = list(program_trace_chunks(prog, layout, 256))
-        for chunk, addresses in zip(lined, plain, strict=True):
+        for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
             np.testing.assert_array_equal(chunk.lines, addresses[chunk.positions()] // 32)
         assert sum(c.dropped for c in lined) > 0
         result = StreamingHierarchy(config).feed_all(lined).result()
-        assert result == replay_hierarchy(config, plain)
+        assert result == replay_hierarchy(config, program_trace_chunks(prog, layout, 256))
+
+    def test_a_segment_over_the_budget_is_split(self):
+        """A budget of 64 lines cuts 256-reference pieces of a 512-trip
+        loop, one segment each.  ``A(i)``, 16-byte elements on 32-byte
+        lines, would keep 128 lines of a segment, so the cut caps each
+        at 64 iterations; ``B(i)``, a line per access, drops nothing,
+        and its segments are sliced as addresses."""
+        b = ProgramBuilder("long")
+        A = b.array("A", (512,), element_size=16)
+        B = b.array("B", (512,), element_size=32)
+        (i,) = b.vars("i")
+        b.nest([Loop("i", 1, 512)], [b.use(reads=[A[i]])])
+        b.nest([Loop("i", 1, 512)], [b.use(reads=[B[i]])])
+        prog = b.build()
+        layout = DataLayout.sequential(prog, origin=1 << 12)
+        with mock.patch.object(
+            generator._Segments, "capped", autospec=True,
+            side_effect=generator._Segments.capped,
+        ) as capped:
+            lined = list(program_line_chunks(prog, layout, SMALL, 64))
+        assert capped.call_count == 2
+        assert [c.lines.size for c in lined] == [64] * 12
+        for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
+            np.testing.assert_array_equal(chunk.lines, addresses[chunk.positions()] // 32)
+        assert sum(c.dropped for c in lined) == 256
+        result = StreamingHierarchy(SMALL).feed_all(lined).result()
+        assert result == replay_hierarchy(SMALL, program_trace_chunks(prog, layout))
