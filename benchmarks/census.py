@@ -395,7 +395,7 @@ def entry_points(run, work: pathlib.Path, env: dict) -> None:
     run(exp + ["report", "--trace", trace])
     run(exp + ["diff", "--baseline", trace, "--trace", trace])
     run(exp + ["fig9", "--quick", "--no-cache", "--workers", "1",
-               "--trace", str(work / "fig9.chrome.json"), "--trace-format", "chrome"])
+               "--trace", str(work / "fig9.chrome.json")])
     run(exp + ["report", "--trace", str(work / "fig9.chrome.json")])
     for i in (1, 2):
         run(exp + ["fig9", "--quick", "--workers", "2", "--shard", f"{i}/2",

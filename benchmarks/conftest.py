@@ -14,8 +14,8 @@ tracks, and the metrics snapshot -- written to PATH at session end, and
 attaches that path to every BENCH_*.json record so each timing row stays
 linked to the spans that explain it.  (The flag is not spelled
 ``--trace`` because pytest already owns that name for its debugger.)
-``--bench-trace-format chrome`` writes a Perfetto-loadable file instead
-of JSON lines.
+A ``*.json`` PATH is written as a Perfetto-loadable Chrome trace, any
+other as JSON lines.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ def pytest_addoption(parser):
         "--bench-trace", action="store", default=None, metavar="PATH",
         help="record the benchmark session as a repro.obs trace at PATH "
              "(spans + timeline counter tracks + metrics snapshot)",
-    )
-    group.addoption(
-        "--bench-trace-format", action="store", default="jsonl",
-        choices=("jsonl", "chrome"),
-        help="trace file format for --bench-trace (default jsonl)",
     )
 
 
@@ -67,12 +62,9 @@ def pytest_sessionfinish(session, exitstatus):
             tracer = getattr(session.config, "_repro_bench_tracer", None)
             if tracer is None:
                 raise RuntimeError("session tracer never started")
-            fmt = session.config.getoption("--bench-trace-format",
-                                           default="jsonl")
-            tracer.write(trace_path, format=fmt,
-                         metrics=get_metrics().snapshot())
+            tracer.write(trace_path, metrics=get_metrics().snapshot())
             print(f"\n[bench] trace written to {trace_path} "
-                  f"({fmt}, {len(tracer.spans())} spans, "
+                  f"({len(tracer.spans())} spans, "
                   f"{len(tracer.counters())} counter samples)")
             if get_tracer() is tracer:
                 stop_tracing()

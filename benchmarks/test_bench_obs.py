@@ -7,7 +7,8 @@ Two guards pin that down:
 
 * a direct A/B benchmark of the streaming hierarchy with tracing off vs
   on, interleaved in pairs, whose median per-pair ratio lands in
-  ``extra_info`` for the trend history;
+  ``extra_info`` for the trend history (and a sibling that A/Bs a real
+  job's line chunks fed with and without a timeline, recorded only);
 * an analytic bound -- the measured cost of the per-chunk obs calls
   themselves must be far below 2% of the simulation work they annotate
   (robust against scheduler noise in a way wall-clock A/B is not).
@@ -23,6 +24,7 @@ from repro import ultrasparc_i
 from repro.cache.config import LineChunk
 from repro.cache.streaming import StreamingHierarchy
 from repro.obs.metrics import best_of, get_metrics
+from repro.obs.timeline import Timeline
 from repro.obs.tracer import get_tracer, start_tracing, stop_tracing
 
 HIER = ultrasparc_i()
@@ -79,6 +81,47 @@ def test_bench_streaming_untraced_vs_traced(benchmark, random_trace):
         random_trace.size / min(untraced)
     )
     benchmark.extra_info["traced_over_untraced"] = round(statistics.median(ratios), 4)
+
+
+def test_bench_timeline_fig9_expl_untimed_vs_timed(benchmark):
+    """Wall-clock A/B of a timeline on the full-size Figure 9 expl
+    "L1 Opt" job's line chunks (drops present), fed with and without a
+    :class:`~repro.obs.timeline.Timeline` at the default window, in
+    alternating pairs; the median per-pair ratio is recorded, not
+    gated."""
+    from repro.experiments.fig9_pad import build_jobs
+
+    stop_tracing()
+    (job,) = [j for j in build_jobs(programs=["expl"]) if j.tag[1] == "L1 Opt"]
+    chunks = list(job.chunks())
+    assert sum(c.dropped for c in chunks) > 0
+    levels = tuple(cfg.name for cfg in job.hierarchy)
+
+    def feed(timeline):
+        return StreamingHierarchy(job.hierarchy, timeline=timeline).feed_all(chunks).result()
+
+    def seconds(timed: bool) -> float:
+        timeline = Timeline(levels) if timed else None
+        t0 = time.perf_counter()
+        result = feed(timeline)
+        elapsed = time.perf_counter() - t0
+        if timed:
+            rows = timeline.rows()
+            assert [sum(r[3][i][1] for r in rows) for i in range(len(levels))] == [
+                lv.misses for lv in result.levels]
+        return elapsed
+
+    untimed, ratios = [], []
+    for k in range(PAIRS):
+        order = (False, True) if k % 2 == 0 else (True, False)
+        pair = {timed: seconds(timed) for timed in order}
+        untimed.append(pair[False])
+        ratios.append(pair[True] / pair[False])
+
+    result = benchmark.pedantic(lambda: feed(Timeline(levels)), rounds=3, iterations=1)
+    assert result.total_refs == job.program.total_refs()
+    benchmark.extra_info["untimed_refs_per_sec"] = round(result.total_refs / min(untimed))
+    benchmark.extra_info["timed_over_untimed"] = round(statistics.median(ratios), 4)
 
 
 def test_disabled_obs_calls_are_under_2pct_of_simulation():

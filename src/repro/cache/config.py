@@ -21,6 +21,7 @@ access kept (see ``docs/simulators.md``).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -101,19 +102,19 @@ class LineChunk:
     ``lines``, not ``refs``: a chunk with many drops stands for several
     budgets' worth of references, while a level feed stays within it.
     ``geometry`` is :func:`line_geometry` of the hierarchy it was cut
-    for; ``len()`` is ``refs``.  :meth:`positions` gives each kept
-    access's index among the chunk's references, which a hierarchy
-    splitting the chunk at timeline windows reads; ``locate`` computes
-    them on demand (None: nothing was dropped).
+    for; ``len()`` is ``refs``.  :meth:`kept_before` counts the kept
+    accesses among a prefix of the chunk's references, which a
+    hierarchy reads at timeline window edges; ``count`` answers it on
+    demand (None: nothing was dropped).
     """
 
-    __slots__ = ("lines", "refs", "geometry", "_locate")
+    __slots__ = ("lines", "refs", "geometry", "_count")
 
-    def __init__(self, lines: np.ndarray, refs: int, geometry: tuple, locate=None):
+    def __init__(self, lines: np.ndarray, refs: int, geometry: tuple, count=None):
         self.lines = lines
         self.refs = refs
         self.geometry = geometry
-        self._locate = locate
+        self._count = count
 
     def __len__(self) -> int:
         return self.refs
@@ -122,11 +123,9 @@ class LineChunk:
     def dropped(self) -> int:
         return self.refs - self.lines.size
 
-    def positions(self) -> np.ndarray:
-        """Index of each kept access among the chunk's ``refs``."""
-        if self._locate is None:
-            return np.arange(self.refs, dtype=np.int64)
-        return self._locate()
+    def kept_before(self, offset: int) -> int:
+        """How many of the chunk's first ``offset`` references are kept."""
+        return offset if self._count is None else self._count(offset)
 
     @classmethod
     def from_addresses(cls, addresses, hierarchy: "HierarchyConfig") -> "LineChunk":
@@ -144,23 +143,22 @@ class LineChunk:
         """Consecutive chunks of one hierarchy as one chunk."""
         if len(chunks) == 1:
             return chunks[0]
-        starts = np.cumsum([0] + [c.refs for c in chunks[:-1]])
-        # The parts' positions only: the joined chunk must not keep
-        # their lines alive.
-        parts = [(c.refs, c._locate) for c in chunks]
+        starts = np.cumsum([0] + [c.refs for c in chunks]).tolist()
+        kept = np.cumsum([0] + [c.lines.size for c in chunks]).tolist()
+        # The parts' counts only: the joined chunk must not keep their
+        # lines alive.
+        parts = [c._count for c in chunks]
 
-        def locate() -> np.ndarray:
-            return np.concatenate([
-                (np.arange(refs, dtype=np.int64) if part is None else part()) + s
-                for (refs, part), s in zip(parts, starts.tolist())
-            ])
+        def count(offset: int) -> int:
+            j = min(bisect.bisect_right(starts, offset), len(parts)) - 1
+            part, offset = parts[j], offset - starts[j]
+            return kept[j] + (offset if part is None else part(offset))
 
-        dropped = any(c._locate is not None for c in chunks)
         return cls(
             np.concatenate([c.lines for c in chunks]),
-            int(starts[-1]) + chunks[-1].refs,
+            starts[-1],
             chunks[0].geometry,
-            locate if dropped else None,
+            None if kept[-1] == starts[-1] else count,
         )
 
 

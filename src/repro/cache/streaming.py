@@ -157,14 +157,18 @@ class StreamingHierarchy:
     0.125
 
     Pass a :class:`repro.obs.timeline.Timeline` to also accumulate
-    windowed per-level telemetry: ``feed`` then splits each chunk at
-    window boundaries (re-reading ``timeline.window_refs`` per slice,
-    since coalescing can widen it mid-run) and records each slice's
-    per-level ``(accesses, misses)`` delta; a dropped hit counts in the
-    window of its position.  Window boundaries land at exactly the same
-    reference positions regardless of how the trace was chunked, and
-    every reference lands in exactly one window, so the timeline's
-    totals equal :meth:`result`'s bit-for-bit -- the property
+    windowed per-level telemetry: ``feed`` feeds each chunk to
+    the levels once, keeps every level's miss mask, and then counts
+    each window's per-level ``(accesses, misses)`` from the masks:
+    L1's accesses are the window's references (a dropped hit counts in
+    the window of its position, read off
+    :meth:`~repro.cache.config.LineChunk.kept_before` at the window
+    edges), each lower level's are the misses above it.  Window
+    boundaries land at exactly the same reference positions regardless
+    of how the trace was chunked (``timeline.window_refs`` is re-read
+    per window, since coalescing can double it mid-run), and every
+    reference lands in exactly one window, so the timeline's totals
+    equal :meth:`result`'s bit-for-bit -- the property
     ``tests/properties/test_property_timeline.py`` pins.
     """
 
@@ -182,17 +186,21 @@ class StreamingHierarchy:
         self._refs_counter = metrics.counter("cache.refs")
         self._elided_counter = metrics.counter("cache.mru_elided")
 
-    def _feed_levels(self, stream: np.ndarray, hits: int, timed: bool) -> None:
+    def _feed_levels(self, stream: np.ndarray, hits: int, timed: bool,
+                     masks: list | None = None) -> None:
         """Push the unit line numbers L1 must classify through every
-        level; ``hits`` more L1 accesses were dropped as MRU hits."""
+        level; ``hits`` more L1 accesses were dropped as MRU hits.
+        Every level's miss mask is appended to ``masks`` when given."""
         last = len(self._levels) - 1
         for i, level in enumerate(self._levels):
             t0 = time.perf_counter() if timed else 0.0
+            miss = level.feed(LineStream(stream, self._unit, hits,
+                                         mask=i < last or masks is not None))
+            if masks is not None:
+                masks.append(miss)
             if i < last:
-                stream = stream[level.feed(LineStream(stream, self._unit, hits))]
+                stream = stream[miss]
                 hits = 0
-            else:
-                level.feed(LineStream(stream, self._unit, hits, mask=False))
             if timed:
                 get_metrics().histogram(self._level_seconds[i]).observe(
                     time.perf_counter() - t0
@@ -221,40 +229,43 @@ class StreamingHierarchy:
                 f"line chunk cut for (unit, L1 line, L1 sets) "
                 f"{chunk.geometry}, hierarchy has {self._geometry}"
             )
-        lines, n, dropped = chunk.lines, chunk.refs, chunk.dropped
+        dropped = chunk.dropped
         self._elided_counter.inc(dropped)
         if self.timeline is None:
-            self.total_refs += n
-            self._feed_levels(lines, dropped, timed)
+            self._feed_levels(chunk.lines, dropped, timed)
         else:
-            # Kept accesses by position: a dropped hit counts in the
-            # window it falls in.
-            where = chunk.positions() if dropped else None
-            pos = kept = 0
-            while pos < n:
-                window = self.timeline.window_refs
-                take = min(window - self.total_refs % window, n - pos)
-                end = pos + take if where is None else int(
-                    np.searchsorted(where, pos + take)
-                )
-                start_ref = self.total_refs
-                before = [(lv.accesses, lv.misses) for lv in self._levels]
-                part = lines[kept:end]
-                self._feed_levels(part, take - part.size, timed)
-                self.timeline.record(
-                    start_ref,
-                    start_ref + take,
-                    [(lv.accesses - acc, lv.misses - miss)
-                     for lv, (acc, miss) in zip(self._levels, before)],
-                )
-                self.total_refs += take
-                pos += take
-                kept = end
-        self._refs_counter.inc(n)
+            masks: list = []
+            self._feed_levels(chunk.lines, dropped, timed, masks)
+            self._record(chunk, masks)
+        self.total_refs += chunk.refs
+        self._refs_counter.inc(chunk.refs)
         if timed:
             get_metrics().histogram("cache.chunk_seconds").observe(
                 time.perf_counter() - t0
             )
+
+    def _record(self, chunk: LineChunk, masks: list) -> None:
+        """Record the fed chunk's per-window ``(accesses, misses)`` at
+        every level from the levels' miss masks."""
+        start = self.total_refs
+        end = start + chunk.refs
+        # Each level's input index at the current window's start.
+        edges = [0] * len(masks)
+        pos = start
+        while pos < end:
+            window = self.timeline.window_refs
+            stop = min(pos - pos % window + window, end)
+            accesses = stop - pos
+            width = chunk.kept_before(stop - start) - edges[0]
+            counts = []
+            for i, miss in enumerate(masks):
+                lo = edges[i]
+                edges[i] = lo + width
+                misses = int(np.count_nonzero(miss[lo:lo + width]))
+                counts.append((accesses, misses))
+                accesses = width = misses
+            self.timeline.record(pos, stop, counts)
+            pos = stop
 
     def feed_all(self, chunks) -> "StreamingHierarchy":
         """Consume an iterable of chunks; returns self for chaining."""

@@ -28,8 +28,8 @@ the store for a pure recomputation.
 
 ``--trace PATH`` records the run as structured spans (one root span per
 experiment, one per sweep, one per simulation job) plus a metrics
-snapshot; ``--trace-format chrome`` writes a Perfetto/chrome://tracing
-loadable file instead of JSON lines.  ``report --trace PATH`` summarizes
+snapshot, as a Perfetto/chrome://tracing loadable file when ``PATH``
+ends in ``.json`` and as JSON lines otherwise.  ``report --trace PATH`` summarizes
 a recorded trace (top spans by self-time, store hit rate, worker
 utilization incl. steals and queue depth, refs/s); ``report --trace
 PATH --trace-id ID`` reconstructs one request's causal span tree
@@ -180,13 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace", type=pathlib.Path, default=None, metavar="PATH",
-        help="record a trace of the run to PATH "
-             "(or, with 'report', the trace file to summarize)",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["jsonl", "chrome"], default="jsonl",
-        help="trace file format: JSON lines (default) or Chrome "
-             "trace-event for chrome://tracing / Perfetto",
+        help="record a trace of the run to PATH: Chrome trace-event "
+             "JSON for chrome://tracing / Perfetto if it ends in .json, "
+             "JSON lines otherwise (or, with 'report', the trace file "
+             "to summarize)",
     )
     parser.add_argument(
         "--trace-id", default=None, metavar="ID",
@@ -374,10 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     if executor is not None:
         executor.close()
     if args.trace is not None:
-        tracer.write(args.trace, format=args.trace_format,
-                     metrics=get_metrics().snapshot())
+        tracer.write(args.trace, metrics=get_metrics().snapshot())
         print(f"[obs] trace written to {args.trace} "
-              f"({args.trace_format}, {len(tracer.spans())} spans)")
+              f"({len(tracer.spans())} spans)")
         stop_tracing()
     return 0
 

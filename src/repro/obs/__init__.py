@@ -31,8 +31,7 @@ Quick use::
 
     tracer = start_tracing()
     ...  # run any sweep / search / experiment
-    tracer.write("out.json", format="chrome",
-                 metrics=get_metrics().snapshot())
+    tracer.write("out.json", metrics=get_metrics().snapshot())  # chrome
 
 See ``docs/observability.md`` for the full tour.
 """

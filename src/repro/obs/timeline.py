@@ -65,10 +65,11 @@ class Timeline:
 
     Rows are ``[start_ref, end_ref, end_ns, [[acc, miss], ...]]`` -- one
     inner pair per cache level, in hierarchy order.  ``record()`` slices
-    must be contiguous and must not straddle a window boundary (the
-    streaming simulators split their chunks accordingly, reading
-    :attr:`window_refs` before every chunk since coalescing may widen
-    it mid-run).
+    must be contiguous and must not straddle a window boundary: the
+    streaming hierarchy feeds each chunk once and then records its
+    windows one by one, counted off the levels' miss masks, reading
+    :attr:`window_refs` before every window since coalescing may widen
+    it mid-run.
     """
 
     __slots__ = ("levels", "window_refs", "capacity", "_rows")

@@ -492,14 +492,13 @@ class Tracer:
         with open(path, "w") as f:
             json.dump(doc, f)
 
-    def write(self, path, format: str = "jsonl", metrics: dict | None = None) -> None:
-        """Dispatch on ``format`` ("jsonl" or "chrome")."""
-        if format == "jsonl":
-            self.write_jsonl(path, metrics=metrics)
-        elif format == "chrome":
+    def write(self, path, metrics: dict | None = None) -> None:
+        """Chrome trace-event JSON to a ``*.json`` path, JSON lines to
+        any other (:func:`~repro.obs.report.load_trace_doc` reads both)."""
+        if str(path).endswith(".json"):
             self.write_chrome(path, metrics=metrics)
         else:
-            raise ValueError(f"unknown trace format {format!r}")
+            self.write_jsonl(path, metrics=metrics)
 
 
 class _NullSpan:

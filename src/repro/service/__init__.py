@@ -13,8 +13,8 @@ long-running network service:
 * :mod:`~repro.service.pipeline` -- one tuning request end to end:
   heuristic optimization, optional empirical pad search, final
   evaluation, all through a shared :class:`~repro.exec.executor.SweepExecutor`;
-* :mod:`~repro.service.planner` -- the persistent response store and the
-  request planner that decides warm (store) vs cold (compute);
+* :mod:`~repro.service.planner` -- the persistent response store a
+  request is answered from when its tuning key is warm;
 * :mod:`~repro.service.queue` -- bounded, cost-ordered admission with
   explicit 429/503 backpressure;
 * :mod:`~repro.service.server` -- the asyncio HTTP front end
@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "hierarchy_to_json", "hierarchy_from_json",
     ),
     "repro.service.pipeline": ("run_tuning",),
-    "repro.service.planner": ("TuningStore", "RequestPlanner"),
+    "repro.service.planner": ("TuningStore",),
     "repro.service.queue": (
         "TuningQueue", "ServiceSaturated", "ServiceDraining",
     ),

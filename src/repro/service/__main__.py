@@ -54,11 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace", default=None, metavar="PATH", dest="trace",
         help="record request/pipeline/simulator spans and timeline "
-             "counter tracks; written to PATH on shutdown",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["jsonl", "chrome"], default="jsonl",
-        help="trace file format (default jsonl; chrome loads in Perfetto)",
+             "counter tracks; written to PATH on shutdown (Chrome "
+             "trace-event JSON if it ends in .json, JSON lines otherwise)",
     )
     args = parser.parse_args(argv)
     if args.concurrency < 1:
@@ -78,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         drain_timeout=args.drain_timeout,
         trace_path=args.trace,
-        trace_format=args.trace_format,
     )
     return asyncio.run(serve(config))
 

@@ -1,15 +1,11 @@
-"""Request planning: canonical keys, the response store, warm-vs-cold.
+"""The service's response store: what makes a request warm.
 
-The planner sits between the HTTP front end and the tuning pipeline.
-It owns two decisions:
-
-* **identity** -- every request is parsed and reduced to its
-  content-addressed tuning key (:func:`repro.service.protocol.request_key`),
-  so textually different but semantically identical requests are the
-  same unit of work;
-* **temperature** -- a key whose response is already in the persistent
-  :class:`TuningStore` is *warm* and answered without touching the
-  queue; everything else is cold work for the pipeline.
+The server reduces every request to its content-addressed tuning key
+(:func:`repro.service.protocol.request_key`), so textually different
+but semantically identical requests are the same unit of work.  A key
+whose response is already in the persistent :class:`TuningStore` is
+*warm* and answered without touching the queue; everything else is
+cold work for the pipeline.
 
 :class:`TuningStore` is the executor's
 :class:`~repro.exec.store.ResultStore` one level up -- both are one
@@ -25,14 +21,9 @@ has no log, so each of its responses is recomputed once.
 from __future__ import annotations
 
 from repro.exec.store import LogStore
-from repro.service.protocol import (
-    SERVICE_SCHEMA,
-    TuningRequest,
-    parse_request,
-    request_key,
-)
+from repro.service.protocol import SERVICE_SCHEMA
 
-__all__ = ["TuningStore", "RequestPlanner"]
+__all__ = ["TuningStore"]
 
 TUNINGS_DIRNAME = "tunings"
 
@@ -58,22 +49,3 @@ class TuningStore(LogStore):
     def put(self, key: str, payload: dict) -> None:
         super().put(key, {**payload, "key": key})
 
-
-class RequestPlanner:
-    """Parse requests into keyed work and decide warm vs cold."""
-
-    def __init__(self, store: TuningStore):
-        self.store = store
-
-    def plan(self, payload) -> tuple[str, TuningRequest]:
-        """Canonicalize one request payload; raises ProtocolError on junk."""
-        req = parse_request(payload)
-        return request_key(req), req
-
-    def lookup(self, key: str) -> dict | None:
-        """The stored response when the key is warm, else None."""
-        return self.store.get(key)
-
-    def complete(self, key: str, payload: dict) -> None:
-        """Record a computed response so future requests are warm."""
-        self.store.put(key, payload)

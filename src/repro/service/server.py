@@ -51,8 +51,8 @@ from repro.obs.metrics import get_metrics
 from repro.obs.prometheus import format_prometheus
 from repro.obs.tracer import get_tracer, start_tracing
 from repro.service.pipeline import run_tuning, run_tuning_traced
-from repro.service.planner import RequestPlanner, TuningStore, TUNINGS_DIRNAME
-from repro.service.protocol import ProtocolError
+from repro.service.planner import TuningStore, TUNINGS_DIRNAME
+from repro.service.protocol import ProtocolError, parse_request, request_key
 from repro.service.queue import ServiceDraining, ServiceSaturated, TuningQueue
 
 __all__ = ["ServiceConfig", "TuningService", "serve"]
@@ -80,8 +80,7 @@ class ServiceConfig:
     sim_workers: int = 1       # simulation processes per executor
     backend: str = "sim"
     drain_timeout: float = 60.0
-    trace_path: str | None = None   # write a trace file on shutdown
-    trace_format: str = "jsonl"     # "jsonl" | "chrome"
+    trace_path: str | None = None   # write a trace file on shutdown (.json: chrome)
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -119,9 +118,7 @@ class TuningService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self.planner = RequestPlanner(
-            TuningStore(f"{config.store_dir}/{TUNINGS_DIRNAME}")
-        )
+        self.store = TuningStore(f"{config.store_dir}/{TUNINGS_DIRNAME}")
         self.queue = TuningQueue(limit=config.queue_limit)
         self.jobs: dict[str, _JobState] = {}
         self._inflight: dict[str, asyncio.Future] = {}
@@ -212,7 +209,7 @@ class TuningService:
                     item.trace_id, item.parent_span, run_tuning,
                 )
                 payload["key"] = item.key
-                self.planner.complete(item.key, payload)
+                self.store.put(item.key, payload)
                 state.status = "done"
                 state.result = payload
                 self._metrics.counter("service.requests.computed").inc()
@@ -362,10 +359,10 @@ class TuningService:
             "inflight": len(self._inflight),
             "jobs": by_status,
             "tuning_store": {
-                "entries": len(self.planner.store),
-                "hits": self.planner.store.hits,
-                "misses": self.planner.store.misses,
-                "puts": self.planner.store.puts,
+                "entries": len(self.store),
+                "hits": self.store.hits,
+                "misses": self.store.misses,
+                "puts": self.store.puts,
             },
         }
 
@@ -373,7 +370,7 @@ class TuningService:
         state = self.jobs.get(key)
         if state is not None:
             return 200, state.to_json(key)
-        stored = self.planner.lookup(key)
+        stored = self.store.get(key)
         if stored is not None:
             return 200, {"job": key, "status": "done", "result": stored}
         return 404, {"error": f"unknown job {key!r}"}
@@ -403,7 +400,8 @@ class TuningService:
 
     async def _tune(self, payload, wait: bool) -> tuple[int, dict]:
         try:
-            key, request = self.planner.plan(payload)
+            request = parse_request(payload)
+            key = request_key(request)
         except ProtocolError as exc:
             self._metrics.counter("service.requests.rejected").inc()
             return 400, {"error": str(exc)}
@@ -420,7 +418,7 @@ class TuningService:
             start_ns = time.time_ns()
 
         t0 = time.time()
-        stored = self.planner.lookup(key)
+        stored = self.store.get(key)
         if stored is not None:
             self._metrics.counter("service.requests.store").inc()
             self._metrics.histogram("service.warm_seconds").observe(
@@ -500,11 +498,7 @@ async def serve(config: ServiceConfig) -> int:
     await service.shutdown()
     if config.trace_path is not None:
         tracer = get_tracer()
-        metrics = get_metrics().snapshot()
-        if config.trace_format == "chrome":
-            tracer.write_chrome(config.trace_path, metrics=metrics)
-        else:
-            tracer.write_jsonl(config.trace_path, metrics=metrics)
+        tracer.write(config.trace_path, metrics=get_metrics().snapshot())
         print(
             f"[service] trace: {len(tracer.spans())} spans, "
             f"{len(tracer.counters())} counter samples -> {config.trace_path}",

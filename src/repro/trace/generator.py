@@ -281,12 +281,13 @@ def _nest_pieces(nest: _Nest, max_chunk_refs: int) -> Iterator[_Segments]:
     q = nest.depth
     while q > p and nest.loops[q - 1].is_rectangular:
         q -= 1
+    cum = np.concatenate(([0], np.cumsum(sizes)))
+    big = np.flatnonzero(sizes >= max(1, max_chunk_refs // BIG_ROW_DIVISOR))
+    # Only batches of small rows read them.
     suffix = [
         rows.firsts[k][0] + steps[k] * np.arange(rows.counts[k][0], dtype=np.int64)
         for k in range(q - p, nest.depth - p)
-    ]
-    cum = np.concatenate(([0], np.cumsum(sizes)))
-    big = np.flatnonzero(sizes >= max(1, max_chunk_refs // BIG_ROW_DIVISOR))
+    ] if big.size < sizes.size else []
     bounds = np.append(big, sizes.size)
 
     def row_base(a: int, b: int) -> np.ndarray:
@@ -528,21 +529,27 @@ class _LineCutter:
         kept = _kept(templates, which, n)
         for a, b in _runs(kept, self.budget):
             yield self._chunk(templates, which[a:b], n if isinstance(n, int) else n[a:b],
-                              base[a:b], first[a:b + 1] - first[a])
+                              base[a:b], first[a:b + 1] - first[a], kept[a:b])
 
     def _chunk(self, templates: list, which: np.ndarray, n, base: np.ndarray,
-               first: np.ndarray) -> LineChunk:
+               first: np.ndarray, kept: np.ndarray) -> LineChunk:
         """The line chunk of whole segments whose first references are
-        ``first[:-1]`` of ``first[-1]``."""
-        lines = _gather(templates, which, n, base, _OFFSET)
-        refs = int(first[-1])
-        if refs == lines.size:
+        ``first[:-1]`` of ``first[-1]`` and which keep ``kept`` pairs."""
+        lines = _gather(templates, which, n, base)
+        refs, size = int(first[-1]), lines.size
+        if refs == size:
             return LineChunk(lines, refs, self.geometry)
-        starts = np.broadcast_to(first[:-1, None], base.shape)
-        return LineChunk(
-            lines, refs, self.geometry,
-            lambda: _gather(templates, which, n, starts, _FLAT),
-        )
+
+        def count(offset: int) -> int:
+            # The segment holding the offset, and its template pairs
+            # before the offset.
+            s = int(np.searchsorted(first, offset, "right")) - 1
+            if s == which.size:
+                return size
+            flat = templates[which[s]][2]
+            return int(kept[:s].sum() + np.searchsorted(flat, offset - first[s]))
+
+        return LineChunk(lines, refs, self.geometry, count)
 
     def _plain(self, seg: _Segments, stride: np.ndarray) -> Iterator[LineChunk]:
         """Every access kept, in chunks within the budget: runs of whole
@@ -617,21 +624,16 @@ def _kept(templates: list, which: np.ndarray, n) -> np.ndarray:
     return kept
 
 
-# Template fields _gather adds to a segment's base: the flat index of a
-# pair within the segment (positions) or its line offset (lines).
-_FLAT, _OFFSET = 2, 3
-
-
-def _gather(templates: list, which: np.ndarray, n, base: np.ndarray, field: int) -> np.ndarray:
-    """Each segment's template entries, in trace order: ``base[s, r] +
-    template[field]`` over the pairs ``(i, r)`` with ``i < n[s]``.
+def _gather(templates: list, which: np.ndarray, n, base: np.ndarray) -> np.ndarray:
+    """Each segment's kept lines, in trace order: ``base[s, r]`` plus
+    the template's line offset over the pairs ``(i, r)`` with ``i < n[s]``.
 
     ``templates`` holds each phase pattern's template and ``which`` each
     segment's pattern.  The segments of one pattern are one gather, and
     one more gather puts the patterns' parts back in trace order.
     """
     if len(templates) == 1:
-        return _one_pattern(templates[0], n, base, field)[0]
+        return _one_pattern(templates[0], n, base)[0]
     m = which.size
     order = np.argsort(which, kind="stable")
     counts = np.empty(m, dtype=np.int64)
@@ -641,7 +643,7 @@ def _gather(templates: list, which: np.ndarray, n, base: np.ndarray, field: int)
         segs = order[a:b]
         values, counts[segs] = _one_pattern(
             templates[which[segs[0]]], n if isinstance(n, int) else n[segs],
-            base[segs], field,
+            base[segs],
         )
         parts.append(values)
     start = np.empty(m, dtype=np.int64)
@@ -649,10 +651,10 @@ def _gather(templates: list, which: np.ndarray, n, base: np.ndarray, field: int)
     return np.concatenate(parts)[ragged_range(start, counts, 1)[1]]
 
 
-def _one_pattern(template: tuple, n, base: np.ndarray, field: int) -> tuple:
+def _one_pattern(template: tuple, n, base: np.ndarray) -> tuple:
     """``_gather`` for segments of one pattern, and how many pairs each
     segment keeps."""
-    i, r, value = template[0], template[1], template[field]
+    i, r, value = template[0], template[1], template[3]
     if not isinstance(n, int):
         kept = np.searchsorted(i, n)
         parent, j = ragged_range(np.zeros(kept.size, dtype=np.int64), kept, 1)

@@ -1,5 +1,7 @@
 """Streaming simulation must equal whole-trace simulation for any chunking."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.cache.assoc import miss_mask_assoc, replay_hierarchy
 from repro.errors import SimulationError
 from repro.ir.loops import Loop
 from repro.obs.metrics import get_metrics
+from repro.obs.timeline import Timeline
 from repro.trace.generator import program_line_chunks, program_trace_chunks
 from repro import DataLayout, ProgramBuilder
 
@@ -102,6 +105,32 @@ class TestStreamingHierarchy:
             lined(config, chunked(trace, [64] * 8))
         )
         assert stream.result() == mono
+
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_a_timeline_feeds_each_level_once_per_chunk(self, assoc):
+        """With a timeline whose windows split every chunk, each level
+        is still fed once per chunk, and the rows sum to the result."""
+        config = HierarchyConfig((
+            CacheConfig(size=1024, line_size=32, associativity=assoc, name="L1"),
+            CacheConfig(size=8192, line_size=64, name="L2"),
+        ))
+        prog, layout = _streams(768)
+        chunks = list(program_line_chunks(prog, layout, config, 64))
+        assert sum(c.dropped for c in chunks) > 0
+        timeline = Timeline(levels=("L1", "L2"), window_refs=16, capacity=1 << 20)
+        hier = StreamingHierarchy(config, timeline=timeline)
+        l1, l2 = hier._levels
+        with mock.patch.object(l1, "feed", wraps=l1.feed) as l1, \
+                mock.patch.object(l2, "feed", wraps=l2.feed) as l2:
+            result = hier.feed_all(chunks).result()
+        assert l1.call_count == l2.call_count == len(chunks)
+        rows = timeline.rows()
+        assert len(rows) > len(chunks)
+        assert [sum(r[3][i][0] for r in rows) for i in range(2)] == [
+            lv.accesses for lv in result.levels]
+        assert [sum(r[3][i][1] for r in rows) for i in range(2)] == [
+            lv.misses for lv in result.levels]
+        assert result == replay_hierarchy(config, program_trace_chunks(prog, layout))
 
 
 def _two_level(l1_line=32, l2_line=64):

@@ -216,7 +216,7 @@ class TestMergeTraces:
 
     def test_chrome_and_jsonl_sources_merge_every_span(self, tmp_path):
         counts = []
-        for name, fmt in (("a.jsonl", "jsonl"), ("b.json", "chrome")):
+        for name in ("a.jsonl", "b.json"):
             tracer = Tracer()
             with tracer.span("experiment"):
                 for _ in range(3):
@@ -224,7 +224,7 @@ class TestMergeTraces:
                         pass
                 tracer.event("store.hit")
             tracer.counter("timeline.L1", ts_ns=1, misses=2)
-            tracer.write(tmp_path / name, format=fmt)
+            tracer.write(tmp_path / name)
             counts.append(len(tracer.spans()))
         out = tmp_path / "merged.jsonl"
         stats = merge_traces(out, [tmp_path / "a.jsonl", tmp_path / "b.json"])

@@ -159,7 +159,7 @@ class TestCLITrace:
     def test_chrome_format_loads_and_reports(self, tmp_path, capsys):
         trace = tmp_path / "out.json"
         rc = main(["timetile", "--quick", "--workers", "1", "--no-cache",
-                   "--trace", str(trace), "--trace-format", "chrome"])
+                   "--trace", str(trace)])
         assert rc == 0
         doc = json.load(open(trace))
         # Complete spans, instants, and the timeline's counter tracks.

@@ -120,7 +120,7 @@ class TestExports:
         tracer = Tracer()
         self._record(tracer)
         path = tmp_path / "t.json"
-        tracer.write(path, format="chrome", metrics={"counters": {"x": 1}})
+        tracer.write(path, metrics={"counters": {"x": 1}})
         doc = json.load(open(path))
         assert doc["displayTimeUnit"] == "ms"
         phases = sorted(e["ph"] for e in doc["traceEvents"])
@@ -132,17 +132,25 @@ class TestExports:
     def test_both_formats_agree_on_aggregation(self, tmp_path):
         tracer = Tracer()
         self._record(tracer)
-        tracer.write(tmp_path / "t.jsonl", format="jsonl")
-        tracer.write(tmp_path / "t.json", format="chrome")
+        tracer.write(tmp_path / "t.jsonl")
+        tracer.write(tmp_path / "t.json")
         agg_a = aggregate_spans(load_trace(tmp_path / "t.jsonl")[0])
         agg_b = aggregate_spans(load_trace(tmp_path / "t.json")[0])
         assert [(a.name, a.count) for a in agg_a] == [
             (b.name, b.count) for b in agg_b
         ]
 
-    def test_unknown_format_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            Tracer().write(tmp_path / "t", format="xml")
+    def test_format_follows_the_suffix(self, tmp_path):
+        """``*.json`` is a Chrome trace-event document; any other suffix
+        (or none) is JSON lines."""
+        tracer = Tracer()
+        self._record(tracer)
+        tracer.write(tmp_path / "t.json")
+        assert "traceEvents" in json.load(open(tmp_path / "t.json"))
+        for name in ("t", "t.jsonl", "t.json.gz", "t.trace"):
+            tracer.write(tmp_path / name)
+            rows = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+            assert {r["name"] for r in rows if r.get("type") == "span"} == {"inner", "outer"}
 
 
 class TestSelfTime:

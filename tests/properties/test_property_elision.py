@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import DataLayout, ProgramBuilder
 from repro.cache.assoc import SequentialAssocCache, replay_hierarchy
-from repro.cache.config import CacheConfig, HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
 from repro.cache.streaming import StreamingHierarchy
 from repro.ir.affine import var
 from repro.ir.loops import Loop
@@ -34,7 +34,7 @@ from repro.obs.timeline import Timeline
 from repro.trace import generator
 from repro.trace.generator import generate_trace, program_line_chunks, program_trace_chunks
 from tests.properties.test_property_trace import random_nest_loops, random_program
-from tests.trace.test_generator import trace_slices
+from tests.trace.test_generator import kept_positions, trace_slices
 
 
 @st.composite
@@ -188,7 +188,7 @@ class TestDroppedAccesses:
         mru: dict[int, int] = {}
         for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
             assert len(chunk) == addresses.size
-            kept = chunk.positions()
+            kept = kept_positions(chunk)
             assert (np.diff(kept) > 0).all() and kept.size == chunk.lines.size
             assert kept.size == 0 or 0 <= kept[0] <= kept[-1] < addresses.size
             np.testing.assert_array_equal(chunk.lines, addresses[kept] // unit)
@@ -234,3 +234,42 @@ class TestChunkBudget:
 
         check()
         assert any(several)
+
+
+class TestKeptBefore:
+    @given(
+        prog=programs,
+        config=hierarchies(),
+        budget=st.integers(1, 400),
+        origin=origins,
+        pad=st.integers(0, 96),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_rise_by_at_most_one_per_reference(
+        self, prog, config, budget, origin, pad, data
+    ):
+        """Over cut, plain and joined chunks, ``kept_before`` is 0 at 0
+        and ``lines.size`` at ``refs``, and rises by at most 1 per
+        reference; a joined chunk counts as its parts do, each shifted
+        by the kept lines before it."""
+        lined, plain = _chunks(prog, config, budget, origin, pad)
+        a = data.draw(st.integers(0, len(lined)))
+        b = data.draw(st.integers(a, len(lined)))
+        parts = lined[a:b]
+        joined = [LineChunk.join(parts)] if parts else []
+        plained = [LineChunk.from_addresses(c, config) for c in plain]
+
+        def counts(chunk):
+            return np.array([chunk.kept_before(o) for o in range(len(chunk) + 1)])
+
+        for chunk in lined + joined + plained:
+            c = counts(chunk)
+            assert c[0] == 0 and c[-1] == chunk.lines.size
+            assert ((np.diff(c) == 0) | (np.diff(c) == 1)).all()
+        if joined:
+            shifted, kept = [np.zeros(1, dtype=np.int64)], 0
+            for part in parts:
+                shifted.append(counts(part)[1:] + kept)
+                kept += part.lines.size
+            np.testing.assert_array_equal(counts(joined[0]), np.concatenate(shifted))

@@ -380,7 +380,7 @@ class TestGracefulShutdown:
             # The admitted job finished and was persisted before exit.
             state = service.jobs[accepted["job"]]
             assert state.status == "done"
-            assert accepted["job"] in service.planner.store
+            assert accepted["job"] in service.store
             # Workers and executors are gone.
             assert all(t.done() for t in service._workers)
 

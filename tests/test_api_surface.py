@@ -298,7 +298,7 @@ class TestServiceExports:
             "SERVICE_SCHEMA", "ProtocolError", "parse_request",
             "request_key", "program_to_json", "program_from_json",
             "hierarchy_to_json", "hierarchy_from_json", "run_tuning",
-            "TuningStore", "RequestPlanner", "TuningQueue",
+            "TuningStore", "TuningQueue",
             "ServiceSaturated", "ServiceDraining", "serve",
         ):
             assert name in repro.service.__all__

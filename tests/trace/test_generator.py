@@ -1,11 +1,12 @@
 """Vectorized trace generator vs the naive interpreter (ground truth)."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import DataLayout, ProgramBuilder
+from repro import DataLayout, ProgramBuilder, ultrasparc_i
 from repro.cache.assoc import replay_hierarchy
 from repro.cache.config import CacheConfig, HierarchyConfig, LineChunk
 from repro.cache.streaming import StreamingHierarchy
@@ -133,6 +134,25 @@ class TestChunkStructure:
         bx, by = layout.base("X"), layout.base("Y")
         np.testing.assert_array_equal(trace, [bx, by, bx + 8, by + 8])
 
+    def test_a_rectangular_nest_builds_no_batch_index_vectors(self):
+        """A one-row nest is emitted in blocks, never in batches, so
+        its inner loop's index vector (8 MB of int64 values for
+        ``i = 1..2**20``) is never built."""
+        b = ProgramBuilder("copy")
+        A, B = b.array("A", (1 << 20,)), b.array("B", (1 << 20,))
+        (i,) = b.vars("i")
+        b.nest([Loop("i", 1, 1 << 20)], [b.assign(A[i], reads=[B[i]])])
+        prog = b.build()
+        layout = DataLayout.sequential(prog)
+        tracemalloc.start()
+        try:
+            refs = sum(len(c) for c in program_line_chunks(prog, layout, ultrasparc_i()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refs == 2 << 20
+        assert peak < 6_000_000
+
 
 class TestMinBounds:
     def test_tiled_style_min_bound(self):
@@ -173,6 +193,13 @@ def trace_slices(chunks: list, trace: np.ndarray) -> list:
     return [(c, trace[a:b]) for c, a, b in zip(chunks, ends, ends[1:])]
 
 
+def kept_positions(chunk: LineChunk) -> np.ndarray:
+    """Each kept access's index among the chunk's references: where
+    :meth:`~repro.cache.config.LineChunk.kept_before` rises."""
+    counts = [chunk.kept_before(o) for o in range(len(chunk) + 1)]
+    return np.flatnonzero(np.diff(counts))
+
+
 class TestLineChunks:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @pytest.mark.parametrize("budget", [5, 64, 10_000])
@@ -187,7 +214,7 @@ class TestLineChunks:
             assert isinstance(chunk, LineChunk) and chunk.lines.dtype == np.int32
             assert chunk.lines.size <= budget
             np.testing.assert_array_equal(
-                chunk.lines, addresses[chunk.positions()] // 32
+                chunk.lines, addresses[kept_positions(chunk)] // 32
             )
 
     @pytest.mark.parametrize("name", ["rectangular", "triangular"])
@@ -221,7 +248,7 @@ class TestLineChunks:
             lined = list(program_line_chunks(prog, layout, config, 256))
         assert gathers.call_count > len(lined)  # several patterns a piece
         for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
-            np.testing.assert_array_equal(chunk.lines, addresses[chunk.positions()] // 32)
+            np.testing.assert_array_equal(chunk.lines, addresses[kept_positions(chunk)] // 32)
         assert sum(c.dropped for c in lined) > 0
         result = StreamingHierarchy(config).feed_all(lined).result()
         assert result == replay_hierarchy(config, program_trace_chunks(prog, layout, 256))
@@ -248,7 +275,7 @@ class TestLineChunks:
         assert capped.call_count == 2
         assert [c.lines.size for c in lined] == [64] * 12
         for chunk, addresses in trace_slices(lined, generate_trace(prog, layout)):
-            np.testing.assert_array_equal(chunk.lines, addresses[chunk.positions()] // 32)
+            np.testing.assert_array_equal(chunk.lines, addresses[kept_positions(chunk)] // 32)
         assert sum(c.dropped for c in lined) == 256
         result = StreamingHierarchy(SMALL).feed_all(lined).result()
         assert result == replay_hierarchy(SMALL, program_trace_chunks(prog, layout))
